@@ -17,7 +17,7 @@ import io
 import json
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 from .errors import BundleError
@@ -130,10 +130,13 @@ def load_config(path: str | None) -> RunConfig:
             spacing=str(grid_raw.get("spacing", "linear")),
         )
         solver_raw = raw.get("solver", {})
-        solver = SolveConfig(
-            abs_tol_x=float(solver_raw.get("abs_tol_x", 1e-10)),
-            scan_points=int(solver_raw.get("scan_points", 1024)),
-        )
+        if "scan_points" in solver_raw:
+            print(
+                "note: config key solver.scan_points is ignored; roots are isolated "
+                "exactly from the breakpoints",
+                file=sys.stderr,
+            )
+        solver = SolveConfig(abs_tol_x=float(solver_raw.get("abs_tol_x", 1e-10)))
         cfg = RunConfig(
             indices=indices,
             theta_grid=grid,
@@ -209,6 +212,8 @@ def _read_json(p: Path) -> list[tuple[str, list[float]]]:
             vals = [float(c) for c in counts]
         except (TypeError, ValueError):
             raise CliError(f"{p}: record {i}: counts must be numbers")
+        if not all(math.isfinite(c) for c in vals):
+            raise CliError(f"{p}: record {i}: counts must be finite")
         if any(c < 0 for c in vals):
             raise CliError(f"{p}: record {i}: counts must be non-negative")
         out.append((str(rec["id"]), vals))
@@ -238,6 +243,8 @@ def _read_csv(p: Path) -> list[tuple[str, list[float]]]:
                 vals = [float(t) for t in tokens]
             except ValueError:
                 raise CliError(f"{p}: line {lineno}: counts must be numbers")
+            if not all(math.isfinite(c) for c in vals):
+                raise CliError(f"{p}: line {lineno}: counts must be finite")
             if any(c < 0 for c in vals):
                 raise CliError(f"{p}: line {lineno}: counts must be non-negative")
             out.append((source_id, vals))
@@ -453,7 +460,7 @@ def _apply_flag_overrides(args, cfg: RunConfig) -> RunConfig:
     if args.tol is not None:
         if args.tol <= 0:
             raise CliError("--tol must be positive")
-        solver = SolveConfig(abs_tol_x=args.tol, scan_points=cfg.solver.scan_points)
+        solver = replace(cfg.solver, abs_tol_x=args.tol)
     seed = args.seed if args.seed is not None else cfg.seed
     return RunConfig(
         indices=cfg.indices,

@@ -50,4 +50,4 @@ class NoRootError(BundleError):
 
 
 class NonUniqueError(BundleError):
-    """The sign scan found more than one crossing; the solution is not unique."""
+    """The equation has more than one root; the solution is not unique."""

@@ -13,8 +13,8 @@ union of their breakpoints).
 from __future__ import annotations
 
 import hashlib
+import math
 import warnings
-from bisect import bisect_right
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
@@ -49,11 +49,15 @@ class RankFrequencyFunction:
         pts = tuple((float(x), float(y)) for x, y in breakpoints)
         if len(pts) < 2:
             raise ValueError("need at least 2 breakpoints")
+        # the negated comparisons also reject NaN, which compares false
         for (x0, y0), (x1, y1) in zip(pts, pts[1:]):
             if not x1 > x0:
                 raise ValueError(f"breakpoint abscissas must strictly increase: {x0} -> {x1}")
-            if y1 > y0:
+            if not y1 <= y0:
                 raise ValueError(f"breakpoint values must be non-increasing: {y0} -> {y1}")
+        # monotone sequences can only be infinite at these two ends
+        if not (math.isfinite(pts[-1][0]) and math.isfinite(pts[0][1])):
+            raise ValueError("breakpoints must be finite")
         if pts[0][0] < 0.0:
             raise ValueError("support must start at a non-negative abscissa")
         if any(y < 0.0 for _, y in pts):
@@ -97,21 +101,20 @@ class RankFrequencyFunction:
         return hashlib.md5(raw).hexdigest()[:12]
 
     def _segment_index(self, x: float) -> int:
-        i = bisect_right([p[0] for p in self.breakpoints], x) - 1
+        i = int(np.searchsorted(self.xs, x, side="right")) - 1
         return min(max(i, 0), len(self.breakpoints) - 2)
 
     def eval(self, x: float) -> float:
-        """Value at x; exact at breakpoints, linear in between."""
+        """Value at x; exact at breakpoints, linear in between (as :meth:`eval_many`)."""
         if x < self.support_start or x > self.support_end:
             raise DomainError(f"x={x} outside [{self.support_start}, {self.support_end}]")
         i = self._segment_index(x)
         x0, y0 = self.breakpoints[i]
-        x1, y1 = self.breakpoints[i + 1]
         if x == x0:
             return y0
-        if x == x1:
-            return y1
-        return y0 + (y1 - y0) * (x - x0) / (x1 - x0)
+        if x == self.support_end:
+            return self.breakpoints[-1][1]
+        return float(y0 + self.slopes[i] * (x - x0))
 
     def eval_many(self, x: np.ndarray) -> np.ndarray:
         """Vectorized :meth:`eval`; callers guarantee x lies in the domain."""
@@ -126,9 +129,10 @@ class RankFrequencyFunction:
         a, s = self.support_start, self.support_end
         if not (a <= lower <= upper <= s):
             raise DomainError(f"integration bounds [{lower}, {upper}] invalid for [{a}, {s}]")
-        return self._antiderivative(upper) - self._antiderivative(lower)
+        return self.antiderivative(upper) - self.antiderivative(lower)
 
-    def _antiderivative(self, x: float) -> float:
+    def antiderivative(self, x: float) -> float:
+        """Exact integral of f over [support_start, x]; callers guarantee x is in the domain."""
         if x == self.support_end:
             return float(self.cumulative[-1])
         i = self._segment_index(x)

@@ -80,10 +80,24 @@ class TransformedFunction:
     def _span(self) -> float:
         return self.support_end - self.origin
 
+    @cached_property
+    def breakpoint_values(self) -> np.ndarray:
+        """T(f) at every breakpoint of f, computed once."""
+        return self.eval_many(self.source.xs)
+
     def eval(self, x: float) -> float:
+        """Scalar :meth:`eval_many`: the same arithmetic, without array set-up."""
         if x < self.origin or x > self.support_end:
             raise DomainError(f"x={x} outside [{self.origin}, {self.support_end}]")
-        return float(self.eval_many(np.array([x]))[0])
+        f = self.source
+        if self.kind is OperatorKind.IDENTITY:
+            return f.eval(x)
+        if self.kind is OperatorKind.INTEGRAL:
+            return f.antiderivative(x)
+        rel = x - self.origin
+        if rel < _AVERAGING_EDGE * self._span:
+            return f.breakpoints[0][1]
+        return f.antiderivative(x) / rel
 
     def eval_many(self, x: np.ndarray) -> np.ndarray:
         """Vectorized evaluation; callers guarantee x lies in [a, S]."""

@@ -1,12 +1,34 @@
 """Root solver for the defining equation T(f)(x) = A(x, theta).
 
 Writing D(x) = T(f)(x) - A(x, theta), the solution m_theta(f) is the
-unique zero of D on [a, S].  The solver scans D on a configurable grid to
-count its sign structure: exactly one crossing is located (exactly, when
-the segment algebra is polynomial; by bisection otherwise), zero
-crossings mean theta is not admissible, and several crossings mean the
-configuration left the uniqueness hypotheses, which is reported rather
-than silently resolved.
+unique zero of D on the search domain [a, S], or on a sub-window of it.
+A power threshold is positive only for x > shift, so when the shift lies
+at or after the window start the domain is the half-open (shift, hi]: a
+zero of D at x = shift itself (the integral operator's trivial root
+I(f)(a) = 0 = A(a, theta)) is not a solution.
+
+Existence and uniqueness are decided exactly from the breakpoints of f,
+on which T(f) is linear (identity), quadratic (integral) or a quadratic
+over (x - a) (averaging):
+
+* Identity or averaging against a power threshold: T(f) is non-increasing
+  and A strictly increasing, so D is strictly decreasing.  D at the window
+  ends and the breakpoints inside (T(f) there is cached on the
+  TransformedFunction) locates the one sign change by binary search.
+* Every other pair: each breakpoint segment is split into monotone pieces
+  at the critical points of D -- or of (x - a) * D for averaging, which
+  has the same sign for x > a.  Where that is a polynomial of degree at
+  most 2 its vertex is the only critical point; for the integral against
+  a power threshold of another exponent, D'' vanishes at most once per
+  segment (in closed form) and the zeros of D' are bisected on the pieces
+  where D' is monotone.  Each monotone piece holds at most one root, so
+  the signs of D at the piece ends count the roots: none means theta is
+  not admissible, several mean the configuration left the uniqueness
+  hypotheses, which is reported rather than silently resolved.
+
+The single root is then solved on its one piece, in closed form where
+the segment equation is a polynomial of degree at most 2 and by
+bisection otherwise.
 
 The identically-zero function is special-cased to m = support_start with
 a success status: a zero record has zero impact at every admissible
@@ -18,7 +40,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -27,7 +49,7 @@ from .funcspace import RankFrequencyFunction
 from .operators import OperatorKind, OperatorSpec, TransformedFunction, apply
 from .thresholds import DecreasingLinearThreshold, PowerThreshold, ThresholdFamily
 
-# |D(S)| below this (relative to the scanned magnitude) counts as a root
+# |D(S)| below this (relative to the largest |D| seen) counts as a root
 # at the right endpoint: the closed endpoint belongs to the domain.
 _BOUNDARY_TOL = 1e-12
 
@@ -35,14 +57,11 @@ _BOUNDARY_TOL = 1e-12
 @dataclass(frozen=True)
 class SolveConfig:
     abs_tol_x: float = 1e-10
-    scan_points: int = 1024
     exact_when_possible: bool = True
 
     def __post_init__(self) -> None:
         if not self.abs_tol_x > 0:
             raise ValueError("abs_tol_x must be positive")
-        if self.scan_points < 16:
-            raise ValueError("scan_points must be at least 16")
 
 
 DEFAULT_CONFIG = SolveConfig()
@@ -92,9 +111,9 @@ def solve_bundle_point(
     """Solve T(f)(x) = A(x, theta) for x.
 
     Returns (m, status) on success; raises NoRootError when theta is not
-    admissible and NonUniqueError when the sign scan finds more than one
-    crossing.  ``x_window`` restricts the search to a sub-interval of
-    [a, S] (the transform still uses the full function).
+    admissible and NonUniqueError when the equation has more than one
+    root.  ``x_window`` restricts the search to a sub-interval of [a, S]
+    (the transform still uses the full function).
     """
     tf = _as_transformed(f, op)
     return solve_transformed(tf, family, theta, cfg, x_window=x_window)
@@ -119,148 +138,234 @@ def solve_transformed(
         raise DomainError(
             f"threshold ceiling {family.ceiling} must exceed the search domain end {hi}"
         )
+    open_lo = False
+    if isinstance(family, PowerThreshold) and family.shift >= lo:
+        if family.shift >= hi:
+            raise NoRootError(
+                f"theta={theta} is not admissible: the threshold is not positive on [{lo}, {hi}]"
+            )
+        lo, open_lo = family.shift, True
 
-    xs = np.linspace(lo, hi, cfg.scan_points)
-    dvals = tf.eval_many(xs) - family.value_many(xs, theta)
-    roots = _root_evidence(xs, dvals)
-    if len(roots) > 1:
-        raise NonUniqueError(
-            f"{len(roots)} sign structures found for theta={theta}; solution not unique"
-        )
-    if not roots:
-        scale = max(1.0, float(np.abs(dvals).max()))
-        if hi == tf.support_end and abs(float(dvals[-1])) <= _BOUNDARY_TOL * scale:
-            return hi, SolveStatus.EXACT_SEGMENT
-        raise NoRootError(f"theta={theta} is not admissible: no sign change on [{lo}, {hi}]")
-    kind, payload = roots[0]
-    if kind == "exact":
-        return payload, SolveStatus.EXACT_SEGMENT
-    i = payload
-    blo, bhi = float(xs[i]), float(xs[i + 1])
-    dlo = float(dvals[i])
-    if cfg.exact_when_possible:
-        exact = _exact_segment_root(tf, family, theta, blo, bhi)
-        if exact is not None:
-            return exact, SolveStatus.EXACT_SEGMENT
-    return _bisect(tf, family, theta, blo, bhi, dlo, cfg.abs_tol_x), SolveStatus.BISECTION
+    if isinstance(family, PowerThreshold) and tf.kind is not OperatorKind.INTEGRAL:
+        return _solve_decreasing(tf, family, theta, cfg, lo, hi, open_lo)
+    return _solve_general(tf, family, theta, cfg, lo, hi, open_lo)
 
 
-def _root_evidence(xs: np.ndarray, dvals: np.ndarray) -> list[tuple[str, float | int]]:
-    """Exact grid zeros plus adjacent strict sign changes.
-
-    A run of two or more exact zeros means D vanishes on an interval and
-    is treated as non-uniqueness.
-    """
-    roots: list[tuple[str, float | int]] = []
-    zero = dvals == 0.0
-    i = 0
-    n = len(xs)
-    while i < n:
-        if zero[i]:
-            j = i
-            while j + 1 < n and zero[j + 1]:
-                j += 1
-            if j > i:
-                raise NonUniqueError("the defining difference vanishes on a subinterval")
-            roots.append(("exact", float(xs[i])))
-            i = j + 1
-        else:
-            i += 1
-    for i in range(n - 1):
-        if not zero[i] and not zero[i + 1] and (dvals[i] > 0) != (dvals[i + 1] > 0):
-            roots.append(("bracket", i))
-    return roots
+def _solve_decreasing(
+    tf: TransformedFunction,
+    family: PowerThreshold,
+    theta: float,
+    cfg: SolveConfig,
+    lo: float,
+    hi: float,
+    open_lo: bool,
+) -> tuple[float, SolveStatus]:
+    """D strictly decreasing: binary-search its breakpoint values for the sign change."""
+    i0, i1, xs = _window_points(tf, lo, hi)
+    tvals = np.concatenate(([tf.eval(lo)], tf.breakpoint_values[i0:i1], [tf.eval(hi)]))
+    dvals = tvals - family.value_many(xs, theta)
+    j = int(np.searchsorted(-dvals, 0.0))  # first point with D <= 0
+    if j == len(dvals):
+        return _boundary_root(tf, theta, lo, hi, open_lo, dvals)
+    if dvals[j] == 0.0 and not (j == 0 and open_lo):
+        return float(xs[j]), SolveStatus.EXACT_SEGMENT
+    if j == 0:
+        raise NoRootError(f"theta={theta} is not admissible: D < 0 on the domain from {lo} to {hi}")
+    return _locate(tf, family, theta, cfg, float(xs[j - 1]), float(xs[j]), float(dvals[j - 1]))
 
 
-def _bisect(
+def _solve_general(
     tf: TransformedFunction,
     family: ThresholdFamily,
     theta: float,
+    cfg: SolveConfig,
     lo: float,
     hi: float,
-    dlo: float,
-    tol: float,
+    open_lo: bool,
+) -> tuple[float, SolveStatus]:
+    """Count the roots over monotone pieces; solve the one root if it is unique."""
+    f = tf.source
+    i0, i1, ends = _window_points(tf, lo, hi)
+    segs = np.arange(i0 - 1, i1)  # breakpoint segment between consecutive ends
+    poly = _segment_poly(tf, family, theta, segs)
+    if poly is not None:
+        c2, c1, _ = poly
+        with np.errstate(divide="ignore", invalid="ignore"):
+            vertex = f.xs[segs] - c1 / (2.0 * c2)
+        crit = vertex[(c2 != 0.0) & (vertex > ends[:-1]) & (vertex < ends[1:])]
+    else:
+        crit = _integral_power_critical_points(tf, family, theta, cfg, ends, segs)
+    xs = np.sort(np.concatenate((ends, crit)))
+    dvals = tf.eval_many(xs) - family.value_many(xs, theta)
+    signs = np.sign(dvals)
+    zeros = signs == 0.0
+    zeros[0] &= not open_lo
+    crossings = np.flatnonzero(signs[:-1] * signs[1:] < 0.0)
+    n_roots = int(zeros.sum()) + len(crossings)
+    if n_roots > 1:
+        raise NonUniqueError(f"{n_roots} roots found for theta={theta}; solution not unique")
+    if n_roots == 0:
+        return _boundary_root(tf, theta, lo, hi, open_lo, dvals)
+    if zeros.any():
+        return float(xs[int(np.argmax(zeros))]), SolveStatus.EXACT_SEGMENT
+    j = int(crossings[0])
+    return _locate(tf, family, theta, cfg, float(xs[j]), float(xs[j + 1]), float(dvals[j]))
+
+
+def _window_points(tf: TransformedFunction, lo: float, hi: float) -> tuple[int, int, np.ndarray]:
+    """lo, the breakpoints strictly inside (lo, hi), and hi; with the slice [i0, i1) of those."""
+    xs = tf.source.xs
+    i0 = int(np.searchsorted(xs, lo, side="right"))
+    i1 = int(np.searchsorted(xs, hi, side="left"))
+    return i0, i1, np.concatenate(([lo], xs[i0:i1], [hi]))
+
+
+def _boundary_root(
+    tf: TransformedFunction, theta: float, lo: float, hi: float, open_lo: bool, dvals: np.ndarray
+) -> tuple[float, SolveStatus]:
+    """No root inside: accept S when |D(S)| is rounding noise, else raise NoRootError."""
+    scale = max(1.0, float(np.abs(dvals).max()))
+    if hi == tf.support_end and abs(float(dvals[-1])) <= _BOUNDARY_TOL * scale:
+        return hi, SolveStatus.EXACT_SEGMENT
+    bracket = "(" if open_lo else "["
+    raise NoRootError(f"theta={theta} is not admissible: no root on {bracket}{lo}, {hi}]")
+
+
+def _transform_poly(tf: TransformedFunction, seg):
+    """T(f) on breakpoint segment(s) ``seg`` as coefficients (c2, c1, c0) in t = x - x_seg.
+
+    For averaging these are the numerator I(f) of mu(f) = I(f) / (x - a).
+    ``seg`` may be an index or an array of indices.
+    """
+    f = tf.source
+    if tf.kind is OperatorKind.IDENTITY:
+        return 0.0, f.slopes[seg], f.ys[seg]
+    return f.slopes[seg] / 2.0, f.ys[seg], f.cumulative[seg]
+
+
+def _segment_poly(tf: TransformedFunction, family: ThresholdFamily, theta: float, seg):
+    """Coefficients (c2, c1, c0) in t = x - x_seg of D on breakpoint segment(s) ``seg``.
+
+    For averaging the polynomial is the cleared-denominator
+    (x - a) * D = I(f)(x) - (x - a) * A(x, theta), which has the sign of D
+    for x > a.  Returns None when it is not of degree <= 2: a power
+    exponent other than 1 or 2, or averaging against p = 2.
+    """
+    x0 = tf.source.xs[seg]
+    if isinstance(family, PowerThreshold):
+        d = x0 - family.shift
+        if family.p == 1.0:
+            a2, a1, a0 = 0.0, theta, theta * d
+        elif family.p == 2.0:
+            a2, a1, a0 = theta, 2.0 * theta * d, theta * d * d
+        else:
+            return None
+    else:
+        a2, a1, a0 = 0.0, -theta, theta * (family.ceiling - x0)
+    if tf.kind is OperatorKind.AVERAGING:
+        if a2 != 0.0:
+            return None
+        e = x0 - tf.origin  # multiply A by (x - a) = t + e
+        a2, a1, a0 = a1, a1 * e + a0, a0 * e
+    t2, t1, t0 = _transform_poly(tf, seg)
+    return t2 - a2, t1 - a1, t0 - a0
+
+
+def _integral_power_critical_points(
+    tf: TransformedFunction,
+    family: PowerThreshold,
+    theta: float,
+    cfg: SolveConfig,
+    ends: np.ndarray,
+    segs: np.ndarray,
+) -> np.ndarray:
+    """Zeros of D' = f - theta p (x - shift)^(p - 1) strictly between ``ends``.
+
+    On a segment with slope s, D'' = s - theta p (p - 1) (x - shift)^(p - 2)
+    is monotone, so it vanishes at most once, where
+    (x - shift)^(p - 2) = s / (theta p (p - 1)).  D' is monotone on each
+    side of that point and is bisected wherever it changes sign.
+    """
+    f = tf.source
+    p, shift = family.p, family.shift
+    ratio = f.slopes[segs] / (theta * p * (p - 1.0))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        inflect = shift + np.power(ratio, 1.0 / (p - 2.0))
+    inflect = inflect[(ratio > 0.0) & (inflect > ends[:-1]) & (inflect < ends[1:])]
+    cuts = np.sort(np.concatenate((ends, inflect)))
+    with np.errstate(divide="ignore"):  # (x - shift)^(p - 1) is inf at x = shift for p < 1
+        dprime_cuts = f.eval_many(cuts) - theta * p * np.power(cuts - shift, p - 1.0)
+    signs = np.sign(dprime_cuts)
+
+    def dprime(x: float) -> float:
+        return f.eval(x) - theta * p * (x - shift) ** (p - 1.0)
+
+    changes = np.flatnonzero(signs[:-1] * signs[1:] < 0.0)
+    return np.array(
+        [_bisect(dprime, cuts[k], cuts[k + 1], dprime_cuts[k], cfg.abs_tol_x) for k in changes]
+    )
+
+
+def _locate(
+    tf: TransformedFunction,
+    family: ThresholdFamily,
+    theta: float,
+    cfg: SolveConfig,
+    lo: float,
+    hi: float,
+    d_lo: float,
+) -> tuple[float, SolveStatus]:
+    """The single root of D on (lo, hi), where D is monotone and changes sign.
+
+    In closed form when the segment polynomial has degree <= 2 (and
+    ``cfg.exact_when_possible``), by bisection otherwise.
+    """
+    xs = tf.source.xs
+    seg = min(int(np.searchsorted(xs, lo, side="right")) - 1, len(xs) - 2)
+    x0 = float(xs[seg])
+    poly = _segment_poly(tf, family, theta, seg) if cfg.exact_when_possible else None
+    if poly is not None:
+        c2, c1, c0 = (float(c) for c in poly)
+        # c0 = 0 puts a root at t = 0, the left end; for averaging's first
+        # segment it is the spurious root x = a of the cleared denominator,
+        # and a true root there would have D(lo) = 0.
+        roots = _quadratic_roots(c2, c1, c0) if c0 != 0.0 else _linear_roots(c2, c1)
+        eps = 1e-12 * (tf.support_end - tf.origin + 1.0)
+        inside = [x0 + t for t in roots if lo - eps <= x0 + t <= hi + eps]
+        if len(inside) == 1:
+            return min(max(inside[0], lo), hi), SolveStatus.EXACT_SEGMENT
+
+    # D from the segment's own polynomial: no breakpoint search per step
+    t2, t1, t0 = (float(c) for c in _transform_poly(tf, seg))
+    a = tf.origin if tf.kind is OperatorKind.AVERAGING else None
+
+    def d(x: float) -> float:
+        t = x - x0
+        value = t0 + t1 * t + t2 * t * t
+        if a is not None:
+            value /= x - a
+        return value - family.value(x, theta)
+
+    return _bisect(d, lo, hi, d_lo, cfg.abs_tol_x), SolveStatus.BISECTION
+
+
+def _bisect(
+    func: Callable[[float], float], lo: float, hi: float, f_lo: float, tol: float
 ) -> float:
-    lo_positive = dlo > 0
-    for _ in range(200):
-        if hi - lo <= tol:
-            break
+    """Zero of a continuous ``func`` with a strict sign change on [lo, hi]."""
+    lo_positive = f_lo > 0
+    while hi - lo > tol:
         mid = (lo + hi) / 2.0
-        dmid = tf.eval(mid) - family.value(mid, theta)
-        if dmid == 0.0:
+        if not lo < mid < hi:  # the bracket is down to adjacent floats
+            break
+        f_mid = func(mid)
+        if f_mid == 0.0:
             return mid
-        if (dmid > 0) == lo_positive:
+        if (f_mid > 0) == lo_positive:
             lo = mid
         else:
             hi = mid
     return (lo + hi) / 2.0
-
-
-def _exact_segment_root(
-    tf: TransformedFunction,
-    family: ThresholdFamily,
-    theta: float,
-    lo: float,
-    hi: float,
-) -> float | None:
-    """Solve the bracketed segment polynomial exactly where one exists.
-
-    Covered: Identity against power exponents 1 and 2, Averaging against
-    exponent 1 via the cleared-denominator quadratic
-    I(f)(x) = (x - a) * A(x, theta).  Returns None when the configuration
-    is not polynomial or the algebra fails to isolate a single in-bracket
-    root (the caller then bisects).
-    """
-    if not isinstance(family, PowerThreshold):
-        return None
-    p, shift = family.p, family.shift
-    kind = tf.kind
-    if kind is OperatorKind.IDENTITY and p not in (1.0, 2.0):
-        return None
-    if kind is OperatorKind.AVERAGING and p != 1.0:
-        return None
-    if kind is OperatorKind.INTEGRAL:
-        return None
-    f = tf.source
-    a = tf.origin
-    xs, ys, slopes, cums = f.xs, f.ys, f.slopes, f.cumulative
-    i_lo = max(int(np.searchsorted(xs, lo, side="right")) - 1, 0)
-    i_hi = min(int(np.searchsorted(xs, hi, side="left")), len(xs) - 1)
-    span_eps = 1e-12 * (tf.support_end - a + 1.0)
-    candidates: list[float] = []
-    for i in range(i_lo, i_hi):
-        x0, y0, s = float(xs[i]), float(ys[i]), float(slopes[i])
-        seg_lo = max(float(xs[i]), lo)
-        seg_hi = min(float(xs[i + 1]), hi)
-        if kind is OperatorKind.IDENTITY:
-            if p == 1.0:
-                c1 = s - theta
-                c0 = y0 - s * x0 + theta * shift
-                roots = _linear_roots(c1, c0)
-            else:
-                c2 = -theta
-                c1 = s + 2.0 * theta * shift
-                c0 = y0 - s * x0 - theta * shift * shift
-                roots = _quadratic_roots(c2, c1, c0)
-        else:  # Averaging, p == 1: I(f)(x) = theta * (x - shift) * (x - a)
-            c2 = s / 2.0 - theta
-            c1 = (y0 - s * x0) + theta * (a + shift)
-            c0 = float(cums[i]) - y0 * x0 + s * x0 * x0 / 2.0 - theta * a * shift
-            roots = _quadratic_roots(c2, c1, c0)
-        for r in roots:
-            if seg_lo - span_eps <= r <= seg_hi + span_eps:
-                candidates.append(min(max(r, seg_lo), seg_hi))
-    if len(candidates) != 1:
-        return None
-    root = candidates[0]
-    # guard against algebra slips: the root must actually null D
-    resid = abs(tf.eval(root) - family.value(root, theta))
-    d_scale = abs(tf.eval(lo) - family.value(lo, theta)) + abs(
-        tf.eval(hi) - family.value(hi, theta)
-    )
-    if resid > 1e-8 * (1.0 + d_scale):
-        return None
-    return root
 
 
 def _linear_roots(c1: float, c0: float) -> list[float]:

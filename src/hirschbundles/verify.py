@@ -35,6 +35,7 @@ counterexamples that the impact axioms are expected to reject.
 from __future__ import annotations
 
 import math
+import zlib
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -1072,7 +1073,8 @@ _STOCK_SETTINGS: tuple[tuple[str, OperatorKind, float], ...] = (
 
 
 def _sub_seeds(master: int, label: str, count: int) -> list[int]:
-    root = np.random.SeedSequence(master, spawn_key=(abs(hash(label)) % (2**31),))
+    # crc32, not hash(): str hashes are salted per process
+    root = np.random.SeedSequence(master, spawn_key=(zlib.crc32(label.encode()),))
     return [int(c.generate_state(1, dtype=np.uint64)[0]) for c in root.spawn(count)]
 
 

@@ -85,19 +85,22 @@ def _positive_quantiles(f, op, fractions):
 
 def test_criterion_01_closed_form_indices():
     h_index(LINE, 1.0)  # warm-up outside the timed region
-    t0 = time.perf_counter()
-    h1 = h_index(LINE, 1.0)
-    h2 = h_index(LINE, 2.0)
-    g1 = g_index(LINE, 1.0)
-    k2 = kosmulski_index(LINE, 1.0, 2.0)
-    elapsed = time.perf_counter() - t0
+    # best of five: a sub-millisecond region is easily hit by one preemption
+    elapsed = math.inf
+    for _ in range(5):
+        t0 = time.perf_counter()
+        h1 = h_index(LINE, 1.0)
+        h2 = h_index(LINE, 2.0)
+        g1 = g_index(LINE, 1.0)
+        k2 = kosmulski_index(LINE, 1.0, 2.0)
+        elapsed = min(elapsed, time.perf_counter() - t0)
     expected_k2 = (-1.0 + math.sqrt(41.0)) / 2.0
     ok = (
         abs(h1 - 5.0) <= 1e-9
         and abs(h2 - 10.0 / 3.0) <= 1e-9
         and abs(g1 - 20.0 / 3.0) <= 1e-9
         and abs(k2 - expected_k2) <= 1e-9
-        and elapsed < 0.1
+        and elapsed < 0.0015
     )
     _report(
         1,
@@ -119,7 +122,7 @@ def test_criterion_02_discrete_fixture():
         and abs(g1 - 6.0) <= 1e-9
         and abs(h1 - h_oracle) <= h_spacing + 1e-9
         and abs(g1 - g_oracle) <= g_spacing + 1e-9
-        and elapsed < 1.0
+        and elapsed < 0.5
     )
     _report(2, ok, f"h={h1:.9f} g={g1:.9f} grid-oracle agrees, {elapsed:.2f} s")
 
@@ -151,7 +154,7 @@ def test_criterion_03_solver_vs_grid_oracle():
                 assert err <= spacing + 1e-10
                 checked += 1
     elapsed = time.perf_counter() - t0
-    ok = checked >= 200 * 3 * 5 and elapsed < 30.0
+    ok = checked >= 200 * 3 * 5 and elapsed < 25.0
     _report(3, ok, f"{checked} solves vs 1e5-point grid, worst slack {worst:.2e}, {elapsed:.1f} s")
 
 

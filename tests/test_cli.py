@@ -72,6 +72,24 @@ class TestIndexCommand:
         assert code == 2
         assert "line 3" in err
 
+    @pytest.mark.parametrize("counts", ["inf;2", "nan;3;1"])
+    def test_non_finite_counts_exit_2(self, tmp_path, capsys, counts):
+        p = tmp_path / "bad.csv"
+        p.write_text(f"id,counts\nok,3;2;1\nbroken,{counts}\n")
+        code, out, err = run_cli(["bundle", str(p)], capsys)
+        assert code == 2
+        assert out == ""
+        assert "line 3" in err and "finite" in err
+
+    @pytest.mark.parametrize("literal", ["Infinity", "NaN"])
+    def test_non_finite_json_counts_exit_2(self, tmp_path, capsys, literal):
+        p = tmp_path / "bad.json"
+        p.write_text(f'[{{"id": "ok", "counts": [3, 2]}}, {{"id": "x", "counts": [{literal}, 1]}}]')
+        code, out, err = run_cli(["bundle", str(p)], capsys)
+        assert code == 2
+        assert out == ""
+        assert "record 1" in err and "finite" in err
+
     def test_missing_header_exit_2(self, tmp_path, capsys):
         p = tmp_path / "bad.csv"
         p.write_text("name,cites\nx,1;2\n")
@@ -138,6 +156,22 @@ class TestBundleCommand:
         ]
         ms = [float(r["m"]) for r in rows if r["m"]]
         assert all(b < a for a, b in zip(ms, ms[1:]))
+
+
+class TestConfig:
+    def test_legacy_scan_points_key_is_ignored_with_a_note(self, csv_file, tmp_path, capsys):
+        cfg = {"theta_grid": {"min": 0.5, "max": 2.0, "count": 4}, "solver": {"abs_tol_x": 1e-10}}
+        plain = tmp_path / "plain.json"
+        plain.write_text(json.dumps(cfg))
+        cfg["solver"]["scan_points"] = 1024
+        legacy = tmp_path / "legacy.json"
+        legacy.write_text(json.dumps(cfg))
+        code_p, out_p, err_p = run_cli(["bundle", csv_file, "--config", str(plain)], capsys)
+        code_l, out_l, err_l = run_cli(["bundle", csv_file, "--config", str(legacy)], capsys)
+        assert code_p == code_l == 0
+        assert out_l == out_p
+        assert "scan_points" not in err_p
+        assert err_l.count("scan_points") == 1
 
 
 class TestAdmissibleCommand:

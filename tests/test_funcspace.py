@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -40,6 +42,21 @@ class TestConstruction:
     def test_rejects_negative_y(self):
         with pytest.raises(ValueError):
             RankFrequencyFunction([(0.0, 1.0), (1.0, -0.5)])
+
+    @pytest.mark.parametrize(
+        "pts",
+        [
+            [(0.0, math.inf), (1.0, 0.0)],
+            [(0.0, math.nan), (1.0, 0.0)],
+            [(0.0, 2.0), (1.0, math.nan), (2.0, 0.0)],
+            [(0.0, 2.0), (1.0, math.nan)],
+            [(0.0, 2.0), (math.nan, 1.0), (2.0, 0.0)],
+            [(0.0, 2.0), (math.inf, 1.0)],
+        ],
+    )
+    def test_rejects_non_finite(self, pts):
+        with pytest.raises(ValueError):
+            RankFrequencyFunction(pts)
 
     def test_zero_function_representable(self):
         z = RankFrequencyFunction([(0.0, 0.0), (2.0, 0.0)])

@@ -144,3 +144,18 @@ class TestContract:
     def test_strict_order_preserved_on_prefix(self, line):
         report = check_operator_contract(OperatorSpec(OperatorKind.AVERAGING, 0.0), [line])
         assert report.verdict is Verdict.PASS
+
+
+class TestScalarEval:
+    @pytest.mark.parametrize("kind", list(OperatorKind))
+    def test_scalar_equals_vectorized(self, kind, counts_fixture):
+        """At a, S, every breakpoint, every segment midpoint and inside the
+        averaging edge band."""
+        for f in [counts_fixture] + [random_function(seed) for seed in range(20)]:
+            tf = apply(OperatorSpec(kind, f.support_start), f)
+            span = f.support_end - f.support_start
+            xs = np.concatenate(
+                [f.xs, (f.xs[:-1] + f.xs[1:]) / 2.0, [f.support_start + 1e-12 * span]]
+            )
+            for x, v in zip(xs, tf.eval_many(xs)):
+                assert tf.eval(float(x)) == v

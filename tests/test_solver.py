@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 
 from hirschbundles.errors import NonPositiveThetaError, NoRootError, NonUniqueError
@@ -20,13 +21,15 @@ from hirschbundles.solver import (
     polar_radius,
     sample_bundle,
     solve_bundle_point,
+    solve_transformed,
 )
 from hirschbundles.thresholds import PowerThreshold, DecreasingLinearThreshold, psi
 
-from oracles import oracle_grid_root
+from oracles import oracle_grid_root, oracle_roots
 
 IDENTITY = OperatorSpec(OperatorKind.IDENTITY, 0.0)
 AVERAGING = OperatorSpec(OperatorKind.AVERAGING, 0.0)
+INTEGRAL = OperatorSpec(OperatorKind.INTEGRAL, 0.0)
 
 # frozen closed forms for f(x) = 10 - x on [0, 10]
 KOSMULSKI_LINE_P2 = (-1.0 + math.sqrt(41.0)) / 2.0  # root of x^2 + x - 10
@@ -300,3 +303,63 @@ class TestSolverInvariants:
             except NoRootError:
                 continue
             assert g >= h - 1e-9
+
+
+class TestExactIsolation:
+    def test_two_crossings_closer_than_a_scan_cell(self):
+        # D(5) = 6.5, D(5.0001) = -0.002, D(5.003) = +0.0006: two roots
+        # within 0.003 of each other
+        f = RankFrequencyFunction([(0.0, 20.0), (5.0, 20.0), (5.0001, 13.4979), (10.0, 13.4979)])
+        with pytest.raises(NonUniqueError):
+            solve_bundle_point(f, IDENTITY, DecreasingLinearThreshold(20.0), 0.9)
+
+    def test_integral_trivial_root_at_origin_is_not_a_solution(self, counts_fixture):
+        # I(f)(0) = 0 = A(0, theta), but A is not positive there; on (0, 8]
+        # I(f)(x) - x stays positive
+        with pytest.raises(NoRootError):
+            solve_bundle_point(counts_fixture, INTEGRAL, PowerThreshold(1.0, 0.0), 1.0)
+
+    def test_integral_square_root_after_origin(self, counts_fixture):
+        m, status = solve_bundle_point(counts_fixture, INTEGRAL, PowerThreshold(2.0, 0.0), 1.0)
+        assert m == 6.0  # I(f)(6) = 36
+        assert status is SolveStatus.EXACT_SEGMENT
+
+    @pytest.mark.parametrize("kind", list(OperatorKind))
+    def test_status_and_root_match_dense_oracle(self, kind):
+        """Root count and location against a 1e5-point grid, 50 draws per pair.
+
+        The support starts at a = 1.5, so the shifts 0 and a give the
+        closed domain [a, S] and the half-open (a, S].  Half the thetas
+        put a root at a random abscissa; the other half are scaled off it.
+        """
+        offset = 1.5
+        for seed in range(50):
+            base = random_function(seed)
+            f = RankFrequencyFunction([(x + offset, y) for x, y in base.breakpoints])
+            a, s = f.support_start, f.support_end
+            tf = apply(OperatorSpec(kind, a), f)
+            rng = np.random.default_rng(seed)
+            ceiling = s + float(rng.uniform(0.5, 5.0))
+            families = [
+                (PowerThreshold(p, shift), "power", {"p": p, "shift": shift})
+                for p in (0.5, 1.0, 2.0)
+                for shift in (0.0, a)
+            ]
+            families.append((DecreasingLinearThreshold(ceiling), "declin", {"ceiling": ceiling}))
+            for fam, family_kind, params in families:
+                x = a + float(rng.uniform(0.02, 1.0)) * (s - a)
+                value = tf.eval(x)
+                theta = fam.theta_inverse(x, value) if value > 0 else 1.0
+                if rng.random() < 0.5:
+                    theta *= math.exp(rng.uniform(-1.0, 1.0))
+                roots, spacing = oracle_roots(f, kind.value, theta, family_kind, **params)
+                where = f"seed={seed} {fam.describe()} theta={theta!r} oracle={roots[:3]}"
+                if not roots:
+                    with pytest.raises(NoRootError):
+                        solve_transformed(tf, fam, theta)
+                elif len(roots) > 1:
+                    with pytest.raises(NonUniqueError):
+                        solve_transformed(tf, fam, theta)
+                else:
+                    m, _ = solve_transformed(tf, fam, theta)
+                    assert abs(m - roots[0]) <= spacing + 1e-10, where

@@ -1,3 +1,7 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -366,6 +370,25 @@ class TestSuite:
         result = run_property_suite(SuiteConfig(trials=0))
         assert all(r.verdict is Verdict.VACUOUS for r in result.reports)
         assert not result.any_fail
+
+
+class TestSeedStability:
+    def test_sub_seeds_and_report_do_not_depend_on_hash_seed(self, tmp_path):
+        probe = "from hirschbundles.verify import _sub_seeds; print(_sub_seeds(7, 'gap13', 2))"
+        runs = []
+        for hash_seed in ("1", "2"):
+            env = dict(os.environ, PYTHONHASHSEED=hash_seed)
+            seeds = subprocess.run(
+                [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+            ).stdout
+            rep = tmp_path / f"rep{hash_seed}.json"
+            subprocess.run(
+                [sys.executable, "-m", "hirschbundles", "verify", "--trials", "2",
+                 "--seed", "7", "--report", str(rep)],
+                env=env, capture_output=True, check=True,
+            )
+            runs.append((seeds, rep.read_text()))
+        assert runs[0] == runs[1]
 
 
 class TestReportShape:
