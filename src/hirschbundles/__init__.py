@@ -24,10 +24,7 @@ from .errors import (
     ZeroValueError,
 )
 from .funcspace import (
-    FunctionOrdering,
-    OrderingKind,
     PerturbMode,
-    RandomFunctionParams,
     RankFrequencyFunction,
     eq_on_prefix,
     from_citation_counts,
@@ -37,15 +34,13 @@ from .funcspace import (
     random_function,
 )
 from .operators import (
-    CertificationMethod,
     Monotonicity,
     OperatorKind,
     OperatorSpec,
     TransformedFunction,
     apply,
+    as_transformed,
     check_operator_contract,
-    classify_monotonicity,
-    t_eval,
 )
 from .reporting import Counterexample, Verdict, VerificationReport
 from .solver import (
@@ -68,13 +63,10 @@ from .thresholds import (
     DecreasingLinearThreshold,
     PowerThreshold,
     ThresholdFamily,
-    a_eval,
-    a_inverse_theta,
     admissible_range,
     psi,
 )
 from .verify import (
-    HypothesisProfile,
     ReversalFamily,
     SuiteConfig,
     SuiteResult,
@@ -88,7 +80,6 @@ from .verify import (
     check_threshold_gap_bound,
     check_transform_gap_bound,
     classify_difference,
-    profile,
     run_property_suite,
 )
 

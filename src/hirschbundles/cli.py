@@ -60,15 +60,9 @@ class IndexDef:
                 fam = DecreasingLinearThreshold(ceiling=self.ceiling)
             else:
                 raise CliError(f"unknown family {self.family!r} in index {self.name!r}")
-        except ValueError as e:
+        except (TypeError, ValueError) as e:  # TypeError: a non-numeric parameter
             raise CliError(f"bad parameters for index {self.name!r}: {e}")
         return op, fam
-
-    def shift_label(self, f: RankFrequencyFunction) -> str:
-        if self.family != "power":
-            return ""
-        shift = f.support_start if self.shift == "origin" else float(self.shift)
-        return _fmt(shift)
 
 
 @dataclass(frozen=True)
@@ -144,13 +138,16 @@ def load_config(path: str | None) -> RunConfig:
             seed=int(raw.get("seed", 20240810)),
             trials=int(raw.get("trials", 40)),
         )
-    except (TypeError, ValueError) as e:
+    # AttributeError: a section that is not an object; OverflowError: int(inf)
+    except (AttributeError, TypeError, ValueError, OverflowError) as e:
         raise CliError(f"bad config: {e}")
     _validate_grid(cfg.theta_grid)
     return cfg
 
 
 def _validate_grid(grid: ThetaGrid) -> None:
+    if not (math.isfinite(grid.lo) and math.isfinite(grid.hi)):
+        raise CliError("theta grid bounds must be finite")
     if grid.lo <= 0:
         raise CliError("theta grid minimum must be positive")
     if grid.count < 1:
@@ -282,60 +279,48 @@ def _emit(rows: list[dict], columns: list[str], fmt: str, out: io.TextIOBase) ->
         writer.writerow([row[c] for c in columns])
 
 
-def _status_token(status) -> str:
-    return status.value
-
-
-def _sample_or_die(source_id, idx, f, op, fam, thetas, solver_cfg):
-    try:
-        return sample_bundle(f, op, fam, thetas, solver_cfg)
-    except BundleError as e:
-        raise CliError(f"source {source_id!r}, index {idx.name!r}: {e}")
+def _bundle_entries(args, cfg: RunConfig):
+    """(id, index, threshold, entry) for every source, index and theta, in input order."""
+    thetas = cfg.theta_grid.values()
+    for source_id, f in _build_functions(read_sources(args.input)):
+        for idx in cfg.indices:
+            op, fam = idx.resolve(f)
+            try:
+                sample = sample_bundle(f, op, fam, thetas, cfg.solver)
+            except BundleError as e:
+                raise CliError(f"source {source_id!r}, index {idx.name!r}: {e}")
+            for entry in sample.entries:
+                yield source_id, idx, fam, entry
 
 
 def cmd_index(args, cfg: RunConfig) -> int:
-    sources = read_sources(args.input)
-    rows = []
-    thetas = cfg.theta_grid.values()
-    for source_id, f in _build_functions(sources):
-        for idx in cfg.indices:
-            op, fam = idx.resolve(f)
-            sample = _sample_or_die(source_id, idx, f, op, fam, thetas, cfg.solver)
-            for entry in sample.entries:
-                value = _fmt(entry.m) if math.isfinite(entry.m) else entry.status.value
-                rows.append(
-                    {
-                        "id": source_id,
-                        "index": idx.name,
-                        "theta": _fmt(entry.theta),
-                        "value": value,
-                    }
-                )
+    rows = [
+        {
+            "id": source_id,
+            "index": idx.name,
+            "theta": _fmt(entry.theta),
+            "value": _fmt(entry.m) if math.isfinite(entry.m) else entry.status.value,
+        }
+        for source_id, idx, _, entry in _bundle_entries(args, cfg)
+    ]
     _emit(rows, ["id", "index", "theta", "value"], args.format, sys.stdout)
     return 0
 
 
 def cmd_bundle(args, cfg: RunConfig) -> int:
-    sources = read_sources(args.input)
-    rows = []
-    thetas = cfg.theta_grid.values()
-    for source_id, f in _build_functions(sources):
-        for idx in cfg.indices:
-            op, fam = idx.resolve(f)
-            sample = _sample_or_die(source_id, idx, f, op, fam, thetas, cfg.solver)
-            for entry in sample.entries:
-                rows.append(
-                    {
-                        "id": source_id,
-                        "index": idx.name,
-                        "operator": idx.operator,
-                        "p": _fmt(idx.p) if idx.family == "power" else "",
-                        "shift": idx.shift_label(f),
-                        "theta": _fmt(entry.theta),
-                        "m": _fmt(entry.m) if math.isfinite(entry.m) else "",
-                        "status": _status_token(entry.status),
-                    }
-                )
+    rows = [
+        {
+            "id": source_id,
+            "index": idx.name,
+            "operator": idx.operator,
+            "p": _fmt(idx.p) if idx.family == "power" else "",
+            "shift": _fmt(fam.shift) if idx.family == "power" else "",
+            "theta": _fmt(entry.theta),
+            "m": _fmt(entry.m) if math.isfinite(entry.m) else "",
+            "status": entry.status.value,
+        }
+        for source_id, idx, fam, entry in _bundle_entries(args, cfg)
+    ]
     _emit(
         rows,
         ["id", "index", "operator", "p", "shift", "theta", "m", "status"],
@@ -386,10 +371,14 @@ def cmd_admissible(args, cfg: RunConfig) -> int:
 
 def cmd_verify(args, cfg: RunConfig) -> int:
     trials = args.trials if args.trials is not None else cfg.trials
+    if trials < 0:
+        raise CliError(f"trials must be non-negative, got {trials}")
+    if cfg.seed < 0:
+        raise CliError(f"seed must be non-negative, got {cfg.seed}")
     if trials == 0:
         print("warning: zero trials requested; every property is vacuous", file=sys.stderr)
     suite_cfg = SuiteConfig(
-        master_seed=args.seed if args.seed is not None else cfg.seed,
+        master_seed=cfg.seed,
         trials=trials,
         solver=cfg.solver,
         include_reversal_in_impact=args.inject_reversal,
@@ -453,22 +442,17 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _apply_flag_overrides(args, cfg: RunConfig) -> RunConfig:
-    grid = cfg.theta_grid
+    changes = {}
     if args.theta_grid is not None:
-        grid = parse_theta_grid_flag(args.theta_grid)
-    solver = cfg.solver
+        changes["theta_grid"] = parse_theta_grid_flag(args.theta_grid)
     if args.tol is not None:
-        if args.tol <= 0:
-            raise CliError("--tol must be positive")
-        solver = replace(cfg.solver, abs_tol_x=args.tol)
-    seed = args.seed if args.seed is not None else cfg.seed
-    return RunConfig(
-        indices=cfg.indices,
-        theta_grid=grid,
-        solver=solver,
-        seed=seed,
-        trials=cfg.trials,
-    )
+        try:
+            changes["solver"] = replace(cfg.solver, abs_tol_x=args.tol)
+        except ValueError as e:
+            raise CliError(f"bad --tol: {e}")
+    if args.seed is not None:
+        changes["seed"] = args.seed
+    return replace(cfg, **changes)
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -216,32 +216,6 @@ def eq_on_prefix(f: RankFrequencyFunction, g: RankFrequencyFunction, a_cut: floa
     return all(f.eval(x) == g.eval(x) for x in pts)
 
 
-class OrderingKind(Enum):
-    LEQ = "leq"
-    STRICT_ON_PREFIX = "strict_on_prefix"
-    EQUAL_ON_PREFIX = "equal_on_prefix"
-
-
-@dataclass(frozen=True)
-class FunctionOrdering:
-    """A comparison relation between rank-frequency functions.
-
-    Prefix relations carry the cut abscissa a with support_start < a < S.
-    """
-
-    kind: OrderingKind
-    prefix: float | None = None
-
-    def holds(self, f: RankFrequencyFunction, g: RankFrequencyFunction) -> bool:
-        if self.kind is OrderingKind.LEQ:
-            return leq(f, g)
-        if self.prefix is None:
-            raise BadPrefixError("prefix relations need a cut abscissa")
-        if self.kind is OrderingKind.STRICT_ON_PREFIX:
-            return lt_on_prefix(f, g, self.prefix)
-        return eq_on_prefix(f, g, self.prefix)
-
-
 def perturb(
     f: RankFrequencyFunction, mode: PerturbMode, epsilon: float
 ) -> RankFrequencyFunction:
@@ -262,30 +236,21 @@ def perturb(
     return RankFrequencyFunction(pts)
 
 
-@dataclass(frozen=True)
-class RandomFunctionParams:
-    max_breakpoints: int = 8
-    s_range: tuple[float, float] = (4.0, 20.0)
-    y_max: float = 50.0
-
-
-def random_function(
-    seed: int, params: RandomFunctionParams | None = None
-) -> RankFrequencyFunction:
+def random_function(seed: int) -> RankFrequencyFunction:
     """Deterministic random decreasing function on [0, S] for property tests.
 
+    2 to 8 breakpoints, S uniform on [4, 20], values uniform below 50.
     Half of the draws end with f(S) = 0 (so every theta is admissible in
     the classical settings), half keep a positive tail.
     """
-    p = params or RandomFunctionParams()
     rng = np.random.default_rng(seed)
-    n = int(rng.integers(2, p.max_breakpoints + 1))
-    s = float(rng.uniform(*p.s_range))
+    n = int(rng.integers(2, 9))
+    s = float(rng.uniform(4.0, 20.0))
     gaps = rng.uniform(0.05, 1.0, size=n - 1)
     xs = np.concatenate([[0.0], np.cumsum(gaps)])
     xs *= s / xs[-1]
     xs[-1] = s
-    ys = np.sort(rng.uniform(0.0, p.y_max, size=n))[::-1]
+    ys = np.sort(rng.uniform(0.0, 50.0, size=n))[::-1]
     if rng.random() < 0.5:
         ys[-1] = 0.0
     return RankFrequencyFunction(list(zip(xs.tolist(), ys.tolist())))

@@ -8,8 +8,8 @@ piecewise-quadratic, Averaging is the quadratic divided by (x - a).
 
 mu preserves the decreasing shape of its input while I increases; that
 difference decides which branch of every monotonicity result downstream
-applies, so each transformed function carries a monotonicity
-classification certified at build time.
+applies, so each transformed function reports its monotonicity, which
+follows from the operator kind alone (see ``_MONOTONICITY``).
 """
 
 from __future__ import annotations
@@ -28,10 +28,10 @@ from .reporting import Counterexample, VerificationReport
 # continuity value f(a) instead of evaluating the 0/0-prone quotient.
 _AVERAGING_EDGE = 1e-9
 
-# Tolerance for slope/difference sign decisions in classification.
+# Tolerance for the positivity check of the operator contract.
 _MONO_TOL = 1e-12
 
-_CLASSIFY_GRID = 1024
+_CONTRACT_GRID = 256
 
 
 class OperatorKind(Enum):
@@ -46,9 +46,16 @@ class Monotonicity(Enum):
     NON_MONOTONE = "non_monotone"
 
 
-class CertificationMethod(Enum):
-    SEGMENT_DERIVATIVE = "segment_derivative"
-    GRID_SAMPLE = "grid_sample"
+# Sources are non-increasing, so the identity is too.  For such f,
+# N(x) = f(x)(x - a) - I(f)(x) <= 0, because f(x) is a lower bound of f on
+# [a, x]; mu(f)' = N / (x - a)^2 makes mu(f) non-increasing, and
+# I(f)' = f >= 0 makes I(f) non-decreasing -- strictly unless f == 0,
+# whose constant integral counts as decreasing like any constant.
+_MONOTONICITY = {
+    OperatorKind.IDENTITY: Monotonicity.DECREASING,
+    OperatorKind.AVERAGING: Monotonicity.DECREASING,
+    OperatorKind.INTEGRAL: Monotonicity.INCREASING,
+}
 
 
 @dataclass(frozen=True)
@@ -61,12 +68,16 @@ class OperatorSpec:
 
 @dataclass(frozen=True)
 class TransformedFunction:
-    """Exactly evaluable T(f) with a build-time monotonicity certificate."""
+    """Exactly evaluable T(f); build it with :func:`apply`."""
 
     source: RankFrequencyFunction
     kind: OperatorKind
-    monotonicity: Monotonicity
-    certified_by: CertificationMethod
+
+    @cached_property
+    def monotonicity(self) -> Monotonicity:
+        if self.kind is OperatorKind.INTEGRAL and self.source.is_zero():
+            return Monotonicity.DECREASING
+        return _MONOTONICITY[self.kind]
 
     @property
     def origin(self) -> float:
@@ -117,77 +128,34 @@ class TransformedFunction:
 
 
 def apply(op: OperatorSpec, f: RankFrequencyFunction) -> TransformedFunction:
-    """Build the exactly evaluable T(f), classifying its monotonicity."""
+    """Build the exactly evaluable T(f)."""
     if op.origin != f.support_start:
         raise OriginMismatchError(
             f"operator origin {op.origin} != support start {f.support_start}"
         )
-    mono, method = _classify(op.kind, f)
-    return TransformedFunction(source=f, kind=op.kind, monotonicity=mono, certified_by=method)
+    return TransformedFunction(source=f, kind=op.kind)
 
 
-def t_eval(tf: TransformedFunction, x: float) -> float:
-    return tf.eval(x)
-
-
-def classify_monotonicity(tf: TransformedFunction) -> Monotonicity:
-    return tf.monotonicity
-
-
-def _constant_default(kind: OperatorKind) -> Monotonicity:
-    # Constant transforms count as decreasing (non-strict convention) so
-    # that constant inputs route through the classical branch; an
-    # integral is only constant when the source is identically zero.
-    return Monotonicity.DECREASING
-
-
-def _classify(
-    kind: OperatorKind, f: RankFrequencyFunction
-) -> tuple[Monotonicity, CertificationMethod]:
-    if kind is OperatorKind.IDENTITY:
-        # sources are decreasing by construction
-        return Monotonicity.DECREASING, CertificationMethod.SEGMENT_DERIVATIVE
-    if kind is OperatorKind.INTEGRAL:
-        if f.is_zero():
-            return _constant_default(kind), CertificationMethod.SEGMENT_DERIVATIVE
-        return Monotonicity.INCREASING, CertificationMethod.SEGMENT_DERIVATIVE
-    # Averaging: sign of mu' equals sign of N(x) = f(x)(x-a) - I(f)(x).
-    # N is monotone on each linear segment (N' = slope * (x-a)), so its
-    # extrema sit at breakpoints.
-    a = f.support_start
-    n_vals = f.ys * (f.xs - a) - f.cumulative
-    scale = max(1.0, float(f.ys[0]) * (f.support_end - a))
-    if float(n_vals.max()) <= _MONO_TOL * scale:
-        return Monotonicity.DECREASING, CertificationMethod.SEGMENT_DERIVATIVE
-    if float(n_vals.min()) >= -_MONO_TOL * scale:
-        return Monotonicity.INCREASING, CertificationMethod.SEGMENT_DERIVATIVE
-    # mixed numerator signs: fall back to sampling mu itself
-    xs = np.linspace(a, f.support_end, _CLASSIFY_GRID)
-    tf = TransformedFunction(
-        source=f,
-        kind=OperatorKind.AVERAGING,
-        monotonicity=Monotonicity.NON_MONOTONE,
-        certified_by=CertificationMethod.GRID_SAMPLE,
-    )
-    diffs = np.diff(tf.eval_many(xs))
-    if bool((diffs <= _MONO_TOL).all()):
-        return Monotonicity.DECREASING, CertificationMethod.GRID_SAMPLE
-    if bool((diffs >= -_MONO_TOL).all()):
-        return Monotonicity.INCREASING, CertificationMethod.GRID_SAMPLE
-    return Monotonicity.NON_MONOTONE, CertificationMethod.GRID_SAMPLE
+def as_transformed(
+    f: RankFrequencyFunction, op: OperatorSpec | TransformedFunction
+) -> TransformedFunction:
+    """``op`` itself when it is already a transformed function, else ``apply(op, f)``."""
+    if isinstance(op, TransformedFunction):
+        return op
+    return apply(op, f)
 
 
 def check_operator_contract(
     op: OperatorSpec,
     sample_functions: list[RankFrequencyFunction],
-    grid_points: int = 256,
 ) -> VerificationReport:
     """Assert the contract every operator must honor.
 
     (a) T(f) >= 0 everywhere; (b) T(f) vanishes identically iff f does;
     (c) restriction monotonicity: f < g pointwise implies
     T(f) < T(g) on (support_start, a_cut] for prefix cuts a_cut.
-    Violations become report failures, never exceptions.
+    Each is checked on ``_CONTRACT_GRID`` points.  Violations become
+    report failures, never exceptions.
     """
     if not sample_functions:
         raise ValueError("need at least one sample function")
@@ -200,7 +168,7 @@ def check_operator_contract(
     satisfied = 0
     for i, f in enumerate(samples):
         tf = apply(op, f)
-        vals = tf.eval_many(np.linspace(f.support_start, f.support_end, grid_points))
+        vals = tf.eval_many(np.linspace(f.support_start, f.support_end, _CONTRACT_GRID))
         satisfied += 1
         if float(vals.min()) < -_MONO_TOL:
             failures.append(
@@ -228,7 +196,7 @@ def check_operator_contract(
         a, s = f.support_start, f.support_end
         for frac in (0.25, 0.5, 0.75):
             a_cut = a + frac * (s - a)
-            pts = np.linspace(a, a_cut, grid_points)[1:]
+            pts = np.linspace(a, a_cut, _CONTRACT_GRID)[1:]
             gap = tg.eval_many(pts) - tf.eval_many(pts)
             satisfied += 1
             if float(gap.min()) <= 0.0:

@@ -46,7 +46,7 @@ import numpy as np
 
 from .errors import DomainError, NonPositiveThetaError, NoRootError, NonUniqueError
 from .funcspace import RankFrequencyFunction
-from .operators import OperatorKind, OperatorSpec, TransformedFunction, apply
+from .operators import OperatorKind, OperatorSpec, TransformedFunction, as_transformed
 from .thresholds import DecreasingLinearThreshold, PowerThreshold, ThresholdFamily
 
 # |D(S)| below this (relative to the largest |D| seen) counts as a root
@@ -57,11 +57,10 @@ _BOUNDARY_TOL = 1e-12
 @dataclass(frozen=True)
 class SolveConfig:
     abs_tol_x: float = 1e-10
-    exact_when_possible: bool = True
 
     def __post_init__(self) -> None:
-        if not self.abs_tol_x > 0:
-            raise ValueError("abs_tol_x must be positive")
+        if not 0 < self.abs_tol_x < math.inf:  # also rejects NaN
+            raise ValueError(f"abs_tol_x must be positive and finite, got {self.abs_tol_x}")
 
 
 DEFAULT_CONFIG = SolveConfig()
@@ -91,14 +90,6 @@ class BundleSample:
     threshold: str
 
 
-def _as_transformed(
-    f: RankFrequencyFunction, op: OperatorSpec | TransformedFunction
-) -> TransformedFunction:
-    if isinstance(op, TransformedFunction):
-        return op
-    return apply(op, f)
-
-
 def solve_bundle_point(
     f: RankFrequencyFunction,
     op: OperatorSpec | TransformedFunction,
@@ -115,7 +106,7 @@ def solve_bundle_point(
     root.  ``x_window`` restricts the search to a sub-interval of [a, S]
     (the transform still uses the full function).
     """
-    tf = _as_transformed(f, op)
+    tf = as_transformed(f, op)
     return solve_transformed(tf, family, theta, cfg, x_window=x_window)
 
 
@@ -317,13 +308,13 @@ def _locate(
 ) -> tuple[float, SolveStatus]:
     """The single root of D on (lo, hi), where D is monotone and changes sign.
 
-    In closed form when the segment polynomial has degree <= 2 (and
-    ``cfg.exact_when_possible``), by bisection otherwise.
+    In closed form when the segment polynomial has degree <= 2, by
+    bisection otherwise.
     """
     xs = tf.source.xs
     seg = min(int(np.searchsorted(xs, lo, side="right")) - 1, len(xs) - 2)
     x0 = float(xs[seg])
-    poly = _segment_poly(tf, family, theta, seg) if cfg.exact_when_possible else None
+    poly = _segment_poly(tf, family, theta, seg)
     if poly is not None:
         c2, c1, c0 = (float(c) for c in poly)
         # c0 = 0 puts a root at t = 0, the left end; for averaging's first
@@ -402,7 +393,7 @@ def sample_bundle(
         raise NonPositiveThetaError("theta grid values must be positive")
     if thetas != sorted(thetas):
         raise ValueError("theta grid must be sorted ascending")
-    tf = _as_transformed(f, op)
+    tf = as_transformed(f, op)
     entries = []
     for theta in thetas:
         try:

@@ -32,7 +32,7 @@ from .errors import (
     ZeroValueError,
 )
 from .funcspace import RankFrequencyFunction
-from .operators import Monotonicity, OperatorSpec, TransformedFunction, apply
+from .operators import Monotonicity, OperatorSpec, TransformedFunction, as_transformed
 
 _RANGE_GRID = 1024
 
@@ -45,10 +45,11 @@ class PowerThreshold:
     shift: float = 0.0
 
     def __post_init__(self) -> None:
-        if not self.p > 0:
-            raise ValueError("exponent p must be positive")
-        if self.shift < 0:
-            raise ValueError("shift must be non-negative")
+        # the chained comparisons also reject NaN
+        if not 0 < self.p < math.inf:
+            raise ValueError(f"exponent p must be positive and finite, got {self.p}")
+        if not 0 <= self.shift < math.inf:
+            raise ValueError(f"shift must be non-negative and finite, got {self.shift}")
 
     increasing_in_x = True
 
@@ -87,8 +88,8 @@ class DecreasingLinearThreshold:
     ceiling: float
 
     def __post_init__(self) -> None:
-        if not self.ceiling > 0:
-            raise ValueError("ceiling must be positive")
+        if not 0 < self.ceiling < math.inf:
+            raise ValueError(f"ceiling must be positive and finite, got {self.ceiling}")
 
     increasing_in_x = False
 
@@ -130,22 +131,6 @@ def _check_theta(theta: float) -> None:
         raise NonPositiveThetaError(f"theta must be positive, got {theta}")
 
 
-def a_eval(family: ThresholdFamily, x: float, theta: float) -> float:
-    return family.value(x, theta)
-
-
-def a_inverse_theta(family: ThresholdFamily, x: float, value: float) -> float:
-    return family.theta_inverse(x, value)
-
-
-def _as_transformed(
-    f: RankFrequencyFunction, op: OperatorSpec | TransformedFunction
-) -> TransformedFunction:
-    if isinstance(op, TransformedFunction):
-        return op
-    return apply(op, f)
-
-
 def psi(
     f: RankFrequencyFunction,
     op: OperatorSpec | TransformedFunction,
@@ -157,7 +142,7 @@ def psi(
     Solving at theta = psi(f, T, A, x) recovers x (within solver
     tolerance); raises if the inverse is singular at x or T(f)(x) = 0.
     """
-    tf = _as_transformed(f, op)
+    tf = as_transformed(f, op)
     value = tf.eval(x)
     if value == 0.0:
         raise ZeroValueError(f"T(f)({x}) = 0 maps to theta = 0, which is excluded")
@@ -205,7 +190,7 @@ def admissible_range(
     and the result is certified.  Otherwise a grid min/max estimate is
     returned with ``certified=False``.
     """
-    tf = _as_transformed(f, op)
+    tf = as_transformed(f, op)
     if f.is_zero():
         raise ZeroFunctionError("the zero function admits no positive theta")
     a, s = tf.origin, tf.support_end

@@ -26,6 +26,10 @@ The checks cover:
 * the sufficiency of the "D decreases for all admissible theta"
   hypothesis for the impact axioms.
 
+``run_property_suite`` runs all of them over seeded random inputs; its
+property list is one table (``_suite_table``) of report names and the
+runs that build them.
+
 A deliberately order-reversing configuration (a gently decreasing
 function against a faster-decreasing linear threshold, so that D
 increases) exercises every reversal branch and supplies the
@@ -37,7 +41,8 @@ from __future__ import annotations
 import math
 import zlib
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from functools import partial
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -62,6 +67,7 @@ from .operators import (
     OperatorSpec,
     TransformedFunction,
     apply,
+    as_transformed,
     check_operator_contract,
 )
 from .reporting import Counterexample, Verdict, VerificationReport
@@ -79,20 +85,19 @@ _SIGN_EPS = 1e-9
 # solver-noise margin for comparisons between located solutions
 _X_EPS = 1e-8
 _STRICT_GAP = 1e-12
+# grid on which steep_power_window compares the threshold's slope with f
+_STEEP_GRID = 2048
+# rounding allowance for a rise of the sup-gap in check_convergence_uniform
+_SUP_JITTER = 1e-9
+
+# fixed inputs of run_property_suite's gap-bound and convergence properties
+_SCHEDULE_LENGTH = 25
+_CONVERGENCE_N_MAX = 200
 
 
 # --------------------------------------------------------------------------
-# hypothesis profiling
+# monotonicity of the difference
 # --------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class HypothesisProfile:
-    """Monotonicity triple selecting which theorem branch applies."""
-
-    t_monotonicity: Monotonicity
-    a_monotonicity_in_x: Monotonicity
-    d_monotonicity: Monotonicity
 
 
 def classify_difference(
@@ -122,21 +127,6 @@ def classify_difference(
     return Monotonicity.NON_MONOTONE
 
 
-def profile(
-    f: RankFrequencyFunction,
-    op: OperatorSpec | TransformedFunction,
-    family: ThresholdFamily,
-    theta: float,
-) -> HypothesisProfile:
-    tf = op if isinstance(op, TransformedFunction) else apply(op, f)
-    a_mono = Monotonicity.INCREASING if family.increasing_in_x else Monotonicity.DECREASING
-    return HypothesisProfile(
-        t_monotonicity=tf.monotonicity,
-        a_monotonicity_in_x=a_mono,
-        d_monotonicity=classify_difference(tf, family, theta),
-    )
-
-
 def check_decreasing_difference(
     f: RankFrequencyFunction,
     op: OperatorSpec | TransformedFunction,
@@ -144,7 +134,7 @@ def check_decreasing_difference(
     theta_grid: Sequence[float],
 ) -> bool:
     """True iff D decreases at every sampled theta (the impact-sufficiency test)."""
-    tf = op if isinstance(op, TransformedFunction) else apply(op, f)
+    tf = as_transformed(f, op)
     return all(
         classify_difference(tf, family, theta) is Monotonicity.DECREASING
         for theta in theta_grid
@@ -300,7 +290,6 @@ def steep_power_window(
     p: float,
     theta: float,
     envelope_scale: float,
-    grid: int = 2048,
 ) -> tuple[float, float] | None:
     """Sub-interval [x0, S] where the power threshold out-climbs the envelope.
 
@@ -311,12 +300,12 @@ def steep_power_window(
     if p <= 1.0:
         return None
     a, s = f.support_start, f.support_end
-    xs = np.linspace(a, s, grid)
+    xs = np.linspace(a, s, _STEEP_GRID)
     ok = p * theta * np.power(np.maximum(xs, 0.0), p - 1.0) >= envelope_scale * f.eval_many(xs)
     if not bool(ok[-1]):
         return None
     first = int(np.argmax(ok))
-    first = min(first + 1, grid - 1)  # one step of margin
+    first = min(first + 1, _STEEP_GRID - 1)  # one step of margin
     x0 = float(xs[first])
     if not x0 < s:
         return None
@@ -340,6 +329,21 @@ def _try_solve(
         return m
     except (NoRootError, NonUniqueError):
         return None
+
+
+def _pair_solves(
+    tf: TransformedFunction,
+    tg: TransformedFunction,
+    family: ThresholdFamily,
+    thetas: Sequence[float],
+    cfg: SolveConfig,
+) -> Iterator[tuple[float, float, float]]:
+    """(theta, m_f, m_g) for every theta at which both functions solve."""
+    for theta in thetas:
+        mf = _try_solve(tf, family, theta, cfg)
+        mg = _try_solve(tg, family, theta, cfg)
+        if mf is not None and mg is not None:
+            yield theta, mf, mg
 
 
 def _psi_candidates(
@@ -408,7 +412,7 @@ def check_root_side(
     swaps the conclusions.  Both directions of each equivalence are
     asserted; samples where neither side fires count as vacuous.
     """
-    tf = op if isinstance(op, TransformedFunction) else apply(op, k)
+    tf = as_transformed(k, op)
     trials = len(x_samples)
     d_mono = classify_difference(tf, family, theta)
     if d_mono is Monotonicity.NON_MONOTONE:
@@ -566,7 +570,7 @@ def check_theta_monotonicity(
     """
     if not theta < theta_prime:
         raise ValueError("need theta < theta_prime")
-    tf = op if isinstance(op, TransformedFunction) else apply(op, f)
+    tf = as_transformed(f, op)
     d1 = classify_difference(tf, family, theta)
     d2 = classify_difference(tf, family, theta_prime)
     if d1 is not d2 or d1 is Monotonicity.NON_MONOTONE:
@@ -790,29 +794,24 @@ def check_convergence_uniform(
     grid_size: int,
     n_max: int,
     cfg: SolveConfig = DEFAULT_CONFIG,
-    theta_max: float | None = None,
-    n_values: Sequence[int] | None = None,
-    jitter: float = 1e-9,
     name: str = "convergence-uniform",
 ) -> VerificationReport:
     """Sup over a theta grid bounded away from zero shrinks monotonically.
 
-    Checks that the sup-gap sequence is non-increasing (within jitter)
-    along ``n_values`` (geometrically spaced by default) and that the
-    final sup meets the first-member-calibrated tolerance.
+    The grid spans [theta_min, 10 * theta_min].  Checks that the sup-gap
+    sequence is non-increasing (within rounding) along n = 1, 2, 4, ...,
+    n_max and that the final sup meets the first-member-calibrated
+    tolerance.
     """
     if not theta_min > 0:
         raise ValueError("theta_min must be positive")
-    hi = theta_max if theta_max is not None else 10.0 * theta_min
-    thetas = np.linspace(theta_min, hi, grid_size)
-    if n_values is None:
-        vals = []
-        n = 1
-        while n < n_max:
-            vals.append(n)
-            n *= 2
-        vals.append(n_max)
-        n_values = vals
+    thetas = np.linspace(theta_min, 10.0 * theta_min, grid_size)
+    n_values = []
+    n = 1
+    while n < n_max:
+        n_values.append(n)
+        n *= 2
+    n_values.append(n_max)
     tf = apply(op, f)
     base: dict[float, float] = {}
     for theta in thetas:
@@ -837,13 +836,13 @@ def check_convergence_uniform(
         satisfied += 1
         sups.append(max(gaps))
     for i in range(1, len(sups)):
-        if sups[i] > sups[i - 1] + jitter:
+        if sups[i] > sups[i - 1] + _SUP_JITTER:
             failures.append(
                 Counterexample(
                     inputs=f"sup-gap rose between checked indices {i - 1} and {i}",
                     lhs=sups[i],
                     rhs=sups[i - 1],
-                    slack=jitter,
+                    slack=_SUP_JITTER,
                 )
             )
     if sups:
@@ -946,11 +945,7 @@ def check_impact_axioms(
         if leq(f, g):
             tg = apply(op, g)
             fired = False
-            for theta in pick_thetas(tf, tg, family):
-                mf = _try_solve(tf, family, theta, cfg)
-                mg = _try_solve(tg, family, theta, cfg)
-                if mf is None or mg is None:
-                    continue
+            for theta, mf, mg in _pair_solves(tf, tg, family, pick_thetas(tf, tg, family), cfg):
                 fired = True
                 if not mf <= mg + _SIGN_EPS:
                     failures.append(
@@ -977,11 +972,7 @@ def check_impact_axioms(
             thetas = _psi_candidates(tf, family, hi_x=a_cut) + _psi_candidates(
                 tg, family, hi_x=a_cut
             )
-            for theta in thetas:
-                mf = _try_solve(tf, family, theta, cfg)
-                mg = _try_solve(tg, family, theta, cfg)
-                if mf is None or mg is None:
-                    continue
+            for theta, mf, mg in _pair_solves(tf, tg, family, thetas, cfg):
                 fired = True
                 if not mg - mf > _STRICT_GAP:
                     failures.append(
@@ -1003,11 +994,8 @@ def check_impact_axioms(
             if eq_on_prefix(f, g, a_cut):
                 tg = apply(op, g)
                 fired = False
-                for theta in _psi_candidates(tf, family, hi_x=a_cut):
-                    mf = _try_solve(tf, family, theta, cfg)
-                    mg = _try_solve(tg, family, theta, cfg)
-                    if mf is None or mg is None:
-                        continue
+                thetas = _psi_candidates(tf, family, hi_x=a_cut)
+                for theta, mf, mg in _pair_solves(tf, tg, family, thetas, cfg):
                     fired = True
                     if abs(mf - mg) > cfg.abs_tol_x:
                         failures.append(
@@ -1035,10 +1023,7 @@ def check_impact_axioms(
 class SuiteConfig:
     master_seed: int = 20240810
     trials: int = 40
-    slack: float = 1e-9
     solver: SolveConfig = field(default_factory=SolveConfig)
-    schedule_length: int = 25
-    convergence_n_max: int = 200
     include_reversal_in_impact: bool = False
 
 
@@ -1085,198 +1070,160 @@ def _nonzero_random(seed: int) -> RankFrequencyFunction:
     return f
 
 
-def _suite_report_names(cfg: SuiteConfig) -> list[str]:
-    names = [f"operator-contract/{k.value}" for k in OperatorKind]
-    for label, _, _ in _STOCK_SETTINGS:
-        names += [
-            f"root-side/{label}",
-            f"dominance-order/{label}",
-            f"theta-monotonicity/{label}",
-        ]
-    names += [
-        "root-side/reversal",
-        "dominance-order/reversal",
-        "theta-monotonicity/reversal",
-        "threshold-gap-bound",
-        "transform-gap-bound",
+def _contract(master_seed: int, kind: OperatorKind, name: str) -> VerificationReport:
+    # check_operator_contract names its report operator-contract/<kind>
+    seeds = _sub_seeds(master_seed, f"contract-{kind.value}", 12)
+    return check_operator_contract(OperatorSpec(kind, 0.0), [_nonzero_random(s) for s in seeds])
+
+
+def _root_side_trial(
+    seed: int, f: RankFrequencyFunction, op: OperatorSpec, family: PowerThreshold, cfg: SolveConfig
+) -> VerificationReport | None:
+    tf = apply(op, f)
+    thetas = _psi_candidates(tf, family, fractions=(0.5,))
+    if not thetas:
+        return None
+    xs = np.linspace(f.support_start, f.support_end, 11)[1:-1]
+    return check_root_side(f, tf, family, thetas[0], xs.tolist(), cfg)
+
+
+def _dominance_trial(
+    seed: int, f: RankFrequencyFunction, op: OperatorSpec, family: PowerThreshold, cfg: SolveConfig
+) -> VerificationReport | None:
+    rng = np.random.default_rng(seed)
+    mode = PerturbMode.MULTIPLICATIVE if rng.random() < 0.5 else PerturbMode.ADDITIVE
+    k = perturb(f, mode, float(rng.uniform(0.05, 0.4)))
+    thetas = _pair_thetas(apply(op, f), apply(op, k), family, fractions=(0.5,))
+    if not thetas:
+        return None
+    return check_dominance_order(k, f, op, family, thetas[0], cfg)
+
+
+def _theta_monotonicity_trial(
+    seed: int, f: RankFrequencyFunction, op: OperatorSpec, family: PowerThreshold, cfg: SolveConfig
+) -> VerificationReport | None:
+    thetas = _psi_candidates(apply(op, f), family, fractions=(0.6,))
+    if not thetas:
+        return None
+    return check_theta_monotonicity(f, op, family, thetas[0], 1.7 * thetas[0], cfg)
+
+
+# (report prefix, sub-seed label, trial) of the properties run per stock setting
+_PER_SETTING = (
+    ("root-side", "rootside", _root_side_trial),
+    ("dominance-order", "dominance", _dominance_trial),
+    ("theta-monotonicity", "thetamono", _theta_monotonicity_trial),
+)
+
+
+def _per_setting(
+    cfg: SuiteConfig,
+    seed_label: str,
+    trial: Callable[..., VerificationReport | None],
+    op_kind: OperatorKind,
+    p: float,
+    name: str,
+) -> VerificationReport:
+    """One property on one stock setting: a trial per sub-seed, merged."""
+    op = OperatorSpec(op_kind, 0.0)
+    family = PowerThreshold(p=p, shift=0.0)
+    per = []
+    for seed in _sub_seeds(cfg.master_seed, seed_label, cfg.trials):
+        report = trial(seed, _nonzero_random(seed), op, family, cfg.solver)
+        if report is not None:
+            per.append(report)
+    return VerificationReport.merge(name, per)
+
+
+def _suite_table(cfg: SuiteConfig) -> list[tuple[str, Callable[..., VerificationReport]]]:
+    """Every property of the suite as (report name, run), in report order.
+
+    ``run(name=name)`` builds that property's report.
+    """
+    seed, trials, solver = cfg.master_seed, cfg.trials, cfg.solver
+    table = [
+        (f"operator-contract/{kind.value}", partial(_contract, seed, kind))
+        for kind in OperatorKind
     ]
-    for label in ("h", "g"):
-        names += [f"convergence-pointwise/{label}", f"convergence-uniform/{label}"]
-    names += [f"impact-axioms/{label}" for label, _, _ in _STOCK_SETTINGS]
+    for label, op_kind, p in _STOCK_SETTINGS:
+        table += [
+            (
+                f"{prefix}/{label}",
+                partial(_per_setting, cfg, f"{seed_label}-{label}", trial, op_kind, p),
+            )
+            for prefix, seed_label, trial in _PER_SETTING
+        ]
+
+    # reversal branches of the same three checks
+    rev = ReversalFamily()
+    rev_f, rev_a, rev_op = rev.function(), rev.threshold(), rev.operator()
+    lo_w, hi_w = rev.theta_window()
+    table += [
+        ("root-side/reversal", partial(
+            check_root_side, rev_f, rev_op, rev_a, rev.theta(),
+            np.linspace(0.5, rev.span - 0.5, 9).tolist(), solver,
+        )),
+        ("dominance-order/reversal", partial(
+            check_dominance_order, perturb(rev_f, PerturbMode.MULTIPLICATIVE, 0.2), rev_f,
+            rev_op, rev_a, rev.theta(scale_max=0.2), solver,
+        )),
+        ("theta-monotonicity/reversal", partial(
+            check_theta_monotonicity, rev_f, rev_op, rev_a,
+            lo_w + 0.3 * (hi_w - lo_w), lo_w + 0.7 * (hi_w - lo_w), solver,
+        )),
+        ("threshold-gap-bound", partial(
+            threshold_gap_bound_batch, seed, trials, _SCHEDULE_LENGTH, solver
+        )),
+        ("transform-gap-bound", partial(
+            transform_gap_bound_batch, seed, trials, _SCHEDULE_LENGTH, solver
+        )),
+    ]
+
+    line = RankFrequencyFunction([(0.0, 10.0), (10.0, 0.0)])
+    h_family = PowerThreshold(p=1.0, shift=0.0)
+    for label, op_kind in (("h", OperatorKind.IDENTITY), ("g", OperatorKind.AVERAGING)):
+        op = OperatorSpec(op_kind, 0.0)
+        table += [
+            (f"convergence-pointwise/{label}", partial(
+                check_convergence_pointwise, line, multiplicative_sequence(line), op, h_family,
+                [0.5, 1.0, 2.0, 5.0], _CONVERGENCE_N_MAX, solver,
+            )),
+            (f"convergence-uniform/{label}", partial(
+                check_convergence_uniform, line, additive_sequence(line), op, h_family,
+                0.5, 8, _CONVERGENCE_N_MAX, solver,
+            )),
+        ]
+
+    table += [
+        (f"impact-axioms/{label}", partial(
+            check_impact_axioms, OperatorSpec(op_kind, 0.0), PowerThreshold(p=p, shift=0.0),
+            _sub_seeds(seed, f"impact-{label}", 1)[0], trials, solver,
+        ))
+        for label, op_kind, p in _STOCK_SETTINGS
+    ]
     if cfg.include_reversal_in_impact:
-        names.append("impact-axioms/reversal")
-    names.append("monotone-difference-forward")
-    return names
+        reversal = partial(reversal_impact_report, seed, trials, solver)
+        table.append(("impact-axioms/reversal", reversal))
+    # sufficiency: settings whose difference decreases everywhere satisfy the axioms
+    table.append((
+        "monotone-difference-forward",
+        partial(monotone_difference_forward_batch, seed, max(trials // 2, 5), solver),
+    ))
+    return table
 
 
 def run_property_suite(config: SuiteConfig | None = None) -> SuiteResult:
-    """Run every check over randomized inputs; deterministic per master seed."""
+    """Run every check over randomized inputs; deterministic per master seed.
+
+    With ``trials=0`` nothing runs and every report is vacuous.
+    """
     cfg = config or SuiteConfig()
+    table = _suite_table(cfg)
     if cfg.trials == 0:
         return SuiteResult(
-            reports=tuple(
-                VerificationReport(name=n, trials=0, satisfied=0)
-                for n in _suite_report_names(cfg)
-            )
+            reports=tuple(VerificationReport(name=name, trials=0, satisfied=0) for name, _ in table)
         )
-    solver_cfg = cfg.solver
-    reports: list[VerificationReport] = []
-    reversal = ReversalFamily()
-
-    # operator contracts
-    for kind in OperatorKind:
-        samples = [_nonzero_random(s) for s in _sub_seeds(cfg.master_seed, f"contract-{kind.value}", 12)]
-        reports.append(check_operator_contract(OperatorSpec(kind, 0.0), samples))
-
-    # root side, dominance order, theta monotonicity over stock settings
-    for label, op_kind, p in _STOCK_SETTINGS:
-        sub = _sub_seeds(cfg.master_seed, f"rootside-{label}", cfg.trials)
-        per = []
-        for seed in sub:
-            f = _nonzero_random(seed)
-            op = OperatorSpec(op_kind, 0.0)
-            family = PowerThreshold(p=p, shift=0.0)
-            tf = apply(op, f)
-            thetas = _psi_candidates(tf, family, fractions=(0.5,))
-            if not thetas:
-                continue
-            xs = np.linspace(f.support_start, f.support_end, 11)[1:-1]
-            per.append(
-                check_root_side(f, tf, family, thetas[0], xs.tolist(), solver_cfg)
-            )
-        reports.append(VerificationReport.merge(f"root-side/{label}", per))
-
-        sub = _sub_seeds(cfg.master_seed, f"dominance-{label}", cfg.trials)
-        per = []
-        for seed in sub:
-            f = _nonzero_random(seed)
-            rng = np.random.default_rng(seed)
-            mode = PerturbMode.MULTIPLICATIVE if rng.random() < 0.5 else PerturbMode.ADDITIVE
-            delta = float(rng.uniform(0.05, 0.4))
-            k = perturb(f, mode, delta)
-            op = OperatorSpec(op_kind, 0.0)
-            family = PowerThreshold(p=p, shift=0.0)
-            thetas = _pair_thetas(apply(op, f), apply(op, k), family, fractions=(0.5,))
-            if not thetas:
-                continue
-            per.append(check_dominance_order(k, f, op, family, thetas[0], solver_cfg))
-        reports.append(VerificationReport.merge(f"dominance-order/{label}", per))
-
-        sub = _sub_seeds(cfg.master_seed, f"thetamono-{label}", cfg.trials)
-        per = []
-        for seed in sub:
-            f = _nonzero_random(seed)
-            op = OperatorSpec(op_kind, 0.0)
-            family = PowerThreshold(p=p, shift=0.0)
-            thetas = _psi_candidates(apply(op, f), family, fractions=(0.6,))
-            if not thetas:
-                continue
-            per.append(
-                check_theta_monotonicity(
-                    f, op, family, thetas[0], 1.7 * thetas[0], solver_cfg
-                )
-            )
-        reports.append(VerificationReport.merge(f"theta-monotonicity/{label}", per))
-
-    # reversal branches of the same three checks
-    rev_f = reversal.function()
-    rev_a = reversal.threshold()
-    rev_op = reversal.operator()
-    theta_r = reversal.theta()
-    xs = np.linspace(0.5, reversal.span - 0.5, 9)
-    reports.append(
-        check_root_side(
-            rev_f, rev_op, rev_a, theta_r, xs.tolist(), solver_cfg, name="root-side/reversal"
-        )
-    )
-    k_r = perturb(rev_f, PerturbMode.MULTIPLICATIVE, 0.2)
-    reports.append(
-        check_dominance_order(
-            k_r,
-            rev_f,
-            rev_op,
-            rev_a,
-            reversal.theta(scale_max=0.2),
-            solver_cfg,
-            name="dominance-order/reversal",
-        )
-    )
-    lo_w, hi_w = reversal.theta_window()
-    reports.append(
-        check_theta_monotonicity(
-            rev_f,
-            rev_op,
-            rev_a,
-            lo_w + 0.3 * (hi_w - lo_w),
-            lo_w + 0.7 * (hi_w - lo_w),
-            solver_cfg,
-            name="theta-monotonicity/reversal",
-        )
-    )
-
-    # gap bounds
-    reports.append(
-        threshold_gap_bound_batch(
-            cfg.master_seed, cfg.trials, cfg.schedule_length, solver_cfg, cfg.slack
-        )
-    )
-    reports.append(
-        transform_gap_bound_batch(
-            cfg.master_seed, cfg.trials, cfg.schedule_length, solver_cfg, cfg.slack
-        )
-    )
-
-    # convergence
-    line = RankFrequencyFunction([(0.0, 10.0), (10.0, 0.0)])
-    for label, op_kind in (("h", OperatorKind.IDENTITY), ("g", OperatorKind.AVERAGING)):
-        op = OperatorSpec(op_kind, 0.0)
-        family = PowerThreshold(p=1.0, shift=0.0)
-        reports.append(
-            check_convergence_pointwise(
-                line,
-                multiplicative_sequence(line),
-                op,
-                family,
-                [0.5, 1.0, 2.0, 5.0],
-                cfg.convergence_n_max,
-                solver_cfg,
-                name=f"convergence-pointwise/{label}",
-            )
-        )
-        reports.append(
-            check_convergence_uniform(
-                line,
-                additive_sequence(line),
-                op,
-                family,
-                theta_min=0.5,
-                grid_size=8,
-                n_max=cfg.convergence_n_max,
-                cfg=solver_cfg,
-                name=f"convergence-uniform/{label}",
-            )
-        )
-
-    # impact axioms on the stock settings
-    for label, op_kind, p in _STOCK_SETTINGS:
-        reports.append(
-            check_impact_axioms(
-                OperatorSpec(op_kind, 0.0),
-                PowerThreshold(p=p, shift=0.0),
-                _sub_seeds(cfg.master_seed, f"impact-{label}", 1)[0],
-                cfg.trials,
-                solver_cfg,
-                name=f"impact-axioms/{label}",
-            )
-        )
-    if cfg.include_reversal_in_impact:
-        reports.append(reversal_impact_report(cfg.master_seed, cfg.trials, solver_cfg))
-
-    # sufficiency: settings whose difference decreases everywhere satisfy the axioms
-    reports.append(
-        monotone_difference_forward_batch(cfg.master_seed, max(cfg.trials // 2, 5), solver_cfg)
-    )
-    return SuiteResult(reports=tuple(reports))
+    return SuiteResult(reports=tuple(run(name=name) for name, run in table))
 
 
 def threshold_gap_bound_batch(

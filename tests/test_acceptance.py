@@ -27,7 +27,6 @@ from hirschbundles.operators import (
     OperatorSpec,
     apply,
     check_operator_contract,
-    classify_monotonicity,
 )
 from hirschbundles.reporting import Verdict
 from hirschbundles.solver import (
@@ -371,7 +370,7 @@ def test_criterion_08_impact_axioms():
 def test_criterion_09_operator_properties():
     t0 = time.perf_counter()
     mono_ok = all(
-        classify_monotonicity(apply(AVERAGING, random_function(seed))) is Monotonicity.DECREASING
+        apply(AVERAGING, random_function(seed)).monotonicity is Monotonicity.DECREASING
         for seed in range(500)
     )
     identity_ok = True

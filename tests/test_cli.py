@@ -248,6 +248,95 @@ class TestVerifyCommand:
         assert code == 2
 
 
+class TestMalformedNumbers:
+    """Non-numeric or non-finite flags and config values exit 2, naming the problem."""
+
+    @staticmethod
+    def k05_config(tmp_path, solver="{}"):
+        # written by hand: JSON has no inf literal, but 1e400 parses to inf
+        p = tmp_path / "k05.json"
+        p.write_text(
+            '{"indices": [{"name": "k05", "operator": "identity", "family": "power", "p": 0.5}],'
+            f' "solver": {solver}}}'
+        )
+        return str(p)
+
+    def test_negative_trials_flag(self, tmp_path, capsys):
+        rep = tmp_path / "rep.json"
+        code, _, err = run_cli(["verify", "--trials", "-3", "--report", str(rep)], capsys)
+        assert code == 2
+        assert "trials" in err
+
+    def test_negative_trials_in_config(self, tmp_path, capsys):
+        p = tmp_path / "cfg.json"
+        p.write_text(json.dumps({"trials": -2}))
+        rep = tmp_path / "rep.json"
+        code, _, err = run_cli(["verify", "--config", str(p), "--report", str(rep)], capsys)
+        assert code == 2
+        assert "trials" in err
+
+    @pytest.mark.parametrize(
+        "text",
+        ['{"trials": 1e400}', '{"seed": 1e400}', '{"theta_grid": []}', '{"solver": []}'],
+        ids=["trials-inf", "seed-inf", "grid-not-object", "solver-not-object"],
+    )
+    def test_malformed_config_values(self, tmp_path, capsys, text):
+        p = tmp_path / "cfg.json"
+        p.write_text(text)
+        rep = tmp_path / "rep.json"
+        code, _, err = run_cli(["verify", "--config", str(p), "--report", str(rep)], capsys)
+        assert code == 2
+        assert "bad config" in err
+
+    def test_negative_seed_flag(self, tmp_path, capsys):
+        rep = tmp_path / "rep.json"
+        code, _, err = run_cli(["verify", "--seed", "-1", "--report", str(rep)], capsys)
+        assert code == 2
+        assert "seed" in err
+
+    @pytest.mark.parametrize("tol", ["nan", "inf"])
+    def test_non_finite_tol_flag(self, csv_file, tmp_path, capsys, tol):
+        cfg = self.k05_config(tmp_path)
+        code, out, err = run_cli(["index", csv_file, "--config", cfg, "--tol", tol], capsys)
+        assert code == 2
+        assert out == ""
+        assert "abs_tol_x" in err
+
+    def test_non_finite_tol_in_config(self, csv_file, tmp_path, capsys):
+        cfg = self.k05_config(tmp_path, solver='{"abs_tol_x": 1e400}')
+        code, out, err = run_cli(["index", csv_file, "--config", cfg], capsys)
+        assert code == 2
+        assert out == ""
+        assert "abs_tol_x" in err
+
+    @pytest.mark.parametrize("grid", ["inf:inf:1", "1:inf:3", "nan:2:3"])
+    def test_non_finite_theta_grid(self, csv_file, capsys, grid):
+        code, out, err = run_cli(["bundle", csv_file, "--theta-grid", grid], capsys)
+        assert code == 2
+        assert out == ""
+        assert "finite" in err
+
+    @pytest.mark.parametrize(
+        "params",
+        [
+            {"p": "abc"},
+            {"p": None},
+            {"p": 1e400},
+            {"shift": "inf"},
+            {"family": "declin", "ceiling": "abc"},
+            {"family": "declin", "ceiling": 1e400},
+        ],
+        ids=["p-text", "p-null", "p-inf", "shift-inf", "ceiling-text", "ceiling-inf"],
+    )
+    def test_malformed_index_parameters(self, csv_file, tmp_path, capsys, params):
+        p = tmp_path / "cfg.json"
+        p.write_text(json.dumps({"indices": [{"name": "bad", "operator": "identity", **params}]}))
+        code, out, err = run_cli(["bundle", csv_file, "--config", str(p)], capsys)
+        assert code == 2
+        assert out == ""
+        assert "'bad'" in err
+
+
 class TestDeterminism:
     def test_byte_identical_runs(self, tmp_path):
         src = tmp_path / "s.csv"

@@ -11,8 +11,6 @@ from hirschbundles.errors import (
     WouldViolateInvariantsError,
 )
 from hirschbundles.funcspace import (
-    FunctionOrdering,
-    OrderingKind,
     PerturbMode,
     RankFrequencyFunction,
     eq_on_prefix,
@@ -236,11 +234,11 @@ class TestOrderings:
 
     def test_ordering_dispatch(self, line):
         g = perturb(line, PerturbMode.ADDITIVE, 1.0)
-        assert FunctionOrdering(OrderingKind.LEQ).holds(line, g)
-        assert FunctionOrdering(OrderingKind.STRICT_ON_PREFIX, prefix=3.0).holds(line, g)
-        assert not FunctionOrdering(OrderingKind.EQUAL_ON_PREFIX, prefix=3.0).holds(line, g)
+        assert leq(line, g)
+        assert lt_on_prefix(line, g, 3.0)
+        assert not eq_on_prefix(line, g, 3.0)
         with pytest.raises(BadPrefixError):
-            FunctionOrdering(OrderingKind.STRICT_ON_PREFIX).holds(line, g)
+            eq_on_prefix(line, g, line.support_end)
 
 
 class TestPerturb:

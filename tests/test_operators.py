@@ -1,17 +1,18 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from hirschbundles.errors import DomainError, OriginMismatchError
 from hirschbundles.funcspace import RankFrequencyFunction, random_function
 from hirschbundles.operators import (
-    CertificationMethod,
     Monotonicity,
     OperatorKind,
     OperatorSpec,
+    TransformedFunction,
     apply,
+    as_transformed,
     check_operator_contract,
-    classify_monotonicity,
-    t_eval,
 )
 from hirschbundles.reporting import Verdict
 
@@ -81,7 +82,7 @@ class TestEval:
     def test_domain_error(self, line):
         tf = apply(identity_op(line), line)
         with pytest.raises(DomainError):
-            t_eval(tf, 10.5)
+            tf.eval(10.5)
 
 
 class TestClassification:
@@ -89,7 +90,7 @@ class TestClassification:
         for seed in range(500):
             f = random_function(seed)
             mu = apply(averaging_op(f), f)
-            assert classify_monotonicity(mu) is Monotonicity.DECREASING
+            assert mu.monotonicity is Monotonicity.DECREASING
 
     def test_integral_increasing_when_positive_somewhere(self):
         for seed in range(50):
@@ -102,7 +103,18 @@ class TestClassification:
     def test_identity_constant_counts_as_decreasing(self, const4):
         tf = apply(identity_op(const4), const4)
         assert tf.monotonicity is Monotonicity.DECREASING
-        assert tf.certified_by is CertificationMethod.SEGMENT_DERIVATIVE
+        # monotonicity follows from the kind, so it is not stored
+        assert [fld.name for fld in dataclasses.fields(tf)] == ["source", "kind"]
+
+    def test_integral_of_zero_counts_as_decreasing(self):
+        zero = RankFrequencyFunction([(0.0, 0.0), (5.0, 0.0)])
+        assert apply(integral_op(zero), zero).monotonicity is Monotonicity.DECREASING
+
+    def test_as_transformed_passes_a_transform_through(self, line):
+        tf = apply(averaging_op(line), line)
+        assert as_transformed(line, tf) is tf
+        built = as_transformed(line, averaging_op(line))
+        assert isinstance(built, TransformedFunction) and built == tf
 
 
 class TestAveragingBounds:

@@ -72,15 +72,19 @@ class TestSolveBundlePoint:
         with pytest.raises(NonUniqueError):
             solve_bundle_point(f, IDENTITY, fam, 0.5)
 
-    def test_bisection_agrees_with_exact(self, line):
-        fam = PowerThreshold(1.0, 0.0)
-        exact, s1 = solve_bundle_point(line, IDENTITY, fam, 1.3)
-        loose, s2 = solve_bundle_point(
-            line, IDENTITY, fam, 1.3, SolveConfig(exact_when_possible=False)
-        )
-        assert s1 is SolveStatus.EXACT_SEGMENT
-        assert s2 is SolveStatus.BISECTION
-        assert loose == pytest.approx(exact, abs=1e-9)
+    def test_bisection_matches_known_root(self, line):
+        # 10 - x = theta * sqrt(x) has no closed-form solve path, but with
+        # u = sqrt(x) it is the quadratic u^2 + theta u - 10 = 0
+        theta = 1.3
+        u = (-theta + math.sqrt(theta * theta + 40.0)) / 2.0
+        m, status = solve_bundle_point(line, IDENTITY, PowerThreshold(0.5, 0.0), theta)
+        assert status is SolveStatus.BISECTION
+        assert abs(m - u * u) <= 1e-10
+
+    @pytest.mark.parametrize("tol", [0.0, -1.0, math.inf, math.nan])
+    def test_tolerance_must_be_positive_and_finite(self, tol):
+        with pytest.raises(ValueError):
+            SolveConfig(abs_tol_x=tol)
 
     def test_x_window_restricts_search(self, line):
         fam = PowerThreshold(1.0, 0.0)

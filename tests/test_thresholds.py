@@ -17,8 +17,6 @@ from hirschbundles.solver import solve_bundle_point
 from hirschbundles.thresholds import (
     DecreasingLinearThreshold,
     PowerThreshold,
-    a_eval,
-    a_inverse_theta,
     admissible_range,
     psi,
 )
@@ -30,25 +28,41 @@ INTEGRAL = OperatorSpec(OperatorKind.INTEGRAL, 0.0)
 
 class TestEvaluation:
     def test_linear(self):
-        assert a_eval(PowerThreshold(1.0, 0.0), 4.0, 1.0) == 4.0
+        assert PowerThreshold(1.0, 0.0).value(4.0, 1.0) == 4.0
 
     def test_square(self):
-        assert a_eval(PowerThreshold(2.0, 0.0), 3.0, 2.0) == 18.0
+        assert PowerThreshold(2.0, 0.0).value(3.0, 2.0) == 18.0
 
     def test_decreasing_linear(self):
-        assert a_eval(DecreasingLinearThreshold(20.0), 5.0, 1.0) == 15.0
+        assert DecreasingLinearThreshold(20.0).value(5.0, 1.0) == 15.0
 
     def test_theta_must_be_positive(self):
         with pytest.raises(NonPositiveThetaError):
-            a_eval(PowerThreshold(1.0, 0.0), 1.0, 0.0)
+            PowerThreshold(1.0, 0.0).value(1.0, 0.0)
 
     def test_power_domain(self):
         with pytest.raises(DomainError):
-            a_eval(PowerThreshold(2.0, 1.0), 0.5, 1.0)
+            PowerThreshold(2.0, 1.0).value(0.5, 1.0)
 
     def test_declin_positive_domain(self):
         with pytest.raises(DomainError):
-            a_eval(DecreasingLinearThreshold(20.0), 20.0, 1.0)
+            DecreasingLinearThreshold(20.0).value(20.0, 1.0)
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: PowerThreshold(math.inf, 0.0),
+            lambda: PowerThreshold(math.nan, 0.0),
+            lambda: PowerThreshold(1.0, math.inf),
+            lambda: PowerThreshold(1.0, math.nan),
+            lambda: DecreasingLinearThreshold(math.inf),
+            lambda: DecreasingLinearThreshold(math.nan),
+        ],
+        ids=["p-inf", "p-nan", "shift-inf", "shift-nan", "ceiling-inf", "ceiling-nan"],
+    )
+    def test_non_finite_parameters_rejected(self, build):
+        with pytest.raises(ValueError, match="finite"):
+            build()
 
     def test_power_strictly_monotone_in_both_arguments(self):
         rng = np.random.default_rng(3)
@@ -75,17 +89,17 @@ class TestEvaluation:
 
 class TestThetaInverse:
     def test_linear_inverse(self):
-        assert a_inverse_theta(PowerThreshold(1.0, 0.0), 4.0, 4.0) == 1.0
+        assert PowerThreshold(1.0, 0.0).theta_inverse(4.0, 4.0) == 1.0
 
     def test_square_round_trip(self):
         fam = PowerThreshold(2.0, 0.0)
-        assert a_inverse_theta(fam, 3.0, a_eval(fam, 3.0, 2.0)) == 2.0
+        assert fam.theta_inverse(3.0, fam.value(3.0, 2.0)) == 2.0
 
     def test_singular_abscissa(self):
         with pytest.raises(SingularAbscissaError):
-            a_inverse_theta(PowerThreshold(1.0, 0.0), 0.0, 5.0)
+            PowerThreshold(1.0, 0.0).theta_inverse(0.0, 5.0)
         with pytest.raises(SingularAbscissaError):
-            a_inverse_theta(DecreasingLinearThreshold(20.0), 20.0, 5.0)
+            DecreasingLinearThreshold(20.0).theta_inverse(20.0, 5.0)
 
     def test_round_trip_random(self):
         rng = np.random.default_rng(11)
@@ -93,7 +107,7 @@ class TestThetaInverse:
             for _ in range(200):
                 x = float(rng.uniform(1.5, 20.0))
                 theta = float(rng.uniform(0.01, 50.0))
-                back = a_inverse_theta(fam, x, a_eval(fam, x, theta))
+                back = fam.theta_inverse(x, fam.value(x, theta))
                 assert back == pytest.approx(theta, rel=1e-12)
 
 
@@ -202,6 +216,6 @@ class TestAdmissibleRange:
     def test_power_value_zero_iff_abscissa_zero(self):
         fam = PowerThreshold(2.0, 0.0)
         for theta in (0.5, 1.0, 7.0):
-            assert a_eval(fam, 0.0, theta) == 0.0
+            assert fam.value(0.0, theta) == 0.0
             for x in (0.1, 1.0, 13.0):
-                assert a_eval(fam, x, theta) > 0.0
+                assert fam.value(x, theta) > 0.0

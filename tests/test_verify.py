@@ -11,7 +11,7 @@ from hirschbundles.funcspace import (
     lt_on_prefix,
     perturb,
 )
-from hirschbundles.operators import Monotonicity, OperatorKind, OperatorSpec
+from hirschbundles.operators import Monotonicity, OperatorKind, OperatorSpec, apply
 from hirschbundles.reporting import Verdict, VerificationReport
 from hirschbundles.solver import solve_bundle_point
 from hirschbundles.thresholds import DecreasingLinearThreshold, PowerThreshold
@@ -28,10 +28,10 @@ from hirschbundles.verify import (
     check_theta_monotonicity,
     check_threshold_gap_bound,
     check_transform_gap_bound,
+    classify_difference,
     flatten_tail,
     multiplicative_sequence,
     prefix_bump,
-    profile,
     reversal_impact_report,
     run_property_suite,
     steep_power_window,
@@ -47,21 +47,22 @@ H_FAMILY = PowerThreshold(1.0, 0.0)
 
 class TestProfile:
     def test_classic_setting_decreasing_difference(self, line):
-        prof = profile(line, IDENTITY, H_FAMILY, 1.0)
-        assert prof.t_monotonicity is Monotonicity.DECREASING
-        assert prof.a_monotonicity_in_x is Monotonicity.INCREASING
-        assert prof.d_monotonicity is Monotonicity.DECREASING
+        tf = apply(IDENTITY, line)
+        assert tf.monotonicity is Monotonicity.DECREASING
+        assert H_FAMILY.increasing_in_x
+        assert classify_difference(tf, H_FAMILY, 1.0) is Monotonicity.DECREASING
 
     def test_averaging_setting_decreasing_difference(self, line):
-        prof = profile(line, AVERAGING, H_FAMILY, 1.0)
-        assert prof.d_monotonicity is Monotonicity.DECREASING
+        tf = apply(AVERAGING, line)
+        assert classify_difference(tf, H_FAMILY, 1.0) is Monotonicity.DECREASING
 
     def test_reversal_increasing_difference(self):
         fam = ReversalFamily()
-        prof = profile(fam.function(), fam.operator(), fam.threshold(), fam.theta())
-        assert prof.t_monotonicity is Monotonicity.DECREASING
-        assert prof.a_monotonicity_in_x is Monotonicity.DECREASING
-        assert prof.d_monotonicity is Monotonicity.INCREASING
+        tf = apply(fam.operator(), fam.function())
+        assert tf.monotonicity is Monotonicity.DECREASING
+        assert not fam.threshold().increasing_in_x
+        d_mono = classify_difference(tf, fam.threshold(), fam.theta())
+        assert d_mono is Monotonicity.INCREASING
 
     def test_decreasing_difference_predicate(self, line):
         assert check_decreasing_difference(line, IDENTITY, H_FAMILY, [0.5, 1.0, 2.0])
@@ -348,19 +349,19 @@ class TestHelpers:
 
 class TestSuite:
     def test_default_suite_has_no_failures(self):
-        cfg = SuiteConfig(trials=8, convergence_n_max=64)
+        cfg = SuiteConfig(trials=8)
         result = run_property_suite(cfg)
         failing = [r.name for r in result.reports if r.verdict is Verdict.FAIL]
         assert not failing, failing
 
     def test_reproducible_by_seed(self):
-        cfg = SuiteConfig(master_seed=77, trials=4, convergence_n_max=32)
+        cfg = SuiteConfig(master_seed=77, trials=4)
         a = run_property_suite(cfg).to_dict()
         b = run_property_suite(cfg).to_dict()
         assert a == b
 
     def test_reversal_injection_fails_exactly_where_expected(self):
-        cfg = SuiteConfig(trials=6, convergence_n_max=32, include_reversal_in_impact=True)
+        cfg = SuiteConfig(trials=6, include_reversal_in_impact=True)
         result = run_property_suite(cfg)
         failing = [r.name for r in result.reports if r.verdict is Verdict.FAIL]
         assert failing == ["impact-axioms/reversal"]
@@ -370,6 +371,15 @@ class TestSuite:
         result = run_property_suite(SuiteConfig(trials=0))
         assert all(r.verdict is Verdict.VACUOUS for r in result.reports)
         assert not result.any_fail
+
+    @pytest.mark.parametrize("with_reversal, count", [(False, 33), (True, 34)])
+    def test_zero_trials_lists_the_same_properties(self, with_reversal, count):
+        def names(trials):
+            cfg = SuiteConfig(trials=trials, include_reversal_in_impact=with_reversal)
+            return [r.name for r in run_property_suite(cfg).reports]
+
+        assert names(0) == names(1)
+        assert len(names(0)) == count
 
 
 class TestSeedStability:
