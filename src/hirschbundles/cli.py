@@ -20,6 +20,8 @@ import sys
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
+import numpy as np
+
 from .errors import BundleError
 from .funcspace import RankFrequencyFunction, from_citation_counts
 from .operators import OperatorKind, OperatorSpec
@@ -63,6 +65,11 @@ class IndexDef:
         except (TypeError, ValueError) as e:  # TypeError: a non-numeric parameter
             raise CliError(f"bad parameters for index {self.name!r}: {e}")
         return op, fam
+
+
+# The grid is materialized as a list before the first solve; a count far
+# beyond any useful resolution would exhaust memory instead of failing.
+MAX_THETA_COUNT = 1_000_000
 
 
 @dataclass(frozen=True)
@@ -152,6 +159,8 @@ def _validate_grid(grid: ThetaGrid) -> None:
         raise CliError("theta grid minimum must be positive")
     if grid.count < 1:
         raise CliError("theta grid count must be at least 1")
+    if grid.count > MAX_THETA_COUNT:
+        raise CliError(f"theta grid count must be at most {MAX_THETA_COUNT}, got {grid.count}")
     if grid.count > 1 and grid.hi < grid.lo:
         raise CliError("theta grid maximum must not be below minimum")
     if grid.spacing not in ("linear", "log"):
@@ -181,8 +190,8 @@ def parse_theta_grid_flag(text: str) -> ThetaGrid:
 # --------------------------------------------------------------------------
 
 
-def read_sources(path: str) -> list[tuple[str, list[float]]]:
-    """Read (id, counts) rows from a CSV or JSON file."""
+def read_sources(path: str) -> list[tuple[str, np.ndarray]]:
+    """Read (id, counts) rows from a CSV or JSON file; counts are finite and non-negative."""
     p = Path(path)
     if not p.exists():
         raise CliError(f"input file not found: {path}")
@@ -191,7 +200,15 @@ def read_sources(path: str) -> list[tuple[str, list[float]]]:
     return _read_csv(p)
 
 
-def _read_json(p: Path) -> list[tuple[str, list[float]]]:
+def _counts_problem(counts: np.ndarray) -> str | None:
+    if not np.isfinite(counts).all():
+        return "counts must be finite"
+    if counts.min() < 0:
+        return "counts must be non-negative"
+    return None
+
+
+def _read_json(p: Path) -> list[tuple[str, np.ndarray]]:
     try:
         raw = json.loads(p.read_text())
     except json.JSONDecodeError as e:
@@ -206,18 +223,17 @@ def _read_json(p: Path) -> list[tuple[str, list[float]]]:
         if not isinstance(counts, list) or not counts:
             raise CliError(f"{p}: record {i}: 'counts' must be a non-empty list")
         try:
-            vals = [float(c) for c in counts]
+            vals = np.array(list(map(float, counts)))
         except (TypeError, ValueError):
             raise CliError(f"{p}: record {i}: counts must be numbers")
-        if not all(math.isfinite(c) for c in vals):
-            raise CliError(f"{p}: record {i}: counts must be finite")
-        if any(c < 0 for c in vals):
-            raise CliError(f"{p}: record {i}: counts must be non-negative")
+        problem = _counts_problem(vals)
+        if problem:
+            raise CliError(f"{p}: record {i}: {problem}")
         out.append((str(rec["id"]), vals))
     return out
 
 
-def _read_csv(p: Path) -> list[tuple[str, list[float]]]:
+def _read_csv(p: Path) -> list[tuple[str, np.ndarray]]:
     out = []
     with p.open(newline="") as fh:
         reader = csv.reader(fh)
@@ -232,34 +248,33 @@ def _read_csv(p: Path) -> list[tuple[str, list[float]]]:
                 continue
             if len(row) < 2:
                 raise CliError(f"{p}: line {lineno}: expected 'id,counts'")
-            source_id = row[0].strip()
-            tokens = [t for t in row[1].split(";") if t.strip()]
-            if not tokens:
-                raise CliError(f"{p}: line {lineno}: empty counts")
             try:
-                vals = [float(t) for t in tokens]
+                vals = list(map(float, filter(str.strip, row[1].split(";"))))
             except ValueError:
                 raise CliError(f"{p}: line {lineno}: counts must be numbers")
-            if not all(math.isfinite(c) for c in vals):
-                raise CliError(f"{p}: line {lineno}: counts must be finite")
-            if any(c < 0 for c in vals):
-                raise CliError(f"{p}: line {lineno}: counts must be non-negative")
-            out.append((source_id, vals))
+            if not vals:
+                raise CliError(f"{p}: line {lineno}: empty counts")
+            counts = np.array(vals)
+            problem = _counts_problem(counts)
+            if problem:
+                raise CliError(f"{p}: line {lineno}: {problem}")
+            out.append((row[0].strip(), counts))
     return out
 
 
 def _build_functions(
-    sources: list[tuple[str, list[float]]]
+    sources: list[tuple[str, np.ndarray]]
 ) -> list[tuple[str, RankFrequencyFunction]]:
     out = []
-    for i, (source_id, counts) in enumerate(sources):
-        srt = sorted(counts, reverse=True)
-        if srt != counts:
+    for source_id, counts in sources:
+        if not (counts[1:] <= counts[:-1]).all():
             print(
                 f"warning: source {source_id!r}: counts not sorted non-increasingly; sorting",
                 file=sys.stderr,
             )
-        out.append((source_id, from_citation_counts(srt)))
+            # stable, as sorted(reverse=True), so that 0.0 and -0.0 keep their order
+            counts = -np.sort(-counts, kind="stable")
+        out.append((source_id, from_citation_counts(counts)))
     return out
 
 
@@ -286,7 +301,7 @@ def _bundle_entries(args, cfg: RunConfig):
         for idx in cfg.indices:
             op, fam = idx.resolve(f)
             try:
-                sample = sample_bundle(f, op, fam, thetas, cfg.solver)
+                sample = sample_bundle(f, op, fam, thetas, cfg.solver, function_id=source_id)
             except BundleError as e:
                 raise CliError(f"source {source_id!r}, index {idx.name!r}: {e}")
             for entry in sample.entries:

@@ -8,6 +8,13 @@ of the package needs: exact evaluation, exact integration (the trapezoid
 rule is exact per linear segment), and exact pointwise comparison (a
 difference of two piecewise-linear functions attains its extrema at the
 union of their breakpoints).
+
+A function is stored as two read-only float arrays, the breakpoint
+abscissas ``xs`` and values ``ys``; every evaluation works on them, and
+the tuple of (x, y) pairs (``breakpoints``) is derived from them only
+when asked for.  The public constructor checks the invariants with a few
+array comparisons; :func:`from_citation_counts` checks only the counts,
+since the abscissas it lays out are valid by construction.
 """
 
 from __future__ import annotations
@@ -34,66 +41,108 @@ from .errors import (
 STRICTNESS_TOL = 1e-12
 
 
-@dataclass(frozen=True)
-class RankFrequencyFunction:
-    """Decreasing piecewise-linear function on [support_start, support_end].
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
 
-    ``breakpoints`` is a tuple of (x, y) pairs with x strictly increasing
-    and y non-negative and non-increasing; the function interpolates
-    linearly between consecutive pairs.
-    """
 
-    breakpoints: tuple[tuple[float, float], ...]
+def _pairs(breakpoints: Sequence[tuple[float, float]]) -> np.ndarray:
+    """The pairs as a (2, n) array of abscissas over values."""
+    try:
+        pts = np.array(breakpoints, dtype=float)
+    except (TypeError, ValueError):
+        pts = None
+    if pts is None or pts.ndim != 2 or pts.shape[1] != 2:
+        # ragged, flat or empty input: unpacking pair by pair raises the
+        # precise error (and accepts any iterable of pairs)
+        pts = np.array([(float(x), float(y)) for x, y in breakpoints]).reshape(-1, 2)
+    return pts.T.copy()
 
-    def __init__(self, breakpoints: Sequence[tuple[float, float]]):
-        pts = tuple((float(x), float(y)) for x, y in breakpoints)
-        if len(pts) < 2:
-            raise ValueError("need at least 2 breakpoints")
-        # the negated comparisons also reject NaN, which compares false
-        for (x0, y0), (x1, y1) in zip(pts, pts[1:]):
+
+def _check_breakpoints(xs: np.ndarray, ys: np.ndarray) -> None:
+    """Raise ValueError unless x strictly increases and y is finite, non-negative, non-increasing."""
+    if len(xs) < 2:
+        raise ValueError("need at least 2 breakpoints")
+    # the negated comparisons also reject NaN, which compares false
+    if not ((xs[1:] > xs[:-1]).all() and (ys[1:] <= ys[:-1]).all()):
+        for x0, y0, x1, y1 in zip(xs.tolist(), ys.tolist(), xs[1:].tolist(), ys[1:].tolist()):
             if not x1 > x0:
                 raise ValueError(f"breakpoint abscissas must strictly increase: {x0} -> {x1}")
             if not y1 <= y0:
                 raise ValueError(f"breakpoint values must be non-increasing: {y0} -> {y1}")
-        # monotone sequences can only be infinite at these two ends
-        if not (math.isfinite(pts[-1][0]) and math.isfinite(pts[0][1])):
-            raise ValueError("breakpoints must be finite")
-        if pts[0][0] < 0.0:
-            raise ValueError("support must start at a non-negative abscissa")
-        if any(y < 0.0 for _, y in pts):
-            raise ValueError("breakpoint values must be non-negative")
-        object.__setattr__(self, "breakpoints", pts)
+    # monotone sequences can only be infinite at these two ends
+    if not (math.isfinite(xs[-1]) and math.isfinite(ys[0])):
+        raise ValueError("breakpoints must be finite")
+    if xs[0] < 0.0:
+        raise ValueError("support must start at a non-negative abscissa")
+    if ys[-1] < 0.0:  # the least value, ys being non-increasing
+        raise ValueError("breakpoint values must be non-negative")
 
-    @property
-    def support_start(self) -> float:
-        return self.breakpoints[0][0]
 
-    @property
-    def support_end(self) -> float:
-        return self.breakpoints[-1][0]
+@dataclass(frozen=True, eq=False, repr=False)
+class RankFrequencyFunction:
+    """Decreasing piecewise-linear function on [support_start, support_end].
+
+    Built from a sequence of (x, y) pairs with x strictly increasing and y
+    finite, non-negative and non-increasing; the function interpolates
+    linearly between consecutive pairs.  The pairs are kept as the
+    read-only arrays ``xs`` and ``ys``, with their end abscissas as the
+    floats ``support_start`` and ``support_end``; ``breakpoints`` is the
+    tuple of pairs, derived on first use.  Equality, hashing, ``repr`` and
+    :meth:`digest` are those of that tuple.
+    """
+
+    xs: np.ndarray
+    ys: np.ndarray
+
+    def __init__(self, breakpoints: Sequence[tuple[float, float]]):
+        xs, ys = _pairs(breakpoints)
+        _check_breakpoints(xs, ys)
+        self._set(xs, ys)
+
+    @classmethod
+    def _of(cls, xs: np.ndarray, ys: np.ndarray) -> RankFrequencyFunction:
+        """Wrap float arrays the caller owns and knows to satisfy the invariants."""
+        f = object.__new__(cls)
+        f._set(xs, ys)
+        return f
+
+    def _set(self, xs: np.ndarray, ys: np.ndarray) -> None:
+        object.__setattr__(self, "xs", _read_only(xs))
+        object.__setattr__(self, "ys", _read_only(ys))
+        object.__setattr__(self, "support_start", float(xs[0]))
+        object.__setattr__(self, "support_end", float(xs[-1]))
 
     @cached_property
-    def xs(self) -> np.ndarray:
-        return np.array([x for x, _ in self.breakpoints])
+    def breakpoints(self) -> tuple[tuple[float, float], ...]:
+        return tuple(zip(self.xs.tolist(), self.ys.tolist()))
 
-    @cached_property
-    def ys(self) -> np.ndarray:
-        return np.array([y for _, y in self.breakpoints])
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return np.array_equal(self.xs, other.xs) and np.array_equal(self.ys, other.ys)
+
+    def __hash__(self) -> int:
+        return hash((self.breakpoints,))
+
+    def __repr__(self) -> str:
+        return f"{type(self).__qualname__}(breakpoints={self.breakpoints!r})"
 
     @cached_property
     def slopes(self) -> np.ndarray:
-        return np.diff(self.ys) / np.diff(self.xs)
+        return _read_only(np.diff(self.ys) / np.diff(self.xs))
 
     @cached_property
     def cumulative(self) -> np.ndarray:
         """Running integral from support_start to each breakpoint (exact)."""
         seg = (self.ys[:-1] + self.ys[1:]) / 2.0 * np.diff(self.xs)
-        out = np.zeros(len(self.breakpoints))
+        out = np.zeros(len(self.xs))
         out[1:] = np.cumsum(seg)
-        return out
+        return _read_only(out)
 
     def is_zero(self) -> bool:
-        return all(y == 0.0 for _, y in self.breakpoints)
+        # the values are non-negative and non-increasing
+        return bool(self.ys[0] == 0.0)
 
     def digest(self) -> str:
         """Stable short identifier derived from the breakpoints."""
@@ -102,19 +151,19 @@ class RankFrequencyFunction:
 
     def _segment_index(self, x: float) -> int:
         i = int(np.searchsorted(self.xs, x, side="right")) - 1
-        return min(max(i, 0), len(self.breakpoints) - 2)
+        return min(max(i, 0), len(self.xs) - 2)
 
     def eval(self, x: float) -> float:
         """Value at x; exact at breakpoints, linear in between (as :meth:`eval_many`)."""
         if x < self.support_start or x > self.support_end:
             raise DomainError(f"x={x} outside [{self.support_start}, {self.support_end}]")
         i = self._segment_index(x)
-        x0, y0 = self.breakpoints[i]
+        x0 = self.xs[i]
         if x == x0:
-            return y0
+            return float(self.ys[i])
         if x == self.support_end:
-            return self.breakpoints[-1][1]
-        return float(y0 + self.slopes[i] * (x - x0))
+            return float(self.ys[-1])
+        return float(self.ys[i] + self.slopes[i] * (x - x0))
 
     def eval_many(self, x: np.ndarray) -> np.ndarray:
         """Vectorized :meth:`eval`; callers guarantee x lies in the domain."""
@@ -136,7 +185,7 @@ class RankFrequencyFunction:
         if x == self.support_end:
             return float(self.cumulative[-1])
         i = self._segment_index(x)
-        dx = x - self.breakpoints[i][0]
+        dx = x - self.xs[i]
         return float(self.cumulative[i] + self.ys[i] * dx + self.slopes[i] * dx * dx / 2.0)
 
 
@@ -152,21 +201,34 @@ def from_citation_counts(counts: Sequence[float]) -> RankFrequencyFunction:
     (0, c_1), (1, c_1), (2, c_2), ..., (N, c_N), (N+1, 0): flat at c_1 on
     [0, 1], f(i) = c_i for integer ranks, and a linear descent to zero one
     unit past the last rank.  Unsorted input is sorted (descending) with a
-    warning rather than rejected.
+    warning rather than rejected.  Only the counts are checked: the
+    abscissas 0, 1, ..., N+1 are valid by construction.
     """
-    vals = [float(c) for c in counts]
-    if not vals:
+    c = np.asarray(counts, dtype=float)
+    if not c.size:
         raise EmptyInputError("citation counts must be non-empty")
-    if any(c < 0 for c in vals):
+    # NaN compares false, so ordered counts hold none, and their extremes sit at the ends
+    ordered = bool((c[1:] <= c[:-1]).all())
+    negative = c[-1] < 0 if ordered else (c < 0).any()
+    if negative:
         raise ValueError("citation counts must be non-negative")
-    srt = sorted(vals, reverse=True)
-    if srt != vals:
-        warnings.warn("citation counts were not sorted non-increasingly; sorting", stacklevel=2)
-        vals = srt
-    pts = [(0.0, vals[0])]
-    pts.extend((float(i), c) for i, c in enumerate(vals, start=1))
-    pts.append((float(len(vals) + 1), 0.0))
-    return RankFrequencyFunction(pts)
+    if not ordered:
+        vals = c.tolist()
+        srt = sorted(vals, reverse=True)
+        if srt != vals:
+            warnings.warn("citation counts were not sorted non-increasingly; sorting", stacklevel=2)
+        c = np.array(srt)
+    ys = np.empty(len(c) + 2)
+    ys[0] = c[0]
+    ys[1:-1] = c
+    ys[-1] = 0.0
+    xs = np.arange(len(ys), dtype=float)
+    if not ordered:
+        # sorting cannot order NaN; the full check names the pair it breaks
+        _check_breakpoints(xs, ys)
+    elif not math.isfinite(c[0]):
+        raise ValueError("breakpoints must be finite")
+    return RankFrequencyFunction._of(xs, ys)
 
 
 def _require_same_domain(f: RankFrequencyFunction, g: RankFrequencyFunction) -> None:
@@ -178,7 +240,7 @@ def _require_same_domain(f: RankFrequencyFunction, g: RankFrequencyFunction) -> 
 
 
 def _union_abscissas(f: RankFrequencyFunction, g: RankFrequencyFunction) -> list[float]:
-    return sorted({x for x, _ in f.breakpoints} | {x for x, _ in g.breakpoints})
+    return sorted(set(f.xs.tolist()) | set(g.xs.tolist()))
 
 
 def leq(f: RankFrequencyFunction, g: RankFrequencyFunction) -> bool:
@@ -227,13 +289,13 @@ def perturb(
     if mode is PerturbMode.MULTIPLICATIVE:
         if epsilon <= -1.0:
             raise WouldViolateInvariantsError("multiplicative epsilon must exceed -1")
-        factor = 1.0 + epsilon
-        pts = [(x, y * factor) for x, y in f.breakpoints]
+        ys = f.ys * (1.0 + epsilon)
     else:
-        if any(y + epsilon < 0.0 for _, y in f.breakpoints):
+        ys = f.ys + epsilon
+        if (ys < 0.0).any():
             raise WouldViolateInvariantsError("additive epsilon would produce negative values")
-        pts = [(x, y + epsilon) for x, y in f.breakpoints]
-    return RankFrequencyFunction(pts)
+    _check_breakpoints(f.xs, ys)
+    return RankFrequencyFunction._of(f.xs, ys)
 
 
 def random_function(seed: int) -> RankFrequencyFunction:
@@ -253,4 +315,6 @@ def random_function(seed: int) -> RankFrequencyFunction:
     ys = np.sort(rng.uniform(0.0, 50.0, size=n))[::-1]
     if rng.random() < 0.5:
         ys[-1] = 0.0
-    return RankFrequencyFunction(list(zip(xs.tolist(), ys.tolist())))
+    ys = np.ascontiguousarray(ys)
+    _check_breakpoints(xs, ys)
+    return RankFrequencyFunction._of(xs, ys)

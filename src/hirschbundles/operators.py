@@ -93,8 +93,10 @@ class TransformedFunction:
 
     @cached_property
     def breakpoint_values(self) -> np.ndarray:
-        """T(f) at every breakpoint of f, computed once."""
-        return self.eval_many(self.source.xs)
+        """T(f) at every breakpoint of f, computed once (read-only)."""
+        values = self.eval_many(self.source.xs)
+        values.flags.writeable = False
+        return values
 
     def eval(self, x: float) -> float:
         """Scalar :meth:`eval_many`: the same arithmetic, without array set-up."""
@@ -107,7 +109,7 @@ class TransformedFunction:
             return f.antiderivative(x)
         rel = x - self.origin
         if rel < _AVERAGING_EDGE * self._span:
-            return f.breakpoints[0][1]
+            return float(f.ys[0])
         return f.antiderivative(x) / rel
 
     def eval_many(self, x: np.ndarray) -> np.ndarray:

@@ -1,14 +1,17 @@
 import csv
+import hashlib
 import io
 import json
 import math
 import subprocess
 import sys
+import time
+import warnings
 
 import pytest
 
-from hirschbundles.cli import main, parse_theta_grid_flag, CliError
-from hirschbundles.funcspace import from_citation_counts
+from hirschbundles.cli import MAX_THETA_COUNT, ThetaGrid, main, parse_theta_grid_flag, CliError
+from hirschbundles.funcspace import RankFrequencyFunction, from_citation_counts
 from hirschbundles.operators import OperatorKind, OperatorSpec
 from hirschbundles.solver import sample_bundle
 from hirschbundles.thresholds import PowerThreshold
@@ -90,6 +93,29 @@ class TestIndexCommand:
         assert out == ""
         assert "record 1" in err and "finite" in err
 
+    # the exact exit code and message for each kind of bad token, in both input formats
+    @pytest.mark.parametrize(
+        "token, problem",
+        [
+            ("1 2", "counts must be numbers"),
+            ("nan", "counts must be finite"),
+            ("1e400", "counts must be finite"),
+            ("-1", "counts must be non-negative"),
+        ],
+    )
+    def test_bad_count_token_messages(self, tmp_path, capsys, token, problem):
+        p = tmp_path / "bad.csv"
+        p.write_text(f"id,counts\nok,3;2;1\nbad,4;{token}\n")
+        assert run_cli(["index", str(p)], capsys) == (2, "", f"error: {p}: line 3: {problem}\n")
+        q = tmp_path / "bad.json"
+        q.write_text(json.dumps([{"id": "ok", "counts": [3, 2, 1]}, {"id": "x", "counts": [4, token]}]))
+        assert run_cli(["index", str(q)], capsys) == (2, "", f"error: {q}: record 1: {problem}\n")
+        if token in ("1e400", "-1"):  # also valid as a JSON number
+            q.write_text(f'[{{"id": "ok", "counts": [3, 2, 1]}}, {{"id": "x", "counts": [4, {token}]}}]')
+            assert run_cli(["index", str(q)], capsys) == (
+                2, "", f"error: {q}: record 1: {problem}\n"
+            )
+
     def test_missing_header_exit_2(self, tmp_path, capsys):
         p = tmp_path / "bad.csv"
         p.write_text("name,cites\nx,1;2\n")
@@ -99,10 +125,29 @@ class TestIndexCommand:
 
     def test_unsorted_counts_warn_and_sort(self, tmp_path, capsys):
         p = tmp_path / "unsorted.csv"
-        p.write_text("id,counts\ncarol,1;5;3\n")
-        code, out, err = run_cli(["index", str(p)], capsys)
+        p.write_text("id,counts\ncarol,1;5;3\ndan,4;4;1\n")
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, out, err = run_cli(["index", str(p)], capsys)
         assert code == 0
-        assert "sorting" in err
+        assert err == "warning: source 'carol': counts not sorted non-increasingly; sorting\n"
+        assert caught == []
+        assert out == (
+            "id,index,theta,value\ncarol,h,1,2.33333333333\ncarol,g,1,3.36092084343\n"
+            "dan,h,1,2.5\ndan,g,1,3.27698396495\n"
+        )
+
+    @pytest.mark.parametrize("command", ["index", "bundle"])
+    def test_no_function_digest_on_cli_path(self, csv_file, capsys, monkeypatch, command):
+        args = [command, csv_file, "--theta-grid", "0.5:2:4"]
+        code, expected, _ = run_cli(args, capsys)
+        assert code == 0
+
+        def digest(self):
+            raise AssertionError("the CLI identifies records by their id")
+
+        monkeypatch.setattr(RankFrequencyFunction, "digest", digest)
+        assert run_cli(args, capsys)[:2] == (0, expected)
 
     def test_json_output_format(self, csv_file, capsys):
         code, out, _ = run_cli(["index", csv_file, "--format", "json"], capsys)
@@ -316,6 +361,27 @@ class TestMalformedNumbers:
         assert out == ""
         assert "finite" in err
 
+    @pytest.mark.parametrize("how", ["flag", "config"])
+    def test_theta_grid_count_is_bounded(self, csv_file, tmp_path, capsys, monkeypatch, how):
+        def values(self):
+            raise AssertionError("the grid must be rejected before it is built")
+
+        monkeypatch.setattr(ThetaGrid, "values", values)
+        if how == "flag":
+            args = ["bundle", csv_file, "--theta-grid", "1:2:100000000000"]
+        else:
+            p = tmp_path / "cfg.json"
+            p.write_text('{"theta_grid": {"min": 1, "max": 2, "count": 1e12}}')
+            args = ["bundle", csv_file, "--config", str(p)]
+        t0 = time.perf_counter()
+        code, out, err = run_cli(args, capsys)
+        assert time.perf_counter() - t0 < 0.5
+        assert (code, out) == (2, "")
+        assert f"at most {MAX_THETA_COUNT}" in err
+
+    def test_theta_grid_count_limit_itself_is_accepted(self):
+        assert parse_theta_grid_flag(f"1:2:{MAX_THETA_COUNT}").count == MAX_THETA_COUNT
+
     @pytest.mark.parametrize(
         "params",
         [
@@ -335,6 +401,43 @@ class TestMalformedNumbers:
         assert code == 2
         assert out == ""
         assert "'bad'" in err
+
+
+def golden_records():
+    """300 records from a fixed integer formula: 1 to 83 counts, ties, zeros, some unsorted."""
+    records = []
+    for i in range(300):
+        n = 1 + (i * 37) % 83
+        mod = 40 + (i * 13) % 211
+        counts = [((i + 1) * 7919 + j * 104729) % mod // (1 + j % 5) for j in range(n)]
+        if i % 41 != 3:
+            counts.sort(reverse=True)
+        records.append((f"r{i:03d}", counts))
+    return records
+
+
+# sha256 of stdout; output is promised byte-identical, so these change only with the output
+GOLDEN_STDOUT = {
+    "admissible": "f921f19aa19b6a1380aeac7a921af3bb85bcd90ad120779a781ff8acdf08a878",
+    "bundle": "49f9a46b057ab9fb9add83372ec64f0cc1eaca3735ba9b7dd89f4e357cc57c9f",
+    "index": "194319cf723a64f545cfa6ba43ef9dd51401c0af2ebd0c8ee0ee4b1db3e2774c",
+}
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("command", sorted(GOLDEN_STDOUT))
+def test_golden_corpus_output_is_byte_identical(tmp_path, capsys, fmt, command):
+    records = golden_records()
+    p = tmp_path / f"golden.{fmt}"
+    if fmt == "csv":
+        p.write_text("id,counts\n" + "".join(f"{k},{';'.join(map(str, c))}\n" for k, c in records))
+    else:
+        p.write_text(json.dumps([{"id": k, "counts": c} for k, c in records]))
+    args = [command, str(p)] + (["--theta-grid", "0.5:2:7"] if command == "bundle" else [])
+    code, out, err = run_cli(args, capsys)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_STDOUT[command]
+    assert err.count("counts not sorted") == 7
 
 
 class TestDeterminism:

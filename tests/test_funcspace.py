@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -20,6 +21,8 @@ from hirschbundles.funcspace import (
     perturb,
     random_function,
 )
+from hirschbundles.operators import OperatorKind, OperatorSpec, apply
+from hirschbundles.solver import h_index
 
 from oracles import oracle_eval, oracle_integral, segment_trapezoid_sum
 
@@ -55,6 +58,72 @@ class TestConstruction:
     def test_rejects_non_finite(self, pts):
         with pytest.raises(ValueError):
             RankFrequencyFunction(pts)
+
+    @pytest.mark.parametrize(
+        "pts, message",
+        [
+            (
+                [(0.0, 2.0), (1.0, math.nan), (2.0, 0.0)],
+                "breakpoint values must be non-increasing: 2.0 -> nan",
+            ),
+            (
+                [(0.0, 2.0), (math.nan, 1.0), (2.0, 0.0)],
+                "breakpoint abscissas must strictly increase: 0.0 -> nan",
+            ),
+            ([(0.0, 2.0), (1.0, 1.0), (math.inf, 0.0)], "breakpoints must be finite"),
+            (
+                [(0.0, 2.0), (1.0, 1.0), (2.0, math.inf)],
+                "breakpoint values must be non-increasing: 1.0 -> inf",
+            ),
+            ([(0.0, math.inf), (1.0, math.inf), (2.0, 0.0)], "breakpoints must be finite"),
+            (
+                [(0.0, 3.0), (1.0, 2.0), (1.0, 1.0)],
+                "breakpoint abscissas must strictly increase: 1.0 -> 1.0",
+            ),
+            (
+                [(0.0, 1.0), (1.0, 1.0), (2.0, 2.0)],
+                "breakpoint values must be non-increasing: 1.0 -> 2.0",
+            ),
+            ([(0.0, 1.0), (1.0, 0.5), (2.0, -0.5)], "breakpoint values must be non-negative"),
+            ([(-1.0, 1.0), (1.0, 0.5)], "support must start at a non-negative abscissa"),
+            ([(0.0, 1.0)], "need at least 2 breakpoints"),
+            ([], "need at least 2 breakpoints"),
+            ([(0.0, 1.0, 2.0), (1.0, 0.0, 0.0)], "too many values to unpack (expected 2)"),
+        ],
+        ids=[
+            "nan-mid", "nan-mid-x", "inf-end-x", "inf-end-y", "inf-start-y", "equal-x",
+            "rising", "negative-tail", "negative-start", "one-pair", "empty", "triple",
+        ],
+    )
+    def test_error_messages(self, pts, message):
+        with pytest.raises(ValueError) as excinfo:
+            RankFrequencyFunction(pts)
+        assert str(excinfo.value) == message
+
+    def test_any_iterable_of_pairs(self):
+        f = RankFrequencyFunction(iter([(0.0, 2.0), (1.0, 0.0)]))
+        assert f.breakpoints == ((0.0, 2.0), (1.0, 0.0))
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: from_citation_counts([10, 8, 5, 4, 3, 2, 1]),
+            lambda: RankFrequencyFunction([(0.0, 10.0), (3.0, 4.0), (8.0, 0.0)]),
+            lambda: perturb(from_citation_counts([10, 8, 5]), PerturbMode.ADDITIVE, 0.5),
+            lambda: random_function(3),
+        ],
+        ids=["counts", "pairs", "perturbed", "random"],
+    )
+    def test_arrays_are_read_only(self, build):
+        f = build()
+        tf = apply(OperatorSpec(OperatorKind.AVERAGING, f.support_start), f)
+        before = (h_index(f), f.eval(2.0), f.breakpoints)
+        for arr in (f.xs, f.ys, f.slopes, f.cumulative, tf.breakpoint_values):
+            with pytest.raises(ValueError):
+                arr[:] = 0.0
+            with pytest.raises(ValueError):
+                arr[0] = 1.0
+        assert (h_index(f), f.eval(2.0), f.breakpoints) == before
 
     def test_zero_function_representable(self):
         z = RankFrequencyFunction([(0.0, 0.0), (2.0, 0.0)])
@@ -170,6 +239,62 @@ class TestFromCitationCounts:
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
             from_citation_counts([3.0, -1.0])
+
+    # breakpoints, digest, repr and hash are public identities: pinned values
+    @pytest.mark.parametrize(
+        "counts, breakpoints, digest",
+        [
+            (
+                [10, 8, 5, 4, 3, 2, 1],
+                ((0.0, 10.0), (1.0, 10.0), (2.0, 8.0), (3.0, 5.0), (4.0, 4.0), (5.0, 3.0),
+                 (6.0, 2.0), (7.0, 1.0), (8.0, 0.0)),
+                "cf9da32af190",
+            ),
+            ([7.0], ((0.0, 7.0), (1.0, 7.0), (2.0, 0.0)), "61ffa85c4776"),
+            (
+                [0, 0, 0],
+                ((0.0, 0.0), (1.0, 0.0), (2.0, 0.0), (3.0, 0.0), (4.0, 0.0)),
+                "56c6a55f7854",
+            ),
+            (
+                [3, 5, 3, 1, 5, 0],
+                ((0.0, 5.0), (1.0, 5.0), (2.0, 5.0), (3.0, 3.0), (4.0, 3.0), (5.0, 1.0),
+                 (6.0, 0.0), (7.0, 0.0)),
+                "0e94fa3a58f4",
+            ),
+        ],
+        ids=["seven", "single", "all-zero", "unsorted-ties"],
+    )
+    def test_pinned_identity(self, counts, breakpoints, digest):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            f = from_citation_counts(counts)
+        assert len(caught) == (counts != sorted(counts, reverse=True))
+        assert f.breakpoints == breakpoints
+        assert all(type(v) is float for pair in f.breakpoints for v in pair)
+        assert f.digest() == digest
+        assert repr(f) == f"RankFrequencyFunction(breakpoints={breakpoints!r})"
+        g = RankFrequencyFunction(list(breakpoints))
+        assert g == f and hash(g) == hash(f) == hash((breakpoints,))
+        assert g.digest() == digest
+
+    @pytest.mark.parametrize(
+        "counts, message, warned",
+        [
+            ([3.0, math.nan, 1.0], "breakpoint values must be non-increasing: 3.0 -> nan", False),
+            ([math.inf, 2.0], "breakpoints must be finite", False),
+            ([2.0, math.inf], "breakpoints must be finite", True),
+            ([3.0, -math.inf], "citation counts must be non-negative", False),
+        ],
+        ids=["nan", "inf-first", "inf-unsorted", "minus-inf"],
+    )
+    def test_non_finite_rejected(self, counts, message, warned):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(ValueError) as excinfo:
+                from_citation_counts(counts)
+        assert str(excinfo.value) == message
+        assert len(caught) == warned
 
 
 class TestOrderings:
