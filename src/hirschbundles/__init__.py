@@ -17,7 +17,6 @@ from .errors import (
     NonPositiveThetaError,
     NonUniqueError,
     NoRootError,
-    OriginMismatchError,
     SingularAbscissaError,
     WouldViolateInvariantsError,
     ZeroFunctionError,
@@ -36,10 +35,8 @@ from .funcspace import (
 from .operators import (
     Monotonicity,
     OperatorKind,
-    OperatorSpec,
     TransformedFunction,
     apply,
-    as_transformed,
     check_operator_contract,
 )
 from .reporting import Counterexample, Verdict, VerificationReport

@@ -24,7 +24,7 @@ import numpy as np
 
 from .errors import BundleError
 from .funcspace import RankFrequencyFunction, from_citation_counts
-from .operators import OperatorKind, OperatorSpec
+from .operators import OperatorKind
 from .solver import SolveConfig, sample_bundle
 from .thresholds import (
     DecreasingLinearThreshold,
@@ -48,12 +48,11 @@ class IndexDef:
     shift: float | str = 0.0  # number, or "origin" for the support start
     ceiling: float = 0.0  # declin only
 
-    def resolve(self, f: RankFrequencyFunction) -> tuple[OperatorSpec, ThresholdFamily]:
+    def resolve(self, f: RankFrequencyFunction) -> tuple[OperatorKind, ThresholdFamily]:
         try:
             kind = OperatorKind(self.operator)
         except ValueError:
             raise CliError(f"unknown operator {self.operator!r} in index {self.name!r}")
-        op = OperatorSpec(kind, origin=f.support_start)
         try:
             if self.family == "power":
                 shift = f.support_start if self.shift == "origin" else float(self.shift)
@@ -64,7 +63,7 @@ class IndexDef:
                 raise CliError(f"unknown family {self.family!r} in index {self.name!r}")
         except (TypeError, ValueError) as e:  # TypeError: a non-numeric parameter
             raise CliError(f"bad parameters for index {self.name!r}: {e}")
-        return op, fam
+        return kind, fam
 
 
 # The grid is materialized as a list before the first solve; a count far
@@ -211,7 +210,7 @@ def _counts_problem(counts: np.ndarray) -> str | None:
 def _read_json(p: Path) -> list[tuple[str, np.ndarray]]:
     try:
         raw = json.loads(p.read_text())
-    except json.JSONDecodeError as e:
+    except ValueError as e:  # JSONDecodeError, or an integer past Python's digit limit
         raise CliError(f"{p}: invalid JSON: {e}")
     if not isinstance(raw, list):
         raise CliError(f"{p}: expected a JSON array of records")
@@ -224,6 +223,8 @@ def _read_json(p: Path) -> list[tuple[str, np.ndarray]]:
             raise CliError(f"{p}: record {i}: 'counts' must be a non-empty list")
         try:
             vals = np.array(list(map(float, counts)))
+        except OverflowError:  # an integer beyond the float range, like 1e401 in CSV
+            raise CliError(f"{p}: record {i}: counts must be finite")
         except (TypeError, ValueError):
             raise CliError(f"{p}: record {i}: counts must be numbers")
         problem = _counts_problem(vals)
@@ -299,9 +300,9 @@ def _bundle_entries(args, cfg: RunConfig):
     thetas = cfg.theta_grid.values()
     for source_id, f in _build_functions(read_sources(args.input)):
         for idx in cfg.indices:
-            op, fam = idx.resolve(f)
+            kind, fam = idx.resolve(f)
             try:
-                sample = sample_bundle(f, op, fam, thetas, cfg.solver, function_id=source_id)
+                sample = sample_bundle(f, kind, fam, thetas, cfg.solver, function_id=source_id)
             except BundleError as e:
                 raise CliError(f"source {source_id!r}, index {idx.name!r}: {e}")
             for entry in sample.entries:
@@ -351,9 +352,9 @@ def cmd_admissible(args, cfg: RunConfig) -> int:
     caveat = False
     for source_id, f in _build_functions(sources):
         for idx in cfg.indices:
-            op, fam = idx.resolve(f)
+            kind, fam = idx.resolve(f)
             try:
-                rng = admissible_range(f, op, fam)
+                rng = admissible_range(f, kind, fam)
             except BundleError as e:
                 rows.append(
                     {

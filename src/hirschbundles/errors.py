@@ -25,10 +25,6 @@ class WouldViolateInvariantsError(BundleError):
     """A perturbation would break positivity or monotonicity."""
 
 
-class OriginMismatchError(BundleError):
-    """An operator's origin differs from the function's support start."""
-
-
 class NonPositiveThetaError(BundleError):
     """Thresholds are only defined for theta > 0."""
 

@@ -2,9 +2,12 @@
 
 Identity leaves f alone; Integral maps f to I(f)(x) = integral of f from
 the origin a to x; Averaging maps f to mu(f)(x) = I(f)(x) / (x - a) with
-the continuity value mu(f)(a) = f(a).  For piecewise-linear sources all
-three are exactly evaluable: Identity stays piecewise-linear, Integral is
-piecewise-quadratic, Averaging is the quadratic divided by (x - a).
+the continuity value mu(f)(a) = f(a).  The origin a is always the left
+end of f's support, so an operator is fully described by its
+``OperatorKind``, and ``apply(kind, f)`` is the one way to build T(f).
+For piecewise-linear sources all three are exactly evaluable: Identity
+stays piecewise-linear, Integral is piecewise-quadratic, Averaging is
+the quadratic divided by (x - a).
 
 mu preserves the decreasing shape of its input while I increases; that
 difference decides which branch of every monotonicity result downstream
@@ -20,7 +23,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import DomainError, OriginMismatchError
+from .errors import DomainError
 from .funcspace import PerturbMode, RankFrequencyFunction, perturb
 from .reporting import Counterexample, VerificationReport
 
@@ -56,14 +59,6 @@ _MONOTONICITY = {
     OperatorKind.AVERAGING: Monotonicity.DECREASING,
     OperatorKind.INTEGRAL: Monotonicity.INCREASING,
 }
-
-
-@dataclass(frozen=True)
-class OperatorSpec:
-    """Which operator to apply; origin must equal the function's support start."""
-
-    kind: OperatorKind
-    origin: float = 0.0
 
 
 @dataclass(frozen=True)
@@ -129,26 +124,13 @@ class TransformedFunction:
         return np.where(edge, f.ys[0], integ / safe)
 
 
-def apply(op: OperatorSpec, f: RankFrequencyFunction) -> TransformedFunction:
-    """Build the exactly evaluable T(f)."""
-    if op.origin != f.support_start:
-        raise OriginMismatchError(
-            f"operator origin {op.origin} != support start {f.support_start}"
-        )
-    return TransformedFunction(source=f, kind=op.kind)
-
-
-def as_transformed(
-    f: RankFrequencyFunction, op: OperatorSpec | TransformedFunction
-) -> TransformedFunction:
-    """``op`` itself when it is already a transformed function, else ``apply(op, f)``."""
-    if isinstance(op, TransformedFunction):
-        return op
-    return apply(op, f)
+def apply(kind: OperatorKind, f: RankFrequencyFunction) -> TransformedFunction:
+    """Build the exactly evaluable T(f), anchored at f's support start."""
+    return TransformedFunction(source=f, kind=kind)
 
 
 def check_operator_contract(
-    op: OperatorSpec,
+    kind: OperatorKind,
     sample_functions: list[RankFrequencyFunction],
 ) -> VerificationReport:
     """Assert the contract every operator must honor.
@@ -169,7 +151,7 @@ def check_operator_contract(
     failures: list[Counterexample] = []
     satisfied = 0
     for i, f in enumerate(samples):
-        tf = apply(op, f)
+        tf = apply(kind, f)
         vals = tf.eval_many(np.linspace(f.support_start, f.support_end, _CONTRACT_GRID))
         satisfied += 1
         if float(vals.min()) < -_MONO_TOL:
@@ -194,7 +176,7 @@ def check_operator_contract(
     # strict restriction monotonicity on dominated pairs g = f + 0.5
     for i, f in enumerate(sample_functions):
         g = perturb(f, PerturbMode.ADDITIVE, 0.5)
-        tf, tg = apply(op, f), apply(op, g)
+        tf, tg = apply(kind, f), apply(kind, g)
         a, s = f.support_start, f.support_end
         for frac in (0.25, 0.5, 0.75):
             a_cut = a + frac * (s - a)
@@ -211,7 +193,7 @@ def check_operator_contract(
                     )
                 )
     return VerificationReport(
-        name=f"operator-contract/{op.kind.value}",
+        name=f"operator-contract/{kind.value}",
         trials=satisfied,
         satisfied=satisfied,
         failures=tuple(failures),

@@ -46,7 +46,7 @@ import numpy as np
 
 from .errors import DomainError, NonPositiveThetaError, NoRootError, NonUniqueError
 from .funcspace import RankFrequencyFunction
-from .operators import OperatorKind, OperatorSpec, TransformedFunction, as_transformed
+from .operators import OperatorKind, TransformedFunction, apply
 from .thresholds import DecreasingLinearThreshold, PowerThreshold, ThresholdFamily
 
 # |D(S)| below this (relative to the largest |D| seen) counts as a root
@@ -92,22 +92,21 @@ class BundleSample:
 
 def solve_bundle_point(
     f: RankFrequencyFunction,
-    op: OperatorSpec | TransformedFunction,
+    kind: OperatorKind,
     family: ThresholdFamily,
     theta: float,
     cfg: SolveConfig = DEFAULT_CONFIG,
     *,
     x_window: tuple[float, float] | None = None,
 ) -> tuple[float, SolveStatus]:
-    """Solve T(f)(x) = A(x, theta) for x.
+    """Solve T(f)(x) = A(x, theta) for x, where T(f) = ``apply(kind, f)``.
 
     Returns (m, status) on success; raises NoRootError when theta is not
     admissible and NonUniqueError when the equation has more than one
     root.  ``x_window`` restricts the search to a sub-interval of [a, S]
     (the transform still uses the full function).
     """
-    tf = as_transformed(f, op)
-    return solve_transformed(tf, family, theta, cfg, x_window=x_window)
+    return solve_transformed(apply(kind, f), family, theta, cfg, x_window=x_window)
 
 
 def solve_transformed(
@@ -381,7 +380,7 @@ def _quadratic_roots(c2: float, c1: float, c0: float) -> list[float]:
 
 def sample_bundle(
     f: RankFrequencyFunction,
-    op: OperatorSpec | TransformedFunction,
+    kind: OperatorKind,
     family: ThresholdFamily,
     theta_grid: Sequence[float],
     cfg: SolveConfig = DEFAULT_CONFIG,
@@ -393,7 +392,7 @@ def sample_bundle(
         raise NonPositiveThetaError("theta grid values must be positive")
     if thetas != sorted(thetas):
         raise ValueError("theta grid must be sorted ascending")
-    tf = as_transformed(f, op)
+    tf = apply(kind, f)
     entries = []
     for theta in thetas:
         try:
@@ -406,7 +405,7 @@ def sample_bundle(
     return BundleSample(
         entries=tuple(entries),
         function_id=function_id if function_id is not None else f.digest(),
-        operator_kind=tf.kind,
+        operator_kind=kind,
         threshold=family.describe(),
     )
 
@@ -415,8 +414,8 @@ def h_index(
     f: RankFrequencyFunction, theta: float = 1.0, cfg: SolveConfig = DEFAULT_CONFIG
 ) -> float:
     """Solution of f(x) = theta * x."""
-    op = OperatorSpec(OperatorKind.IDENTITY, origin=f.support_start)
-    m, _ = solve_bundle_point(f, op, PowerThreshold(p=1.0, shift=0.0), theta, cfg)
+    family = PowerThreshold(p=1.0, shift=0.0)
+    m, _ = solve_bundle_point(f, OperatorKind.IDENTITY, family, theta, cfg)
     return m
 
 
@@ -424,8 +423,8 @@ def g_index(
     f: RankFrequencyFunction, theta: float = 1.0, cfg: SolveConfig = DEFAULT_CONFIG
 ) -> float:
     """Solution of mu(f)(x) = theta * (x - a): the running average meets the line."""
-    op = OperatorSpec(OperatorKind.AVERAGING, origin=f.support_start)
-    m, _ = solve_bundle_point(f, op, PowerThreshold(p=1.0, shift=f.support_start), theta, cfg)
+    family = PowerThreshold(p=1.0, shift=f.support_start)
+    m, _ = solve_bundle_point(f, OperatorKind.AVERAGING, family, theta, cfg)
     return m
 
 
@@ -436,8 +435,8 @@ def kosmulski_index(
     cfg: SolveConfig = DEFAULT_CONFIG,
 ) -> float:
     """Solution of f(x) = theta * x**p."""
-    op = OperatorSpec(OperatorKind.IDENTITY, origin=f.support_start)
-    m, _ = solve_bundle_point(f, op, PowerThreshold(p=p, shift=0.0), theta, cfg)
+    family = PowerThreshold(p=p, shift=0.0)
+    m, _ = solve_bundle_point(f, OperatorKind.IDENTITY, family, theta, cfg)
     return m
 
 
@@ -448,8 +447,8 @@ def g_kosmulski_index(
     cfg: SolveConfig = DEFAULT_CONFIG,
 ) -> float:
     """Solution of mu(f)(x) = theta * (x - a)**p, the averaged power variant."""
-    op = OperatorSpec(OperatorKind.AVERAGING, origin=f.support_start)
-    m, _ = solve_bundle_point(f, op, PowerThreshold(p=p, shift=f.support_start), theta, cfg)
+    family = PowerThreshold(p=p, shift=f.support_start)
+    m, _ = solve_bundle_point(f, OperatorKind.AVERAGING, family, theta, cfg)
     return m
 
 

@@ -32,7 +32,7 @@ from .errors import (
     ZeroValueError,
 )
 from .funcspace import RankFrequencyFunction
-from .operators import Monotonicity, OperatorSpec, TransformedFunction, as_transformed
+from .operators import Monotonicity, OperatorKind, apply
 
 _RANGE_GRID = 1024
 
@@ -133,7 +133,7 @@ def _check_theta(theta: float) -> None:
 
 def psi(
     f: RankFrequencyFunction,
-    op: OperatorSpec | TransformedFunction,
+    kind: OperatorKind,
     family: ThresholdFamily,
     x: float,
 ) -> float:
@@ -142,8 +142,7 @@ def psi(
     Solving at theta = psi(f, T, A, x) recovers x (within solver
     tolerance); raises if the inverse is singular at x or T(f)(x) = 0.
     """
-    tf = as_transformed(f, op)
-    value = tf.eval(x)
+    value = apply(kind, f).eval(x)
     if value == 0.0:
         raise ZeroValueError(f"T(f)({x}) = 0 maps to theta = 0, which is excluded")
     return family.theta_inverse(x, value)
@@ -170,17 +169,10 @@ class AdmissibleRange:
             if math.isfinite(self.theta_max) and self.theta_min > self.theta_max:
                 raise ValueError("theta_min must not exceed theta_max")
 
-    def contains(self, theta: float) -> bool:
-        if theta <= 0:
-            return False
-        if self.theta_min is not None and theta < self.theta_min:
-            return False
-        return theta <= self.theta_max
-
 
 def admissible_range(
     f: RankFrequencyFunction,
-    op: OperatorSpec | TransformedFunction,
+    kind: OperatorKind,
     family: ThresholdFamily,
 ) -> AdmissibleRange:
     """Image of psi_f over the domain interior.
@@ -190,7 +182,7 @@ def admissible_range(
     and the result is certified.  Otherwise a grid min/max estimate is
     returned with ``certified=False``.
     """
-    tf = as_transformed(f, op)
+    tf = apply(kind, f)
     if f.is_zero():
         raise ZeroFunctionError("the zero function admits no positive theta")
     a, s = tf.origin, tf.support_end

@@ -26,9 +26,10 @@ The checks cover:
 * the sufficiency of the "D decreases for all admissible theta"
   hypothesis for the impact axioms.
 
-``run_property_suite`` runs all of them over seeded random inputs; its
-property list is one table (``_suite_table``) of report names and the
-runs that build them.
+Checks take the operator as its ``OperatorKind`` and build each T(f)
+with ``operators.apply``.  ``run_property_suite`` runs all of them over
+seeded random inputs; its property list is one table (``_suite_table``)
+of report names and the runs that build them.
 
 A deliberately order-reversing configuration (a gently decreasing
 function against a faster-decreasing linear threshold, so that D
@@ -64,10 +65,8 @@ from .funcspace import (
 from .operators import (
     Monotonicity,
     OperatorKind,
-    OperatorSpec,
     TransformedFunction,
     apply,
-    as_transformed,
     check_operator_contract,
 )
 from .reporting import Counterexample, Verdict, VerificationReport
@@ -109,13 +108,14 @@ def classify_difference(
     """Monotonicity of D = T(f) - A(., theta), never assumed.
 
     Certified analytically when the transform and threshold pull in
-    opposite directions; sampled on a grid otherwise.
+    opposite directions: D is then monotone on [a, S], so on every
+    sub-window too.  Otherwise sampled on a grid over ``x_window``
+    (default [a, S]).
     """
-    if x_window is None:
-        if tf.monotonicity is Monotonicity.DECREASING and family.increasing_in_x:
-            return Monotonicity.DECREASING
-        if tf.monotonicity is Monotonicity.INCREASING and not family.increasing_in_x:
-            return Monotonicity.INCREASING
+    if tf.monotonicity is Monotonicity.DECREASING and family.increasing_in_x:
+        return Monotonicity.DECREASING
+    if tf.monotonicity is Monotonicity.INCREASING and not family.increasing_in_x:
+        return Monotonicity.INCREASING
     lo, hi = x_window if x_window is not None else (tf.origin, tf.support_end)
     xs = np.linspace(lo, hi, _D_GRID)
     d = tf.eval_many(xs) - family.value_many(xs, theta)
@@ -129,12 +129,12 @@ def classify_difference(
 
 def check_decreasing_difference(
     f: RankFrequencyFunction,
-    op: OperatorSpec | TransformedFunction,
+    kind: OperatorKind,
     family: ThresholdFamily,
     theta_grid: Sequence[float],
 ) -> bool:
     """True iff D decreases at every sampled theta (the impact-sufficiency test)."""
-    tf = as_transformed(f, op)
+    tf = apply(kind, f)
     return all(
         classify_difference(tf, family, theta) is Monotonicity.DECREASING
         for theta in theta_grid
@@ -251,8 +251,8 @@ class ReversalFamily:
     def threshold(self) -> DecreasingLinearThreshold:
         return DecreasingLinearThreshold(ceiling=2.0 * self.span)
 
-    def operator(self) -> OperatorSpec:
-        return OperatorSpec(OperatorKind.IDENTITY, origin=0.0)
+    def operator(self) -> OperatorKind:
+        return OperatorKind.IDENTITY
 
     def theta_window(self, scale_max: float = 0.0) -> tuple[float, float]:
         """Thetas valid for f and every multiplicative inflation up to scale_max."""
@@ -399,7 +399,7 @@ def _pair_thetas(
 
 def check_root_side(
     k: RankFrequencyFunction,
-    op: OperatorSpec | TransformedFunction,
+    kind: OperatorKind,
     family: ThresholdFamily,
     theta: float,
     x_samples: Sequence[float],
@@ -412,7 +412,7 @@ def check_root_side(
     swaps the conclusions.  Both directions of each equivalence are
     asserted; samples where neither side fires count as vacuous.
     """
-    tf = as_transformed(k, op)
+    tf = apply(kind, k)
     trials = len(x_samples)
     d_mono = classify_difference(tf, family, theta)
     if d_mono is Monotonicity.NON_MONOTONE:
@@ -490,7 +490,7 @@ def check_root_side(
 def check_dominance_order(
     k: RankFrequencyFunction,
     f: RankFrequencyFunction,
-    op: OperatorSpec,
+    kind: OperatorKind,
     family: ThresholdFamily,
     theta: float,
     cfg: SolveConfig = DEFAULT_CONFIG,
@@ -502,8 +502,8 @@ def check_dominance_order(
     established on a grid before anything is asserted; decreasing D
     preserves the order of solutions, increasing D reverses it.
     """
-    tk = apply(op, k)
-    tf = apply(op, f)
+    tk = apply(kind, k)
+    tf = apply(kind, f)
     xs = np.linspace(tk.origin, tk.support_end, 512)
     gap = tk.eval_many(xs) - tf.eval_many(xs)
     gmin, gmax = float(gap.min()), float(gap.max())
@@ -555,7 +555,7 @@ def check_dominance_order(
 
 def check_theta_monotonicity(
     f: RankFrequencyFunction,
-    op: OperatorSpec | TransformedFunction,
+    kind: OperatorKind,
     family: ThresholdFamily,
     theta: float,
     theta_prime: float,
@@ -570,7 +570,7 @@ def check_theta_monotonicity(
     """
     if not theta < theta_prime:
         raise ValueError("need theta < theta_prime")
-    tf = as_transformed(f, op)
+    tf = apply(kind, f)
     d1 = classify_difference(tf, family, theta)
     d2 = classify_difference(tf, family, theta_prime)
     if d1 is not d2 or d1 is Monotonicity.NON_MONOTONE:
@@ -607,7 +607,7 @@ def check_theta_monotonicity(
 def check_threshold_gap_bound(
     f: RankFrequencyFunction,
     schedule: Sequence[RankFrequencyFunction],
-    op: OperatorSpec,
+    kind: OperatorKind,
     family: ThresholdFamily,
     theta: float,
     cfg: SolveConfig = DEFAULT_CONFIG,
@@ -620,7 +620,7 @@ def check_threshold_gap_bound(
     increases in x, or T(f_n) increases while A decreases in x.  Members
     failing it (or failing to solve) are vacuous.
     """
-    tf = apply(op, f)
+    tf = apply(kind, f)
     trials = len(schedule)
     m = _try_solve(tf, family, theta, cfg)
     if m is None:
@@ -630,7 +630,7 @@ def check_threshold_gap_bound(
     satisfied = 0
     failures: list[Counterexample] = []
     for i, fn in enumerate(schedule, start=1):
-        tfn = apply(op, fn)
+        tfn = apply(kind, fn)
         hyp = (
             tfn.monotonicity is Monotonicity.DECREASING and family.increasing_in_x
         ) or (tfn.monotonicity is Monotonicity.INCREASING and not family.increasing_in_x)
@@ -660,7 +660,7 @@ def check_threshold_gap_bound(
 def check_transform_gap_bound(
     f: RankFrequencyFunction,
     schedule: Sequence[RankFrequencyFunction],
-    op: OperatorSpec,
+    kind: OperatorKind,
     family: ThresholdFamily,
     theta: float,
     cfg: SolveConfig = DEFAULT_CONFIG,
@@ -675,7 +675,7 @@ def check_transform_gap_bound(
     restricts both the solves and the difference classification to a
     sub-interval on which the hypothesis is certifiable.
     """
-    tf = apply(op, f)
+    tf = apply(kind, f)
     trials = len(schedule)
     m = _try_solve(tf, family, theta, cfg, x_window=x_window)
     if m is None:
@@ -685,7 +685,7 @@ def check_transform_gap_bound(
     satisfied = 0
     failures: list[Counterexample] = []
     for i, fn in enumerate(schedule, start=1):
-        tfn = apply(op, fn)
+        tfn = apply(kind, fn)
         d_mono = classify_difference(tfn, family, theta, x_window=x_window)
         hyp = (
             tfn.monotonicity is Monotonicity.INCREASING
@@ -725,7 +725,7 @@ def check_transform_gap_bound(
 def check_convergence_pointwise(
     f: RankFrequencyFunction,
     sequence: Callable[[int], RankFrequencyFunction],
-    op: OperatorSpec,
+    kind: OperatorKind,
     family: ThresholdFamily,
     theta_grid: Sequence[float],
     n_max: int,
@@ -739,14 +739,14 @@ def check_convergence_pointwise(
     solution (the reconstruction of the limit on the range of the
     bundle) must shrink proportionally too.
     """
-    tf = apply(op, f)
+    tf = apply(kind, f)
     trials = len(theta_grid)
     satisfied = 0
     failures: list[Counterexample] = []
     f1 = sequence(1)
     fn = sequence(n_max)
-    tf1 = apply(op, f1)
-    tfn = apply(op, fn)
+    tf1 = apply(kind, f1)
+    tfn = apply(kind, fn)
     for theta in theta_grid:
         m = _try_solve(tf, family, theta, cfg)
         m1 = _try_solve(tf1, family, theta, cfg)
@@ -788,7 +788,7 @@ def check_convergence_pointwise(
 def check_convergence_uniform(
     f: RankFrequencyFunction,
     sequence: Callable[[int], RankFrequencyFunction],
-    op: OperatorSpec,
+    kind: OperatorKind,
     family: ThresholdFamily,
     theta_min: float,
     grid_size: int,
@@ -812,7 +812,7 @@ def check_convergence_uniform(
         n_values.append(n)
         n *= 2
     n_values.append(n_max)
-    tf = apply(op, f)
+    tf = apply(kind, f)
     base: dict[float, float] = {}
     for theta in thetas:
         m = _try_solve(tf, family, float(theta), cfg)
@@ -825,7 +825,7 @@ def check_convergence_uniform(
     failures: list[Counterexample] = []
     satisfied = 0
     for n in n_values:
-        tfn = apply(op, sequence(n))
+        tfn = apply(kind, sequence(n))
         gaps = []
         for theta, m in base.items():
             mn = _try_solve(tfn, family, theta, cfg)
@@ -867,7 +867,7 @@ def check_convergence_uniform(
 
 
 def check_impact_axioms(
-    op: OperatorSpec,
+    kind: OperatorKind,
     family: ThresholdFamily,
     master_seed: int,
     trials: int,
@@ -903,13 +903,13 @@ def check_impact_axioms(
         )
         if f.is_zero():
             continue
-        tf = apply(op, f)
+        tf = apply(kind, f)
         a, s = f.support_start, f.support_end
 
         # zero-iff-zero
         attempted += 1
         zero = zero_like(f)
-        m_zero = _try_solve(apply(op, zero), family, 1.0, cfg)
+        m_zero = _try_solve(apply(kind, zero), family, 1.0, cfg)
         satisfied += 1
         if m_zero is None or m_zero != a:
             failures.append(
@@ -943,7 +943,7 @@ def check_impact_axioms(
         delta = float(rng.uniform(0.05, 0.5))
         g = perturb(f, mode, delta)
         if leq(f, g):
-            tg = apply(op, g)
+            tg = apply(kind, g)
             fired = False
             for theta, mf, mg in _pair_solves(tf, tg, family, pick_thetas(tf, tg, family), cfg):
                 fired = True
@@ -967,7 +967,7 @@ def check_impact_axioms(
         height = float(rng.uniform(0.1, 0.5)) * (1.0 + 0.2 * f.eval(a))
         g = prefix_bump(f, a_cut, a_end, height)
         if lt_on_prefix(f, g, a_cut):
-            tg = apply(op, g)
+            tg = apply(kind, g)
             fired = False
             thetas = _psi_candidates(tf, family, hi_x=a_cut) + _psi_candidates(
                 tg, family, hi_x=a_cut
@@ -992,7 +992,7 @@ def check_impact_axioms(
         if f.eval(a_cut) > 0:
             g = flatten_tail(f, a_cut, softening=float(rng.uniform(0.3, 0.7)))
             if eq_on_prefix(f, g, a_cut):
-                tg = apply(op, g)
+                tg = apply(kind, g)
                 fired = False
                 thetas = _psi_candidates(tf, family, hi_x=a_cut)
                 for theta, mf, mg in _pair_solves(tf, tg, family, thetas, cfg):
@@ -1073,39 +1073,41 @@ def _nonzero_random(seed: int) -> RankFrequencyFunction:
 def _contract(master_seed: int, kind: OperatorKind, name: str) -> VerificationReport:
     # check_operator_contract names its report operator-contract/<kind>
     seeds = _sub_seeds(master_seed, f"contract-{kind.value}", 12)
-    return check_operator_contract(OperatorSpec(kind, 0.0), [_nonzero_random(s) for s in seeds])
+    return check_operator_contract(kind, [_nonzero_random(s) for s in seeds])
 
 
 def _root_side_trial(
-    seed: int, f: RankFrequencyFunction, op: OperatorSpec, family: PowerThreshold, cfg: SolveConfig
+    seed: int, f: RankFrequencyFunction, kind: OperatorKind,
+    family: PowerThreshold, cfg: SolveConfig,
 ) -> VerificationReport | None:
-    tf = apply(op, f)
-    thetas = _psi_candidates(tf, family, fractions=(0.5,))
+    thetas = _psi_candidates(apply(kind, f), family, fractions=(0.5,))
     if not thetas:
         return None
     xs = np.linspace(f.support_start, f.support_end, 11)[1:-1]
-    return check_root_side(f, tf, family, thetas[0], xs.tolist(), cfg)
+    return check_root_side(f, kind, family, thetas[0], xs.tolist(), cfg)
 
 
 def _dominance_trial(
-    seed: int, f: RankFrequencyFunction, op: OperatorSpec, family: PowerThreshold, cfg: SolveConfig
+    seed: int, f: RankFrequencyFunction, kind: OperatorKind,
+    family: PowerThreshold, cfg: SolveConfig,
 ) -> VerificationReport | None:
     rng = np.random.default_rng(seed)
     mode = PerturbMode.MULTIPLICATIVE if rng.random() < 0.5 else PerturbMode.ADDITIVE
     k = perturb(f, mode, float(rng.uniform(0.05, 0.4)))
-    thetas = _pair_thetas(apply(op, f), apply(op, k), family, fractions=(0.5,))
+    thetas = _pair_thetas(apply(kind, f), apply(kind, k), family, fractions=(0.5,))
     if not thetas:
         return None
-    return check_dominance_order(k, f, op, family, thetas[0], cfg)
+    return check_dominance_order(k, f, kind, family, thetas[0], cfg)
 
 
 def _theta_monotonicity_trial(
-    seed: int, f: RankFrequencyFunction, op: OperatorSpec, family: PowerThreshold, cfg: SolveConfig
+    seed: int, f: RankFrequencyFunction, kind: OperatorKind,
+    family: PowerThreshold, cfg: SolveConfig,
 ) -> VerificationReport | None:
-    thetas = _psi_candidates(apply(op, f), family, fractions=(0.6,))
+    thetas = _psi_candidates(apply(kind, f), family, fractions=(0.6,))
     if not thetas:
         return None
-    return check_theta_monotonicity(f, op, family, thetas[0], 1.7 * thetas[0], cfg)
+    return check_theta_monotonicity(f, kind, family, thetas[0], 1.7 * thetas[0], cfg)
 
 
 # (report prefix, sub-seed label, trial) of the properties run per stock setting
@@ -1120,16 +1122,15 @@ def _per_setting(
     cfg: SuiteConfig,
     seed_label: str,
     trial: Callable[..., VerificationReport | None],
-    op_kind: OperatorKind,
+    kind: OperatorKind,
     p: float,
     name: str,
 ) -> VerificationReport:
     """One property on one stock setting: a trial per sub-seed, merged."""
-    op = OperatorSpec(op_kind, 0.0)
     family = PowerThreshold(p=p, shift=0.0)
     per = []
     for seed in _sub_seeds(cfg.master_seed, seed_label, cfg.trials):
-        report = trial(seed, _nonzero_random(seed), op, family, cfg.solver)
+        report = trial(seed, _nonzero_random(seed), kind, family, cfg.solver)
         if report is not None:
             per.append(report)
     return VerificationReport.merge(name, per)
@@ -1145,30 +1146,30 @@ def _suite_table(cfg: SuiteConfig) -> list[tuple[str, Callable[..., Verification
         (f"operator-contract/{kind.value}", partial(_contract, seed, kind))
         for kind in OperatorKind
     ]
-    for label, op_kind, p in _STOCK_SETTINGS:
+    for label, kind, p in _STOCK_SETTINGS:
         table += [
             (
                 f"{prefix}/{label}",
-                partial(_per_setting, cfg, f"{seed_label}-{label}", trial, op_kind, p),
+                partial(_per_setting, cfg, f"{seed_label}-{label}", trial, kind, p),
             )
             for prefix, seed_label, trial in _PER_SETTING
         ]
 
     # reversal branches of the same three checks
     rev = ReversalFamily()
-    rev_f, rev_a, rev_op = rev.function(), rev.threshold(), rev.operator()
+    rev_f, rev_a, rev_kind = rev.function(), rev.threshold(), rev.operator()
     lo_w, hi_w = rev.theta_window()
     table += [
         ("root-side/reversal", partial(
-            check_root_side, rev_f, rev_op, rev_a, rev.theta(),
+            check_root_side, rev_f, rev_kind, rev_a, rev.theta(),
             np.linspace(0.5, rev.span - 0.5, 9).tolist(), solver,
         )),
         ("dominance-order/reversal", partial(
             check_dominance_order, perturb(rev_f, PerturbMode.MULTIPLICATIVE, 0.2), rev_f,
-            rev_op, rev_a, rev.theta(scale_max=0.2), solver,
+            rev_kind, rev_a, rev.theta(scale_max=0.2), solver,
         )),
         ("theta-monotonicity/reversal", partial(
-            check_theta_monotonicity, rev_f, rev_op, rev_a,
+            check_theta_monotonicity, rev_f, rev_kind, rev_a,
             lo_w + 0.3 * (hi_w - lo_w), lo_w + 0.7 * (hi_w - lo_w), solver,
         )),
         ("threshold-gap-bound", partial(
@@ -1181,25 +1182,24 @@ def _suite_table(cfg: SuiteConfig) -> list[tuple[str, Callable[..., Verification
 
     line = RankFrequencyFunction([(0.0, 10.0), (10.0, 0.0)])
     h_family = PowerThreshold(p=1.0, shift=0.0)
-    for label, op_kind in (("h", OperatorKind.IDENTITY), ("g", OperatorKind.AVERAGING)):
-        op = OperatorSpec(op_kind, 0.0)
+    for label, kind in (("h", OperatorKind.IDENTITY), ("g", OperatorKind.AVERAGING)):
         table += [
             (f"convergence-pointwise/{label}", partial(
-                check_convergence_pointwise, line, multiplicative_sequence(line), op, h_family,
+                check_convergence_pointwise, line, multiplicative_sequence(line), kind, h_family,
                 [0.5, 1.0, 2.0, 5.0], _CONVERGENCE_N_MAX, solver,
             )),
             (f"convergence-uniform/{label}", partial(
-                check_convergence_uniform, line, additive_sequence(line), op, h_family,
+                check_convergence_uniform, line, additive_sequence(line), kind, h_family,
                 0.5, 8, _CONVERGENCE_N_MAX, solver,
             )),
         ]
 
     table += [
         (f"impact-axioms/{label}", partial(
-            check_impact_axioms, OperatorSpec(op_kind, 0.0), PowerThreshold(p=p, shift=0.0),
+            check_impact_axioms, kind, PowerThreshold(p=p, shift=0.0),
             _sub_seeds(seed, f"impact-{label}", 1)[0], trials, solver,
         ))
-        for label, op_kind, p in _STOCK_SETTINGS
+        for label, kind, p in _STOCK_SETTINGS
     ]
     if cfg.include_reversal_in_impact:
         reversal = partial(reversal_impact_report, seed, trials, solver)
@@ -1242,9 +1242,7 @@ def threshold_gap_bound_batch(
         rng = np.random.default_rng(seed)
         branch = i % 3
         if branch in (0, 1):
-            op = OperatorSpec(
-                OperatorKind.IDENTITY if branch == 0 else OperatorKind.AVERAGING, 0.0
-            )
+            kind = OperatorKind.IDENTITY if branch == 0 else OperatorKind.AVERAGING
             family = PowerThreshold(p=float(rng.choice([1.0, 2.0])), shift=0.0)
             if rng.random() < 0.5:
                 schedule = [
@@ -1256,12 +1254,12 @@ def threshold_gap_bound_batch(
                     perturb(f, PerturbMode.ADDITIVE, 1.0 / n)
                     for n in range(1, schedule_length + 1)
                 ]
-            theta = _theta_for_schedule(f, schedule, op, family)
+            theta = _theta_for_schedule(f, schedule, kind, family)
             if theta is None:
                 continue
         else:
             # increasing transform against a decreasing threshold
-            op = OperatorSpec(OperatorKind.INTEGRAL, 0.0)
+            kind = OperatorKind.INTEGRAL
             family = DecreasingLinearThreshold(ceiling=2.0 * f.support_end)
             schedule = [
                 perturb(f, PerturbMode.MULTIPLICATIVE, 1.0 / n)
@@ -1271,7 +1269,7 @@ def threshold_gap_bound_batch(
             if total <= 0:
                 continue
             theta = 0.45 * total / (family.ceiling - f.support_end)
-        per.append(check_threshold_gap_bound(f, schedule, op, family, theta, cfg, slack))
+        per.append(check_threshold_gap_bound(f, schedule, kind, family, theta, cfg, slack))
     return VerificationReport.merge(name, per)
 
 
@@ -1291,7 +1289,7 @@ def transform_gap_bound_batch(
         if i % 2 == 0:
             # increasing transform, decreasing difference on a steep-power window
             f = _nonzero_random(seed)
-            op = OperatorSpec(OperatorKind.INTEGRAL, 0.0)
+            kind = OperatorKind.INTEGRAL
             family = PowerThreshold(p=2.0, shift=0.0)
             schedule = [
                 perturb(f, PerturbMode.MULTIPLICATIVE, 1.0 / n)
@@ -1307,7 +1305,7 @@ def transform_gap_bound_batch(
                 continue
             per.append(
                 check_transform_gap_bound(
-                    f, schedule, op, family, theta, cfg, slack, x_window=window
+                    f, schedule, kind, family, theta, cfg, slack, x_window=window
                 )
             )
         else:
@@ -1338,7 +1336,7 @@ def transform_gap_bound_batch(
 def _theta_for_schedule(
     f: RankFrequencyFunction,
     schedule: Sequence[RankFrequencyFunction],
-    op: OperatorSpec,
+    kind: OperatorKind,
     family: PowerThreshold,
 ) -> float | None:
     """A theta admissible for the base function and the whole schedule.
@@ -1346,12 +1344,12 @@ def _theta_for_schedule(
     For decreasing transforms against a power family the binding
     constraint is the largest right-endpoint realized theta.
     """
-    tf = apply(op, f)
+    tf = apply(kind, f)
     s = tf.support_end
     denom = (s - family.shift) ** family.p
     floor_theta = tf.eval(s) / denom
     for fn in schedule:
-        floor_theta = max(floor_theta, apply(op, fn).eval(s) / denom)
+        floor_theta = max(floor_theta, apply(kind, fn).eval(s) / denom)
     cands = _psi_candidates(tf, family, fractions=(0.5,))
     if not cands:
         return None
@@ -1390,7 +1388,7 @@ def reversal_impact_report(
         return [lo + 0.5 * (hi - lo)]
 
     return check_impact_axioms(
-        OperatorSpec(OperatorKind.IDENTITY, 0.0),
+        OperatorKind.IDENTITY,
         DecreasingLinearThreshold(ceiling=ceiling),
         master_seed,
         trials,
@@ -1411,16 +1409,15 @@ def monotone_difference_forward_batch(
     per: list[VerificationReport] = []
     seeds = _sub_seeds(master_seed, "thm3fwd", trials)
     for i, seed in enumerate(seeds):
-        label, op_kind, p = _STOCK_SETTINGS[i % len(_STOCK_SETTINGS)]
-        op = OperatorSpec(op_kind, 0.0)
+        label, kind, p = _STOCK_SETTINGS[i % len(_STOCK_SETTINGS)]
         family = PowerThreshold(p=p, shift=0.0)
         f = _nonzero_random(seed)
-        thetas = _psi_candidates(apply(op, f), family)
-        if not thetas or not check_decreasing_difference(f, op, family, thetas):
+        thetas = _psi_candidates(apply(kind, f), family)
+        if not thetas or not check_decreasing_difference(f, kind, family, thetas):
             continue
         per.append(
             check_impact_axioms(
-                op, family, seed, 1, cfg, name=f"{name}/{label}"
+                kind, family, seed, 1, cfg, name=f"{name}/{label}"
             )
         )
     return VerificationReport.merge(name, per)

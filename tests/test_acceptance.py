@@ -24,7 +24,6 @@ from hirschbundles.funcspace import (
 from hirschbundles.operators import (
     Monotonicity,
     OperatorKind,
-    OperatorSpec,
     apply,
     check_operator_contract,
 )
@@ -54,9 +53,9 @@ from hirschbundles.verify import (
 
 from oracles import oracle_grid_root
 
-IDENTITY = OperatorSpec(OperatorKind.IDENTITY, 0.0)
-AVERAGING = OperatorSpec(OperatorKind.AVERAGING, 0.0)
-INTEGRAL = OperatorSpec(OperatorKind.INTEGRAL, 0.0)
+IDENTITY = OperatorKind.IDENTITY
+AVERAGING = OperatorKind.AVERAGING
+INTEGRAL = OperatorKind.INTEGRAL
 H_FAMILY = PowerThreshold(1.0, 0.0)
 
 LINE = RankFrequencyFunction([(0.0, 10.0), (10.0, 0.0)])
@@ -192,7 +191,7 @@ def _gap13_instance(seed: int, branch: int):
     rng = np.random.default_rng(seed)
     schedule_n = range(1, 51)
     if branch in (0, 1):
-        op = OperatorSpec(OperatorKind.IDENTITY if branch == 0 else OperatorKind.AVERAGING, 0.0)
+        op = OperatorKind.IDENTITY if branch == 0 else OperatorKind.AVERAGING
         fam = PowerThreshold(p=float(rng.choice([1.0, 2.0])), shift=0.0)
         mode = PerturbMode.MULTIPLICATIVE if rng.random() < 0.5 else PerturbMode.ADDITIVE
         schedule = [perturb(f, mode, 1.0 / n) for n in schedule_n]
@@ -331,7 +330,7 @@ def test_criterion_07_convergence():
         monotone = all(b <= a + 1e-9 for a, b in zip(sups, sups[1:]))
         final_ok = sups[-1] < 1e-2
         ok = ok and monotone and final_ok
-        detail.append(f"{op.kind.value}: final sup {sups[-1]:.2e} monotone={monotone}")
+        detail.append(f"{op.value}: final sup {sups[-1]:.2e} monotone={monotone}")
     elapsed = time.perf_counter() - t0
     ok = ok and elapsed < 60.0
     _report(7, ok, "; ".join(detail) + f", {elapsed:.1f} s")
@@ -377,8 +376,8 @@ def test_criterion_09_operator_properties():
     rng = np.random.default_rng(99)
     for seed in range(100):
         f = random_function(seed)
-        mu = apply(OperatorSpec(OperatorKind.AVERAGING, f.support_start), f)
-        integ = apply(OperatorSpec(OperatorKind.INTEGRAL, f.support_start), f)
+        mu = apply(OperatorKind.AVERAGING, f)
+        integ = apply(OperatorKind.INTEGRAL, f)
         a = f.support_start
         xs = rng.uniform(a, f.support_end, 20)
         lhs = integ.eval_many(xs)
@@ -387,7 +386,7 @@ def test_criterion_09_operator_properties():
             identity_ok = False
     samples = [random_function(seed) for seed in range(300, 312)]
     contract_ok = all(
-        check_operator_contract(OperatorSpec(kind, 0.0), samples).verdict is Verdict.PASS
+        check_operator_contract(kind, samples).verdict is Verdict.PASS
         for kind in OperatorKind
     )
     elapsed = time.perf_counter() - t0

@@ -12,7 +12,7 @@ import pytest
 
 from hirschbundles.cli import MAX_THETA_COUNT, ThetaGrid, main, parse_theta_grid_flag, CliError
 from hirschbundles.funcspace import RankFrequencyFunction, from_citation_counts
-from hirschbundles.operators import OperatorKind, OperatorSpec
+from hirschbundles.operators import OperatorKind
 from hirschbundles.solver import sample_bundle
 from hirschbundles.thresholds import PowerThreshold
 
@@ -100,6 +100,8 @@ class TestIndexCommand:
             ("1 2", "counts must be numbers"),
             ("nan", "counts must be finite"),
             ("1e400", "counts must be finite"),
+            # as a JSON number, an integer beyond the float range
+            pytest.param(str(10**401), "counts must be finite", id="401-digit-integer"),
             ("-1", "counts must be non-negative"),
         ],
     )
@@ -110,11 +112,19 @@ class TestIndexCommand:
         q = tmp_path / "bad.json"
         q.write_text(json.dumps([{"id": "ok", "counts": [3, 2, 1]}, {"id": "x", "counts": [4, token]}]))
         assert run_cli(["index", str(q)], capsys) == (2, "", f"error: {q}: record 1: {problem}\n")
-        if token in ("1e400", "-1"):  # also valid as a JSON number
+        if token not in ("1 2", "nan"):  # also valid as a JSON number
             q.write_text(f'[{{"id": "ok", "counts": [3, 2, 1]}}, {{"id": "x", "counts": [4, {token}]}}]')
             assert run_cli(["index", str(q)], capsys) == (
                 2, "", f"error: {q}: record 1: {problem}\n"
             )
+
+    def test_json_integer_beyond_digit_limit_exit_2(self, tmp_path, capsys):
+        # Python 3.11 refuses to parse it (4,300-digit limit); older versions overflow
+        q = tmp_path / "long.json"
+        q.write_text('[{"id": "x", "counts": [' + "9" * 5000 + ", 1]}]")
+        code, out, err = run_cli(["index", str(q)], capsys)
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: {q}: ")
 
     def test_missing_header_exit_2(self, tmp_path, capsys):
         p = tmp_path / "bad.csv"
@@ -168,8 +178,7 @@ class TestBundleCommand:
         assert code == 0
         rows = list(csv.DictReader(io.StringIO(out)))
         f = from_citation_counts([10, 8, 5, 4, 3, 2, 1])
-        op = OperatorSpec(OperatorKind.IDENTITY, 0.0)
-        sample = sample_bundle(f, op, PowerThreshold(1.0, 0.0), [0.5, 1.25, 2.0])
+        sample = sample_bundle(f, OperatorKind.IDENTITY, PowerThreshold(1.0, 0.0), [0.5, 1.25, 2.0])
         api = {
             format(e.theta, ".12g"): (format(e.m, ".12g") if math.isfinite(e.m) else "")
             for e in sample.entries

@@ -21,7 +21,7 @@ from hirschbundles.funcspace import (
     perturb,
     random_function,
 )
-from hirschbundles.operators import OperatorKind, OperatorSpec, apply
+from hirschbundles.operators import OperatorKind, apply
 from hirschbundles.solver import h_index
 
 from oracles import oracle_eval, oracle_integral, segment_trapezoid_sum
@@ -116,7 +116,7 @@ class TestConstruction:
     )
     def test_arrays_are_read_only(self, build):
         f = build()
-        tf = apply(OperatorSpec(OperatorKind.AVERAGING, f.support_start), f)
+        tf = apply(OperatorKind.AVERAGING, f)
         before = (h_index(f), f.eval(2.0), f.breakpoints)
         for arr in (f.xs, f.ys, f.slopes, f.cumulative, tf.breakpoint_values):
             with pytest.raises(ValueError):

@@ -13,14 +13,14 @@ from hirschbundles.funcspace import (
     perturb,
     random_function,
 )
-from hirschbundles.operators import OperatorKind, OperatorSpec, apply
+from hirschbundles.operators import OperatorKind, apply
 from hirschbundles.solver import solve_bundle_point
 from hirschbundles.thresholds import PowerThreshold, psi
 
 seeds = st.integers(min_value=0, max_value=2**32 - 1)
 
-IDENTITY = OperatorSpec(OperatorKind.IDENTITY, 0.0)
-AVERAGING = OperatorSpec(OperatorKind.AVERAGING, 0.0)
+IDENTITY = OperatorKind.IDENTITY
+AVERAGING = OperatorKind.AVERAGING
 
 
 @given(seeds)

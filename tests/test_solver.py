@@ -10,7 +10,7 @@ from hirschbundles.funcspace import (
     perturb,
     random_function,
 )
-from hirschbundles.operators import OperatorKind, OperatorSpec, apply
+from hirschbundles.operators import OperatorKind, apply
 from hirschbundles.solver import (
     SolveConfig,
     SolveStatus,
@@ -27,9 +27,9 @@ from hirschbundles.thresholds import PowerThreshold, DecreasingLinearThreshold, 
 
 from oracles import oracle_grid_root, oracle_roots
 
-IDENTITY = OperatorSpec(OperatorKind.IDENTITY, 0.0)
-AVERAGING = OperatorSpec(OperatorKind.AVERAGING, 0.0)
-INTEGRAL = OperatorSpec(OperatorKind.INTEGRAL, 0.0)
+IDENTITY = OperatorKind.IDENTITY
+AVERAGING = OperatorKind.AVERAGING
+INTEGRAL = OperatorKind.INTEGRAL
 
 # frozen closed forms for f(x) = 10 - x on [0, 10]
 KOSMULSKI_LINE_P2 = (-1.0 + math.sqrt(41.0)) / 2.0  # root of x^2 + x - 10
@@ -272,7 +272,7 @@ class TestSolverInvariants:
                     continue
                 m, _ = solve_bundle_point(f, op, fam, theta)
                 root, spacing = oracle_grid_root(
-                    f, kind_name[op.kind], theta, "power", 20_000, p=fam.p, shift=fam.shift
+                    f, kind_name[op], theta, "power", 20_000, p=fam.p, shift=fam.shift
                 )
                 assert abs(m - root) <= spacing + 1e-10
 
@@ -341,7 +341,7 @@ class TestExactIsolation:
             base = random_function(seed)
             f = RankFrequencyFunction([(x + offset, y) for x, y in base.breakpoints])
             a, s = f.support_start, f.support_end
-            tf = apply(OperatorSpec(kind, a), f)
+            tf = apply(kind, f)
             rng = np.random.default_rng(seed)
             ceiling = s + float(rng.uniform(0.5, 5.0))
             families = [

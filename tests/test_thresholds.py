@@ -12,7 +12,7 @@ from hirschbundles.errors import (
     ZeroValueError,
 )
 from hirschbundles.funcspace import RankFrequencyFunction, random_function
-from hirschbundles.operators import OperatorKind, OperatorSpec, apply
+from hirschbundles.operators import OperatorKind, apply
 from hirschbundles.solver import solve_bundle_point
 from hirschbundles.thresholds import (
     DecreasingLinearThreshold,
@@ -21,9 +21,9 @@ from hirschbundles.thresholds import (
     psi,
 )
 
-IDENTITY = OperatorSpec(OperatorKind.IDENTITY, 0.0)
-AVERAGING = OperatorSpec(OperatorKind.AVERAGING, 0.0)
-INTEGRAL = OperatorSpec(OperatorKind.INTEGRAL, 0.0)
+IDENTITY = OperatorKind.IDENTITY
+AVERAGING = OperatorKind.AVERAGING
+INTEGRAL = OperatorKind.INTEGRAL
 
 
 class TestEvaluation:

@@ -11,7 +11,7 @@ from hirschbundles.funcspace import (
     lt_on_prefix,
     perturb,
 )
-from hirschbundles.operators import Monotonicity, OperatorKind, OperatorSpec, apply
+from hirschbundles.operators import Monotonicity, OperatorKind, TransformedFunction, apply
 from hirschbundles.reporting import Verdict, VerificationReport
 from hirschbundles.solver import solve_bundle_point
 from hirschbundles.thresholds import DecreasingLinearThreshold, PowerThreshold
@@ -39,9 +39,9 @@ from hirschbundles.verify import (
     threshold_gap_bound_batch,
 )
 
-IDENTITY = OperatorSpec(OperatorKind.IDENTITY, 0.0)
-AVERAGING = OperatorSpec(OperatorKind.AVERAGING, 0.0)
-INTEGRAL = OperatorSpec(OperatorKind.INTEGRAL, 0.0)
+IDENTITY = OperatorKind.IDENTITY
+AVERAGING = OperatorKind.AVERAGING
+INTEGRAL = OperatorKind.INTEGRAL
 H_FAMILY = PowerThreshold(1.0, 0.0)
 
 
@@ -63,6 +63,18 @@ class TestProfile:
         assert not fam.threshold().increasing_in_x
         d_mono = classify_difference(tf, fam.threshold(), fam.theta())
         assert d_mono is Monotonicity.INCREASING
+
+    def test_table_answers_for_a_window_without_sampling(self, line, monkeypatch):
+        # D monotone on [a, S] is monotone on every sub-window
+        tf = apply(IDENTITY, line)
+
+        def no_sampling(self, x):
+            raise AssertionError("classify_difference sampled D")
+
+        monkeypatch.setattr(TransformedFunction, "eval_many", no_sampling)
+        for window in ((2.0, 7.0), (0.0, 10.0)):
+            got = classify_difference(tf, PowerThreshold(2.0, 0.0), 1.0, x_window=window)
+            assert got is Monotonicity.DECREASING
 
     def test_decreasing_difference_predicate(self, line):
         assert check_decreasing_difference(line, IDENTITY, H_FAMILY, [0.5, 1.0, 2.0])
