@@ -19,18 +19,22 @@ import math
 import sys
 from dataclasses import dataclass, field, replace
 from pathlib import Path
+from typing import Iterator
 
 import numpy as np
 
 from .errors import BundleError
-from .funcspace import RankFrequencyFunction, from_citation_counts
+from .funcspace import RankFrequencyFunction, citation_integrals, from_citation_counts
 from .operators import OperatorKind
 from .solver import SolveConfig, sample_bundle
 from .thresholds import (
+    AdmissibleRange,
     DecreasingLinearThreshold,
     PowerThreshold,
     ThresholdFamily,
     admissible_range,
+    certified_range,
+    is_certified,
 )
 from .verify import SuiteConfig, run_property_suite
 
@@ -49,13 +53,17 @@ class IndexDef:
     ceiling: float = 0.0  # declin only
 
     def resolve(self, f: RankFrequencyFunction) -> tuple[OperatorKind, ThresholdFamily]:
+        return self.resolve_at(f.support_start)
+
+    def resolve_at(self, origin: float) -> tuple[OperatorKind, ThresholdFamily]:
+        """The operator and family for functions whose support starts at ``origin``."""
         try:
             kind = OperatorKind(self.operator)
         except ValueError:
             raise CliError(f"unknown operator {self.operator!r} in index {self.name!r}")
         try:
             if self.family == "power":
-                shift = f.support_start if self.shift == "origin" else float(self.shift)
+                shift = origin if self.shift == "origin" else float(self.shift)
                 fam: ThresholdFamily = PowerThreshold(p=self.p, shift=shift)
             elif self.family == "declin":
                 fam = DecreasingLinearThreshold(ceiling=self.ceiling)
@@ -189,14 +197,75 @@ def parse_theta_grid_flag(text: str) -> ThetaGrid:
 # --------------------------------------------------------------------------
 
 
-def read_sources(path: str) -> list[tuple[str, np.ndarray]]:
-    """Read (id, counts) rows from a CSV or JSON file; counts are finite and non-negative."""
+# Records per chunk of the CSV reader: one numpy call parses the counts of a
+# whole chunk, and a chunk keeps few enough token strings alive at once.
+CSV_CHUNK = 1000
+
+
+@dataclass(frozen=True, eq=False)
+class Corpus:
+    """Records as columns: their ids, every count in one flat read-only array,
+    and offsets such that record i holds ``counts[offsets[i]:offsets[i + 1]]``.
+
+    Each record holds at least one count, and its counts are finite,
+    non-negative and sorted non-increasingly.
+    """
+
+    ids: list[str]
+    counts: np.ndarray
+    offsets: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.ids)
+
+    def __iter__(self) -> Iterator[tuple[str, np.ndarray]]:
+        """(id, counts) per record, in input order; the counts are read-only views."""
+        bounds = self.offsets.tolist()
+        for i, source_id in enumerate(self.ids):
+            yield source_id, self.counts[bounds[i] : bounds[i + 1]]
+
+
+# What a reader returns per chunk: the ids, the counts of all its records
+# back to back, and how many counts each record holds.
+_Chunk = tuple[list[str], np.ndarray, list[int]]
+
+
+def read_sources(path: str) -> Corpus:
+    """Read a CSV or JSON file into a corpus; counts are finite and non-negative.
+
+    A record whose counts are not sorted non-increasingly is sorted, with one
+    warning on stderr, once the whole file has parsed.
+    """
     p = Path(path)
     if not p.exists():
         raise CliError(f"input file not found: {path}")
-    if p.suffix.lower() == ".json":
-        return _read_json(p)
-    return _read_csv(p)
+    chunks = [_read_json(p)] if p.suffix.lower() == ".json" else _read_csv(p)
+    return _corpus(chunks)
+
+
+def _corpus(chunks: list[_Chunk]) -> Corpus:
+    """Join the chunks; sort each record that arrives unsorted, with a warning."""
+    ids = [source_id for chunk in chunks for source_id in chunk[0]]
+    counts = np.concatenate([chunk[1] for chunk in chunks])
+    offsets = np.zeros(len(ids) + 1, dtype=np.intp)
+    offsets[1:] = np.cumsum([n for chunk in chunks for n in chunk[2]])
+    # a rise from one count to the next marks its record unsorted, unless
+    # the next count starts a record
+    rises = counts[1:] > counts[:-1]
+    rises[offsets[1:-1] - 1] = False
+    unsorted = np.zeros(len(ids), dtype=bool)
+    unsorted[np.searchsorted(offsets, np.flatnonzero(rises), side="right") - 1] = True
+    for i in np.flatnonzero(unsorted).tolist():
+        print(
+            f"warning: source {ids[i]!r}: counts not sorted non-increasingly; sorting",
+            file=sys.stderr,
+        )
+        record = counts[offsets[i] : offsets[i + 1]]
+        # stable, as sorted(reverse=True), so that 0.0 and -0.0 keep their order
+        record[:] = -np.sort(-record, kind="stable")
+    counts.flags.writeable = False
+    offsets.flags.writeable = False
+    return Corpus(ids=ids, counts=counts, offsets=offsets)
 
 
 def _counts_problem(counts: np.ndarray) -> str | None:
@@ -207,20 +276,22 @@ def _counts_problem(counts: np.ndarray) -> str | None:
     return None
 
 
-def _read_json(p: Path) -> list[tuple[str, np.ndarray]]:
+def _read_json(p: Path) -> _Chunk:
     try:
         raw = json.loads(p.read_text())
     except ValueError as e:  # JSONDecodeError, or an integer past Python's digit limit
         raise CliError(f"{p}: invalid JSON: {e}")
     if not isinstance(raw, list):
         raise CliError(f"{p}: expected a JSON array of records")
-    out = []
+    ids, records = [], []
     for i, rec in enumerate(raw):
         if not isinstance(rec, dict) or "id" not in rec or "counts" not in rec:
             raise CliError(f"{p}: record {i}: need objects with 'id' and 'counts'")
         counts = rec["counts"]
         if not isinstance(counts, list) or not counts:
             raise CliError(f"{p}: record {i}: 'counts' must be a non-empty list")
+        if bool in set(map(type, counts)):  # float(True) would read it as 1.0
+            raise CliError(f"{p}: record {i}: counts must be numbers")
         try:
             vals = np.array(list(map(float, counts)))
         except OverflowError:  # an integer beyond the float range, like 1e401 in CSV
@@ -230,12 +301,13 @@ def _read_json(p: Path) -> list[tuple[str, np.ndarray]]:
         problem = _counts_problem(vals)
         if problem:
             raise CliError(f"{p}: record {i}: {problem}")
-        out.append((str(rec["id"]), vals))
-    return out
+        ids.append(str(rec["id"]))
+        records.append(vals)
+    return ids, np.concatenate(records or [np.empty(0)]), [len(r) for r in records]
 
 
-def _read_csv(p: Path) -> list[tuple[str, np.ndarray]]:
-    out = []
+def _read_csv(p: Path) -> list[_Chunk]:
+    chunks = []
     with p.open(newline="") as fh:
         reader = csv.reader(fh)
         try:
@@ -244,39 +316,62 @@ def _read_csv(p: Path) -> list[tuple[str, np.ndarray]]:
             raise CliError(f"{p}: empty file")
         if [h.strip() for h in header[:2]] != ["id", "counts"]:
             raise CliError(f"{p}: line 1: expected header 'id,counts'")
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) < 2:
-                raise CliError(f"{p}: line {lineno}: expected 'id,counts'")
-            try:
-                vals = list(map(float, filter(str.strip, row[1].split(";"))))
-            except ValueError:
-                raise CliError(f"{p}: line {lineno}: counts must be numbers")
-            if not vals:
-                raise CliError(f"{p}: line {lineno}: empty counts")
-            counts = np.array(vals)
-            problem = _counts_problem(counts)
-            if problem:
-                raise CliError(f"{p}: line {lineno}: {problem}")
-            out.append((row[0].strip(), counts))
-    return out
+        rows: list[tuple[int, list[str]]] = []
+        try:
+            for lineno, row in enumerate(reader, start=2):
+                if row:
+                    rows.append((lineno, row))
+                if len(rows) == CSV_CHUNK:
+                    chunk, rows = rows, []
+                    chunks.append(_parse_chunk(p, chunk))
+        finally:
+            # also when the reader fails part-way, so that a bad line before
+            # the failure is reported first, as line by line
+            chunks.append(_parse_chunk(p, rows))
+    return chunks
 
 
-def _build_functions(
-    sources: list[tuple[str, np.ndarray]]
-) -> list[tuple[str, RankFrequencyFunction]]:
-    out = []
-    for source_id, counts in sources:
-        if not (counts[1:] <= counts[:-1]).all():
-            print(
-                f"warning: source {source_id!r}: counts not sorted non-increasingly; sorting",
-                file=sys.stderr,
-            )
-            # stable, as sorted(reverse=True), so that 0.0 and -0.0 keep their order
-            counts = -np.sort(-counts, kind="stable")
-        out.append((source_id, from_citation_counts(counts)))
-    return out
+def _parse_chunk(p: Path, rows: list[tuple[int, list[str]]]) -> _Chunk:
+    """Parse the counts of non-blank rows with one numpy call.
+
+    Any irregularity (a short row; an empty, blank, non-numeric, non-finite
+    or negative token) sends the rows through the line-by-line reader
+    instead, which skips what it may skip and names the first bad line.
+    """
+    try:
+        fields = [row[1] for _, row in rows]
+        # numpy converts each string as float() does
+        counts = np.array(";".join(fields).split(";"), dtype=float)
+    except (IndexError, ValueError):
+        return _parse_rows(p, rows)
+    if not ((counts >= 0.0) & (counts < math.inf)).all():  # NaN fails both
+        return _parse_rows(p, rows)
+    return [row[0].strip() for _, row in rows], counts, [f.count(";") + 1 for f in fields]
+
+
+def _parse_rows(p: Path, rows: list[tuple[int, list[str]]]) -> _Chunk:
+    """The line-by-line reader, whose messages name the first bad line."""
+    ids, values, lengths = [], [], []
+    for lineno, row in rows:
+        if len(row) < 2:
+            raise CliError(f"{p}: line {lineno}: expected 'id,counts'")
+        try:
+            vals = list(map(float, filter(str.strip, row[1].split(";"))))
+        except ValueError:
+            raise CliError(f"{p}: line {lineno}: counts must be numbers")
+        if not vals:
+            raise CliError(f"{p}: line {lineno}: empty counts")
+        problem = _counts_problem(np.array(vals))
+        if problem:
+            raise CliError(f"{p}: line {lineno}: {problem}")
+        ids.append(row[0].strip())
+        values.extend(vals)
+        lengths.append(len(vals))
+    return ids, np.array(values, dtype=float), lengths
+
+
+def _build_functions(corpus: Corpus) -> list[tuple[str, RankFrequencyFunction]]:
+    return [(source_id, from_citation_counts(counts)) for source_id, counts in corpus]
 
 
 # --------------------------------------------------------------------------
@@ -346,38 +441,78 @@ def cmd_bundle(args, cfg: RunConfig) -> int:
     return 0
 
 
+# from_citation_counts starts the support of every record at 0
+_RECORD_ORIGIN = 0.0
+
+
+def _range_or_error(
+    f: RankFrequencyFunction, kind: OperatorKind, fam: ThresholdFamily
+) -> AdmissibleRange | BundleError:
+    try:
+        return admissible_range(f, kind, fam)
+    except BundleError as e:
+        return e
+
+
+def _certified_ranges(
+    corpus: Corpus, kind: OperatorKind, fam: PowerThreshold
+) -> list[AdmissibleRange | BundleError]:
+    """The range of every record for an index whose ranges are certified.
+
+    A record of N counts has the support [0, S] with S = N + 1, on which
+    T(f)(0) = c_1: f is flat at c_1 on [0, 1], and mu(f)(0) is its
+    continuity value f(0).  At S, f has descended to 0, and
+    mu(f)(S) = I(f)(S) / S.
+    """
+    firsts = corpus.counts[corpus.offsets[:-1]].tolist()
+    ends = (np.diff(corpus.offsets) + 1.0).tolist()
+    if kind is OperatorKind.IDENTITY:
+        t_ends = [0.0] * len(corpus)
+    else:  # averaging, the other operator whose T(f) decreases
+        totals = citation_integrals(corpus.counts, corpus.offsets).tolist()
+        t_ends = [total / end for total, end in zip(totals, ends)]
+    ranges = []
+    for i, (first, t_end, end) in enumerate(zip(firsts, t_ends, ends)):
+        if first == 0.0:  # the zero function, whose error admissible_range names
+            record = corpus.counts[corpus.offsets[i] : corpus.offsets[i + 1]]
+            ranges.append(_range_or_error(from_citation_counts(record), kind, fam))
+        else:
+            ranges.append(certified_range(first, t_end, _RECORD_ORIGIN, end, fam))
+    return ranges
+
+
+def _range_cells(rng: AdmissibleRange | BundleError) -> tuple[str, str, str]:
+    """theta_min, theta_max and certified, as printed."""
+    if isinstance(rng, BundleError):
+        return "", "", f"error: {rng}"
+    return (
+        _fmt(rng.theta_min) if rng.theta_min is not None else "0",
+        _fmt(rng.theta_max),
+        "true" if rng.certified else "false",
+    )
+
+
 def cmd_admissible(args, cfg: RunConfig) -> int:
-    sources = read_sources(args.input)
-    rows = []
-    caveat = False
-    for source_id, f in _build_functions(sources):
-        for idx in cfg.indices:
-            kind, fam = idx.resolve(f)
-            try:
-                rng = admissible_range(f, kind, fam)
-            except BundleError as e:
-                rows.append(
-                    {
-                        "id": source_id,
-                        "index": idx.name,
-                        "theta_min": "",
-                        "theta_max": "",
-                        "certified": f"error: {e}",
-                    }
-                )
-                continue
-            caveat = caveat or not rng.certified
-            rows.append(
-                {
-                    "id": source_id,
-                    "index": idx.name,
-                    "theta_min": _fmt(rng.theta_min) if rng.theta_min is not None else "0",
-                    "theta_max": _fmt(rng.theta_max),
-                    "certified": "true" if rng.certified else "false",
-                }
-            )
-    _emit(rows, ["id", "index", "theta_min", "theta_max", "certified"], args.format, sys.stdout)
-    if caveat:
+    corpus = read_sources(args.input)
+    resolved = [idx.resolve_at(_RECORD_ORIGIN) for idx in cfg.indices] if len(corpus) else []
+    columns = []
+    functions = None  # built once, for the first index whose ranges are not certified
+    for kind, fam in resolved:
+        if is_certified(kind, fam):
+            ranges = _certified_ranges(corpus, kind, fam)
+        else:
+            if functions is None:
+                functions = [f for _, f in _build_functions(corpus)]
+            ranges = [_range_or_error(f, kind, fam) for f in functions]
+        columns.append([_range_cells(rng) for rng in ranges])
+    names = ["id", "index", "theta_min", "theta_max", "certified"]
+    rows = [
+        dict(zip(names, (source_id, idx.name, *column[i])))
+        for i, source_id in enumerate(corpus.ids)
+        for idx, column in zip(cfg.indices, columns)
+    ]
+    _emit(rows, names, args.format, sys.stdout)
+    if any(row["certified"] == "false" for row in rows):
         print(
             "warning: ranges marked certified=false are grid estimates, not analytic bounds",
             file=sys.stderr,

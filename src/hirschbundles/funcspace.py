@@ -231,6 +231,25 @@ def from_citation_counts(counts: Sequence[float]) -> RankFrequencyFunction:
     return RankFrequencyFunction._of(xs, ys)
 
 
+def citation_integrals(counts: np.ndarray, offsets: np.ndarray) -> np.ndarray:
+    """The integral over its whole support of each record's :func:`from_citation_counts`.
+
+    Record i is ``counts[offsets[i]:offsets[i + 1]]``, non-empty and sorted
+    non-increasingly.  Each result is bitwise equal to the function's
+    ``cumulative[-1]``: the records of one length are summed as the rows of
+    one array, each row by the same sequential running sum.
+    """
+    lengths = np.diff(offsets)
+    out = np.empty(len(lengths))
+    for n in np.flatnonzero(np.bincount(lengths)).tolist():
+        rows = np.flatnonzero(lengths == n)
+        c = counts[offsets[rows, None] + np.arange(n)]
+        ys = np.concatenate([c[:, :1], c, np.zeros((len(rows), 1))], axis=1)
+        # the abscissas are 0, 1, ..., N + 1: every segment has width 1.0
+        out[rows] = np.cumsum((ys[:, :-1] + ys[:, 1:]) / 2.0, axis=1)[:, -1]
+    return out
+
+
 def _require_same_domain(f: RankFrequencyFunction, g: RankFrequencyFunction) -> None:
     if f.support_start != g.support_start or f.support_end != g.support_end:
         raise DomainMismatchError(

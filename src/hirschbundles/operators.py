@@ -12,7 +12,7 @@ the quadratic divided by (x - a).
 mu preserves the decreasing shape of its input while I increases; that
 difference decides which branch of every monotonicity result downstream
 applies, so each transformed function reports its monotonicity, which
-follows from the operator kind alone (see ``_MONOTONICITY``).
+follows from the operator kind alone (see ``MONOTONICITY``).
 """
 
 from __future__ import annotations
@@ -54,7 +54,7 @@ class Monotonicity(Enum):
 # [a, x]; mu(f)' = N / (x - a)^2 makes mu(f) non-increasing, and
 # I(f)' = f >= 0 makes I(f) non-decreasing -- strictly unless f == 0,
 # whose constant integral counts as decreasing like any constant.
-_MONOTONICITY = {
+MONOTONICITY = {
     OperatorKind.IDENTITY: Monotonicity.DECREASING,
     OperatorKind.AVERAGING: Monotonicity.DECREASING,
     OperatorKind.INTEGRAL: Monotonicity.INCREASING,
@@ -72,7 +72,7 @@ class TransformedFunction:
     def monotonicity(self) -> Monotonicity:
         if self.kind is OperatorKind.INTEGRAL and self.source.is_zero():
             return Monotonicity.DECREASING
-        return _MONOTONICITY[self.kind]
+        return MONOTONICITY[self.kind]
 
     @property
     def origin(self) -> float:

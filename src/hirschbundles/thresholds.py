@@ -32,7 +32,7 @@ from .errors import (
     ZeroValueError,
 )
 from .funcspace import RankFrequencyFunction
-from .operators import Monotonicity, OperatorKind, apply
+from .operators import MONOTONICITY, Monotonicity, OperatorKind, apply
 
 _RANGE_GRID = 1024
 
@@ -170,6 +170,36 @@ class AdmissibleRange:
                 raise ValueError("theta_min must not exceed theta_max")
 
 
+def is_certified(kind: OperatorKind, family: ThresholdFamily) -> bool:
+    """Whether the admissible range of every non-zero f is :func:`certified_range`.
+
+    It is when T(f) decreases and the family is a power family: psi_f is
+    then strictly decreasing, so its image follows from its endpoint values.
+    """
+    return isinstance(family, PowerThreshold) and MONOTONICITY[kind] is Monotonicity.DECREASING
+
+
+def certified_range(
+    t_origin: float,
+    t_end: float,
+    origin: float,
+    end: float,
+    family: PowerThreshold,
+) -> AdmissibleRange:
+    """The image of a decreasing psi_f from T(f) at the ends of [origin, end].
+
+    theta_min = psi_f(end), or None (open at zero) when T(f)(end) = 0;
+    theta_max = psi_f(origin), or inf when origin <= shift, where the
+    power vanishes.
+    """
+    lo = t_end / (end - family.shift) ** family.p
+    if origin > family.shift:
+        theta_max = t_origin / (origin - family.shift) ** family.p
+    else:
+        theta_max = math.inf
+    return AdmissibleRange(theta_min=lo if lo > 0.0 else None, theta_max=theta_max, certified=True)
+
+
 def admissible_range(
     f: RankFrequencyFunction,
     kind: OperatorKind,
@@ -177,24 +207,16 @@ def admissible_range(
 ) -> AdmissibleRange:
     """Image of psi_f over the domain interior.
 
-    When T(f) decreases and the family is a power family, psi_f is
-    strictly decreasing, so the image follows from its endpoint values
-    and the result is certified.  Otherwise a grid min/max estimate is
+    Certified (see :func:`is_certified`) when T(f) decreases and the
+    family is a power family.  Otherwise a grid min/max estimate is
     returned with ``certified=False``.
     """
     tf = apply(kind, f)
     if f.is_zero():
         raise ZeroFunctionError("the zero function admits no positive theta")
     a, s = tf.origin, tf.support_end
-    if isinstance(family, PowerThreshold) and tf.monotonicity is Monotonicity.DECREASING:
-        end_val = tf.eval(s)
-        lo = end_val / (s - family.shift) ** family.p
-        theta_min = lo if lo > 0.0 else None
-        if a > family.shift:
-            theta_max = tf.eval(a) / (a - family.shift) ** family.p
-        else:
-            theta_max = math.inf
-        return AdmissibleRange(theta_min=theta_min, theta_max=theta_max, certified=True)
+    if is_certified(kind, family):
+        return certified_range(tf.eval(a), tf.eval(s), a, s, family)
     # grid estimate over the bijection region interior
     lo_x, hi_x = a, s
     span = s - a

@@ -8,13 +8,27 @@ import sys
 import time
 import warnings
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from hirschbundles.cli import MAX_THETA_COUNT, ThetaGrid, main, parse_theta_grid_flag, CliError
-from hirschbundles.funcspace import RankFrequencyFunction, from_citation_counts
+from hirschbundles.cli import (
+    CSV_CHUNK,
+    MAX_THETA_COUNT,
+    CliError,
+    Corpus,
+    IndexDef,
+    ThetaGrid,
+    _certified_ranges,
+    _range_or_error,
+    main,
+    parse_theta_grid_flag,
+)
+from hirschbundles.errors import BundleError
+from hirschbundles.funcspace import RankFrequencyFunction, citation_integrals, from_citation_counts
 from hirschbundles.operators import OperatorKind
 from hirschbundles.solver import sample_bundle
-from hirschbundles.thresholds import PowerThreshold
+from hirschbundles.thresholds import PowerThreshold, is_certified
 
 CSV_FIXTURE = "id,counts\nalice,10;8;5;4;3;2;1\nbob,9;7;2\n"
 
@@ -103,6 +117,9 @@ class TestIndexCommand:
             # as a JSON number, an integer beyond the float range
             pytest.param(str(10**401), "counts must be finite", id="401-digit-integer"),
             ("-1", "counts must be non-negative"),
+            # as JSON literals, float() would read them as 1.0 and 0.0
+            ("true", "counts must be numbers"),
+            ("false", "counts must be numbers"),
         ],
     )
     def test_bad_count_token_messages(self, tmp_path, capsys, token, problem):
@@ -112,7 +129,7 @@ class TestIndexCommand:
         q = tmp_path / "bad.json"
         q.write_text(json.dumps([{"id": "ok", "counts": [3, 2, 1]}, {"id": "x", "counts": [4, token]}]))
         assert run_cli(["index", str(q)], capsys) == (2, "", f"error: {q}: record 1: {problem}\n")
-        if token not in ("1 2", "nan"):  # also valid as a JSON number
+        if token not in ("1 2", "nan"):  # also valid as a bare JSON value
             q.write_text(f'[{{"id": "ok", "counts": [3, 2, 1]}}, {{"id": "x", "counts": [4, {token}]}}]')
             assert run_cli(["index", str(q)], capsys) == (
                 2, "", f"error: {q}: record 1: {problem}\n"
@@ -432,10 +449,37 @@ GOLDEN_STDOUT = {
     "index": "194319cf723a64f545cfa6ba43ef9dd51401c0af2ebd0c8ee0ee4b1db3e2774c",
 }
 
+# identity, averaging and integral x power at p = 0.5, 1, 2 and shift 0, then g
+# and a decreasing-linear family: certified and uncertified admissible ranges
+ELEVEN_INDICES = {
+    "indices": [
+        {"name": f"{prefix}{name}", "operator": operator, "p": p}
+        for prefix, operator in (("i", "identity"), ("a", "averaging"), ("n", "integral"))
+        for name, p in (("05", 0.5), ("1", 1.0), ("2", 2.0))
+    ]
+    + [
+        {"name": "g", "operator": "averaging", "p": 1.0, "shift": "origin"},
+        {"name": "dl", "operator": "identity", "family": "declin", "ceiling": 1000},
+    ]
+}
+
+GOLDEN_STDOUT_11 = {
+    "admissible": "ab010dde9c3e8a57ea95553a33f2e0315a61cec613361081ebdc515b7e473273",
+    "bundle": "7ae60bbccae6b8280e5e26e5c15716fc17cbfa6c683b0de3de8274ae3f9f5ed5",
+    "index": "353f97055f120b72d131b7dd3146b41a79b529aebf7207d1556b98851575d6bb",
+}
+
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])
-@pytest.mark.parametrize("command", sorted(GOLDEN_STDOUT))
-def test_golden_corpus_output_is_byte_identical(tmp_path, capsys, fmt, command):
+@pytest.mark.parametrize(
+    "command, config, digest",
+    [pytest.param(c, None, d, id=c) for c, d in sorted(GOLDEN_STDOUT.items())]
+    + [
+        pytest.param(c, ELEVEN_INDICES, d, id=f"{c}-11-indices")
+        for c, d in sorted(GOLDEN_STDOUT_11.items())
+    ],
+)
+def test_golden_corpus_output_is_byte_identical(tmp_path, capsys, fmt, command, config, digest):
     records = golden_records()
     p = tmp_path / f"golden.{fmt}"
     if fmt == "csv":
@@ -443,10 +487,205 @@ def test_golden_corpus_output_is_byte_identical(tmp_path, capsys, fmt, command):
     else:
         p.write_text(json.dumps([{"id": k, "counts": c} for k, c in records]))
     args = [command, str(p)] + (["--theta-grid", "0.5:2:7"] if command == "bundle" else [])
+    if config is not None:
+        cfg = tmp_path / "indices.json"
+        cfg.write_text(json.dumps(config))
+        args += ["--config", str(cfg)]
     code, out, err = run_cli(args, capsys)
     assert code == 0
-    assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_STDOUT[command]
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
     assert err.count("counts not sorted") == 7
+
+
+# Irregular CSV input for the reader, which parses a chunk of CSV_CHUNK records
+# with one numpy call and sends any chunk it cannot parse that way through the
+# line-by-line reader.  ONE_CHUNK fills the first chunk exactly.
+ONE_CHUNK = "".join(f"r{i},{3 + i % 5};2;1\n" for i in range(1000))
+
+READER_INPUTS = {
+    **{
+        name: f"id,counts\nok,3;2;1\nt,{token};1\n"
+        for name, token in [
+            ("underscore", "1_000"),
+            ("padded", " 12 "),
+            ("plus", "+5"),
+            ("arabic-indic", "\u0661\u0662"),
+            ("minus-zero", "-0"),
+            ("1e400", "1e400"),
+            ("inf", "inf"),
+            ("nan", "nan"),
+            ("empty-token", ""),
+            ("blank-token", " "),
+        ]
+    },
+    "quoted-id-extra-column-blank-line": 'id,counts\n"a,b",3;2;1\nc,4;1,extra\n\nd,5;5\n',
+    "crlf": 'id,counts\r\n"a,b",3;2;1\r\nc,4;1\r\n\r\nd,1;5\r\n',
+    "signed-zeros": "id,counts\nu,0;-0;1\nv,2;-0;0\n",
+    "zero-record": "id,counts\nz,0;0\nok,3;1\n",
+    "bad-first-record-of-second-chunk": "id,counts\n" + ONE_CHUNK + "r1000,4;x;1\nr1001,3;2\n",
+    "bad-last-record-of-first-chunk": (
+        "id,counts\n" + ONE_CHUNK[: ONE_CHUNK.rindex("r999")] + "r999,4;-1\nr1000,3;1\n"
+    ),
+    "unsorted-then-malformed": "id,counts\nu,1;5;3\n" + ONE_CHUNK + "bad,4;nan\n",
+    "unsorted-in-two-chunks": "id,counts\nu,1;5;3\n" + ONE_CHUNK + "w,0;2;1\nz,7;7\n",
+    # the csv module refuses a field beyond 131,072 characters
+    "bad-line-before-reader-failure": (
+        "id,counts\nok,3;2;1\nbad,x\nbig," + "1;" * 70_000 + "1\n"
+    ),
+}
+
+# exit code, stderr (of both commands), and sha256 of the stdout of
+# `admissible` and of `bundle --theta-grid 0.5:2:7`
+READER_OUTPUTS = {
+    "underscore": (
+        0, "",
+        "93b9b89dae3289aa805defe886da260d7364fd60595afe5302a8e733eca62305",
+        "cd61b82453392c2b048778280345fb57324c59882110d906156acb757d81236c",
+    ),
+    "padded": (
+        0, "",
+        "ac0fe57d28efab863c6df0f7d5c1f326bf90000db983d399cbfda7a7f542bb09",
+        "b5441e56feda936bc24cc38c005ddcb87ef77889a448b0cfc2432dc770882bbd",
+    ),
+    "plus": (
+        0, "",
+        "d56f08216d03fa897608b08bb687da56dbec125898c15020a8348693e10f0c8f",
+        "7b496c96fd80f149ece76b6a7125fcc78284a272d66dc6d0cd5549f24f9468f5",
+    ),
+    "arabic-indic": (
+        0, "",
+        "ac0fe57d28efab863c6df0f7d5c1f326bf90000db983d399cbfda7a7f542bb09",
+        "b5441e56feda936bc24cc38c005ddcb87ef77889a448b0cfc2432dc770882bbd",
+    ),
+    "minus-zero": (
+        0, "warning: source 't': counts not sorted non-increasingly; sorting\n",
+        "bd92832cd58e818f493bfb03b9e88f612cbdb8e1adc3a504d23777872fd8e30c",
+        "d5503967c74dfb57dd41ccd4ceb8785577ed37bd222104d51538124a9166f5cd",
+    ),
+    "1e400": (
+        2, "error: {p}: line 3: counts must be finite\n",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    ),
+    "inf": (
+        2, "error: {p}: line 3: counts must be finite\n",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    ),
+    "nan": (
+        2, "error: {p}: line 3: counts must be finite\n",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    ),
+    "empty-token": (
+        0, "",
+        "983971fb1ed6a36e8d7e27b739a32c4a37d01ef37374761685c281bbf34f299e",
+        "d5503967c74dfb57dd41ccd4ceb8785577ed37bd222104d51538124a9166f5cd",
+    ),
+    "blank-token": (
+        0, "",
+        "983971fb1ed6a36e8d7e27b739a32c4a37d01ef37374761685c281bbf34f299e",
+        "d5503967c74dfb57dd41ccd4ceb8785577ed37bd222104d51538124a9166f5cd",
+    ),
+    "quoted-id-extra-column-blank-line": (
+        0, "",
+        "be58f99e35e59b45fefe5b675f1217fd52e4a0f202977cf90c3a66c77fab0f25",
+        "60ef77750cc2b83db2ddca09e582023c34972c084e40e72e929be4911e59fde4",
+    ),
+    "crlf": (
+        0, "warning: source 'd': counts not sorted non-increasingly; sorting\n",
+        "5c3dc57851ebcb972e3f4b728e385de5eb426532afcf85ac58a5037422caf6b2",
+        "2af22630fd048bc4e5f994377c548bf332a572cdbdc6852b5f684034c8d85b3f",
+    ),
+    "signed-zeros": (
+        0, "warning: source 'u': counts not sorted non-increasingly; sorting\n",
+        "289750c5fed86e004098407dc410bac02f4d3bfe44a846ada05af6fab1ea74c1",
+        "5afad036c5401b078ba4aa11cd305d8704432d212302092710eaa73d478ef6bf",
+    ),
+    "zero-record": (
+        0, "",
+        "6ba6e14a3b33d619e56389820fb093012236982e01d1c87380ecb1a5806c03e3",
+        "a693f344d1ecfe799e490c07cf21103a78f0a8fb877ac71f6cfb9646e3e142b5",
+    ),
+    "bad-first-record-of-second-chunk": (
+        2, "error: {p}: line 1002: counts must be numbers\n",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    ),
+    "bad-last-record-of-first-chunk": (
+        2, "error: {p}: line 1001: counts must be non-negative\n",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    ),
+    "unsorted-then-malformed": (
+        2, "error: {p}: line 1003: counts must be finite\n",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    ),
+    "unsorted-in-two-chunks": (
+        0,
+        "warning: source 'u': counts not sorted non-increasingly; sorting\n"
+        "warning: source 'w': counts not sorted non-increasingly; sorting\n",
+        "4c066f4b13311d9ec60e45d54e19365d8cb829f56d8f4fc62fe45ad8bc19fda2",
+        "5ccc7be475d37dfb7c0d3f7092f26fdbfb5fee3854bbd1f84d8904937f364f71",
+    ),
+    "bad-line-before-reader-failure": (
+        2, "error: {p}: line 3: counts must be numbers\n",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", list(READER_OUTPUTS))
+def test_reader_output_is_pinned(tmp_path, capsys, name):
+    assert CSV_CHUNK == len(ONE_CHUNK.splitlines())
+    p = tmp_path / "input.csv"
+    p.write_text(READER_INPUTS[name], newline="")
+    code, err, *digests = READER_OUTPUTS[name]
+    for command, digest in zip(["admissible", "bundle"], digests):
+        args = [command, str(p)] + (["--theta-grid", "0.5:2:7"] if command == "bundle" else [])
+        got_code, out, got_err = run_cli(args, capsys)
+        assert (got_code, got_err) == (code, err.format(p=p))
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+# non-integer counts, with ties and zeros drawn often
+count_values = st.one_of(
+    st.floats(min_value=0.0, max_value=1e12, allow_nan=False, allow_infinity=False),
+    st.sampled_from([0.0, 0.1, 1 / 3, 2.5, 1e-300]),
+)
+count_records = st.lists(count_values, min_size=1, max_size=40).map(
+    lambda c: sorted(c, reverse=True)
+)
+
+
+def _comparable(rng):
+    return (type(rng), str(rng)) if isinstance(rng, BundleError) else rng
+
+
+@given(st.lists(count_records, min_size=1, max_size=12))
+@settings(max_examples=100, deadline=None)
+def test_certified_ranges_are_bitwise_those_of_admissible_range(records):
+    records = records + [[0.0] * 3]  # the zero function admits no theta
+    lengths = [len(r) for r in records]
+    corpus = Corpus(
+        ids=[f"r{i}" for i in range(len(records))],
+        counts=np.array([c for r in records for c in r]),
+        offsets=np.concatenate([[0], np.cumsum(lengths)]),
+    )
+    functions = [from_citation_counts(r) for r in records]
+    totals = citation_integrals(corpus.counts, corpus.offsets).tolist()
+    assert [t.hex() for t in totals] == [float(f.cumulative[-1]).hex() for f in functions]
+    for operator in ("identity", "averaging"):
+        for p in (0.5, 1.0, 2.0):
+            for shift in (0.0, "origin"):
+                idx = IndexDef(name="x", operator=operator, p=p, shift=shift)
+                kind, fam = idx.resolve_at(0.0)
+                assert is_certified(kind, fam)
+                got = _certified_ranges(corpus, kind, fam)
+                want = [_range_or_error(f, *idx.resolve(f)) for f in functions]
+                assert list(map(_comparable, got)) == list(map(_comparable, want))
 
 
 class TestDeterminism:
