@@ -390,9 +390,11 @@ def _emit(rows: list[dict], columns: list[str], fmt: str, out: io.TextIOBase) ->
         writer.writerow([row[c] for c in columns])
 
 
-def _bundle_entries(args, cfg: RunConfig):
-    """(id, index, threshold, entry) for every source, index and theta, in input order."""
-    thetas = cfg.theta_grid.values()
+def _bundle_samples(args, cfg: RunConfig, thetas: list[float]):
+    """(id, index, threshold, entries) for every source and index, in input order.
+
+    The entries are those of the source's bundle over ``thetas``, in grid order.
+    """
     for source_id, f in _build_functions(read_sources(args.input)):
         for idx in cfg.indices:
             kind, fam = idx.resolve(f)
@@ -400,38 +402,47 @@ def _bundle_entries(args, cfg: RunConfig):
                 sample = sample_bundle(f, kind, fam, thetas, cfg.solver, function_id=source_id)
             except BundleError as e:
                 raise CliError(f"source {source_id!r}, index {idx.name!r}: {e}")
-            for entry in sample.entries:
-                yield source_id, idx, fam, entry
+            yield source_id, idx, fam, sample.entries
 
 
 def cmd_index(args, cfg: RunConfig) -> int:
+    thetas = cfg.theta_grid.values()
+    theta_cells = [_fmt(theta) for theta in thetas]
     rows = [
         {
             "id": source_id,
             "index": idx.name,
-            "theta": _fmt(entry.theta),
+            "theta": theta_cell,
             "value": _fmt(entry.m) if math.isfinite(entry.m) else entry.status.value,
         }
-        for source_id, idx, _, entry in _bundle_entries(args, cfg)
+        for source_id, idx, _, entries in _bundle_samples(args, cfg, thetas)
+        for theta_cell, entry in zip(theta_cells, entries)
     ]
     _emit(rows, ["id", "index", "theta", "value"], args.format, sys.stdout)
     return 0
 
 
 def cmd_bundle(args, cfg: RunConfig) -> int:
-    rows = [
-        {
-            "id": source_id,
-            "index": idx.name,
-            "operator": idx.operator,
-            "p": _fmt(idx.p) if idx.family == "power" else "",
-            "shift": _fmt(fam.shift) if idx.family == "power" else "",
-            "theta": _fmt(entry.theta),
-            "m": _fmt(entry.m) if math.isfinite(entry.m) else "",
-            "status": entry.status.value,
-        }
-        for source_id, idx, fam, entry in _bundle_entries(args, cfg)
-    ]
+    thetas = cfg.theta_grid.values()
+    theta_cells = [_fmt(theta) for theta in thetas]
+    rows = []
+    for source_id, idx, fam, entries in _bundle_samples(args, cfg, thetas):
+        power = idx.family == "power"
+        p_cell = _fmt(idx.p) if power else ""
+        shift_cell = _fmt(fam.shift) if power else ""
+        rows.extend(
+            {
+                "id": source_id,
+                "index": idx.name,
+                "operator": idx.operator,
+                "p": p_cell,
+                "shift": shift_cell,
+                "theta": theta_cell,
+                "m": _fmt(entry.m) if math.isfinite(entry.m) else "",
+                "status": entry.status.value,
+            }
+            for theta_cell, entry in zip(theta_cells, entries)
+        )
     _emit(
         rows,
         ["id", "index", "operator", "p", "shift", "theta", "m", "status"],
@@ -477,7 +488,10 @@ def _certified_ranges(
             record = corpus.counts[corpus.offsets[i] : corpus.offsets[i + 1]]
             ranges.append(_range_or_error(from_citation_counts(record), kind, fam))
         else:
-            ranges.append(certified_range(first, t_end, _RECORD_ORIGIN, end, fam))
+            try:
+                ranges.append(certified_range(first, t_end, _RECORD_ORIGIN, end, fam))
+            except BundleError as e:  # a shift at or beyond the support end
+                ranges.append(e)
     return ranges
 
 

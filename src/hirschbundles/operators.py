@@ -88,10 +88,30 @@ class TransformedFunction:
 
     @cached_property
     def breakpoint_values(self) -> np.ndarray:
-        """T(f) at every breakpoint of f, computed once (read-only)."""
-        values = self.eval_many(self.source.xs)
+        """T(f) at every breakpoint of f (read-only); equal to ``eval_many(source.xs)``.
+
+        At a breakpoint I(f) is the running integral ``cumulative``, and
+        mu(f) is that over (x - a), or f(a) in the left-edge band.
+        """
+        f = self.source
+        if self.kind is OperatorKind.IDENTITY:
+            return f.ys
+        if self.kind is OperatorKind.INTEGRAL:
+            return f.cumulative
+        rel = f.xs - self.origin
+        edge = rel < _AVERAGING_EDGE * self._span
+        values = np.where(edge, f.ys[0], f.cumulative / np.where(edge, 1.0, rel))
         values.flags.writeable = False
         return values
+
+    @cached_property
+    def solve_tables(self) -> dict:
+        """The solver's memo of per-window solve tables for this T(f), filled on first use.
+
+        Each entry is a pure function of its key, so concurrent fills write
+        equal values and the memo is as safe to share as the function.
+        """
+        return {}
 
     def eval(self, x: float) -> float:
         """Scalar :meth:`eval_many`: the same arithmetic, without array set-up."""

@@ -12,9 +12,13 @@ on which T(f) is linear (identity), quadratic (integral) or a quadratic
 over (x - a) (averaging):
 
 * Identity or averaging against a power threshold: T(f) is non-increasing
-  and A strictly increasing, so D is strictly decreasing.  D at the window
-  ends and the breakpoints inside (T(f) there is cached on the
-  TransformedFunction) locates the one sign change by binary search.
+  and A strictly increasing, so D is strictly decreasing.  Along theta,
+  D = T(f) - theta * (x - shift)^p changes only by the theta factor, so
+  each window gets one solve table, memoized on the TransformedFunction:
+  the window ends and the breakpoints inside, T(f) there, the theta-free
+  base (x - shift)^p, and the breakpoint segment of each interval, all as
+  Python floats.  Each theta then pays one float bisection over the table
+  for the one sign change, and solves on the segment it lands in.
 * Every other pair: each breakpoint segment is split into monotone pieces
   at the critical points of D -- or of (x - a) * D for averaging, which
   has the same sign for x > a.  Where that is a polynomial of degree at
@@ -37,10 +41,11 @@ theta.
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -150,18 +155,50 @@ def _solve_decreasing(
     hi: float,
     open_lo: bool,
 ) -> tuple[float, SolveStatus]:
-    """D strictly decreasing: binary-search its breakpoint values for the sign change."""
-    i0, i1, xs = _window_points(tf, lo, hi)
-    tvals = np.concatenate(([tf.eval(lo)], tf.breakpoint_values[i0:i1], [tf.eval(hi)]))
-    dvals = tvals - family.value_many(xs, theta)
-    j = int(np.searchsorted(-dvals, 0.0))  # first point with D <= 0
-    if j == len(dvals):
+    """D strictly decreasing: bisect the window's solve table for the sign change.
+
+    D at table point i is ``tvals[i] - theta * base[i]``.  The bisection
+    finds the first point with D <= 0 by the same probes (and the same
+    float arithmetic) as ``np.searchsorted(-dvals, 0.0)`` over the array
+    of those values, so every decision is that of the array search.
+    """
+    xs, tvals, base, segments = _power_table(tf, family, lo, hi)
+    n = len(xs)
+    j = bisect.bisect_left(range(n), 0.0, key=lambda i: theta * base[i] - tvals[i])
+    if j == n:
+        dvals = [t - theta * b for t, b in zip(tvals, base)]
         return _boundary_root(tf, theta, lo, hi, open_lo, dvals)
-    if dvals[j] == 0.0 and not (j == 0 and open_lo):
-        return float(xs[j]), SolveStatus.EXACT_SEGMENT
+    if tvals[j] - theta * base[j] == 0.0 and not (j == 0 and open_lo):
+        return xs[j], SolveStatus.EXACT_SEGMENT
     if j == 0:
         raise NoRootError(f"theta={theta} is not admissible: D < 0 on the domain from {lo} to {hi}")
-    return _locate(tf, family, theta, cfg, float(xs[j - 1]), float(xs[j]), float(dvals[j - 1]))
+    d_lo = tvals[j - 1] - theta * base[j - 1]
+    return _locate(tf, family, theta, cfg, xs[j - 1], xs[j], d_lo, segments[j - 1])
+
+
+class _PowerTable(NamedTuple):
+    """The theta-free part of D = T(f) - theta * (x - shift)^p on one window."""
+
+    xs: list[float]  # lo, the breakpoints strictly inside (lo, hi), and hi
+    tvals: list[float]  # T(f) at xs
+    base: list[float]  # (xs - shift)^p
+    segments: list[tuple[float, float, float, float]]  # _segment of [xs[k], xs[k + 1]]
+
+
+def _power_table(
+    tf: TransformedFunction, family: PowerThreshold, lo: float, hi: float
+) -> _PowerTable:
+    """The solve table of window [lo, hi], built on first use and kept on ``tf``."""
+    key = (family, lo, hi)
+    table = tf.solve_tables.get(key)
+    if table is None:
+        i0, i1, xs = _window_points(tf, lo, hi)
+        tvals = [tf.eval(lo), *tf.breakpoint_values[i0:i1].tolist(), tf.eval(hi)]
+        base = np.power(xs - family.shift, family.p).tolist()
+        columns = (c.tolist() for c in _segment(tf.source, slice(i0 - 1, i1)))
+        table = _PowerTable(xs.tolist(), tvals, base, list(zip(*columns)))
+        tf.solve_tables[key] = table
+    return table
 
 
 def _solve_general(
@@ -177,7 +214,7 @@ def _solve_general(
     f = tf.source
     i0, i1, ends = _window_points(tf, lo, hi)
     segs = np.arange(i0 - 1, i1)  # breakpoint segment between consecutive ends
-    poly = _segment_poly(tf, family, theta, segs)
+    poly = _segment_poly(tf, family, theta, _segment(f, segs))
     if poly is not None:
         c2, c1, _ = poly
         with np.errstate(divide="ignore", invalid="ignore"):
@@ -199,7 +236,10 @@ def _solve_general(
     if zeros.any():
         return float(xs[int(np.argmax(zeros))]), SolveStatus.EXACT_SEGMENT
     j = int(crossings[0])
-    return _locate(tf, family, theta, cfg, float(xs[j]), float(xs[j + 1]), float(dvals[j]))
+    seg = min(int(np.searchsorted(f.xs, xs[j], side="right")) - 1, len(f.xs) - 2)
+    return _locate(
+        tf, family, theta, cfg, float(xs[j]), float(xs[j + 1]), float(dvals[j]), _segment(f, seg)
+    )
 
 
 def _window_points(tf: TransformedFunction, lo: float, hi: float) -> tuple[int, int, np.ndarray]:
@@ -221,27 +261,32 @@ def _boundary_root(
     raise NoRootError(f"theta={theta} is not admissible: no root on {bracket}{lo}, {hi}]")
 
 
-def _transform_poly(tf: TransformedFunction, seg):
-    """T(f) on breakpoint segment(s) ``seg`` as coefficients (c2, c1, c0) in t = x - x_seg.
+def _segment(f: RankFrequencyFunction, seg):
+    """(x0, y0, slope, cumulative) of breakpoint segment(s) ``seg``: an index, slice or array."""
+    return f.xs[seg], f.ys[seg], f.slopes[seg], f.cumulative[seg]
+
+
+def _transform_poly(tf: TransformedFunction, segment):
+    """T(f) on a breakpoint segment as coefficients (c2, c1, c0) in t = x - x0.
 
     For averaging these are the numerator I(f) of mu(f) = I(f) / (x - a).
-    ``seg`` may be an index or an array of indices.
+    ``segment`` is what :func:`_segment` returns, for one segment or many.
     """
-    f = tf.source
+    _, y0, slope, cumulative = segment
     if tf.kind is OperatorKind.IDENTITY:
-        return 0.0, f.slopes[seg], f.ys[seg]
-    return f.slopes[seg] / 2.0, f.ys[seg], f.cumulative[seg]
+        return 0.0, slope, y0
+    return slope / 2.0, y0, cumulative
 
 
-def _segment_poly(tf: TransformedFunction, family: ThresholdFamily, theta: float, seg):
-    """Coefficients (c2, c1, c0) in t = x - x_seg of D on breakpoint segment(s) ``seg``.
+def _segment_poly(tf: TransformedFunction, family: ThresholdFamily, theta: float, segment):
+    """Coefficients (c2, c1, c0) in t = x - x0 of D on a breakpoint segment (or several).
 
     For averaging the polynomial is the cleared-denominator
     (x - a) * D = I(f)(x) - (x - a) * A(x, theta), which has the sign of D
     for x > a.  Returns None when it is not of degree <= 2: a power
     exponent other than 1 or 2, or averaging against p = 2.
     """
-    x0 = tf.source.xs[seg]
+    x0 = segment[0]
     if isinstance(family, PowerThreshold):
         d = x0 - family.shift
         if family.p == 1.0:
@@ -257,7 +302,7 @@ def _segment_poly(tf: TransformedFunction, family: ThresholdFamily, theta: float
             return None
         e = x0 - tf.origin  # multiply A by (x - a) = t + e
         a2, a1, a0 = a1, a1 * e + a0, a0 * e
-    t2, t1, t0 = _transform_poly(tf, seg)
+    t2, t1, t0 = _transform_poly(tf, segment)
     return t2 - a2, t1 - a1, t0 - a0
 
 
@@ -304,16 +349,16 @@ def _locate(
     lo: float,
     hi: float,
     d_lo: float,
+    segment,
 ) -> tuple[float, SolveStatus]:
     """The single root of D on (lo, hi), where D is monotone and changes sign.
 
+    [lo, hi] lies in the breakpoint segment ``segment`` (see :func:`_segment`).
     In closed form when the segment polynomial has degree <= 2, by
     bisection otherwise.
     """
-    xs = tf.source.xs
-    seg = min(int(np.searchsorted(xs, lo, side="right")) - 1, len(xs) - 2)
-    x0 = float(xs[seg])
-    poly = _segment_poly(tf, family, theta, seg)
+    x0 = float(segment[0])
+    poly = _segment_poly(tf, family, theta, segment)
     if poly is not None:
         c2, c1, c0 = (float(c) for c in poly)
         # c0 = 0 puts a root at t = 0, the left end; for averaging's first
@@ -326,15 +371,25 @@ def _locate(
             return min(max(inside[0], lo), hi), SolveStatus.EXACT_SEGMENT
 
     # D from the segment's own polynomial: no breakpoint search per step
-    t2, t1, t0 = (float(c) for c in _transform_poly(tf, seg))
+    t2, t1, t0 = (float(c) for c in _transform_poly(tf, segment))
     a = tf.origin if tf.kind is OperatorKind.AVERAGING else None
+    if isinstance(family, PowerThreshold):
+        shift, p = family.shift, family.p
+
+        def threshold(x: float) -> float:
+            return theta * (x - shift) ** p  # PowerThreshold.value, without its checks
+
+    else:
+
+        def threshold(x: float) -> float:
+            return family.value(x, theta)
 
     def d(x: float) -> float:
         t = x - x0
         value = t0 + t1 * t + t2 * t * t
         if a is not None:
             value /= x - a
-        return value - family.value(x, theta)
+        return value - threshold(x)
 
     return _bisect(d, lo, hi, d_lo, cfg.abs_tol_x), SolveStatus.BISECTION
 

@@ -27,6 +27,7 @@ import numpy as np
 from .errors import (
     DomainError,
     NonPositiveThetaError,
+    NoRootError,
     SingularAbscissaError,
     ZeroFunctionError,
     ZeroValueError,
@@ -190,14 +191,23 @@ def certified_range(
 
     theta_min = psi_f(end), or None (open at zero) when T(f)(end) = 0;
     theta_max = psi_f(origin), or inf when origin <= shift, where the
-    power vanishes.
+    power vanishes.  Raises NoRootError when shift >= end: the threshold
+    is then not positive on [origin, end], so no theta is admissible.
     """
+    _require_positive_somewhere(family, origin, end)
     lo = t_end / (end - family.shift) ** family.p
     if origin > family.shift:
         theta_max = t_origin / (origin - family.shift) ** family.p
     else:
         theta_max = math.inf
     return AdmissibleRange(theta_min=lo if lo > 0.0 else None, theta_max=theta_max, certified=True)
+
+
+def _require_positive_somewhere(family: PowerThreshold, origin: float, end: float) -> None:
+    if family.shift >= end:
+        raise NoRootError(
+            f"no theta is admissible: the threshold is not positive on [{origin}, {end}]"
+        )
 
 
 def admissible_range(
@@ -221,6 +231,7 @@ def admissible_range(
     lo_x, hi_x = a, s
     span = s - a
     if isinstance(family, PowerThreshold):
+        _require_positive_somewhere(family, a, s)
         lo_x = max(lo_x, family.shift) + 1e-9 * span
     else:
         hi_x = min(hi_x, family.ceiling) - 1e-9 * span

@@ -98,7 +98,7 @@ def test_criterion_01_closed_form_indices():
         and abs(h2 - 10.0 / 3.0) <= 1e-9
         and abs(g1 - 20.0 / 3.0) <= 1e-9
         and abs(k2 - expected_k2) <= 1e-9
-        and elapsed < 0.0015
+        and elapsed < 0.0010
     )
     _report(
         1,

@@ -3,6 +3,7 @@ import hashlib
 import io
 import json
 import math
+import re
 import subprocess
 import sys
 import time
@@ -24,11 +25,11 @@ from hirschbundles.cli import (
     main,
     parse_theta_grid_flag,
 )
-from hirschbundles.errors import BundleError
+from hirschbundles.errors import BundleError, NoRootError
 from hirschbundles.funcspace import RankFrequencyFunction, citation_integrals, from_citation_counts
 from hirschbundles.operators import OperatorKind
 from hirschbundles.solver import sample_bundle
-from hirschbundles.thresholds import PowerThreshold, is_certified
+from hirschbundles.thresholds import PowerThreshold, admissible_range, is_certified
 
 CSV_FIXTURE = "id,counts\nalice,10;8;5;4;3;2;1\nbob,9;7;2\n"
 
@@ -270,6 +271,37 @@ class TestAdmissibleCommand:
         code, out, err = run_cli(["admissible", str(src), "--config", str(p)], capsys)
         assert code == 0
         assert "certified=false" in err
+
+    # A shift at or past the support end S = 8 of the 7-count record leaves
+    # the threshold non-positive on [0, S]: no theta is admissible.  The
+    # first three ranges are certified, answered by the column pass and by
+    # admissible_range; the last takes admissible_range's grid branch.
+    @pytest.mark.parametrize(
+        "operator, p, shift",
+        [
+            ("identity", 0.5, 100.0),  # was a TypeError: (S - shift) ** p is complex
+            ("averaging", 1.0, 8.0),  # was a ZeroDivisionError
+            ("identity", 1.0, 100.0),  # was the range 0, inf, where index reports NoRoot
+            ("integral", 1.0, 100.0),  # was a ValueError from a negative theta_min
+        ],
+    )
+    def test_shift_at_or_past_support_end_admits_no_theta(
+        self, tmp_path, capsys, operator, p, shift
+    ):
+        idx = {"name": "x", "operator": operator, "p": p, "shift": shift}
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"indices": [idx]}))
+        src = tmp_path / "s.csv"
+        src.write_text("id,counts\nr,10;8;5;4;3;2;1\n")
+        code, out, _ = run_cli(["admissible", str(src), "--config", str(cfg)], capsys)
+        assert code == 0
+        message = "no theta is admissible: the threshold is not positive on [0.0, 8.0]"
+        assert out.splitlines()[1] == f'r,x,,,"error: {message}"'
+        f = from_citation_counts([10, 8, 5, 4, 3, 2, 1])
+        with pytest.raises(NoRootError, match=re.escape(message)):
+            admissible_range(f, *IndexDef(**idx).resolve(f))
+        code, out, _ = run_cli(["index", str(src), "--config", str(cfg)], capsys)
+        assert (code, out.splitlines()[1]) == (0, "r,x,1,NoRoot")
 
 
 class TestVerifyCommand:
@@ -679,7 +711,7 @@ def test_certified_ranges_are_bitwise_those_of_admissible_range(records):
     assert [t.hex() for t in totals] == [float(f.cumulative[-1]).hex() for f in functions]
     for operator in ("identity", "averaging"):
         for p in (0.5, 1.0, 2.0):
-            for shift in (0.0, "origin"):
+            for shift in (0.0, "origin", 100.0):  # 100 lies past every record's support
                 idx = IndexDef(name="x", operator=operator, p=p, shift=shift)
                 kind, fam = idx.resolve_at(0.0)
                 assert is_certified(kind, fam)

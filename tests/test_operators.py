@@ -2,6 +2,7 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hirschbundles.errors import DomainError
 from hirschbundles.funcspace import RankFrequencyFunction, random_function
@@ -151,6 +152,44 @@ class TestScalarEval:
             )
             for x, v in zip(xs, tf.eval_many(xs)):
                 assert tf.eval(float(x)) == v
+
+
+# breakpoint gaps, with gaps far inside averaging's edge band drawn often
+gaps = st.one_of(
+    st.floats(min_value=1e-3, max_value=10.0),
+    st.sampled_from([1e-15, 1e-12, 1e-9]),
+)
+
+
+@st.composite
+def functions(draw):
+    n = draw(st.integers(min_value=2, max_value=10))
+    start = draw(st.floats(min_value=0.0, max_value=5.0))
+    xs = start + np.cumsum([0.0] + draw(st.lists(gaps, min_size=n - 1, max_size=n - 1)))
+    ys = sorted(draw(st.lists(st.floats(0.0, 50.0), min_size=n, max_size=n)), reverse=True)
+    if not (np.diff(xs) > 0.0).all():  # a gap lost to rounding against a large start
+        xs = start + np.arange(n, dtype=float)
+    return RankFrequencyFunction(list(zip(xs.tolist(), ys)))
+
+
+class TestBreakpointValues:
+    """The closed form: ys, cumulative, and cumulative / (x - a) outside the edge band."""
+
+    @given(functions())
+    @settings(max_examples=200, deadline=None)
+    def test_equal_to_eval_many_at_the_breakpoints(self, f):
+        for kind in OperatorKind:
+            tf = apply(kind, f)
+            values = tf.breakpoint_values
+            assert not values.flags.writeable
+            assert np.array_equal(values, tf.eval_many(f.xs))
+            assert values[-1] == tf.eval(f.support_end)
+
+    def test_averaging_edge_band_holds_f_of_a(self):
+        # x = 1e-12 is inside the band [0, 1e-9 * 10) of f's support, so it gets f(a)
+        f = RankFrequencyFunction([(0.0, 10.0), (1e-12, 9.0), (10.0, 0.0)])
+        values = apply(OperatorKind.AVERAGING, f).breakpoint_values
+        assert values.tolist() == [10.0, 10.0, float(f.cumulative[-1]) / 10.0]
 
 
 class TestKindIsTheOperator:

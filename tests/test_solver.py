@@ -1,8 +1,11 @@
+import bisect
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from hirschbundles import solver
 from hirschbundles.errors import NonPositiveThetaError, NoRootError, NonUniqueError
 from hirschbundles.funcspace import (
     PerturbMode,
@@ -367,3 +370,80 @@ class TestExactIsolation:
                 else:
                     m, _ = solve_transformed(tf, fam, theta)
                     assert abs(m - roots[0]) <= spacing + 1e-10, where
+
+
+def _outcome(tf, fam, theta, window):
+    try:
+        return solve_transformed(tf, fam, theta, x_window=window)
+    except (NoRootError, NonUniqueError) as e:
+        return type(e), str(e)
+
+
+class TestSolveTable:
+    """Identity or averaging against a power threshold: one solve table per window."""
+
+    FAMILIES = [
+        PowerThreshold(1.0, 0.0),
+        PowerThreshold(2.0, 0.0),
+        PowerThreshold(0.5, 0.0),
+        PowerThreshold(1.0, 2.5),
+    ]
+    WINDOWS = [None, (0.0, 4.5), (1.5, 8.0), (2.0, 6.0)]
+
+    @pytest.mark.parametrize("kind", [IDENTITY, AVERAGING])
+    def test_memo_answers_as_a_fresh_transform(self, kind, counts_fixture):
+        tf = apply(kind, counts_fixture)
+        for _ in range(2):  # the second pass reads every table from the memo
+            for theta in (0.3, 1.0, 3.0):
+                for fam in self.FAMILIES:  # alternating families and windows
+                    for window in self.WINDOWS:
+                        fresh = apply(kind, counts_fixture)
+                        assert _outcome(tf, fam, theta, window) == _outcome(
+                            fresh, fam, theta, window
+                        )
+        # one table per window searched: for shift 2.5, [0, 8] and [1.5, 8] both become (2.5, 8]
+        assert len(tf.solve_tables) == len(self.FAMILIES) * len(self.WINDOWS) - 1
+
+    def test_exact_breakpoint_root(self, counts_fixture, monkeypatch):
+        # f(4) = 4 = theta * 4: D = 0 at a breakpoint, answered without a segment solve
+        monkeypatch.setattr(solver, "_locate", None)
+        m, status = solve_bundle_point(counts_fixture, IDENTITY, PowerThreshold(1.0, 0.0), 1.0)
+        assert (m, status) == (4.0, SolveStatus.EXACT_SEGMENT)
+
+    def test_no_root_when_d_is_negative_at_the_window_start(self, counts_fixture):
+        # D(5) = f(5) - 5 = -2, and D decreases
+        with pytest.raises(NoRootError, match="D < 0"):
+            solve_bundle_point(
+                counts_fixture, IDENTITY, PowerThreshold(1.0, 0.0), 1.0, x_window=(5.0, 8.0)
+            )
+
+    def test_boundary_root_at_support_end(self, const4, monkeypatch):
+        # D(8) = 4 - 8 theta = 2**-50 > 0 at every table point, within the boundary tolerance
+        monkeypatch.setattr(solver, "_locate", None)
+        theta = 0.5 - 2.0**-53
+        m, status = solve_bundle_point(const4, IDENTITY, PowerThreshold(1.0, 0.0), theta)
+        assert (m, status) == (8.0, SolveStatus.EXACT_SEGMENT)
+
+    def test_open_lower_end_at_the_shift_is_not_a_root(self):
+        # on the window (5, 8], T(f)(5) = 0 = A(5, theta): D(5) = 0 at the excluded end
+        f = RankFrequencyFunction([(0.0, 10.0), (4.0, 0.0), (8.0, 0.0)])
+        with pytest.raises(NoRootError, match="D < 0"):
+            solve_bundle_point(f, IDENTITY, PowerThreshold(1.0, 5.0), 1.0)
+
+    def test_g_root_next_to_its_open_lower_end(self, counts_fixture):
+        # mu(f) = 10 on [0, 1], so mu(f)(x) = theta * x at x = 10 / theta
+        for theta in (20.0, 1000.0):
+            m, status = solve_bundle_point(
+                counts_fixture, AVERAGING, PowerThreshold(1.0, 0.0), theta
+            )
+            assert status is SolveStatus.EXACT_SEGMENT
+            assert m == pytest.approx(10.0 / theta, rel=1e-12)
+
+
+@given(st.lists(st.floats(-1e3, 1e3), min_size=1, max_size=40))
+@settings(max_examples=300, deadline=None)
+def test_table_bisect_probes_as_searchsorted(dvals):
+    """Also where rounding leaves D out of order, the float bisection and the
+    array search pick the same point."""
+    j = bisect.bisect_left(range(len(dvals)), 0.0, key=lambda i: -dvals[i])
+    assert j == int(np.searchsorted(-np.array(dvals), 0.0))
