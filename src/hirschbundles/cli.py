@@ -2,9 +2,16 @@
 report admissible ranges, and run the verification suite.
 
 Input files are CSV with header ``id,counts`` (counts separated by ``;``)
-or JSON arrays of ``{"id": ..., "counts": [...]}``.  All computed tables
-are emitted in input order with 12 significant digits, so identical
-(input, config, seed) triples produce byte-identical output.
+or JSON arrays of ``{"id": ..., "counts": [...]}``.  The CSV reader parses
+1,000 records at a time: counts of 1 to 15 ASCII digits straight from the
+text's bytes, exactly; any other chunk with one numpy conversion, and an
+irregular one line by line, whose messages name the first bad line.
+
+All computed tables are emitted in input order with 12 significant
+digits, so identical (input, config, seed) triples produce byte-identical
+output.  Rows are tuples of cells in column order; ``--format json``
+turns them into objects.  Certified admissible ranges are computed and
+formatted as columns over the whole corpus.
 
 Exit codes: 0 success, 1 verification failure, 2 input or config error.
 """
@@ -18,8 +25,9 @@ import json
 import math
 import sys
 from dataclasses import dataclass, field, replace
+from itertools import chain, repeat
 from pathlib import Path
-from typing import Iterator
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -33,6 +41,7 @@ from .thresholds import (
     PowerThreshold,
     ThresholdFamily,
     admissible_range,
+    certified_bounds,
     certified_range,
     is_certified,
 )
@@ -197,8 +206,8 @@ def parse_theta_grid_flag(text: str) -> ThetaGrid:
 # --------------------------------------------------------------------------
 
 
-# Records per chunk of the CSV reader: one numpy call parses the counts of a
-# whole chunk, and a chunk keeps few enough token strings alive at once.
+# Records per chunk of the CSV reader: the counts of a whole chunk are parsed
+# at once, and a chunk keeps few enough strings and arrays alive at once.
 CSV_CHUNK = 1000
 
 
@@ -332,21 +341,64 @@ def _read_csv(p: Path) -> list[_Chunk]:
 
 
 def _parse_chunk(p: Path, rows: list[tuple[int, list[str]]]) -> _Chunk:
-    """Parse the counts of non-blank rows with one numpy call.
+    """Parse the counts of non-blank rows in one pass over the chunk's text.
 
-    Any irregularity (a short row; an empty, blank, non-numeric, non-finite
-    or negative token) sends the rows through the line-by-line reader
-    instead, which skips what it may skip and names the first bad line.
+    Counts of 1 to 15 ASCII digits go through :func:`_parse_digits`; any
+    other chunk is converted with one numpy call.  Any irregularity (a short
+    row; an empty, blank, non-numeric, non-finite or negative token) sends
+    the rows through the line-by-line reader instead, which skips what it
+    may skip and names the first bad line.
     """
     try:
         fields = [row[1] for _, row in rows]
-        # numpy converts each string as float() does
-        counts = np.array(";".join(fields).split(";"), dtype=float)
-    except (IndexError, ValueError):
+    except IndexError:
         return _parse_rows(p, rows)
-    if not ((counts >= 0.0) & (counts < math.inf)).all():  # NaN fails both
-        return _parse_rows(p, rows)
+    text = ";".join(fields)
+    counts = _parse_digits(text)
+    if counts is None:
+        try:
+            # numpy converts each string as float() does
+            counts = np.array(text.split(";"), dtype=float)
+        except ValueError:
+            return _parse_rows(p, rows)
+        if not ((counts >= 0.0) & (counts < math.inf)).all():  # NaN fails both
+            return _parse_rows(p, rows)
     return [row[0].strip() for _, row in rows], counts, [f.count(";") + 1 for f in fields]
+
+
+# Tokens of at most this many digits are below 10**15 < 2**53, so every
+# partial value of Horner's rule is an integer that float64 holds exactly.
+_MAX_DIGITS = 15
+
+
+def _parse_digits(text: str) -> np.ndarray | None:
+    """The values of ``;``-separated tokens of 1 to 15 ASCII digits each.
+
+    Each value is bitwise ``float(token)``, leading zeros included.  Returns
+    None for any other text, an empty token or a longer one included.
+    """
+    if not text.isascii():
+        return None
+    # allocated before the temporaries, so that their space is reused
+    # once they are freed rather than left below the kept array
+    values = np.empty(text.count(";") + 1)
+    codes = np.frombuffer(text.encode("ascii"), dtype=np.uint8)
+    digits = codes - ord("0")  # wraps around below "0"
+    separators = np.flatnonzero(digits > 9)
+    if not (codes[separators] == ord(";")).all():
+        return None
+    starts = np.concatenate([[0], separators + 1])
+    lengths = np.append(separators, len(codes)) - starts
+    if not 1 <= lengths.min() <= lengths.max() <= _MAX_DIGITS:
+        return None
+    for n in np.flatnonzero(np.bincount(lengths)).tolist():
+        tokens = lengths == n
+        first = starts[tokens]
+        value = digits[first].astype(float)
+        for i in range(1, n):  # Horner's rule, one digit column at a time
+            value = value * 10.0 + digits[first + i]
+        values[tokens] = value
+    return values
 
 
 def _parse_rows(p: Path, rows: list[tuple[int, list[str]]]) -> _Chunk:
@@ -379,15 +431,15 @@ def _build_functions(corpus: Corpus) -> list[tuple[str, RankFrequencyFunction]]:
 # --------------------------------------------------------------------------
 
 
-def _emit(rows: list[dict], columns: list[str], fmt: str, out: io.TextIOBase) -> None:
+def _emit(rows: Iterable[tuple], columns: list[str], fmt: str, out: io.TextIOBase) -> None:
+    """Write ``rows``, tuples of cells in column order, as CSV or JSON records."""
     if fmt == "json":
-        json.dump(rows, out, indent=2)
+        json.dump([dict(zip(columns, row)) for row in rows], out, indent=2)
         out.write("\n")
         return
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(columns)
-    for row in rows:
-        writer.writerow([row[c] for c in columns])
+    writer.writerows(rows)
 
 
 def _bundle_samples(args, cfg: RunConfig, thetas: list[float]):
@@ -409,12 +461,12 @@ def cmd_index(args, cfg: RunConfig) -> int:
     thetas = cfg.theta_grid.values()
     theta_cells = [_fmt(theta) for theta in thetas]
     rows = [
-        {
-            "id": source_id,
-            "index": idx.name,
-            "theta": theta_cell,
-            "value": _fmt(entry.m) if math.isfinite(entry.m) else entry.status.value,
-        }
+        (
+            source_id,
+            idx.name,
+            theta_cell,
+            _fmt(entry.m) if math.isfinite(entry.m) else entry.status.value,
+        )
         for source_id, idx, _, entries in _bundle_samples(args, cfg, thetas)
         for theta_cell, entry in zip(theta_cells, entries)
     ]
@@ -431,16 +483,16 @@ def cmd_bundle(args, cfg: RunConfig) -> int:
         p_cell = _fmt(idx.p) if power else ""
         shift_cell = _fmt(fam.shift) if power else ""
         rows.extend(
-            {
-                "id": source_id,
-                "index": idx.name,
-                "operator": idx.operator,
-                "p": p_cell,
-                "shift": shift_cell,
-                "theta": theta_cell,
-                "m": _fmt(entry.m) if math.isfinite(entry.m) else "",
-                "status": entry.status.value,
-            }
+            (
+                source_id,
+                idx.name,
+                idx.operator,
+                p_cell,
+                shift_cell,
+                theta_cell,
+                _fmt(entry.m) if math.isfinite(entry.m) else "",
+                entry.status.value,
+            )
             for theta_cell, entry in zip(theta_cells, entries)
         )
     _emit(
@@ -455,6 +507,9 @@ def cmd_bundle(args, cfg: RunConfig) -> int:
 # from_citation_counts starts the support of every record at 0
 _RECORD_ORIGIN = 0.0
 
+# The theta_min, theta_max and certified cells of every record for one index.
+_RangeColumns = tuple[list[str], list[str], list[str]]
+
 
 def _range_or_error(
     f: RankFrequencyFunction, kind: OperatorKind, fam: ThresholdFamily
@@ -465,34 +520,41 @@ def _range_or_error(
         return e
 
 
-def _certified_ranges(
+def _certified_columns(
     corpus: Corpus, kind: OperatorKind, fam: PowerThreshold
-) -> list[AdmissibleRange | BundleError]:
-    """The range of every record for an index whose ranges are certified.
+) -> tuple[list[float], list[float], dict[int, BundleError]]:
+    """theta_min and theta_max of every record for an index whose ranges are
+    certified, and the error of each record that has no range.
 
-    A record of N counts has the support [0, S] with S = N + 1, on which
-    T(f)(0) = c_1: f is flat at c_1 on [0, 1], and mu(f)(0) is its
-    continuity value f(0).  At S, f has descended to 0, and
-    mu(f)(S) = I(f)(S) / S.
+    A theta_min of 0.0 means the range is open at zero; the bounds of a
+    record with an error are NaN.  A record of N counts has the support
+    [0, S] with S = N + 1, on which T(f)(0) = c_1: f is flat at c_1 on
+    [0, 1], and mu(f)(0) is its continuity value f(0).  At S, f has
+    descended to 0, and mu(f)(S) = I(f)(S) / S.
     """
-    firsts = corpus.counts[corpus.offsets[:-1]].tolist()
-    ends = (np.diff(corpus.offsets) + 1.0).tolist()
+    firsts = corpus.counts[corpus.offsets[:-1]]
+    ends = np.diff(corpus.offsets) + 1.0
     if kind is OperatorKind.IDENTITY:
-        t_ends = [0.0] * len(corpus)
+        t_ends = np.zeros(len(corpus))
     else:  # averaging, the other operator whose T(f) decreases
-        totals = citation_integrals(corpus.counts, corpus.offsets).tolist()
-        t_ends = [total / end for total, end in zip(totals, ends)]
-    ranges = []
-    for i, (first, t_end, end) in enumerate(zip(firsts, t_ends, ends)):
-        if first == 0.0:  # the zero function, whose error admissible_range names
-            record = corpus.counts[corpus.offsets[i] : corpus.offsets[i + 1]]
-            ranges.append(_range_or_error(from_citation_counts(record), kind, fam))
-        else:
-            try:
-                ranges.append(certified_range(first, t_end, _RECORD_ORIGIN, end, fam))
-            except BundleError as e:  # a shift at or beyond the support end
-                ranges.append(e)
-    return ranges
+        t_ends = citation_integrals(corpus.counts, corpus.offsets) / ends
+    theta_min = np.full(len(corpus), math.nan)
+    theta_max = np.full(len(corpus), math.nan)
+    ok = (firsts != 0.0) & (ends > fam.shift)
+    theta_min[ok], theta_max[ok] = certified_bounds(
+        firsts[ok], t_ends[ok], _RECORD_ORIGIN, ends[ok], fam
+    )
+    errors: dict[int, BundleError] = {}
+    for i in np.flatnonzero(~ok).tolist():
+        try:
+            if firsts[i] == 0.0:  # the zero function, whose error admissible_range names
+                record = corpus.counts[corpus.offsets[i] : corpus.offsets[i + 1]]
+                admissible_range(from_citation_counts(record), kind, fam)
+            else:  # a shift at or beyond the support end, which certified_range rejects
+                certified_range(firsts[i], t_ends[i], _RECORD_ORIGIN, float(ends[i]), fam)
+        except BundleError as e:
+            errors[i] = e
+    return theta_min.tolist(), theta_max.tolist(), errors
 
 
 def _range_cells(rng: AdmissibleRange | BundleError) -> tuple[str, str, str]:
@@ -506,27 +568,40 @@ def _range_cells(rng: AdmissibleRange | BundleError) -> tuple[str, str, str]:
     )
 
 
+def _certified_cells(corpus: Corpus, kind: OperatorKind, fam: PowerThreshold) -> _RangeColumns:
+    theta_min, theta_max, errors = _certified_columns(corpus, kind, fam)
+    lows = [_fmt(low) if low > 0.0 else "0" for low in theta_min]
+    highs = list(map(_fmt, theta_max))
+    flags = ["true"] * len(corpus)
+    for i, error in errors.items():
+        lows[i], highs[i], flags[i] = _range_cells(error)
+    return lows, highs, flags
+
+
 def cmd_admissible(args, cfg: RunConfig) -> int:
     corpus = read_sources(args.input)
     resolved = [idx.resolve_at(_RECORD_ORIGIN) for idx in cfg.indices] if len(corpus) else []
-    columns = []
+    columns: list[_RangeColumns] = []
     functions = None  # built once, for the first index whose ranges are not certified
     for kind, fam in resolved:
         if is_certified(kind, fam):
-            ranges = _certified_ranges(corpus, kind, fam)
+            columns.append(_certified_cells(corpus, kind, fam))
         else:
             if functions is None:
                 functions = [f for _, f in _build_functions(corpus)]
-            ranges = [_range_or_error(f, kind, fam) for f in functions]
-        columns.append([_range_cells(rng) for rng in ranges])
-    names = ["id", "index", "theta_min", "theta_max", "certified"]
-    rows = [
-        dict(zip(names, (source_id, idx.name, *column[i])))
-        for i, source_id in enumerate(corpus.ids)
-        for idx, column in zip(cfg.indices, columns)
-    ]
-    _emit(rows, names, args.format, sys.stdout)
-    if any(row["certified"] == "false" for row in rows):
+            cells = [_range_cells(_range_or_error(f, kind, fam)) for f in functions]
+            columns.append(tuple(map(list, zip(*cells))))
+    # one row per (record, index), in input order
+    rows = zip(
+        *(zip(corpus.ids, repeat(idx.name), *column) for idx, column in zip(cfg.indices, columns))
+    )
+    _emit(
+        chain.from_iterable(rows),
+        ["id", "index", "theta_min", "theta_max", "certified"],
+        args.format,
+        sys.stdout,
+    )
+    if any("false" in flags for _, _, flags in columns):
         print(
             "warning: ranges marked certified=false are grid estimates, not analytic bounds",
             file=sys.stderr,

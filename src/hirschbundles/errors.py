@@ -26,7 +26,7 @@ class WouldViolateInvariantsError(BundleError):
 
 
 class NonPositiveThetaError(BundleError):
-    """Thresholds are only defined for theta > 0."""
+    """Thresholds are only defined for finite theta > 0."""
 
 
 class SingularAbscissaError(BundleError):

@@ -122,8 +122,8 @@ def solve_transformed(
     *,
     x_window: tuple[float, float] | None = None,
 ) -> tuple[float, SolveStatus]:
-    if not theta > 0:
-        raise NonPositiveThetaError(f"theta must be positive, got {theta}")
+    if not 0 < theta < math.inf:  # the chained comparison also rejects NaN
+        raise NonPositiveThetaError(f"theta must be positive and finite, got {theta}")
     if tf.source.is_zero():
         return tf.origin, SolveStatus.EXACT_SEGMENT
     lo, hi = x_window if x_window is not None else (tf.origin, tf.support_end)
@@ -443,8 +443,8 @@ def sample_bundle(
 ) -> BundleSample:
     """Solve at every theta of a sorted positive grid; failures become statuses."""
     thetas = [float(t) for t in theta_grid]
-    if any(t <= 0 for t in thetas):
-        raise NonPositiveThetaError("theta grid values must be positive")
+    if not all(0 < t < math.inf for t in thetas):
+        raise NonPositiveThetaError("theta grid values must be positive and finite")
     if thetas != sorted(thetas):
         raise ValueError("theta grid must be sorted ascending")
     tf = apply(kind, f)

@@ -128,8 +128,9 @@ ThresholdFamily = Union[PowerThreshold, DecreasingLinearThreshold]
 
 
 def _check_theta(theta: float) -> None:
-    if not theta > 0:
-        raise NonPositiveThetaError(f"theta must be positive, got {theta}")
+    # the chained comparison also rejects NaN
+    if not 0 < theta < math.inf:
+        raise NonPositiveThetaError(f"theta must be positive and finite, got {theta}")
 
 
 def psi(
@@ -195,12 +196,37 @@ def certified_range(
     is then not positive on [origin, end], so no theta is admissible.
     """
     _require_positive_somewhere(family, origin, end)
-    lo = t_end / (end - family.shift) ** family.p
+    lows, highs = certified_bounds(
+        np.array([t_origin]), np.array([t_end]), origin, np.array([end]), family
+    )
+    lo, theta_max = float(lows[0]), float(highs[0])
+    return AdmissibleRange(theta_min=lo if lo > 0.0 else None, theta_max=theta_max, certified=True)
+
+
+def certified_bounds(
+    t_origin: np.ndarray,
+    t_end: np.ndarray,
+    origin: float,
+    end: np.ndarray,
+    family: PowerThreshold,
+) -> tuple[np.ndarray, np.ndarray]:
+    """theta_min and theta_max of :func:`certified_range` for many functions at once.
+
+    Function i has T(f) = ``t_origin[i]`` at the common ``origin`` and
+    ``t_end[i]`` at its support end ``end[i]``, which must exceed the
+    shift.  A theta_min of 0.0 means the range is open at zero.  The
+    power (end - shift)**p is Python's ``**``, taken once per distinct end,
+    and each bound is one IEEE division, so the bounds of a function have
+    the same bits whichever functions share the call.
+    """
+    ends, at = np.unique(end, return_inverse=True)
+    powers = np.array([(e - family.shift) ** family.p for e in ends.tolist()])
+    theta_min = t_end / powers[at]
     if origin > family.shift:
         theta_max = t_origin / (origin - family.shift) ** family.p
     else:
-        theta_max = math.inf
-    return AdmissibleRange(theta_min=lo if lo > 0.0 else None, theta_max=theta_max, certified=True)
+        theta_max = np.full(len(t_origin), math.inf)
+    return theta_min, theta_max
 
 
 def _require_positive_somewhere(family: PowerThreshold, origin: float, end: float) -> None:

@@ -20,16 +20,24 @@ from hirschbundles.cli import (
     Corpus,
     IndexDef,
     ThetaGrid,
-    _certified_ranges,
+    _certified_columns,
+    _parse_rows,
     _range_or_error,
     main,
     parse_theta_grid_flag,
+    read_sources,
 )
+from hirschbundles import cli, funcspace, thresholds
 from hirschbundles.errors import BundleError, NoRootError
 from hirschbundles.funcspace import RankFrequencyFunction, citation_integrals, from_citation_counts
 from hirschbundles.operators import OperatorKind
 from hirschbundles.solver import sample_bundle
-from hirschbundles.thresholds import PowerThreshold, admissible_range, is_certified
+from hirschbundles.thresholds import (
+    AdmissibleRange,
+    PowerThreshold,
+    admissible_range,
+    is_certified,
+)
 
 CSV_FIXTURE = "id,counts\nalice,10;8;5;4;3;2;1\nbob,9;7;2\n"
 
@@ -258,6 +266,28 @@ class TestAdmissibleCommand:
         assert by_key[("alice", "h")]["certified"] == "true"
         # averaged transform keeps a positive floor: 4.75 / 8
         assert by_key[("alice", "g")]["theta_min"] == "0.59375"
+
+    def test_certified_ranges_build_nothing_per_record(self, tmp_path, capsys, monkeypatch):
+        src = tmp_path / "s.csv"
+        src.write_text(CSV_FIXTURE + "zed,0;0\n")
+        code, expected, _ = run_cli(["admissible", str(src)], capsys)
+        assert code == 0
+        assert "zed,h,,,error: the zero function admits no positive theta" in expected
+        build = funcspace.from_citation_counts
+
+        def zero_records_only(counts):
+            if any(counts):
+                raise AssertionError("a certified range needs no function")
+            return build(counts)
+
+        def no_range(*args, **kwargs):
+            raise AssertionError("certified ranges are formatted from their columns")
+
+        for module in (cli, funcspace):
+            monkeypatch.setattr(module, "from_citation_counts", zero_records_only)
+        for module in (cli, thresholds):
+            monkeypatch.setattr(module, "AdmissibleRange", no_range)
+        assert run_cli(["admissible", str(src)], capsys)[:2] == (0, expected)
 
     def test_uncertified_range_prints_caveat(self, tmp_path, capsys):
         p = tmp_path / "cfg.json"
@@ -530,8 +560,9 @@ def test_golden_corpus_output_is_byte_identical(tmp_path, capsys, fmt, command, 
 
 
 # Irregular CSV input for the reader, which parses a chunk of CSV_CHUNK records
-# with one numpy call and sends any chunk it cannot parse that way through the
-# line-by-line reader.  ONE_CHUNK fills the first chunk exactly.
+# from the digits of its text, or else with one numpy call, and sends any chunk
+# it cannot parse either way through the line-by-line reader.  ONE_CHUNK fills
+# the first chunk exactly.
 ONE_CHUNK = "".join(f"r{i},{3 + i % 5};2;1\n" for i in range(1000))
 
 READER_INPUTS = {
@@ -548,8 +579,17 @@ READER_INPUTS = {
             ("nan", "nan"),
             ("empty-token", ""),
             ("blank-token", " "),
+            # 15 digits are exact in float64; 2**53 + 1 is not, and rounds as float() does
+            ("15-digits", "999999999999999"),
+            ("16-digits", "9007199254740993"),
+            ("leading-zeros", "007"),
         ]
     },
+    "16-digits-in-full-chunk": (
+        "id,counts\n"
+        + ONE_CHUNK.replace("r500,3;2;1\n", "r500,9999999999999999;2;1\n")
+        + "r1000,2;1\n"
+    ),
     "quoted-id-extra-column-blank-line": 'id,counts\n"a,b",3;2;1\nc,4;1,extra\n\nd,5;5\n',
     "crlf": 'id,counts\r\n"a,b",3;2;1\r\nc,4;1\r\n\r\nd,1;5\r\n',
     "signed-zeros": "id,counts\nu,0;-0;1\nv,2;-0;0\n",
@@ -619,6 +659,26 @@ READER_OUTPUTS = {
         "983971fb1ed6a36e8d7e27b739a32c4a37d01ef37374761685c281bbf34f299e",
         "d5503967c74dfb57dd41ccd4ceb8785577ed37bd222104d51538124a9166f5cd",
     ),
+    "15-digits": (
+        0, "",
+        "e8fde93bc81cd5351c5a19554ea39fc672a6c230405bc0bf6ca20c5af198cb2b",
+        "ab451f91602dcb19439556c712bbd6c1f61dd8ff8351950f4497fe00e010b44e",
+    ),
+    "16-digits": (
+        0, "",
+        "d7b08c756642da0fb2cdcc5a6479ae31cb97e7c3a85ad5459c2902d3707d00e8",
+        "ab451f91602dcb19439556c712bbd6c1f61dd8ff8351950f4497fe00e010b44e",
+    ),
+    "leading-zeros": (
+        0, "",
+        "dd23f47a76a9e1fb654d590505e5bc56b4f4529d246187f6e9e8ded45d813038",
+        "704c04794577f49b1d1705b87bd7949ef1654e8b1c9a7463beb56f8e2468d98c",
+    ),
+    "16-digits-in-full-chunk": (
+        0, "",
+        "7c0972bdd61e8a6c20ba48851c5f03b52e826115f609fdd9525fb7b8111456cb",
+        "cb69b8b887a28c38eb1724b37c5160ad9c847a73556041415dd5bb66bb6b5d86",
+    ),
     "quoted-id-extra-column-blank-line": (
         0, "",
         "be58f99e35e59b45fefe5b675f1217fd52e4a0f202977cf90c3a66c77fab0f25",
@@ -682,6 +742,37 @@ def test_reader_output_is_pinned(tmp_path, capsys, name):
         assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+# Count tokens for the reader: integers of 1 to 17 digits, leading zeros
+# included, and in some records a token that only float() reads, or none.
+integer_tokens = st.integers(min_value=1, max_value=17).flatmap(
+    lambda n: st.text(alphabet="0123456789", min_size=n, max_size=n)
+)
+odd_tokens = st.sampled_from(["2.5", "1e3", " 7 ", "+5", "\u0661\u0662", ""])
+integer_records = st.lists(integer_tokens, min_size=1, max_size=8)
+odd_records = st.lists(st.one_of(integer_tokens, odd_tokens), min_size=1, max_size=8).filter(any)
+token_records = st.one_of(integer_records, integer_records, odd_records).map(
+    # sorted non-increasingly, so that the reader has nothing to sort; the
+    # empty tokens that it skips sort last
+    lambda tokens: sorted(tokens, key=lambda t: float(t) if t else -1.0, reverse=True)
+)
+
+
+@given(st.lists(token_records, min_size=1, max_size=12), st.integers(min_value=1, max_value=5))
+@settings(max_examples=200, deadline=None)
+def test_reader_counts_are_bitwise_those_of_the_line_reader(tmp_path_factory, records, chunk):
+    text = "id,counts\n" + "".join(f"r{i},{';'.join(r)}\n" for i, r in enumerate(records))
+    p = tmp_path_factory.mktemp("reader") / "input.csv"
+    p.write_text(text, newline="")
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cli, "CSV_CHUNK", chunk)  # chunks that mix digit and other tokens
+        corpus = read_sources(str(p))
+    rows = list(enumerate(csv.reader(io.StringIO(text)), start=1))[1:]
+    ids, values, lengths = _parse_rows(p, rows)
+    assert corpus.ids == ids
+    assert corpus.offsets.tolist() == np.concatenate([[0], np.cumsum(lengths)]).tolist()
+    assert [v.hex() for v in corpus.counts.tolist()] == [v.hex() for v in values.tolist()]
+
+
 # non-integer counts, with ties and zeros drawn often
 count_values = st.one_of(
     st.floats(min_value=0.0, max_value=1e12, allow_nan=False, allow_infinity=False),
@@ -693,7 +784,9 @@ count_records = st.lists(count_values, min_size=1, max_size=40).map(
 
 
 def _comparable(rng):
-    return (type(rng), str(rng)) if isinstance(rng, BundleError) else rng
+    if isinstance(rng, BundleError):
+        return type(rng), str(rng)
+    return rng.theta_min is not None and rng.theta_min.hex(), rng.theta_max.hex(), rng.certified
 
 
 @given(st.lists(count_records, min_size=1, max_size=12))
@@ -710,12 +803,17 @@ def test_certified_ranges_are_bitwise_those_of_admissible_range(records):
     totals = citation_integrals(corpus.counts, corpus.offsets).tolist()
     assert [t.hex() for t in totals] == [float(f.cumulative[-1]).hex() for f in functions]
     for operator in ("identity", "averaging"):
-        for p in (0.5, 1.0, 2.0):
-            for shift in (0.0, "origin", 100.0):  # 100 lies past every record's support
+        for p in (0.5, 1.0, 1.5, 2.0):
+            # 100 lies past every record's support, 3.0 past that of the short ones
+            for shift in (0.0, "origin", 3.0, 100.0):
                 idx = IndexDef(name="x", operator=operator, p=p, shift=shift)
                 kind, fam = idx.resolve_at(0.0)
                 assert is_certified(kind, fam)
-                got = _certified_ranges(corpus, kind, fam)
+                theta_min, theta_max, errors = _certified_columns(corpus, kind, fam)
+                got = [
+                    errors[i] if i in errors else AdmissibleRange(low or None, high, True)
+                    for i, (low, high) in enumerate(zip(theta_min, theta_max))
+                ]
                 want = [_range_or_error(f, *idx.resolve(f)) for f in functions]
                 assert list(map(_comparable, got)) == list(map(_comparable, want))
 

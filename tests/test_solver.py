@@ -10,6 +10,7 @@ from hirschbundles.errors import NonPositiveThetaError, NoRootError, NonUniqueEr
 from hirschbundles.funcspace import (
     PerturbMode,
     RankFrequencyFunction,
+    from_citation_counts,
     perturb,
     random_function,
 )
@@ -67,6 +68,24 @@ class TestSolveBundlePoint:
     def test_non_positive_theta(self, line):
         with pytest.raises(NonPositiveThetaError):
             solve_bundle_point(line, IDENTITY, PowerThreshold(1.0, 0.0), 0.0)
+
+    # theta = inf used to reach the solver: h and g then raised NoRootError
+    # ("D < 0 on the domain") and integral x power(p=2) warned from numpy
+    @pytest.mark.parametrize("theta", [math.inf, -math.inf, math.nan])
+    @pytest.mark.parametrize(
+        "kind, family",
+        [
+            (IDENTITY, PowerThreshold(1.0, 0.0)),
+            (AVERAGING, PowerThreshold(1.0, 0.0)),
+            (INTEGRAL, PowerThreshold(2.0, 0.0)),
+        ],
+    )
+    def test_non_finite_theta(self, kind, family, theta):
+        f = from_citation_counts([10, 8, 5, 4, 3, 2, 1])
+        with pytest.raises(NonPositiveThetaError, match="positive and finite"):
+            solve_bundle_point(f, kind, family, theta)
+        with pytest.raises(NonPositiveThetaError, match="positive and finite"):
+            sample_bundle(f, kind, family, [1.0, theta])
 
     def test_non_unique_detected(self):
         # crosses the falling threshold twice: steep drop then a long flat tail

@@ -40,6 +40,15 @@ class TestEvaluation:
         with pytest.raises(NonPositiveThetaError):
             PowerThreshold(1.0, 0.0).value(1.0, 0.0)
 
+    @pytest.mark.parametrize("theta", [math.inf, math.nan])
+    def test_theta_must_be_finite(self, theta):
+        families = (PowerThreshold(2.0, 0.0), DecreasingLinearThreshold(20.0))
+        for fam in families:
+            with pytest.raises(NonPositiveThetaError, match="positive and finite"):
+                fam.value(2.0, theta)
+            with pytest.raises(NonPositiveThetaError, match="positive and finite"):
+                fam.value_many(np.array([2.0]), theta)
+
     def test_power_domain(self):
         with pytest.raises(DomainError):
             PowerThreshold(2.0, 1.0).value(0.5, 1.0)
