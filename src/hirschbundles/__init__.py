@@ -42,9 +42,6 @@ from .operators import (
 from .reporting import Counterexample, Verdict, VerificationReport
 from .solver import (
     BundleEntry,
-    BundleSample,
-    DEFAULT_CONFIG,
-    SolveConfig,
     SolveStatus,
     g_index,
     g_kosmulski_index,

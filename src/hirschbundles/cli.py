@@ -34,7 +34,7 @@ import numpy as np
 from .errors import BundleError
 from .funcspace import RankFrequencyFunction, citation_integrals, from_citation_counts
 from .operators import OperatorKind
-from .solver import SolveConfig, sample_bundle
+from .solver import sample_bundle
 from .thresholds import (
     AdmissibleRange,
     DecreasingLinearThreshold,
@@ -115,7 +115,6 @@ DEFAULT_INDICES = (
 class RunConfig:
     indices: tuple[IndexDef, ...] = DEFAULT_INDICES
     theta_grid: ThetaGrid = field(default_factory=ThetaGrid)
-    solver: SolveConfig = field(default_factory=SolveConfig)
     seed: int = 20240810
     trials: int = 40
 
@@ -135,6 +134,8 @@ def load_config(path: str | None) -> RunConfig:
         raise CliError(f"cannot read config {path}: {e}")
     if not isinstance(raw, dict):
         raise CliError("config root must be a JSON object")
+    if "solver" in raw:
+        print("note: ignoring config section 'solver': the solver has no settings", file=sys.stderr)
     try:
         indices = tuple(
             IndexDef(**entry) for entry in raw.get("indices", [])
@@ -146,18 +147,9 @@ def load_config(path: str | None) -> RunConfig:
             count=int(grid_raw.get("count", 1)),
             spacing=str(grid_raw.get("spacing", "linear")),
         )
-        solver_raw = raw.get("solver", {})
-        if "scan_points" in solver_raw:
-            print(
-                "note: config key solver.scan_points is ignored; roots are isolated "
-                "exactly from the breakpoints",
-                file=sys.stderr,
-            )
-        solver = SolveConfig(abs_tol_x=float(solver_raw.get("abs_tol_x", 1e-10)))
         cfg = RunConfig(
             indices=indices,
             theta_grid=grid,
-            solver=solver,
             seed=int(raw.get("seed", 20240810)),
             trials=int(raw.get("trials", 40)),
         )
@@ -451,10 +443,10 @@ def _bundle_samples(args, cfg: RunConfig, thetas: list[float]):
         for idx in cfg.indices:
             kind, fam = idx.resolve(f)
             try:
-                sample = sample_bundle(f, kind, fam, thetas, cfg.solver, function_id=source_id)
+                entries = sample_bundle(f, kind, fam, thetas)
             except BundleError as e:
                 raise CliError(f"source {source_id!r}, index {idx.name!r}: {e}")
-            yield source_id, idx, fam, sample.entries
+            yield source_id, idx, fam, entries
 
 
 def cmd_index(args, cfg: RunConfig) -> int:
@@ -527,10 +519,12 @@ def _certified_columns(
     certified, and the error of each record that has no range.
 
     A theta_min of 0.0 means the range is open at zero; the bounds of a
-    record with an error are NaN.  A record of N counts has the support
-    [0, S] with S = N + 1, on which T(f)(0) = c_1: f is flat at c_1 on
-    [0, 1], and mu(f)(0) is its continuity value f(0).  At S, f has
-    descended to 0, and mu(f)(S) = I(f)(S) / S.
+    record with an error are NaN: the zero record, and a record whose
+    threshold is not positive on its support (see ``certified_bounds``).
+    A record of N counts has the support [0, S] with S = N + 1, on which
+    T(f)(0) = c_1: f is flat at c_1 on [0, 1], and mu(f)(0) is its
+    continuity value f(0).  At S, f has descended to 0, and
+    mu(f)(S) = I(f)(S) / S.
     """
     firsts = corpus.counts[corpus.offsets[:-1]]
     ends = np.diff(corpus.offsets) + 1.0
@@ -540,17 +534,17 @@ def _certified_columns(
         t_ends = citation_integrals(corpus.counts, corpus.offsets) / ends
     theta_min = np.full(len(corpus), math.nan)
     theta_max = np.full(len(corpus), math.nan)
-    ok = (firsts != 0.0) & (ends > fam.shift)
-    theta_min[ok], theta_max[ok] = certified_bounds(
-        firsts[ok], t_ends[ok], _RECORD_ORIGIN, ends[ok], fam
+    nonzero = firsts != 0.0
+    theta_min[nonzero], theta_max[nonzero] = certified_bounds(
+        firsts[nonzero], t_ends[nonzero], _RECORD_ORIGIN, ends[nonzero], fam
     )
     errors: dict[int, BundleError] = {}
-    for i in np.flatnonzero(~ok).tolist():
+    for i in np.flatnonzero(np.isnan(theta_min)).tolist():
         try:
             if firsts[i] == 0.0:  # the zero function, whose error admissible_range names
                 record = corpus.counts[corpus.offsets[i] : corpus.offsets[i + 1]]
                 admissible_range(from_citation_counts(record), kind, fam)
-            else:  # a shift at or beyond the support end, which certified_range rejects
+            else:  # no positive threshold, which certified_range rejects
                 certified_range(firsts[i], t_ends[i], _RECORD_ORIGIN, float(ends[i]), fam)
         except BundleError as e:
             errors[i] = e
@@ -620,7 +614,6 @@ def cmd_verify(args, cfg: RunConfig) -> int:
     suite_cfg = SuiteConfig(
         master_seed=cfg.seed,
         trials=trials,
-        solver=cfg.solver,
         include_reversal_in_impact=args.inject_reversal,
     )
     result = run_property_suite(suite_cfg)
@@ -658,7 +651,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", help="JSON config file")
         p.add_argument("--seed", type=int, default=None, help="master seed")
         p.add_argument("--theta-grid", default=None, help="min:max:count[:log]")
-        p.add_argument("--tol", type=float, default=None, help="solver abs_tol_x")
         p.add_argument("--format", choices=("csv", "json"), default="csv")
 
     p_index = sub.add_parser("index", help="one value per (source, index, theta)")
@@ -685,11 +677,6 @@ def _apply_flag_overrides(args, cfg: RunConfig) -> RunConfig:
     changes = {}
     if args.theta_grid is not None:
         changes["theta_grid"] = parse_theta_grid_flag(args.theta_grid)
-    if args.tol is not None:
-        try:
-            changes["solver"] = replace(cfg.solver, abs_tol_x=args.tol)
-        except ValueError as e:
-            raise CliError(f"bad --tol: {e}")
     if args.seed is not None:
         changes["seed"] = args.seed
     return replace(cfg, **changes)

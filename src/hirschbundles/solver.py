@@ -32,7 +32,9 @@ over (x - a) (averaging):
 
 The single root is then solved on its one piece, in closed form where
 the segment equation is a polynomial of degree at most 2 and by
-bisection otherwise.
+bisection otherwise.  Bisection, here and for the zeros of D', stops
+once its bracket is narrower than ``ABS_TOL_X`` or down to adjacent
+floats.
 
 The identically-zero function is special-cased to m = support_start with
 a success status: a zero record has zero impact at every admissible
@@ -54,21 +56,12 @@ from .funcspace import RankFrequencyFunction
 from .operators import OperatorKind, TransformedFunction, apply
 from .thresholds import DecreasingLinearThreshold, PowerThreshold, ThresholdFamily
 
+# Width in x at which bisection stops.
+ABS_TOL_X = 1e-10
+
 # |D(S)| below this (relative to the largest |D| seen) counts as a root
 # at the right endpoint: the closed endpoint belongs to the domain.
 _BOUNDARY_TOL = 1e-12
-
-
-@dataclass(frozen=True)
-class SolveConfig:
-    abs_tol_x: float = 1e-10
-
-    def __post_init__(self) -> None:
-        if not 0 < self.abs_tol_x < math.inf:  # also rejects NaN
-            raise ValueError(f"abs_tol_x must be positive and finite, got {self.abs_tol_x}")
-
-
-DEFAULT_CONFIG = SolveConfig()
 
 
 class SolveStatus(Enum):
@@ -85,22 +78,11 @@ class BundleEntry:
     status: SolveStatus
 
 
-@dataclass(frozen=True)
-class BundleSample:
-    """A sampled bundle: the map theta -> m_theta(f) over a theta grid."""
-
-    entries: tuple[BundleEntry, ...]
-    function_id: str
-    operator_kind: OperatorKind
-    threshold: str
-
-
 def solve_bundle_point(
     f: RankFrequencyFunction,
     kind: OperatorKind,
     family: ThresholdFamily,
     theta: float,
-    cfg: SolveConfig = DEFAULT_CONFIG,
     *,
     x_window: tuple[float, float] | None = None,
 ) -> tuple[float, SolveStatus]:
@@ -111,14 +93,13 @@ def solve_bundle_point(
     root.  ``x_window`` restricts the search to a sub-interval of [a, S]
     (the transform still uses the full function).
     """
-    return solve_transformed(apply(kind, f), family, theta, cfg, x_window=x_window)
+    return solve_transformed(apply(kind, f), family, theta, x_window=x_window)
 
 
 def solve_transformed(
     tf: TransformedFunction,
     family: ThresholdFamily,
     theta: float,
-    cfg: SolveConfig = DEFAULT_CONFIG,
     *,
     x_window: tuple[float, float] | None = None,
 ) -> tuple[float, SolveStatus]:
@@ -142,15 +123,14 @@ def solve_transformed(
         lo, open_lo = family.shift, True
 
     if isinstance(family, PowerThreshold) and tf.kind is not OperatorKind.INTEGRAL:
-        return _solve_decreasing(tf, family, theta, cfg, lo, hi, open_lo)
-    return _solve_general(tf, family, theta, cfg, lo, hi, open_lo)
+        return _solve_decreasing(tf, family, theta, lo, hi, open_lo)
+    return _solve_general(tf, family, theta, lo, hi, open_lo)
 
 
 def _solve_decreasing(
     tf: TransformedFunction,
     family: PowerThreshold,
     theta: float,
-    cfg: SolveConfig,
     lo: float,
     hi: float,
     open_lo: bool,
@@ -173,7 +153,7 @@ def _solve_decreasing(
     if j == 0:
         raise NoRootError(f"theta={theta} is not admissible: D < 0 on the domain from {lo} to {hi}")
     d_lo = tvals[j - 1] - theta * base[j - 1]
-    return _locate(tf, family, theta, cfg, xs[j - 1], xs[j], d_lo, segments[j - 1])
+    return _locate(tf, family, theta, xs[j - 1], xs[j], d_lo, segments[j - 1])
 
 
 class _PowerTable(NamedTuple):
@@ -194,7 +174,8 @@ def _power_table(
     if table is None:
         i0, i1, xs = _window_points(tf, lo, hi)
         tvals = [tf.eval(lo), *tf.breakpoint_values[i0:i1].tolist(), tf.eval(hi)]
-        base = np.power(xs - family.shift, family.p).tolist()
+        with np.errstate(over="ignore"):  # an inf base makes D = -inf, as it should
+            base = np.power(xs - family.shift, family.p).tolist()
         columns = (c.tolist() for c in _segment(tf.source, slice(i0 - 1, i1)))
         table = _PowerTable(xs.tolist(), tvals, base, list(zip(*columns)))
         tf.solve_tables[key] = table
@@ -205,7 +186,6 @@ def _solve_general(
     tf: TransformedFunction,
     family: ThresholdFamily,
     theta: float,
-    cfg: SolveConfig,
     lo: float,
     hi: float,
     open_lo: bool,
@@ -221,7 +201,7 @@ def _solve_general(
             vertex = f.xs[segs] - c1 / (2.0 * c2)
         crit = vertex[(c2 != 0.0) & (vertex > ends[:-1]) & (vertex < ends[1:])]
     else:
-        crit = _integral_power_critical_points(tf, family, theta, cfg, ends, segs)
+        crit = _integral_power_critical_points(tf, family, theta, ends, segs)
     xs = np.sort(np.concatenate((ends, crit)))
     dvals = tf.eval_many(xs) - family.value_many(xs, theta)
     signs = np.sign(dvals)
@@ -238,7 +218,7 @@ def _solve_general(
     j = int(crossings[0])
     seg = min(int(np.searchsorted(f.xs, xs[j], side="right")) - 1, len(f.xs) - 2)
     return _locate(
-        tf, family, theta, cfg, float(xs[j]), float(xs[j + 1]), float(dvals[j]), _segment(f, seg)
+        tf, family, theta, float(xs[j]), float(xs[j + 1]), float(dvals[j]), _segment(f, seg)
     )
 
 
@@ -310,7 +290,6 @@ def _integral_power_critical_points(
     tf: TransformedFunction,
     family: PowerThreshold,
     theta: float,
-    cfg: SolveConfig,
     ends: np.ndarray,
     segs: np.ndarray,
 ) -> np.ndarray:
@@ -336,16 +315,13 @@ def _integral_power_critical_points(
         return f.eval(x) - theta * p * (x - shift) ** (p - 1.0)
 
     changes = np.flatnonzero(signs[:-1] * signs[1:] < 0.0)
-    return np.array(
-        [_bisect(dprime, cuts[k], cuts[k + 1], dprime_cuts[k], cfg.abs_tol_x) for k in changes]
-    )
+    return np.array([_bisect(dprime, cuts[k], cuts[k + 1], dprime_cuts[k]) for k in changes])
 
 
 def _locate(
     tf: TransformedFunction,
     family: ThresholdFamily,
     theta: float,
-    cfg: SolveConfig,
     lo: float,
     hi: float,
     d_lo: float,
@@ -391,15 +367,13 @@ def _locate(
             value /= x - a
         return value - threshold(x)
 
-    return _bisect(d, lo, hi, d_lo, cfg.abs_tol_x), SolveStatus.BISECTION
+    return _bisect(d, lo, hi, d_lo), SolveStatus.BISECTION
 
 
-def _bisect(
-    func: Callable[[float], float], lo: float, hi: float, f_lo: float, tol: float
-) -> float:
+def _bisect(func: Callable[[float], float], lo: float, hi: float, f_lo: float) -> float:
     """Zero of a continuous ``func`` with a strict sign change on [lo, hi]."""
     lo_positive = f_lo > 0
-    while hi - lo > tol:
+    while hi - lo > ABS_TOL_X:
         mid = (lo + hi) / 2.0
         if not lo < mid < hi:  # the bracket is down to adjacent floats
             break
@@ -438,10 +412,9 @@ def sample_bundle(
     kind: OperatorKind,
     family: ThresholdFamily,
     theta_grid: Sequence[float],
-    cfg: SolveConfig = DEFAULT_CONFIG,
-    function_id: str | None = None,
-) -> BundleSample:
-    """Solve at every theta of a sorted positive grid; failures become statuses."""
+) -> tuple[BundleEntry, ...]:
+    """The bundle theta -> m_theta(f) at every theta of a sorted positive grid,
+    in grid order; failures become statuses."""
     thetas = [float(t) for t in theta_grid]
     if not all(0 < t < math.inf for t in thetas):
         raise NonPositiveThetaError("theta grid values must be positive and finite")
@@ -451,68 +424,47 @@ def sample_bundle(
     entries = []
     for theta in thetas:
         try:
-            m, status = solve_transformed(tf, family, theta, cfg)
+            m, status = solve_transformed(tf, family, theta)
         except NoRootError:
             m, status = math.nan, SolveStatus.NO_ROOT
         except NonUniqueError:
             m, status = math.nan, SolveStatus.NON_UNIQUE
         entries.append(BundleEntry(theta=theta, m=m, status=status))
-    return BundleSample(
-        entries=tuple(entries),
-        function_id=function_id if function_id is not None else f.digest(),
-        operator_kind=kind,
-        threshold=family.describe(),
-    )
+    return tuple(entries)
 
 
-def h_index(
-    f: RankFrequencyFunction, theta: float = 1.0, cfg: SolveConfig = DEFAULT_CONFIG
-) -> float:
+def h_index(f: RankFrequencyFunction, theta: float = 1.0) -> float:
     """Solution of f(x) = theta * x."""
     family = PowerThreshold(p=1.0, shift=0.0)
-    m, _ = solve_bundle_point(f, OperatorKind.IDENTITY, family, theta, cfg)
+    m, _ = solve_bundle_point(f, OperatorKind.IDENTITY, family, theta)
     return m
 
 
-def g_index(
-    f: RankFrequencyFunction, theta: float = 1.0, cfg: SolveConfig = DEFAULT_CONFIG
-) -> float:
+def g_index(f: RankFrequencyFunction, theta: float = 1.0) -> float:
     """Solution of mu(f)(x) = theta * (x - a): the running average meets the line."""
     family = PowerThreshold(p=1.0, shift=f.support_start)
-    m, _ = solve_bundle_point(f, OperatorKind.AVERAGING, family, theta, cfg)
+    m, _ = solve_bundle_point(f, OperatorKind.AVERAGING, family, theta)
     return m
 
 
-def kosmulski_index(
-    f: RankFrequencyFunction,
-    theta: float = 1.0,
-    p: float = 2.0,
-    cfg: SolveConfig = DEFAULT_CONFIG,
-) -> float:
+def kosmulski_index(f: RankFrequencyFunction, theta: float = 1.0, p: float = 2.0) -> float:
     """Solution of f(x) = theta * x**p."""
     family = PowerThreshold(p=p, shift=0.0)
-    m, _ = solve_bundle_point(f, OperatorKind.IDENTITY, family, theta, cfg)
+    m, _ = solve_bundle_point(f, OperatorKind.IDENTITY, family, theta)
     return m
 
 
-def g_kosmulski_index(
-    f: RankFrequencyFunction,
-    theta: float = 1.0,
-    p: float = 2.0,
-    cfg: SolveConfig = DEFAULT_CONFIG,
-) -> float:
+def g_kosmulski_index(f: RankFrequencyFunction, theta: float = 1.0, p: float = 2.0) -> float:
     """Solution of mu(f)(x) = theta * (x - a)**p, the averaged power variant."""
     family = PowerThreshold(p=p, shift=f.support_start)
-    m, _ = solve_bundle_point(f, OperatorKind.AVERAGING, family, theta, cfg)
+    m, _ = solve_bundle_point(f, OperatorKind.AVERAGING, family, theta)
     return m
 
 
-def polar_radius(
-    f: RankFrequencyFunction, theta: float, cfg: SolveConfig = DEFAULT_CONFIG
-) -> float:
+def polar_radius(f: RankFrequencyFunction, theta: float) -> float:
     """Distance from the origin to the h-type intersection point.
 
     The solution point (m, theta * m) of the h-setting lies at distance
     m * sqrt(1 + theta**2) from the origin.
     """
-    return h_index(f, theta, cfg) * math.sqrt(1.0 + theta * theta)
+    return h_index(f, theta) * math.sqrt(1.0 + theta * theta)

@@ -192,14 +192,15 @@ def certified_range(
 
     theta_min = psi_f(end), or None (open at zero) when T(f)(end) = 0;
     theta_max = psi_f(origin), or inf when origin <= shift, where the
-    power vanishes.  Raises NoRootError when shift >= end: the threshold
-    is then not positive on [origin, end], so no theta is admissible.
+    power vanishes.  Raises NoRootError when the threshold is not positive
+    on [origin, end] (see :func:`certified_bounds`): no theta is admissible.
     """
-    _require_positive_somewhere(family, origin, end)
     lows, highs = certified_bounds(
         np.array([t_origin]), np.array([t_end]), origin, np.array([end]), family
     )
     lo, theta_max = float(lows[0]), float(highs[0])
+    if math.isnan(lo):
+        raise _no_positive_threshold(origin, end)
     return AdmissibleRange(theta_min=lo if lo > 0.0 else None, theta_max=theta_max, certified=True)
 
 
@@ -213,27 +214,42 @@ def certified_bounds(
     """theta_min and theta_max of :func:`certified_range` for many functions at once.
 
     Function i has T(f) = ``t_origin[i]`` at the common ``origin`` and
-    ``t_end[i]`` at its support end ``end[i]``, which must exceed the
-    shift.  A theta_min of 0.0 means the range is open at zero.  The
-    power (end - shift)**p is Python's ``**``, taken once per distinct end,
-    and each bound is one IEEE division, so the bounds of a function have
-    the same bits whichever functions share the call.
+    ``t_end[i]`` at its support end ``end[i]``.  A theta_min of 0.0 means
+    the range is open at zero.  The power (end - shift)**p is Python's
+    ``**``, taken once per distinct end, and each bound is one IEEE
+    division, so the bounds of a function have the same bits whichever
+    functions share the call.  A power that overflows is inf and gives
+    theta_min 0: A reaches inf at the end, so every theta has a root.  A
+    power of 0.0 (a shift at or past the end, or an underflow) leaves A not
+    positive on [origin, end], so no theta is admissible: both bounds are NaN.
+    So are they where a tiny power overflows theta_min: no finite theta
+    reaches the threshold there either.
     """
     ends, at = np.unique(end, return_inverse=True)
-    powers = np.array([(e - family.shift) ** family.p for e in ends.tolist()])
-    theta_min = t_end / powers[at]
+    powers = np.array([_end_power(e - family.shift, family.p) for e in ends.tolist()])[at]
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        theta_min = t_end / powers
     if origin > family.shift:
         theta_max = t_origin / (origin - family.shift) ** family.p
     else:
         theta_max = np.full(len(t_origin), math.inf)
+    none = ~(theta_min < math.inf)  # a zero power, or one so small theta_min overflows
+    theta_min[none] = theta_max[none] = math.nan
     return theta_min, theta_max
 
 
-def _require_positive_somewhere(family: PowerThreshold, origin: float, end: float) -> None:
-    if family.shift >= end:
-        raise NoRootError(
-            f"no theta is admissible: the threshold is not positive on [{origin}, {end}]"
-        )
+def _end_power(gap: float, p: float) -> float:
+    """gap**p by Python's ``**``: 0.0 for gap <= 0, inf where it overflows."""
+    try:
+        return gap**p if gap > 0.0 else 0.0
+    except OverflowError:
+        return math.inf
+
+
+def _no_positive_threshold(origin: float, end: float) -> NoRootError:
+    return NoRootError(
+        f"no theta is admissible: the threshold is not positive on [{origin}, {end}]"
+    )
 
 
 def admissible_range(
@@ -257,7 +273,8 @@ def admissible_range(
     lo_x, hi_x = a, s
     span = s - a
     if isinstance(family, PowerThreshold):
-        _require_positive_somewhere(family, a, s)
+        if family.shift >= s:
+            raise _no_positive_threshold(a, s)
         lo_x = max(lo_x, family.shift) + 1e-9 * span
     else:
         hi_x = min(hi_x, family.ceiling) - 1e-9 * span

@@ -41,9 +41,9 @@ from __future__ import annotations
 
 import math
 import zlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import partial
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -70,7 +70,7 @@ from .operators import (
     check_operator_contract,
 )
 from .reporting import Counterexample, Verdict, VerificationReport
-from .solver import DEFAULT_CONFIG, SolveConfig, solve_transformed
+from .solver import ABS_TOL_X, solve_transformed
 from .thresholds import (
     DecreasingLinearThreshold,
     PowerThreshold,
@@ -84,8 +84,6 @@ _SIGN_EPS = 1e-9
 # solver-noise margin for comparisons between located solutions
 _X_EPS = 1e-8
 _STRICT_GAP = 1e-12
-# grid on which steep_power_window compares the threshold's slope with f
-_STEEP_GRID = 2048
 # rounding allowance for a rise of the sup-gap in check_convergence_uniform
 _SUP_JITTER = 1e-9
 
@@ -295,18 +293,24 @@ def steep_power_window(
 
     On it, d/dx (I(f_n) - theta * x**p) <= 0 for every f_n below
     envelope_scale * f, so the integral-transform difference decreases.
-    Requires p > 1; returns None when no usable window exists.
+    Since f decreases and x**(p - 1) increases, p * theta * x**(p - 1) >=
+    envelope_scale * f(x) holds exactly from the one root x0 of
+    f(x) = (p * theta / envelope_scale) * x**(p - 1) on, or from the
+    support start a when the power already out-climbs f there.  Requires
+    p > 1; returns None when no usable window exists.
     """
     if p <= 1.0:
         return None
-    a, s = f.support_start, f.support_end
-    xs = np.linspace(a, s, _STEEP_GRID)
-    ok = p * theta * np.power(np.maximum(xs, 0.0), p - 1.0) >= envelope_scale * f.eval_many(xs)
-    if not bool(ok[-1]):
-        return None
-    first = int(np.argmax(ok))
-    first = min(first + 1, _STEEP_GRID - 1)  # one step of margin
-    x0 = float(xs[first])
+    slope = p * theta / envelope_scale
+    try:
+        x0, _ = solve_transformed(
+            apply(OperatorKind.IDENTITY, f), PowerThreshold(p=p - 1.0, shift=0.0), slope
+        )
+    except NoRootError:  # the difference keeps one sign on [a, S]
+        x0 = f.support_start
+        if f.eval(x0) > slope * x0 ** (p - 1.0):
+            return None
+    s = f.support_end
     if not x0 < s:
         return None
     return x0, s
@@ -321,29 +325,13 @@ def _try_solve(
     tf: TransformedFunction,
     family: ThresholdFamily,
     theta: float,
-    cfg: SolveConfig,
     x_window: tuple[float, float] | None = None,
 ) -> float | None:
     try:
-        m, _ = solve_transformed(tf, family, theta, cfg, x_window=x_window)
+        m, _ = solve_transformed(tf, family, theta, x_window=x_window)
         return m
     except (NoRootError, NonUniqueError):
         return None
-
-
-def _pair_solves(
-    tf: TransformedFunction,
-    tg: TransformedFunction,
-    family: ThresholdFamily,
-    thetas: Sequence[float],
-    cfg: SolveConfig,
-) -> Iterator[tuple[float, float, float]]:
-    """(theta, m_f, m_g) for every theta at which both functions solve."""
-    for theta in thetas:
-        mf = _try_solve(tf, family, theta, cfg)
-        mg = _try_solve(tg, family, theta, cfg)
-        if mf is not None and mg is not None:
-            yield theta, mf, mg
 
 
 def _psi_candidates(
@@ -403,7 +391,6 @@ def check_root_side(
     family: ThresholdFamily,
     theta: float,
     x_samples: Sequence[float],
-    cfg: SolveConfig = DEFAULT_CONFIG,
     name: str = "root-side",
 ) -> VerificationReport:
     """For monotone D, D(x)'s sign tells on which side of x the solution lies.
@@ -417,7 +404,7 @@ def check_root_side(
     d_mono = classify_difference(tf, family, theta)
     if d_mono is Monotonicity.NON_MONOTONE:
         return VerificationReport(name=name, trials=trials, satisfied=0)
-    m = _try_solve(tf, family, theta, cfg)
+    m = _try_solve(tf, family, theta)
     if m is None:
         return VerificationReport(name=name, trials=trials, satisfied=0)
     flip = -1.0 if d_mono is Monotonicity.INCREASING else 1.0
@@ -493,7 +480,6 @@ def check_dominance_order(
     kind: OperatorKind,
     family: ThresholdFamily,
     theta: float,
-    cfg: SolveConfig = DEFAULT_CONFIG,
     name: str = "dominance-order",
 ) -> VerificationReport:
     """Pointwise order of transforms carries to solutions (or reverses).
@@ -520,8 +506,8 @@ def check_dominance_order(
     d_mono = classify_difference(tk, family, theta)
     if d_mono is Monotonicity.NON_MONOTONE:
         return VerificationReport(name=name, trials=1, satisfied=0)
-    mk = _try_solve(tk, family, theta, cfg)
-    mf = _try_solve(tf, family, theta, cfg)
+    mk = _try_solve(tk, family, theta)
+    mf = _try_solve(tf, family, theta)
     if mk is None or mf is None:
         return VerificationReport(name=name, trials=1, satisfied=0)
     reverse = d_mono is Monotonicity.INCREASING
@@ -559,7 +545,6 @@ def check_theta_monotonicity(
     family: ThresholdFamily,
     theta: float,
     theta_prime: float,
-    cfg: SolveConfig = DEFAULT_CONFIG,
     name: str = "theta-monotonicity",
 ) -> VerificationReport:
     """Raising theta moves the solution down for decreasing D, up for increasing D.
@@ -575,8 +560,8 @@ def check_theta_monotonicity(
     d2 = classify_difference(tf, family, theta_prime)
     if d1 is not d2 or d1 is Monotonicity.NON_MONOTONE:
         return VerificationReport(name=name, trials=1, satisfied=0)
-    m = _try_solve(tf, family, theta, cfg)
-    m_prime = _try_solve(tf, family, theta_prime, cfg)
+    m = _try_solve(tf, family, theta)
+    m_prime = _try_solve(tf, family, theta_prime)
     if m is None or m_prime is None:
         return VerificationReport(name=name, trials=1, satisfied=0)
     if d1 is Monotonicity.DECREASING:
@@ -604,25 +589,29 @@ def check_theta_monotonicity(
 # --------------------------------------------------------------------------
 
 
-def check_threshold_gap_bound(
+def _gap_bound(
     f: RankFrequencyFunction,
     schedule: Sequence[RankFrequencyFunction],
     kind: OperatorKind,
     family: ThresholdFamily,
     theta: float,
-    cfg: SolveConfig = DEFAULT_CONFIG,
-    slack: float = 1e-9,
-    name: str = "threshold-gap-bound",
+    slack: float,
+    name: str,
+    hypothesis: Callable[[TransformedFunction], bool],
+    *,
+    threshold_bounded: bool,
+    x_window: tuple[float, float] | None = None,
 ) -> VerificationReport:
-    """|A(m_n) - A(m)| <= |T(f_n)(m) - T(f)(m)| under the first gap hypothesis.
+    """One gap bound over a schedule, for the members that meet ``hypothesis``.
 
-    The hypothesis, checked per schedule member: T(f_n) decreases while A
-    increases in x, or T(f_n) increases while A decreases in x.  Members
-    failing it (or failing to solve) are vacuous.
+    The threshold gap |A(m_n) - A(m)| is bounded by the transform gap
+    |T(f_n)(m) - T(f)(m)| when ``threshold_bounded``, and the other way
+    round otherwise.  Members failing the hypothesis or the solve are
+    vacuous.
     """
     tf = apply(kind, f)
     trials = len(schedule)
-    m = _try_solve(tf, family, theta, cfg)
+    m = _try_solve(tf, family, theta, x_window)
     if m is None:
         return VerificationReport(name=name, trials=trials, satisfied=0)
     a_m = family.value(m, theta)
@@ -631,16 +620,16 @@ def check_threshold_gap_bound(
     failures: list[Counterexample] = []
     for i, fn in enumerate(schedule, start=1):
         tfn = apply(kind, fn)
-        hyp = (
-            tfn.monotonicity is Monotonicity.DECREASING and family.increasing_in_x
-        ) or (tfn.monotonicity is Monotonicity.INCREASING and not family.increasing_in_x)
-        if not hyp:
+        if not hypothesis(tfn):
             continue
-        mn = _try_solve(tfn, family, theta, cfg)
+        mn = _try_solve(tfn, family, theta, x_window)
         if mn is None:
             continue
-        lhs = abs(family.value(mn, theta) - a_m)
-        rhs = abs(tfn.eval(m) - t_m)
+        threshold_gap = abs(family.value(mn, theta) - a_m)
+        transform_gap = abs(tfn.eval(m) - t_m)
+        lhs, rhs = (
+            (threshold_gap, transform_gap) if threshold_bounded else (transform_gap, threshold_gap)
+        )
         satisfied += 1
         if lhs > rhs + slack:
             failures.append(
@@ -657,13 +646,35 @@ def check_threshold_gap_bound(
     )
 
 
+def check_threshold_gap_bound(
+    f: RankFrequencyFunction,
+    schedule: Sequence[RankFrequencyFunction],
+    kind: OperatorKind,
+    family: ThresholdFamily,
+    theta: float,
+    slack: float = 1e-9,
+    name: str = "threshold-gap-bound",
+) -> VerificationReport:
+    """|A(m_n) - A(m)| <= |T(f_n)(m) - T(f)(m)| under the first gap hypothesis.
+
+    The hypothesis, checked per schedule member: T(f_n) decreases while A
+    increases in x, or T(f_n) increases while A decreases in x.  Members
+    failing it (or failing to solve) are vacuous.
+    """
+    against = Monotonicity.DECREASING if family.increasing_in_x else Monotonicity.INCREASING
+    return _gap_bound(
+        f, schedule, kind, family, theta, slack, name,
+        hypothesis=lambda tfn: tfn.monotonicity is against,
+        threshold_bounded=True,
+    )
+
+
 def check_transform_gap_bound(
     f: RankFrequencyFunction,
     schedule: Sequence[RankFrequencyFunction],
     kind: OperatorKind,
     family: ThresholdFamily,
     theta: float,
-    cfg: SolveConfig = DEFAULT_CONFIG,
     slack: float = 1e-9,
     x_window: tuple[float, float] | None = None,
     name: str = "transform-gap-bound",
@@ -675,45 +686,14 @@ def check_transform_gap_bound(
     restricts both the solves and the difference classification to a
     sub-interval on which the hypothesis is certifiable.
     """
-    tf = apply(kind, f)
-    trials = len(schedule)
-    m = _try_solve(tf, family, theta, cfg, x_window=x_window)
-    if m is None:
-        return VerificationReport(name=name, trials=trials, satisfied=0)
-    a_m = family.value(m, theta)
-    t_m = tf.eval(m)
-    satisfied = 0
-    failures: list[Counterexample] = []
-    for i, fn in enumerate(schedule, start=1):
-        tfn = apply(kind, fn)
+
+    def hypothesis(tfn: TransformedFunction) -> bool:
         d_mono = classify_difference(tfn, family, theta, x_window=x_window)
-        hyp = (
-            tfn.monotonicity is Monotonicity.INCREASING
-            and d_mono is Monotonicity.DECREASING
-        ) or (
-            tfn.monotonicity is Monotonicity.DECREASING
-            and d_mono is Monotonicity.INCREASING
-        )
-        if not hyp:
-            continue
-        mn = _try_solve(tfn, family, theta, cfg, x_window=x_window)
-        if mn is None:
-            continue
-        lhs = abs(tfn.eval(m) - t_m)
-        rhs = abs(family.value(mn, theta) - a_m)
-        satisfied += 1
-        if lhs > rhs + slack:
-            failures.append(
-                Counterexample(
-                    inputs=f"schedule#{i} f={f.digest()}",
-                    lhs=lhs,
-                    rhs=rhs,
-                    slack=slack,
-                    theta=theta,
-                )
-            )
-    return VerificationReport(
-        name=name, trials=trials, satisfied=satisfied, failures=tuple(failures)
+        return {tfn.monotonicity, d_mono} == {Monotonicity.INCREASING, Monotonicity.DECREASING}
+
+    return _gap_bound(
+        f, schedule, kind, family, theta, slack, name, hypothesis,
+        threshold_bounded=False, x_window=x_window,
     )
 
 
@@ -729,12 +709,11 @@ def check_convergence_pointwise(
     family: ThresholdFamily,
     theta_grid: Sequence[float],
     n_max: int,
-    cfg: SolveConfig = DEFAULT_CONFIG,
     name: str = "convergence-pointwise",
 ) -> VerificationReport:
     """Solutions follow a pointwise-convergent sequence, theta by theta.
 
-    The terminal gap must fall below 10 * abs_tol_x + C / n_max where C
+    The terminal gap must fall below 10 * ABS_TOL_X + C / n_max where C
     is the observed first-member gap; the transformed values at the base
     solution (the reconstruction of the limit on the range of the
     bundle) must shrink proportionally too.
@@ -748,14 +727,14 @@ def check_convergence_pointwise(
     tf1 = apply(kind, f1)
     tfn = apply(kind, fn)
     for theta in theta_grid:
-        m = _try_solve(tf, family, theta, cfg)
-        m1 = _try_solve(tf1, family, theta, cfg)
-        mn = _try_solve(tfn, family, theta, cfg)
+        m = _try_solve(tf, family, theta)
+        m1 = _try_solve(tf1, family, theta)
+        mn = _try_solve(tfn, family, theta)
         if m is None or m1 is None or mn is None:
             continue
         satisfied += 1
         first_gap = abs(m1 - m)
-        tol = 10.0 * cfg.abs_tol_x + first_gap / n_max
+        tol = 10.0 * ABS_TOL_X + first_gap / n_max
         gap = abs(mn - m)
         if gap > tol:
             failures.append(
@@ -793,7 +772,6 @@ def check_convergence_uniform(
     theta_min: float,
     grid_size: int,
     n_max: int,
-    cfg: SolveConfig = DEFAULT_CONFIG,
     name: str = "convergence-uniform",
 ) -> VerificationReport:
     """Sup over a theta grid bounded away from zero shrinks monotonically.
@@ -815,7 +793,7 @@ def check_convergence_uniform(
     tf = apply(kind, f)
     base: dict[float, float] = {}
     for theta in thetas:
-        m = _try_solve(tf, family, float(theta), cfg)
+        m = _try_solve(tf, family, float(theta))
         if m is not None:
             base[float(theta)] = m
     trials = len(n_values)
@@ -828,7 +806,7 @@ def check_convergence_uniform(
         tfn = apply(kind, sequence(n))
         gaps = []
         for theta, m in base.items():
-            mn = _try_solve(tfn, family, theta, cfg)
+            mn = _try_solve(tfn, family, theta)
             if mn is not None:
                 gaps.append(abs(mn - m))
         if not gaps:
@@ -846,7 +824,7 @@ def check_convergence_uniform(
                 )
             )
     if sups:
-        tol = 10.0 * cfg.abs_tol_x + sups[0] / n_values[-1]
+        tol = 10.0 * ABS_TOL_X + sups[0] / n_values[-1]
         if sups[-1] > tol:
             failures.append(
                 Counterexample(
@@ -871,7 +849,6 @@ def check_impact_axioms(
     family: ThresholdFamily,
     master_seed: int,
     trials: int,
-    cfg: SolveConfig = DEFAULT_CONFIG,
     function_gen: Callable[[np.random.Generator], RankFrequencyFunction] | None = None,
     pair_theta_fn: Callable[
         [TransformedFunction, TransformedFunction, ThresholdFamily], list[float]
@@ -892,6 +869,32 @@ def check_impact_axioms(
     satisfied = 0
     attempted = 0
     pick_thetas = pair_theta_fn or _pair_thetas
+
+    def pair_axiom(
+        tf: TransformedFunction,
+        tg: TransformedFunction,
+        thetas: Sequence[float],
+        holds: Callable[[float, float], bool],
+        inputs: str,
+        slack: float,
+        seed: int,
+    ) -> int:
+        """Check ``holds(m_f, m_g)`` at every theta both solve; 1 if any did, else 0."""
+        fired = 0
+        for theta in thetas:
+            mf = _try_solve(tf, family, theta)
+            mg = _try_solve(tg, family, theta)
+            if mf is None or mg is None:
+                continue
+            fired = 1
+            if not holds(mf, mg):
+                failures.append(
+                    Counterexample(
+                        inputs=inputs, lhs=mf, rhs=mg, slack=slack, seed=seed, theta=theta
+                    )
+                )
+        return fired
+
     children = np.random.SeedSequence(master_seed).spawn(trials)
     for idx, child in enumerate(children):
         rng = np.random.default_rng(child)
@@ -909,7 +912,7 @@ def check_impact_axioms(
         # zero-iff-zero
         attempted += 1
         zero = zero_like(f)
-        m_zero = _try_solve(apply(kind, zero), family, 1.0, cfg)
+        m_zero = _try_solve(apply(kind, zero), family, 1.0)
         satisfied += 1
         if m_zero is None or m_zero != a:
             failures.append(
@@ -922,7 +925,7 @@ def check_impact_axioms(
                 )
             )
         for theta in _psi_candidates(tf, family):
-            m = _try_solve(tf, family, theta, cfg)
+            m = _try_solve(tf, family, theta)
             if m is None:
                 continue
             if not m > _STRICT_GAP:
@@ -939,26 +942,20 @@ def check_impact_axioms(
 
         # order preservation on a dominated pair
         attempted += 1
-        mode = PerturbMode.MULTIPLICATIVE if rng.random() < 0.5 else PerturbMode.ADDITIVE
+        mode = _random_mode(rng)
         delta = float(rng.uniform(0.05, 0.5))
         g = perturb(f, mode, delta)
         if leq(f, g):
             tg = apply(kind, g)
-            fired = False
-            for theta, mf, mg in _pair_solves(tf, tg, family, pick_thetas(tf, tg, family), cfg):
-                fired = True
-                if not mf <= mg + _SIGN_EPS:
-                    failures.append(
-                        Counterexample(
-                            inputs=f"order-preservation trial#{idx} mode={mode.value} delta={delta:.4g}",
-                            lhs=mf,
-                            rhs=mg,
-                            slack=_SIGN_EPS,
-                            seed=sub_seed,
-                            theta=theta,
-                        )
-                    )
-            satisfied += 1 if fired else 0
+            satisfied += pair_axiom(
+                tf,
+                tg,
+                pick_thetas(tf, tg, family),
+                lambda mf, mg: mf <= mg + _SIGN_EPS,
+                f"order-preservation trial#{idx} mode={mode.value} delta={delta:.4g}",
+                _SIGN_EPS,
+                sub_seed,
+            )
 
         # strict prefix order
         attempted += 1
@@ -968,47 +965,33 @@ def check_impact_axioms(
         g = prefix_bump(f, a_cut, a_end, height)
         if lt_on_prefix(f, g, a_cut):
             tg = apply(kind, g)
-            fired = False
             thetas = _psi_candidates(tf, family, hi_x=a_cut) + _psi_candidates(
                 tg, family, hi_x=a_cut
             )
-            for theta, mf, mg in _pair_solves(tf, tg, family, thetas, cfg):
-                fired = True
-                if not mg - mf > _STRICT_GAP:
-                    failures.append(
-                        Counterexample(
-                            inputs=f"strict-prefix-order trial#{idx} a_cut={a_cut:.4g}",
-                            lhs=mf,
-                            rhs=mg,
-                            slack=_STRICT_GAP,
-                            seed=sub_seed,
-                            theta=theta,
-                        )
-                    )
-            satisfied += 1 if fired else 0
+            satisfied += pair_axiom(
+                tf,
+                tg,
+                thetas,
+                lambda mf, mg: mg - mf > _STRICT_GAP,
+                f"strict-prefix-order trial#{idx} a_cut={a_cut:.4g}",
+                _STRICT_GAP,
+                sub_seed,
+            )
 
         # prefix equality
         attempted += 1
         if f.eval(a_cut) > 0:
             g = flatten_tail(f, a_cut, softening=float(rng.uniform(0.3, 0.7)))
             if eq_on_prefix(f, g, a_cut):
-                tg = apply(kind, g)
-                fired = False
-                thetas = _psi_candidates(tf, family, hi_x=a_cut)
-                for theta, mf, mg in _pair_solves(tf, tg, family, thetas, cfg):
-                    fired = True
-                    if abs(mf - mg) > cfg.abs_tol_x:
-                        failures.append(
-                            Counterexample(
-                                inputs=f"prefix-equality trial#{idx} a_cut={a_cut:.4g}",
-                                lhs=mf,
-                                rhs=mg,
-                                slack=cfg.abs_tol_x,
-                                seed=sub_seed,
-                                theta=theta,
-                            )
-                        )
-                satisfied += 1 if fired else 0
+                satisfied += pair_axiom(
+                    tf,
+                    apply(kind, g),
+                    _psi_candidates(tf, family, hi_x=a_cut),
+                    lambda mf, mg: abs(mf - mg) <= ABS_TOL_X,
+                    f"prefix-equality trial#{idx} a_cut={a_cut:.4g}",
+                    ABS_TOL_X,
+                    sub_seed,
+                )
     return VerificationReport(
         name=name, trials=attempted, satisfied=satisfied, failures=tuple(failures)
     )
@@ -1023,7 +1006,6 @@ def check_impact_axioms(
 class SuiteConfig:
     master_seed: int = 20240810
     trials: int = 40
-    solver: SolveConfig = field(default_factory=SolveConfig)
     include_reversal_in_impact: bool = False
 
 
@@ -1063,6 +1045,18 @@ def _sub_seeds(master: int, label: str, count: int) -> list[int]:
     return [int(c.generate_state(1, dtype=np.uint64)[0]) for c in root.spawn(count)]
 
 
+def _random_mode(rng: np.random.Generator) -> PerturbMode:
+    """Multiplicative or additive with equal odds, from one ``rng.random()`` draw."""
+    return PerturbMode.MULTIPLICATIVE if rng.random() < 0.5 else PerturbMode.ADDITIVE
+
+
+def _schedule(
+    f: RankFrequencyFunction, mode: PerturbMode, scale: float, length: int
+) -> list[RankFrequencyFunction]:
+    """f perturbed by scale / n for n = 1, ..., length."""
+    return [perturb(f, mode, scale / n) for n in range(1, length + 1)]
+
+
 def _nonzero_random(seed: int) -> RankFrequencyFunction:
     f = random_function(seed)
     if f.is_zero():  # astronomically unlikely; regenerate deterministically
@@ -1078,36 +1072,35 @@ def _contract(master_seed: int, kind: OperatorKind, name: str) -> VerificationRe
 
 def _root_side_trial(
     seed: int, f: RankFrequencyFunction, kind: OperatorKind,
-    family: PowerThreshold, cfg: SolveConfig,
+    family: PowerThreshold,
 ) -> VerificationReport | None:
     thetas = _psi_candidates(apply(kind, f), family, fractions=(0.5,))
     if not thetas:
         return None
     xs = np.linspace(f.support_start, f.support_end, 11)[1:-1]
-    return check_root_side(f, kind, family, thetas[0], xs.tolist(), cfg)
+    return check_root_side(f, kind, family, thetas[0], xs.tolist())
 
 
 def _dominance_trial(
     seed: int, f: RankFrequencyFunction, kind: OperatorKind,
-    family: PowerThreshold, cfg: SolveConfig,
+    family: PowerThreshold,
 ) -> VerificationReport | None:
     rng = np.random.default_rng(seed)
-    mode = PerturbMode.MULTIPLICATIVE if rng.random() < 0.5 else PerturbMode.ADDITIVE
-    k = perturb(f, mode, float(rng.uniform(0.05, 0.4)))
+    k = perturb(f, _random_mode(rng), float(rng.uniform(0.05, 0.4)))
     thetas = _pair_thetas(apply(kind, f), apply(kind, k), family, fractions=(0.5,))
     if not thetas:
         return None
-    return check_dominance_order(k, f, kind, family, thetas[0], cfg)
+    return check_dominance_order(k, f, kind, family, thetas[0])
 
 
 def _theta_monotonicity_trial(
     seed: int, f: RankFrequencyFunction, kind: OperatorKind,
-    family: PowerThreshold, cfg: SolveConfig,
+    family: PowerThreshold,
 ) -> VerificationReport | None:
     thetas = _psi_candidates(apply(kind, f), family, fractions=(0.6,))
     if not thetas:
         return None
-    return check_theta_monotonicity(f, kind, family, thetas[0], 1.7 * thetas[0], cfg)
+    return check_theta_monotonicity(f, kind, family, thetas[0], 1.7 * thetas[0])
 
 
 # (report prefix, sub-seed label, trial) of the properties run per stock setting
@@ -1130,7 +1123,7 @@ def _per_setting(
     family = PowerThreshold(p=p, shift=0.0)
     per = []
     for seed in _sub_seeds(cfg.master_seed, seed_label, cfg.trials):
-        report = trial(seed, _nonzero_random(seed), kind, family, cfg.solver)
+        report = trial(seed, _nonzero_random(seed), kind, family)
         if report is not None:
             per.append(report)
     return VerificationReport.merge(name, per)
@@ -1141,7 +1134,7 @@ def _suite_table(cfg: SuiteConfig) -> list[tuple[str, Callable[..., Verification
 
     ``run(name=name)`` builds that property's report.
     """
-    seed, trials, solver = cfg.master_seed, cfg.trials, cfg.solver
+    seed, trials = cfg.master_seed, cfg.trials
     table = [
         (f"operator-contract/{kind.value}", partial(_contract, seed, kind))
         for kind in OperatorKind
@@ -1162,21 +1155,21 @@ def _suite_table(cfg: SuiteConfig) -> list[tuple[str, Callable[..., Verification
     table += [
         ("root-side/reversal", partial(
             check_root_side, rev_f, rev_kind, rev_a, rev.theta(),
-            np.linspace(0.5, rev.span - 0.5, 9).tolist(), solver,
+            np.linspace(0.5, rev.span - 0.5, 9).tolist(),
         )),
         ("dominance-order/reversal", partial(
             check_dominance_order, perturb(rev_f, PerturbMode.MULTIPLICATIVE, 0.2), rev_f,
-            rev_kind, rev_a, rev.theta(scale_max=0.2), solver,
+            rev_kind, rev_a, rev.theta(scale_max=0.2),
         )),
         ("theta-monotonicity/reversal", partial(
             check_theta_monotonicity, rev_f, rev_kind, rev_a,
-            lo_w + 0.3 * (hi_w - lo_w), lo_w + 0.7 * (hi_w - lo_w), solver,
+            lo_w + 0.3 * (hi_w - lo_w), lo_w + 0.7 * (hi_w - lo_w),
         )),
         ("threshold-gap-bound", partial(
-            threshold_gap_bound_batch, seed, trials, _SCHEDULE_LENGTH, solver
+            threshold_gap_bound_batch, seed, trials, _SCHEDULE_LENGTH
         )),
         ("transform-gap-bound", partial(
-            transform_gap_bound_batch, seed, trials, _SCHEDULE_LENGTH, solver
+            transform_gap_bound_batch, seed, trials, _SCHEDULE_LENGTH
         )),
     ]
 
@@ -1186,28 +1179,28 @@ def _suite_table(cfg: SuiteConfig) -> list[tuple[str, Callable[..., Verification
         table += [
             (f"convergence-pointwise/{label}", partial(
                 check_convergence_pointwise, line, multiplicative_sequence(line), kind, h_family,
-                [0.5, 1.0, 2.0, 5.0], _CONVERGENCE_N_MAX, solver,
+                [0.5, 1.0, 2.0, 5.0], _CONVERGENCE_N_MAX,
             )),
             (f"convergence-uniform/{label}", partial(
                 check_convergence_uniform, line, additive_sequence(line), kind, h_family,
-                0.5, 8, _CONVERGENCE_N_MAX, solver,
+                0.5, 8, _CONVERGENCE_N_MAX,
             )),
         ]
 
     table += [
         (f"impact-axioms/{label}", partial(
             check_impact_axioms, kind, PowerThreshold(p=p, shift=0.0),
-            _sub_seeds(seed, f"impact-{label}", 1)[0], trials, solver,
+            _sub_seeds(seed, f"impact-{label}", 1)[0], trials,
         ))
         for label, kind, p in _STOCK_SETTINGS
     ]
     if cfg.include_reversal_in_impact:
-        reversal = partial(reversal_impact_report, seed, trials, solver)
+        reversal = partial(reversal_impact_report, seed, trials)
         table.append(("impact-axioms/reversal", reversal))
     # sufficiency: settings whose difference decreases everywhere satisfy the axioms
     table.append((
         "monotone-difference-forward",
-        partial(monotone_difference_forward_batch, seed, max(trials // 2, 5), solver),
+        partial(monotone_difference_forward_batch, seed, max(trials // 2, 5)),
     ))
     return table
 
@@ -1230,7 +1223,6 @@ def threshold_gap_bound_batch(
     master_seed: int,
     trials: int,
     schedule_length: int,
-    cfg: SolveConfig = DEFAULT_CONFIG,
     slack: float = 1e-9,
     name: str = "threshold-gap-bound",
 ) -> VerificationReport:
@@ -1244,16 +1236,7 @@ def threshold_gap_bound_batch(
         if branch in (0, 1):
             kind = OperatorKind.IDENTITY if branch == 0 else OperatorKind.AVERAGING
             family = PowerThreshold(p=float(rng.choice([1.0, 2.0])), shift=0.0)
-            if rng.random() < 0.5:
-                schedule = [
-                    perturb(f, PerturbMode.MULTIPLICATIVE, 1.0 / n)
-                    for n in range(1, schedule_length + 1)
-                ]
-            else:
-                schedule = [
-                    perturb(f, PerturbMode.ADDITIVE, 1.0 / n)
-                    for n in range(1, schedule_length + 1)
-                ]
+            schedule = _schedule(f, _random_mode(rng), 1.0, schedule_length)
             theta = _theta_for_schedule(f, schedule, kind, family)
             if theta is None:
                 continue
@@ -1261,15 +1244,12 @@ def threshold_gap_bound_batch(
             # increasing transform against a decreasing threshold
             kind = OperatorKind.INTEGRAL
             family = DecreasingLinearThreshold(ceiling=2.0 * f.support_end)
-            schedule = [
-                perturb(f, PerturbMode.MULTIPLICATIVE, 1.0 / n)
-                for n in range(1, schedule_length + 1)
-            ]
+            schedule = _schedule(f, PerturbMode.MULTIPLICATIVE, 1.0, schedule_length)
             total = f.integral(f.support_start, f.support_end)
             if total <= 0:
                 continue
             theta = 0.45 * total / (family.ceiling - f.support_end)
-        per.append(check_threshold_gap_bound(f, schedule, kind, family, theta, cfg, slack))
+        per.append(check_threshold_gap_bound(f, schedule, kind, family, theta, slack))
     return VerificationReport.merge(name, per)
 
 
@@ -1277,7 +1257,6 @@ def transform_gap_bound_batch(
     master_seed: int,
     trials: int,
     schedule_length: int,
-    cfg: SolveConfig = DEFAULT_CONFIG,
     slack: float = 1e-9,
     name: str = "transform-gap-bound",
 ) -> VerificationReport:
@@ -1291,10 +1270,7 @@ def transform_gap_bound_batch(
             f = _nonzero_random(seed)
             kind = OperatorKind.INTEGRAL
             family = PowerThreshold(p=2.0, shift=0.0)
-            schedule = [
-                perturb(f, PerturbMode.MULTIPLICATIVE, 1.0 / n)
-                for n in range(1, schedule_length + 1)
-            ]
+            schedule = _schedule(f, PerturbMode.MULTIPLICATIVE, 1.0, schedule_length)
             total = f.integral(f.support_start, f.support_end)
             if total <= 0:
                 continue
@@ -1305,7 +1281,7 @@ def transform_gap_bound_batch(
                 continue
             per.append(
                 check_transform_gap_bound(
-                    f, schedule, kind, family, theta, cfg, slack, x_window=window
+                    f, schedule, kind, family, theta, slack, x_window=window
                 )
             )
         else:
@@ -1317,17 +1293,14 @@ def transform_gap_bound_batch(
             )
             f = fam.function()
             kappa = 0.4
-            schedule = [
-                perturb(f, PerturbMode.MULTIPLICATIVE, kappa / n)
-                for n in range(1, schedule_length + 1)
-            ]
+            schedule = _schedule(f, PerturbMode.MULTIPLICATIVE, kappa, schedule_length)
             lo, hi = fam.theta_window(scale_max=kappa)
             if not lo < hi:
                 continue
             theta = lo + 0.5 * (hi - lo)
             per.append(
                 check_transform_gap_bound(
-                    f, schedule, fam.operator(), fam.threshold(), theta, cfg, slack
+                    f, schedule, fam.operator(), fam.threshold(), theta, slack
                 )
             )
     return VerificationReport.merge(name, per)
@@ -1359,7 +1332,6 @@ def _theta_for_schedule(
 def reversal_impact_report(
     master_seed: int,
     trials: int,
-    cfg: SolveConfig = DEFAULT_CONFIG,
     name: str = "impact-axioms/reversal",
 ) -> VerificationReport:
     """Impact audit of the order-reversing configuration; expected to fail."""
@@ -1392,7 +1364,6 @@ def reversal_impact_report(
         DecreasingLinearThreshold(ceiling=ceiling),
         master_seed,
         trials,
-        cfg,
         function_gen=gen,
         pair_theta_fn=pick,
         name=name,
@@ -1402,7 +1373,6 @@ def reversal_impact_report(
 def monotone_difference_forward_batch(
     master_seed: int,
     trials: int,
-    cfg: SolveConfig = DEFAULT_CONFIG,
     name: str = "monotone-difference-forward",
 ) -> VerificationReport:
     """Configurations whose difference decreases everywhere satisfy the axioms."""
@@ -1417,7 +1387,7 @@ def monotone_difference_forward_batch(
             continue
         per.append(
             check_impact_axioms(
-                kind, family, seed, 1, cfg, name=f"{name}/{label}"
+                kind, family, seed, 1, name=f"{name}/{label}"
             )
         )
     return VerificationReport.merge(name, per)

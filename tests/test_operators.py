@@ -221,8 +221,7 @@ class TestKindIsTheOperator:
         grid = sorted(thetas)
         bundle_g = sample_bundle(g, kind, fam_g, grid)
         bundle_f = sample_bundle(f, kind, fam_f, grid)
-        assert bundle_f.operator_kind is bundle_g.operator_kind is kind
-        for ef, eg in zip(bundle_f.entries, bundle_g.entries, strict=True):
+        for ef, eg in zip(bundle_f, bundle_g, strict=True):
             assert ef.status is eg.status
             assert ef.m == pytest.approx(eg.m + self.OFFSET, abs=1e-9)
 

@@ -16,7 +16,6 @@ from hirschbundles.funcspace import (
 )
 from hirschbundles.operators import OperatorKind, apply
 from hirschbundles.solver import (
-    SolveConfig,
     SolveStatus,
     g_index,
     g_kosmulski_index,
@@ -103,11 +102,6 @@ class TestSolveBundlePoint:
         assert status is SolveStatus.BISECTION
         assert abs(m - u * u) <= 1e-10
 
-    @pytest.mark.parametrize("tol", [0.0, -1.0, math.inf, math.nan])
-    def test_tolerance_must_be_positive_and_finite(self, tol):
-        with pytest.raises(ValueError):
-            SolveConfig(abs_tol_x=tol)
-
     def test_x_window_restricts_search(self, line):
         fam = PowerThreshold(1.0, 0.0)
         m, _ = solve_bundle_point(line, IDENTITY, fam, 1.0, x_window=(2.0, 8.0))
@@ -131,21 +125,21 @@ class TestSolveBundlePoint:
 
 class TestSampleBundle:
     def test_line_bundle_closed_forms(self, line):
-        sample = sample_bundle(line, IDENTITY, PowerThreshold(1.0, 0.0), [0.5, 1.0, 2.0])
-        values = [e.m for e in sample.entries]
+        entries = sample_bundle(line, IDENTITY, PowerThreshold(1.0, 0.0), [0.5, 1.0, 2.0])
+        values = [e.m for e in entries]
         assert values == pytest.approx([20.0 / 3.0, 5.0, 10.0 / 3.0], abs=1e-10)
 
     def test_single_point_grid_matches_solve(self, line):
-        sample = sample_bundle(line, IDENTITY, PowerThreshold(1.0, 0.0), [1.0])
+        (entry,) = sample_bundle(line, IDENTITY, PowerThreshold(1.0, 0.0), [1.0])
         m, status = solve_bundle_point(line, IDENTITY, PowerThreshold(1.0, 0.0), 1.0)
-        assert sample.entries[0].m == m
-        assert sample.entries[0].status == status
+        assert entry.m == m
+        assert entry.status == status
 
     def test_failures_become_statuses(self, const4):
-        sample = sample_bundle(const4, IDENTITY, PowerThreshold(1.0, 0.0), [0.25, 1.0])
-        assert sample.entries[0].status is SolveStatus.NO_ROOT
-        assert math.isnan(sample.entries[0].m)
-        assert sample.entries[1].status is SolveStatus.EXACT_SEGMENT
+        low, high = sample_bundle(const4, IDENTITY, PowerThreshold(1.0, 0.0), [0.25, 1.0])
+        assert low.status is SolveStatus.NO_ROOT
+        assert math.isnan(low.m)
+        assert high.status is SolveStatus.EXACT_SEGMENT
 
     def test_decreasing_along_theta(self):
         for seed in range(30):
@@ -158,8 +152,8 @@ class TestSampleBundle:
                 continue
             base = psi(f, IDENTITY, PowerThreshold(1.0, 0.0), mid)
             grid = [base, 1.5 * base, 2.5 * base]
-            sample = sample_bundle(f, IDENTITY, PowerThreshold(1.0, 0.0), grid)
-            ms = [e.m for e in sample.entries if not math.isnan(e.m)]
+            entries = sample_bundle(f, IDENTITY, PowerThreshold(1.0, 0.0), grid)
+            ms = [e.m for e in entries if not math.isnan(e.m)]
             assert all(b < a - 1e-12 for a, b in zip(ms, ms[1:]))
 
     def test_grid_validation(self, line):
@@ -253,7 +247,6 @@ class TestSolverInvariants:
     ]
 
     def test_equation_residual(self):
-        cfg = SolveConfig()
         for seed in range(40):
             f = random_function(seed)
             if f.is_zero():
@@ -263,12 +256,12 @@ class TestSolverInvariants:
                 if theta is None:
                     continue
                 tf = apply(op, f)
-                m, _ = solve_bundle_point(f, op, fam, theta, cfg)
+                m, _ = solve_bundle_point(f, op, fam, theta)
                 resid = abs(tf.eval(m) - fam.value(m, theta))
-                # local slope bound: |D| <= (|T'| + |A'|) * abs_tol_x, crudely scaled
+                # local slope bound: |D| <= (|T'| + |A'|) * ABS_TOL_X, crudely scaled
                 span = f.support_end - f.support_start
                 slope_scale = (f.eval(f.support_start) + fam.value(f.support_end, theta)) / span
-                assert resid <= 100.0 * max(slope_scale, 1.0) * cfg.abs_tol_x
+                assert resid <= 100.0 * max(slope_scale, 1.0) * solver.ABS_TOL_X
 
     def test_psi_consistency(self):
         for seed in range(40):

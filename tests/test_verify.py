@@ -7,6 +7,7 @@ import pytest
 
 from hirschbundles.funcspace import (
     PerturbMode,
+    RankFrequencyFunction,
     eq_on_prefix,
     lt_on_prefix,
     perturb,
@@ -357,6 +358,21 @@ class TestHelpers:
 
     def test_steep_power_window_rejects_flat_exponent(self, line):
         assert steep_power_window(line, 1.0, 10.0, 2.0) is None
+
+    # f falls from 10 at 2 to 1 at 9; with p = 2 and envelope 2 the window
+    # starts where f(x) = theta * x.
+    @pytest.mark.parametrize(
+        "theta, window",
+        [
+            (1.0, (5.5, 9.0)),  # f(x) = x inside the support
+            (10.0, (2.0, 9.0)),  # f(2) < 20: steep from the support start
+            (0.1, None),  # f(9) > 0.9: never steep
+        ],
+    )
+    def test_steep_power_window_on_a_support_after_zero(self, theta, window):
+        f = RankFrequencyFunction([(2.0, 10.0), (9.0, 1.0)])
+        got = steep_power_window(f, 2.0, theta, envelope_scale=2.0)
+        assert got == (window if window is None else pytest.approx(window))
 
 
 class TestSuite:
