@@ -2,10 +2,12 @@
 report admissible ranges, and run the verification suite.
 
 Input files are CSV with header ``id,counts`` (counts separated by ``;``)
-or JSON arrays of ``{"id": ..., "counts": [...]}``.  The CSV reader parses
-1,000 records at a time: counts of 1 to 15 ASCII digits straight from the
-text's bytes, exactly; any other chunk with one numpy conversion, and an
-irregular one line by line, whose messages name the first bad line.
+or JSON arrays of ``{"id": ..., "counts": [...]}``.  The CSV reader splits
+plain lines at their commas itself and leaves the rest of the file to the
+csv module from the first line that needs it.  It parses 1,000 records at
+a time: counts of 1 to 15 ASCII digits straight from the text's bytes,
+exactly; any other chunk with one numpy conversion, and an irregular one
+line by line, whose messages name the first bad line.
 
 All computed tables are emitted in input order with 12 significant
 digits, so identical (input, config, seed) triples produce byte-identical
@@ -240,8 +242,23 @@ def read_sources(path: str) -> Corpus:
     p = Path(path)
     if not p.exists():
         raise CliError(f"input file not found: {path}")
-    chunks = [_read_json(p)] if p.suffix.lower() == ".json" else _read_csv(p)
+    try:
+        chunks = [_read_json(p)] if p.suffix.lower() == ".json" else _read_csv(p)
+    except OSError as e:  # a directory, say
+        raise CliError(f"{p}: cannot read: {e.strerror or e}")
+    except UnicodeDecodeError as e:  # only CSV: the JSON reader reports it as invalid JSON
+        raise CliError(f"{p}: line {_undecodable_line(p)}: not UTF-8 text: {e.reason}")
     return _corpus(chunks)
+
+
+def _undecodable_line(p: Path) -> int:
+    """The line of the first byte of ``p`` that UTF-8 does not decode."""
+    data = p.read_bytes()
+    try:
+        data.decode("utf-8")
+    except UnicodeDecodeError as e:
+        return data.count(b"\n", 0, e.start) + 1
+    return 1  # the file changed since it was read
 
 
 def _corpus(chunks: list[_Chunk]) -> Corpus:
@@ -279,7 +296,7 @@ def _counts_problem(counts: np.ndarray) -> str | None:
 
 def _read_json(p: Path) -> _Chunk:
     try:
-        raw = json.loads(p.read_text())
+        raw = json.loads(p.read_text(encoding="utf-8"))
     except ValueError as e:  # JSONDecodeError, or an integer past Python's digit limit
         raise CliError(f"{p}: invalid JSON: {e}")
     if not isinstance(raw, list):
@@ -309,15 +326,18 @@ def _read_json(p: Path) -> _Chunk:
 
 def _read_csv(p: Path) -> list[_Chunk]:
     chunks = []
-    with p.open(newline="") as fh:
-        reader = csv.reader(fh)
+    with p.open(encoding="utf-8", newline="") as fh:
+        reader = _csv_rows(fh)
         try:
             header = next(reader)
         except StopIteration:
             raise CliError(f"{p}: empty file")
+        except csv.Error as e:
+            raise CliError(f"{p}: line 1: {e}")
         if [h.strip() for h in header[:2]] != ["id", "counts"]:
             raise CliError(f"{p}: line 1: expected header 'id,counts'")
         rows: list[tuple[int, list[str]]] = []
+        lineno = 1
         try:
             for lineno, row in enumerate(reader, start=2):
                 if row:
@@ -325,11 +345,31 @@ def _read_csv(p: Path) -> list[_Chunk]:
                 if len(rows) == CSV_CHUNK:
                     chunk, rows = rows, []
                     chunks.append(_parse_chunk(p, chunk))
+        except csv.Error as e:  # a field beyond csv.field_size_limit(), say
+            raise CliError(f"{p}: line {lineno + 1}: {e}")
         finally:
             # also when the reader fails part-way, so that a bad line before
             # the failure is reported first, as line by line
             chunks.append(_parse_chunk(p, rows))
     return chunks
+
+
+def _csv_rows(fh: Iterable[str]) -> Iterator[list[str]]:
+    """The rows of ``csv.reader(fh)``, for lines read with ``newline=""``.
+
+    csv yields ``line.split(",")`` for a line with no quote, carriage
+    return or NUL (which csv rejects before Python 3.11) that is no longer
+    than its field limit, and ``[]`` for a blank line.  Such plain lines
+    are split here; from the first other line on, csv reads the rest.
+    """
+    limit = csv.field_size_limit()
+    for line in fh:
+        if '"' in line or "\r" in line or "\0" in line or len(line) > limit:
+            yield from csv.reader(chain([line], fh))
+            return
+        if line[-1] == "\n":
+            line = line[:-1]
+        yield line.split(",") if line else []
 
 
 def _parse_chunk(p: Path, rows: list[tuple[int, list[str]]]) -> _Chunk:
@@ -359,7 +399,7 @@ def _parse_chunk(p: Path, rows: list[tuple[int, list[str]]]) -> _Chunk:
 
 
 # Tokens of at most this many digits are below 10**15 < 2**53, so every
-# partial value of Horner's rule is an integer that float64 holds exactly.
+# partial sum of their digit columns is an integer that float64 holds exactly.
 _MAX_DIGITS = 15
 
 
@@ -374,23 +414,29 @@ def _parse_digits(text: str) -> np.ndarray | None:
     # allocated before the temporaries, so that their space is reused
     # once they are freed rather than left below the kept array
     values = np.empty(text.count(";") + 1)
-    codes = np.frombuffer(text.encode("ascii"), dtype=np.uint8)
+    # a separator in front, so that every token's first digit follows one
+    codes = np.frombuffer(f";{text}".encode("ascii"), dtype=np.uint8)
     digits = codes - ord("0")  # wraps around below "0"
     separators = np.flatnonzero(digits > 9)
-    if not (codes[separators] == ord(";")).all():
+    if len(separators) != len(values):  # a byte that is neither a digit nor ";"
         return None
-    starts = np.concatenate([[0], separators + 1])
-    lengths = np.append(separators, len(codes)) - starts
-    if not 1 <= lengths.min() <= lengths.max() <= _MAX_DIGITS:
+    pos = np.append(separators[1:], len(codes)) - 1  # the last byte of each token
+    column = digits[pos]
+    if not (column <= 9).all():  # an empty token
         return None
-    for n in np.flatnonzero(np.bincount(lengths)).tolist():
-        tokens = lengths == n
-        first = starts[tokens]
-        value = digits[first].astype(float)
-        for i in range(1, n):  # Horner's rule, one digit column at a time
-            value = value * 10.0 + digits[first + i]
-        values[tokens] = value
-    return values
+    values[:] = column
+    # live: the tokens with a digit in column k, counted from 0 at the right;
+    # pos: the place of that digit
+    live = np.flatnonzero(digits[pos - 1] <= 9)
+    pos = pos[live] - 1
+    for k in range(1, _MAX_DIGITS):
+        if not len(live):
+            return values
+        values[live] += digits[pos] * 10.0**k
+        pos -= 1
+        more = digits[pos] <= 9
+        live, pos = live[more], pos[more]
+    return None if len(live) else values
 
 
 def _parse_rows(p: Path, rows: list[tuple[int, list[str]]]) -> _Chunk:

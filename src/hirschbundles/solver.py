@@ -15,10 +15,10 @@ over (x - a) (averaging):
   and A strictly increasing, so D is strictly decreasing.  Along theta,
   D = T(f) - theta * (x - shift)^p changes only by the theta factor, so
   each window gets one solve table, memoized on the TransformedFunction:
-  the window ends and the breakpoints inside, T(f) there, the theta-free
-  base (x - shift)^p, and the breakpoint segment of each interval, all as
-  Python floats.  Each theta then pays one float bisection over the table
-  for the one sign change, and solves on the segment it lands in.
+  the window ends and the breakpoints inside, T(f) there and the
+  theta-free base (x - shift)^p, all as Python floats, and the window's
+  first breakpoint segment.  Each theta then pays one float bisection over
+  the table for the one sign change, and solves on the segment it lands in.
 * Every other pair: each breakpoint segment is split into monotone pieces
   at the critical points of D -- or of (x - a) * D for averaging, which
   has the same sign for x > a.  Where that is a polynomial of degree at
@@ -54,7 +54,7 @@ import numpy as np
 from .errors import DomainError, NonPositiveThetaError, NoRootError, NonUniqueError
 from .funcspace import RankFrequencyFunction
 from .operators import OperatorKind, TransformedFunction, apply
-from .thresholds import DecreasingLinearThreshold, PowerThreshold, ThresholdFamily
+from .thresholds import DecreasingLinearThreshold, PowerThreshold, ThresholdFamily, _power
 
 # Width in x at which bisection stops.
 ABS_TOL_X = 1e-10
@@ -142,7 +142,7 @@ def _solve_decreasing(
     float arithmetic) as ``np.searchsorted(-dvals, 0.0)`` over the array
     of those values, so every decision is that of the array search.
     """
-    xs, tvals, base, segments = _power_table(tf, family, lo, hi)
+    xs, tvals, base, first = _power_table(tf, family, lo, hi)
     n = len(xs)
     j = bisect.bisect_left(range(n), 0.0, key=lambda i: theta * base[i] - tvals[i])
     if j == n:
@@ -153,7 +153,8 @@ def _solve_decreasing(
     if j == 0:
         raise NoRootError(f"theta={theta} is not admissible: D < 0 on the domain from {lo} to {hi}")
     d_lo = tvals[j - 1] - theta * base[j - 1]
-    return _locate(tf, family, theta, xs[j - 1], xs[j], d_lo, segments[j - 1])
+    segment = _segment(tf.source, first + j - 1)
+    return _locate(tf, family, theta, xs[j - 1], xs[j], d_lo, segment)
 
 
 class _PowerTable(NamedTuple):
@@ -162,7 +163,7 @@ class _PowerTable(NamedTuple):
     xs: list[float]  # lo, the breakpoints strictly inside (lo, hi), and hi
     tvals: list[float]  # T(f) at xs
     base: list[float]  # (xs - shift)^p
-    segments: list[tuple[float, float, float, float]]  # _segment of [xs[k], xs[k + 1]]
+    first: int  # the breakpoint segment of [xs[k], xs[k + 1]] is first + k
 
 
 def _power_table(
@@ -176,8 +177,7 @@ def _power_table(
         tvals = [tf.eval(lo), *tf.breakpoint_values[i0:i1].tolist(), tf.eval(hi)]
         with np.errstate(over="ignore"):  # an inf base makes D = -inf, as it should
             base = np.power(xs - family.shift, family.p).tolist()
-        columns = (c.tolist() for c in _segment(tf.source, slice(i0 - 1, i1)))
-        table = _PowerTable(xs.tolist(), tvals, base, list(zip(*columns)))
+        table = _PowerTable(xs.tolist(), tvals, base, i0 - 1)
         tf.solve_tables[key] = table
     return table
 
@@ -243,6 +243,8 @@ def _boundary_root(
 
 def _segment(f: RankFrequencyFunction, seg):
     """(x0, y0, slope, cumulative) of breakpoint segment(s) ``seg``: an index, slice or array."""
+    if isinstance(seg, int):  # Python floats, whose products overflow to inf without a warning
+        return f.xs.item(seg), f.ys.item(seg), f.slopes.item(seg), f.cumulative.item(seg)
     return f.xs[seg], f.ys[seg], f.slopes[seg], f.cumulative[seg]
 
 
@@ -307,12 +309,13 @@ def _integral_power_critical_points(
         inflect = shift + np.power(ratio, 1.0 / (p - 2.0))
     inflect = inflect[(ratio > 0.0) & (inflect > ends[:-1]) & (inflect < ends[1:])]
     cuts = np.sort(np.concatenate((ends, inflect)))
-    with np.errstate(divide="ignore"):  # (x - shift)^(p - 1) is inf at x = shift for p < 1
+    # (x - shift)^(p - 1) is inf at x = shift for p < 1, and where it overflows
+    with np.errstate(divide="ignore", over="ignore"):
         dprime_cuts = f.eval_many(cuts) - theta * p * np.power(cuts - shift, p - 1.0)
     signs = np.sign(dprime_cuts)
 
     def dprime(x: float) -> float:
-        return f.eval(x) - theta * p * (x - shift) ** (p - 1.0)
+        return f.eval(x) - theta * p * _power(x - shift, p - 1.0)
 
     changes = np.flatnonzero(signs[:-1] * signs[1:] < 0.0)
     return np.array([_bisect(dprime, cuts[k], cuts[k + 1], dprime_cuts[k]) for k in changes])
@@ -353,7 +356,7 @@ def _locate(
         shift, p = family.shift, family.p
 
         def threshold(x: float) -> float:
-            return theta * (x - shift) ** p  # PowerThreshold.value, without its checks
+            return theta * _power(x - shift, p)  # PowerThreshold.value, without its checks
 
     else:
 

@@ -61,11 +61,12 @@ class PowerThreshold:
     def value(self, x: float, theta: float) -> float:
         _check_theta(theta)
         self._check_x(x)
-        return theta * (x - self.shift) ** self.p
+        return theta * _power(x - self.shift, self.p)
 
     def value_many(self, x: np.ndarray, theta: float) -> np.ndarray:
         _check_theta(theta)
-        return theta * np.power(x - self.shift, self.p)
+        with np.errstate(over="ignore"):  # an overflowing power is inf
+            return theta * np.power(x - self.shift, self.p)
 
     def theta_inverse(self, x: float, value: float) -> float:
         if value < 0:
@@ -73,10 +74,12 @@ class PowerThreshold:
         if x == self.shift:
             raise SingularAbscissaError(f"theta-inverse undefined at x = shift = {x}")
         self._check_x(x)
-        return value / (x - self.shift) ** self.p
+        return value / _power(x - self.shift, self.p)
 
     def theta_inverse_many(self, x: np.ndarray, values: np.ndarray) -> np.ndarray:
-        return values / np.power(x - self.shift, self.p)
+        # a power that overflows gives theta 0, one that underflows inf
+        with np.errstate(over="ignore", divide="ignore"):
+            return values / np.power(x - self.shift, self.p)
 
     def describe(self) -> str:
         return f"power(p={self.p:g},shift={self.shift:g})"
@@ -125,6 +128,16 @@ class DecreasingLinearThreshold:
 
 
 ThresholdFamily = Union[PowerThreshold, DecreasingLinearThreshold]
+
+
+# Shared with the solver, yet private: bench/tracing.py gives every public
+# function of a layer module a span, and this one runs per bisection step.
+def _power(gap: float, p: float) -> float:
+    """gap**p by Python's ``**``: 0.0 for gap <= 0, inf where it overflows."""
+    try:
+        return gap**p if gap > 0.0 else 0.0
+    except OverflowError:
+        return math.inf
 
 
 def _check_theta(theta: float) -> None:
@@ -192,14 +205,17 @@ def certified_range(
 
     theta_min = psi_f(end), or None (open at zero) when T(f)(end) = 0;
     theta_max = psi_f(origin), or inf when origin <= shift, where the
-    power vanishes.  Raises NoRootError when the threshold is not positive
-    on [origin, end] (see :func:`certified_bounds`): no theta is admissible.
+    power vanishes.  Raises NoRootError when no theta is admissible (see
+    :func:`certified_bounds`): the threshold is not positive on
+    [origin, end], or it overflows already at the origin.
     """
     lows, highs = certified_bounds(
         np.array([t_origin]), np.array([t_end]), origin, np.array([end]), family
     )
     lo, theta_max = float(lows[0]), float(highs[0])
     if math.isnan(lo):
+        if origin > family.shift and _power(origin - family.shift, family.p) == math.inf:
+            raise NoRootError(f"no theta is admissible: the threshold overflows at {origin}")
         raise _no_positive_threshold(origin, end)
     return AdmissibleRange(theta_min=lo if lo > 0.0 else None, theta_max=theta_max, certified=True)
 
@@ -215,35 +231,28 @@ def certified_bounds(
 
     Function i has T(f) = ``t_origin[i]`` at the common ``origin`` and
     ``t_end[i]`` at its support end ``end[i]``.  A theta_min of 0.0 means
-    the range is open at zero.  The power (end - shift)**p is Python's
-    ``**``, taken once per distinct end, and each bound is one IEEE
-    division, so the bounds of a function have the same bits whichever
-    functions share the call.  A power that overflows is inf and gives
-    theta_min 0: A reaches inf at the end, so every theta has a root.  A
-    power of 0.0 (a shift at or past the end, or an underflow) leaves A not
-    positive on [origin, end], so no theta is admissible: both bounds are NaN.
-    So are they where a tiny power overflows theta_min: no finite theta
-    reaches the threshold there either.
+    the range is open at zero.  The powers (end - shift)**p, taken once per
+    distinct end, and (origin - shift)**p are :func:`_power`, and each bound
+    is one IEEE division, so the bounds of a function have the
+    same bits whichever functions share the call.  A power at the end that
+    overflows is inf and gives theta_min 0: A reaches inf at the end, so
+    every theta has a root.  A power of 0.0 (a shift at or past the end, or
+    an underflow) leaves A not positive on [origin, end], so no theta is
+    admissible: both bounds are NaN.  So are they where a tiny power
+    overflows theta_min, and where the power at the origin overflows and
+    gives theta_max 0: no finite theta reaches the threshold, or every one
+    exceeds T(f) already at the origin.  A power at the origin that
+    underflows gives theta_max inf.
     """
     ends, at = np.unique(end, return_inverse=True)
-    powers = np.array([_end_power(e - family.shift, family.p) for e in ends.tolist()])[at]
+    powers = np.array([_power(e - family.shift, family.p) for e in ends.tolist()])[at]
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         theta_min = t_end / powers
-    if origin > family.shift:
-        theta_max = t_origin / (origin - family.shift) ** family.p
-    else:
-        theta_max = np.full(len(t_origin), math.inf)
-    none = ~(theta_min < math.inf)  # a zero power, or one so small theta_min overflows
+        # inf where origin <= shift: the power is 0.0 there
+        theta_max = t_origin / _power(origin - family.shift, family.p)
+    none = ~(theta_min < math.inf) | (theta_max == 0.0)
     theta_min[none] = theta_max[none] = math.nan
     return theta_min, theta_max
-
-
-def _end_power(gap: float, p: float) -> float:
-    """gap**p by Python's ``**``: 0.0 for gap <= 0, inf where it overflows."""
-    try:
-        return gap**p if gap > 0.0 else 0.0
-    except OverflowError:
-        return math.inf
 
 
 def _no_positive_threshold(origin: float, end: float) -> NoRootError:
@@ -284,8 +293,9 @@ def admissible_range(
     if not bool(mask.any()):
         raise ZeroFunctionError("T(f) vanishes on the sampled interior")
     thetas = family.theta_inverse_many(xs[mask], vals[mask])
+    theta_min = float(thetas.min())  # 0 where the power overflows: open at zero
     return AdmissibleRange(
-        theta_min=float(thetas.min()),
+        theta_min=theta_min if theta_min > 0.0 else None,
         theta_max=float(thetas.max()),
         certified=False,
     )

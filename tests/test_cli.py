@@ -21,6 +21,7 @@ from hirschbundles.cli import (
     IndexDef,
     ThetaGrid,
     _certified_columns,
+    _csv_rows,
     _parse_rows,
     _range_or_error,
     main,
@@ -151,6 +152,38 @@ class TestIndexCommand:
         code, out, err = run_cli(["index", str(q)], capsys)
         assert (code, out) == (2, "")
         assert err.startswith(f"error: {q}: ")
+
+    # each was a traceback and exit 1, which is verify's failure code
+    @pytest.mark.parametrize("suffix", [".csv", ".json"])
+    def test_directory_input_exit_2(self, tmp_path, capsys, suffix):
+        p = tmp_path / f"input{suffix}"
+        p.mkdir()
+        code, out, err = run_cli(["index", str(p)], capsys)
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: {p}: cannot read: ") and err.count("\n") == 1
+
+    def test_non_utf8_csv_exit_2(self, tmp_path, capsys):
+        p = tmp_path / "latin.csv"
+        p.write_bytes(b"id,counts\nok,3;2;1\na,3;2\xff\n")
+        assert run_cli(["index", str(p)], capsys) == (
+            2, "", f"error: {p}: line 3: not UTF-8 text: invalid start byte\n"
+        )
+
+    @pytest.mark.parametrize("line", [2, 3])
+    def test_field_beyond_csv_limit_exit_2(self, tmp_path, capsys, line):
+        p = tmp_path / "big.csv"
+        big = "big," + "1;" * 70_000 + "1\n"
+        p.write_text("id,counts\n" + "ok,3;2;1\n" * (line - 2) + big)
+        assert run_cli(["index", str(p)], capsys) == (
+            2, "", f"error: {p}: line {line}: field larger than field limit (131072)\n"
+        )
+
+    def test_header_beyond_csv_limit_exit_2(self, tmp_path, capsys):
+        p = tmp_path / "big.csv"
+        p.write_text("id,counts" + "s" * 140_000 + "\nok,3;2;1\n")
+        assert run_cli(["index", str(p)], capsys) == (
+            2, "", f"error: {p}: line 1: field larger than field limit (131072)\n"
+        )
 
     def test_missing_header_exit_2(self, tmp_path, capsys):
         p = tmp_path / "bad.csv"
@@ -365,6 +398,46 @@ class TestAdmissibleCommand:
             assert (rng.theta_min, rng.theta_max, rng.certified) == (None, math.inf, True)
             code, out, err = run_cli(["index", str(src), "--config", str(cfg)], capsys)
             assert (code, out.splitlines()[1], err) == (0, "r,x,1,1.0057730547", "")
+
+
+class TestOverflowingPower:
+    """On the 7-count record, a power (x - shift)^p past the float range is inf."""
+
+    def run(self, tmp_path, capsys, command, idx, *flags):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"indices": [dict(name="x", **idx)]}))
+        src = tmp_path / "s.csv"
+        src.write_text("id,counts\nr,10;8;5;4;3;2;1\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            return run_cli([command, str(src), "--config", str(cfg), *flags], capsys)
+
+    # x^2000 overflows past x = 1.43, inside the first bisection bracket;
+    # was an OverflowError out of the bisection (exit 1)
+    @pytest.mark.parametrize(
+        "operator, shift, value",
+        [
+            ("identity", 0.0, "1.00149883839"),
+            ("averaging", "origin", "1.00149898839"),
+            ("integral", 0.0, "1.00149973881"),
+        ],
+    )
+    def test_bisection_reads_inf(self, tmp_path, capsys, operator, shift, value):
+        idx = {"operator": operator, "p": 2000.0, "shift": shift}
+        code, out, err = self.run(tmp_path, capsys, "index", idx, "--theta-grid", "0.5:0.5:1")
+        assert (code, out.splitlines()[1], err) == (0, f"r,x,0.5,{value}", "")
+        # about the root of 10 = 0.5 * x^2000, where f is still close to 10
+        assert float(value) == pytest.approx(20.0 ** (1 / 2000), rel=1e-6)
+
+    def test_grid_range_is_open_at_zero(self, tmp_path, capsys):
+        # psi underflows to 0 where x^400 overflows; was a ValueError (exit 1)
+        idx = {"operator": "integral", "p": 400.0, "shift": 0.0}
+        code, out, err = self.run(tmp_path, capsys, "admissible", idx)
+        assert (code, out.splitlines()[1]) == (0, "r,x,0,inf,false")
+        assert err.startswith("warning: ranges marked certified=false") and err.count("\n") == 1
+        # was numpy's "overflow encountered in power" RuntimeWarning
+        code, out, err = self.run(tmp_path, capsys, "index", idx)
+        assert (code, out.splitlines()[1], err) == (0, "r,x,1,1.00578756523", "")
 
 
 class TestVerifyCommand:
@@ -642,6 +715,15 @@ READER_INPUTS = {
     "bad-line-before-reader-failure": (
         "id,counts\nok,3;2;1\nbad,x\nbig," + "1;" * 70_000 + "1\n"
     ),
+    # lines that the reader splits itself, and lines it hands to the csv module
+    "empty-file": "",
+    "header-only": "id,counts\n",
+    "no-trailing-newline": "id,counts\nok,3;2;1\nt,4;1",
+    "lone-cr": "id,counts\rok,3;2;1\rt,4;1\r",
+    # csv rejects NUL before Python 3.11, and passes it on after
+    "nul-in-count": "id,counts\nok,3;2;1\nt,4\x001;1\n",
+    "quoted-id-after-1000-records": "id,counts\n" + ONE_CHUNK + '"q,1",3;2\nr1001,2;1\n',
+    "crlf-after-1000-records": "id,counts\n" + ONE_CHUNK + "r1000,3;2\r\nr1001,2;1\r\n",
 }
 
 # exit code, stderr (of both commands), and sha256 of the stdout of
@@ -764,6 +846,44 @@ READER_OUTPUTS = {
         "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
         "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
     ),
+    "empty-file": (
+        2, "error: {p}: empty file\n",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    ),
+    "header-only": (
+        0, "",
+        "fcac360922ccef5344772cfae4a7d61595377929a01a283b539760cc1e2c55cb",
+        "336de06f4beb684fc0eeddb442e2df470bd8c0ca502ff16b3fdb5a11080c32ea",
+    ),
+    "no-trailing-newline": (
+        0, "",
+        "8e34f1dd9daeb533a8035cbff90a83d55dcf38691dd5c6fc610e1a059eeb4102",
+        "0224505d3c8f6a2e59026051988a3e2ea5c8cc3597cf2dffcbd0f31600507663",
+    ),
+    "lone-cr": (
+        0, "",
+        "8e34f1dd9daeb533a8035cbff90a83d55dcf38691dd5c6fc610e1a059eeb4102",
+        "0224505d3c8f6a2e59026051988a3e2ea5c8cc3597cf2dffcbd0f31600507663",
+    ),
+    "nul-in-count": (
+        2,
+        # csv reads NUL as a character from Python 3.11 on, and rejects it before
+        "error: {p}: line 3: "
+        + ("counts must be numbers\n" if sys.version_info >= (3, 11) else "line contains NUL\n"),
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    ),
+    "quoted-id-after-1000-records": (
+        0, "",
+        "d0f85605319ea7d118618405b95ffc8adb716a9839639df9f65b2c277a3fd302",
+        "f89a84cb9d824838c1d0d7cbf7097c4a4f6165d04b3060b7c1927cf3a284b358",
+    ),
+    "crlf-after-1000-records": (
+        0, "",
+        "cb317413e1165ca590d51bedc24308d3e74eae7698e802dfa756e0bd22474b92",
+        "1111de4e0f69cb77287435892fe0de07837da22a1a895eed872c730f5da3dca1",
+    ),
 }
 
 
@@ -809,6 +929,33 @@ def test_reader_counts_are_bitwise_those_of_the_line_reader(tmp_path_factory, re
     assert corpus.ids == ids
     assert corpus.offsets.tolist() == np.concatenate([[0], np.cumsum(lengths)]).tolist()
     assert [v.hex() for v in corpus.counts.tolist()] == [v.hex() for v in values.tolist()]
+
+
+def _rows_until_error(rows):
+    """The rows, then the csv.Error that ended them, if any."""
+    got = []
+    try:
+        got.extend(rows)
+    except csv.Error as e:
+        got.append(f"csv.Error: {e}")
+    return got
+
+
+@given(
+    st.text(alphabet='a1,;"\r\n\0 ', max_size=60),
+    st.one_of(st.none(), st.integers(min_value=1, max_value=8)),
+)
+@settings(max_examples=400, deadline=None)
+def test_csv_rows_are_those_of_csv_reader(text, limit):
+    old_limit = csv.field_size_limit()
+    try:
+        if limit is not None:  # short fields, so that some rows raise
+            csv.field_size_limit(limit)
+        got = _rows_until_error(_csv_rows(io.StringIO(text, newline="")))
+        want = _rows_until_error(csv.reader(io.StringIO(text, newline="")))
+    finally:
+        csv.field_size_limit(old_limit)
+    assert got == want
 
 
 # non-integer counts, with ties and zeros drawn often

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -228,3 +229,37 @@ class TestAdmissibleRange:
             assert fam.value(0.0, theta) == 0.0
             for x in (0.1, 1.0, 13.0):
                 assert fam.value(x, theta) > 0.0
+
+
+class TestOverflowingPower:
+    """A power (x - shift)**p beyond the float range is inf, never an exception."""
+
+    def test_scalar_values_are_inf_and_zero(self):
+        fam = PowerThreshold(2000.0, 0.0)
+        assert fam.value(20.0, 0.5) == math.inf
+        assert fam.theta_inverse(20.0, 10.0) == 0.0
+
+    def test_origin_power_overflowing_admits_no_theta(self):
+        # (a - shift)^p = 2^2000 overflows, so A is inf already at a = 2 for
+        # every theta; was an OverflowError out of admissible_range
+        f = RankFrequencyFunction([(2.0, 10.0), (9.0, 1.0)])
+        fam = PowerThreshold(2000.0, 0.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NoRootError, match="the threshold overflows at 2.0"):
+                admissible_range(f, IDENTITY, fam)
+            for theta in (1e-300, 1.0):
+                with pytest.raises(NoRootError):
+                    solve_bundle_point(f, IDENTITY, fam, theta)
+
+    def test_origin_power_underflowing_is_silent(self):
+        # (a - shift)^p = 0.5^2000 underflows to 0, so theta_max is inf; was a
+        # "divide by zero" RuntimeWarning
+        f = RankFrequencyFunction([(1.5, 10.0), (9.0, 1.0)])
+        fam = PowerThreshold(2000.0, 1.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            r = admissible_range(f, IDENTITY, fam)
+            assert (r.theta_min, r.theta_max, r.certified) == (None, math.inf, True)
+            m, _ = solve_bundle_point(f, IDENTITY, fam, 1.0)
+        assert 1.5 < m < 9.0
