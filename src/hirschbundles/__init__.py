@@ -32,13 +32,7 @@ from .funcspace import (
     perturb,
     random_function,
 )
-from .operators import (
-    Monotonicity,
-    OperatorKind,
-    TransformedFunction,
-    apply,
-    check_operator_contract,
-)
+from .operators import Monotonicity, OperatorKind, TransformedFunction, apply
 from .reporting import Counterexample, Verdict, VerificationReport
 from .solver import (
     BundleEntry,
@@ -69,6 +63,7 @@ from .verify import (
     check_decreasing_difference,
     check_dominance_order,
     check_impact_axioms,
+    check_operator_contract,
     check_root_side,
     check_theta_monotonicity,
     check_threshold_gap_bound,

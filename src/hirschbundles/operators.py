@@ -12,7 +12,10 @@ the quadratic divided by (x - a).
 mu preserves the decreasing shape of its input while I increases; that
 difference decides which branch of every monotonicity result downstream
 applies, so each transformed function reports its monotonicity, which
-follows from the operator kind alone (see ``MONOTONICITY``).
+follows from the operator kind alone (see ``MONOTONICITY``).  The
+contract every operator honours (non-negative, zero exactly for the zero
+function, strictly order-preserving on prefixes) is checked by
+``verify.check_operator_contract``.
 """
 
 from __future__ import annotations
@@ -24,17 +27,11 @@ from functools import cached_property
 import numpy as np
 
 from .errors import DomainError
-from .funcspace import PerturbMode, RankFrequencyFunction, perturb
-from .reporting import Counterexample, VerificationReport
+from .funcspace import RankFrequencyFunction
 
 # Relative width of the left-edge band where Averaging switches to its
 # continuity value f(a) instead of evaluating the 0/0-prone quotient.
 _AVERAGING_EDGE = 1e-9
-
-# Tolerance for the positivity check of the operator contract.
-_MONO_TOL = 1e-12
-
-_CONTRACT_GRID = 256
 
 
 class OperatorKind(Enum):
@@ -147,74 +144,3 @@ class TransformedFunction:
 def apply(kind: OperatorKind, f: RankFrequencyFunction) -> TransformedFunction:
     """Build the exactly evaluable T(f), anchored at f's support start."""
     return TransformedFunction(source=f, kind=kind)
-
-
-def check_operator_contract(
-    kind: OperatorKind,
-    sample_functions: list[RankFrequencyFunction],
-) -> VerificationReport:
-    """Assert the contract every operator must honor.
-
-    (a) T(f) >= 0 everywhere; (b) T(f) vanishes identically iff f does;
-    (c) restriction monotonicity: f < g pointwise implies
-    T(f) < T(g) on (support_start, a_cut] for prefix cuts a_cut.
-    Each is checked on ``_CONTRACT_GRID`` points.  Violations become
-    report failures, never exceptions.
-    """
-    if not sample_functions:
-        raise ValueError("need at least one sample function")
-    first = sample_functions[0]
-    zero = RankFrequencyFunction(
-        [(first.support_start, 0.0), (first.support_end, 0.0)]
-    )
-    samples = list(sample_functions) + [zero]
-    failures: list[Counterexample] = []
-    satisfied = 0
-    for i, f in enumerate(samples):
-        tf = apply(kind, f)
-        vals = tf.eval_many(np.linspace(f.support_start, f.support_end, _CONTRACT_GRID))
-        satisfied += 1
-        if float(vals.min()) < -_MONO_TOL:
-            failures.append(
-                Counterexample(
-                    inputs=f"positivity sample#{i} ({f.digest()})",
-                    lhs=float(vals.min()),
-                    rhs=0.0,
-                    slack=_MONO_TOL,
-                )
-            )
-        transformed_zero = bool((vals == 0.0).all())
-        if transformed_zero != f.is_zero():
-            failures.append(
-                Counterexample(
-                    inputs=f"zero-iff-zero sample#{i} ({f.digest()})",
-                    lhs=float(np.abs(vals).max()),
-                    rhs=0.0,
-                    slack=0.0,
-                )
-            )
-    # strict restriction monotonicity on dominated pairs g = f + 0.5
-    for i, f in enumerate(sample_functions):
-        g = perturb(f, PerturbMode.ADDITIVE, 0.5)
-        tf, tg = apply(kind, f), apply(kind, g)
-        a, s = f.support_start, f.support_end
-        for frac in (0.25, 0.5, 0.75):
-            a_cut = a + frac * (s - a)
-            pts = np.linspace(a, a_cut, _CONTRACT_GRID)[1:]
-            gap = tg.eval_many(pts) - tf.eval_many(pts)
-            satisfied += 1
-            if float(gap.min()) <= 0.0:
-                failures.append(
-                    Counterexample(
-                        inputs=f"strict-restriction sample#{i} a_cut={a_cut:.6g}",
-                        lhs=float(gap.min()),
-                        rhs=0.0,
-                        slack=0.0,
-                    )
-                )
-    return VerificationReport(
-        name=f"operator-contract/{kind.value}",
-        trials=satisfied,
-        satisfied=satisfied,
-        failures=tuple(failures),
-    )

@@ -20,14 +20,16 @@ over (x - a) (averaging):
   first breakpoint segment.  Each theta then pays one float bisection over
   the table for the one sign change, and solves on the segment it lands in.
 * Every other pair: each breakpoint segment is split into monotone pieces
-  at the critical points of D -- or of (x - a) * D for averaging, which
-  has the same sign for x > a.  Where that is a polynomial of degree at
-  most 2 its vertex is the only critical point; for the integral against
-  a power threshold of another exponent, D'' vanishes at most once per
-  segment (in closed form) and the zeros of D' are bisected on the pieces
-  where D' is monotone.  Each monotone piece holds at most one root, so
-  the signs of D at the piece ends count the roots: none means theta is
-  not admissible, several mean the configuration left the uniqueness
+  at the turning points of D (``_monotone_pieces``, which ``verify`` also
+  uses to decide monotonicity and order exactly).  For the integral
+  against a threshold that is a polynomial of degree at most 2 that is
+  the vertex of D; against a power threshold of another exponent, D''
+  vanishes at most once per segment (in closed form) and the zeros of D'
+  are bisected on the pieces where D' is monotone.  For averaging against
+  the decreasing-linear threshold they are the roots of a quadratic (the
+  numerator of D').  Each monotone piece holds at most one root, so the
+  signs of D at the piece ends count the roots: none means theta is not
+  admissible, several mean the configuration left the uniqueness
   hypotheses, which is reported rather than silently resolved.
 
 The single root is then solved on its one piece, in closed form where
@@ -193,16 +195,8 @@ def _solve_general(
     """Count the roots over monotone pieces; solve the one root if it is unique."""
     f = tf.source
     i0, i1, ends = _window_points(tf, lo, hi)
-    segs = np.arange(i0 - 1, i1)  # breakpoint segment between consecutive ends
-    poly = _segment_poly(tf, family, theta, _segment(f, segs))
-    if poly is not None:
-        c2, c1, _ = poly
-        with np.errstate(divide="ignore", invalid="ignore"):
-            vertex = f.xs[segs] - c1 / (2.0 * c2)
-        crit = vertex[(c2 != 0.0) & (vertex > ends[:-1]) & (vertex < ends[1:])]
-    else:
-        crit = _integral_power_critical_points(tf, family, theta, ends, segs)
-    xs = np.sort(np.concatenate((ends, crit)))
+    segment = _segment(f, np.arange(i0 - 1, i1))  # the segment under each piece between ends
+    xs = _monotone_pieces(tf.kind, tf.origin, family, theta, segment, ends)
     dvals = tf.eval_many(xs) - family.value_many(xs, theta)
     signs = np.sign(dvals)
     zeros = signs == 0.0
@@ -248,77 +242,145 @@ def _segment(f: RankFrequencyFunction, seg):
     return f.xs[seg], f.ys[seg], f.slopes[seg], f.cumulative[seg]
 
 
-def _transform_poly(tf: TransformedFunction, segment):
-    """T(f) on a breakpoint segment as coefficients (c2, c1, c0) in t = x - x0.
+def _transform_poly(kind: OperatorKind, segment):
+    """T(u) on a breakpoint segment as coefficients (c2, c1, c0) in t = x - x0.
 
-    For averaging these are the numerator I(f) of mu(f) = I(f) / (x - a).
+    For averaging these are the numerator I(u) of mu(u) = I(u) / (x - a).
     ``segment`` is what :func:`_segment` returns, for one segment or many.
     """
     _, y0, slope, cumulative = segment
-    if tf.kind is OperatorKind.IDENTITY:
+    if kind is OperatorKind.IDENTITY:
         return 0.0, slope, y0
     return slope / 2.0, y0, cumulative
 
 
-def _segment_poly(tf: TransformedFunction, family: ThresholdFamily, theta: float, segment):
+def _threshold_poly(family: ThresholdFamily | None, theta: float, x0):
+    """A(x, theta) as coefficients (a2, a1, a0) in t = x - x0, or None when of degree > 2.
+
+    ``family`` None stands for A = 0.
+    """
+    if family is None:
+        return 0.0, 0.0, 0.0
+    if isinstance(family, DecreasingLinearThreshold):
+        return 0.0, -theta, theta * (family.ceiling - x0)
+    d = x0 - family.shift
+    if family.p == 1.0:
+        return 0.0, theta, theta * d
+    if family.p == 2.0:
+        return theta, 2.0 * theta * d, theta * d * d
+    return None
+
+
+def _segment_poly(
+    kind: OperatorKind, origin: float, family: ThresholdFamily | None, theta: float, segment
+):
     """Coefficients (c2, c1, c0) in t = x - x0 of D on a breakpoint segment (or several).
 
     For averaging the polynomial is the cleared-denominator
-    (x - a) * D = I(f)(x) - (x - a) * A(x, theta), which has the sign of D
+    (x - a) * D = I(u)(x) - (x - a) * A(x, theta), which has the sign of D
     for x > a.  Returns None when it is not of degree <= 2: a power
     exponent other than 1 or 2, or averaging against p = 2.
     """
     x0 = segment[0]
-    if isinstance(family, PowerThreshold):
-        d = x0 - family.shift
-        if family.p == 1.0:
-            a2, a1, a0 = 0.0, theta, theta * d
-        elif family.p == 2.0:
-            a2, a1, a0 = theta, 2.0 * theta * d, theta * d * d
-        else:
-            return None
-    else:
-        a2, a1, a0 = 0.0, -theta, theta * (family.ceiling - x0)
-    if tf.kind is OperatorKind.AVERAGING:
+    threshold = _threshold_poly(family, theta, x0)
+    if threshold is None:
+        return None
+    a2, a1, a0 = threshold
+    if kind is OperatorKind.AVERAGING:
         if a2 != 0.0:
             return None
-        e = x0 - tf.origin  # multiply A by (x - a) = t + e
+        e = x0 - origin  # multiply A by (x - a) = t + e
         a2, a1, a0 = a1, a1 * e + a0, a0 * e
-    t2, t1, t0 = _transform_poly(tf, segment)
+    t2, t1, t0 = _transform_poly(kind, segment)
     return t2 - a2, t1 - a1, t0 - a0
 
 
+def _monotone_pieces(
+    kind: OperatorKind,
+    origin: float,
+    family: ThresholdFamily | None,
+    theta: float,
+    segment,
+    ends: np.ndarray,
+) -> np.ndarray:
+    """``ends`` and the points between them where D = T(u) - A(., theta) can turn, sorted.
+
+    u is piecewise linear, with the :func:`_segment` columns of the
+    breakpoint segment under each piece [ends[k], ends[k + 1]] in
+    ``segment``; ``origin`` is a, and ``family`` None stands for A = 0.
+    D is monotone between neighbouring points of the result.  Per piece:
+
+    * identity: none, as D is linear (A linear) or decreasing (u
+      non-increasing against a power threshold);
+    * integral: D's vertex where A has degree <= 2, else the zeros of D'
+      (:func:`_integral_power_critical_points`);
+    * averaging, with A linear in x of slope a1 (against a power p != 1 a
+      non-increasing u has a decreasing D, and nothing asks): the zero of
+      D' = N / w^2 - a1, where w = x - a and N = u w - I(u).  With the
+      piece's I(u) = P0 + P1 w + (s / 2) w^2, N = (s / 2) w^2 - P0, so
+      w = sqrt(P0 / (s / 2 - a1)).
+    """
+    lo, hi = ends[:-1], ends[1:]
+    x0, y0, slope, cumulative = segment
+    if kind is OperatorKind.IDENTITY:
+        turns = np.empty(0)
+    elif kind is OperatorKind.INTEGRAL:
+        # a theta near the float maximum overflows the coefficients to inf
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            poly = _segment_poly(kind, origin, family, theta, segment)
+            if poly is None:
+                turns = _integral_power_critical_points(family, theta, segment, ends)
+            else:
+                c2, c1, _ = poly
+                vertex = x0 - c1 / (2.0 * c2)
+                turns = vertex[(c2 != 0.0) & (vertex > lo) & (vertex < hi)]
+    else:
+        _, a1, _ = _threshold_poly(family, theta, x0)
+        half, e = slope / 2.0, x0 - origin
+        # P0 = I(u) continued along the piece's polynomial to x = a
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            root = origin + np.sqrt((cumulative - e * (y0 - half * e)) / (half - a1))
+        turns = root[(root > lo) & (root < hi)]  # NaN or inf where there is none
+    return np.sort(np.concatenate((ends, turns)))
+
+
 def _integral_power_critical_points(
-    tf: TransformedFunction,
     family: PowerThreshold,
     theta: float,
+    segment,
     ends: np.ndarray,
-    segs: np.ndarray,
 ) -> np.ndarray:
-    """Zeros of D' = f - theta p (x - shift)^(p - 1) strictly between ``ends``.
+    """Zeros of D' = u - theta p (x - shift)^(p - 1) strictly between ``ends``.
 
     On a segment with slope s, D'' = s - theta p (p - 1) (x - shift)^(p - 2)
     is monotone, so it vanishes at most once, where
     (x - shift)^(p - 2) = s / (theta p (p - 1)).  D' is monotone on each
     side of that point and is bisected wherever it changes sign.
     """
-    f = tf.source
+    x0, y0, slope, _ = segment
     p, shift = family.p, family.shift
-    ratio = f.slopes[segs] / (theta * p * (p - 1.0))
+    ratio = slope / (theta * p * (p - 1.0))
     with np.errstate(divide="ignore", invalid="ignore"):
         inflect = shift + np.power(ratio, 1.0 / (p - 2.0))
     inflect = inflect[(ratio > 0.0) & (inflect > ends[:-1]) & (inflect < ends[1:])]
     cuts = np.sort(np.concatenate((ends, inflect)))
+    piece = np.minimum(np.searchsorted(ends, cuts, side="right") - 1, len(x0) - 1)
+    u = y0[piece] + slope[piece] * (cuts - x0[piece])
     # (x - shift)^(p - 1) is inf at x = shift for p < 1, and where it overflows
     with np.errstate(divide="ignore", over="ignore"):
-        dprime_cuts = f.eval_many(cuts) - theta * p * np.power(cuts - shift, p - 1.0)
+        dprime_cuts = u - theta * p * np.power(cuts - shift, p - 1.0)
     signs = np.sign(dprime_cuts)
 
-    def dprime(x: float) -> float:
-        return f.eval(x) - theta * p * _power(x - shift, p - 1.0)
+    def bisect_piece(k: int) -> float:
+        px0, py0, pslope = x0.item(piece[k]), y0.item(piece[k]), slope.item(piece[k])
+
+        def dprime(x: float) -> float:
+            return py0 + pslope * (x - px0) - theta * p * _power(x - shift, p - 1.0)
+
+        return _bisect(dprime, cuts[k], cuts[k + 1], dprime_cuts[k])
 
     changes = np.flatnonzero(signs[:-1] * signs[1:] < 0.0)
-    return np.array([_bisect(dprime, cuts[k], cuts[k + 1], dprime_cuts[k]) for k in changes])
+    return np.array([bisect_piece(k) for k in changes])
 
 
 def _locate(
@@ -337,7 +399,7 @@ def _locate(
     bisection otherwise.
     """
     x0 = float(segment[0])
-    poly = _segment_poly(tf, family, theta, segment)
+    poly = _segment_poly(tf.kind, tf.origin, family, theta, segment)
     if poly is not None:
         c2, c1, c0 = (float(c) for c in poly)
         # c0 = 0 puts a root at t = 0, the left end; for averaging's first
@@ -350,7 +412,7 @@ def _locate(
             return min(max(inside[0], lo), hi), SolveStatus.EXACT_SEGMENT
 
     # D from the segment's own polynomial: no breakpoint search per step
-    t2, t1, t0 = (float(c) for c in _transform_poly(tf, segment))
+    t2, t1, t0 = (float(c) for c in _transform_poly(tf.kind, segment))
     a = tf.origin if tf.kind is OperatorKind.AVERAGING else None
     if isinstance(family, PowerThreshold):
         shift, p = family.shift, family.p

@@ -74,7 +74,10 @@ class PowerThreshold:
         if x == self.shift:
             raise SingularAbscissaError(f"theta-inverse undefined at x = shift = {x}")
         self._check_x(x)
-        return value / _power(x - self.shift, self.p)
+        power = _power(x - self.shift, self.p)
+        if power == 0.0:  # an underflow: as in theta_inverse_many, inf for a positive value
+            return math.inf if value > 0.0 else 0.0
+        return value / power
 
     def theta_inverse_many(self, x: np.ndarray, values: np.ndarray) -> np.ndarray:
         # a power that overflows gives theta 0, one that underflows inf
@@ -269,8 +272,10 @@ def admissible_range(
     """Image of psi_f over the domain interior.
 
     Certified (see :func:`is_certified`) when T(f) decreases and the
-    family is a power family.  Otherwise a grid min/max estimate is
-    returned with ``certified=False``.
+    family is a power family.  Otherwise the interior is estimated on a
+    grid and the range comes back with ``certified=False``; its ends are
+    exact: psi_f at an end of [a, S] where the threshold is positive, and
+    its limit at a power shift at or past a.
     """
     tf = apply(kind, f)
     if f.is_zero():
@@ -285,17 +290,28 @@ def admissible_range(
         if family.shift >= s:
             raise _no_positive_threshold(a, s)
         lo_x = max(lo_x, family.shift) + 1e-9 * span
+        ends = [s] if family.shift >= a else [a, s]
     else:
         hi_x = min(hi_x, family.ceiling) - 1e-9 * span
+        ends = [x for x in (a, s) if x < family.ceiling]
     xs = np.linspace(lo_x, hi_x, _RANGE_GRID)
     vals = tf.eval_many(xs)
     mask = vals > 0.0
     if not bool(mask.any()):
         raise ZeroFunctionError("T(f) vanishes on the sampled interior")
-    thetas = family.theta_inverse_many(xs[mask], vals[mask])
-    theta_min = float(thetas.min())  # 0 where the power overflows: open at zero
+    thetas = family.theta_inverse_many(xs[mask], vals[mask]).tolist()
+    thetas += [family.theta_inverse(x, tf.eval(x)) for x in ends]
+    if isinstance(family, PowerThreshold) and family.shift >= a:
+        # psi_f's limit at the shift: inf where T(f) > 0 there; else T is the
+        # integral with shift = a (I(f) > 0 right of a, f being non-zero), where
+        # psi_f ~ f(a) (x - a)^(1 - p) tends to 0, f(a) or inf for p <, = or > 1
+        if tf.eval(family.shift) > 0.0 or family.p > 1.0:
+            thetas.append(math.inf)
+        else:
+            thetas.append(0.0 if family.p < 1.0 else float(f.ys[0]))
+    theta_min = min(thetas)  # 0 where T(f) or psi_f vanishes at an end: open at zero
     return AdmissibleRange(
         theta_min=theta_min if theta_min > 0.0 else None,
-        theta_max=float(thetas.max()),
+        theta_max=max(thetas),
         certified=False,
     )

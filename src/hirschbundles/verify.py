@@ -7,8 +7,18 @@ vacuous, never as passes: a report comes back Vacuous when no trial ever
 reached its conclusion, Fail when an asserted conclusion was violated,
 and Pass otherwise.
 
+Hypotheses are decided exactly, not on a sampling grid.  On each
+breakpoint segment T is a polynomial of degree at most 2 (over x - a for
+averaging), so D = T(f) - A, and T(k) - T(f) = T(k - f) for two
+functions, are monotone between the breakpoints and a few turning
+points, found as the solver finds them (``solver._monotone_pieces``).
+The monotonicity of D, the order of two transforms and the operator
+contract are read off the values at those points.
+
 The checks cover:
 
+* the operator contract: T(f) >= 0, T(f) = 0 exactly for f = 0, and
+  strict order on prefixes;
 * root-side equivalences: the sign of D(x) = T(f)(x) - A(x, theta)
   locates the solution relative to x, with direction set by D's
   monotonicity;
@@ -56,29 +66,26 @@ from .errors import (
 from .funcspace import (
     PerturbMode,
     RankFrequencyFunction,
+    _require_same_domain,
+    _union_abscissas,
     eq_on_prefix,
     leq,
     lt_on_prefix,
     perturb,
     random_function,
 )
-from .operators import (
-    Monotonicity,
-    OperatorKind,
-    TransformedFunction,
-    apply,
-    check_operator_contract,
-)
+from .operators import Monotonicity, OperatorKind, TransformedFunction, apply
 from .reporting import Counterexample, Verdict, VerificationReport
-from .solver import ABS_TOL_X, solve_transformed
+from .solver import ABS_TOL_X, _monotone_pieces, _segment, _window_points, solve_transformed
 from .thresholds import (
     DecreasingLinearThreshold,
     PowerThreshold,
     ThresholdFamily,
 )
 
-_D_GRID = 1024
 _D_TOL = 1e-12
+# tolerance for the positivity check of the operator contract
+_MONO_TOL = 1e-12
 # sign threshold for a difference value to fire a strict implication
 _SIGN_EPS = 1e-9
 # solver-noise margin for comparisons between located solutions
@@ -107,17 +114,26 @@ def classify_difference(
 
     Certified analytically when the transform and threshold pull in
     opposite directions: D is then monotone on [a, S], so on every
-    sub-window too.  Otherwise sampled on a grid over ``x_window``
-    (default [a, S]).
+    sub-window too.  Otherwise decided exactly on ``x_window`` (default
+    [a, S]), or on (shift, hi] where a power shift lies at or past its
+    start, as the solver searches (NON_MONOTONE when that is empty): D is
+    monotone between the window ends, the breakpoints and its turning
+    points, so its differences over those points decide, each to within
+    ``_D_TOL``.
     """
     if tf.monotonicity is Monotonicity.DECREASING and family.increasing_in_x:
         return Monotonicity.DECREASING
     if tf.monotonicity is Monotonicity.INCREASING and not family.increasing_in_x:
         return Monotonicity.INCREASING
     lo, hi = x_window if x_window is not None else (tf.origin, tf.support_end)
-    xs = np.linspace(lo, hi, _D_GRID)
-    d = tf.eval_many(xs) - family.value_many(xs, theta)
-    diffs = np.diff(d)
+    if isinstance(family, PowerThreshold):
+        lo = max(lo, family.shift)
+        if lo >= hi:  # the threshold is not positive on the window: nothing is monotone
+            return Monotonicity.NON_MONOTONE
+    i0, i1, ends = _window_points(tf, lo, hi)
+    segment = _segment(tf.source, np.arange(i0 - 1, i1))
+    xs = _monotone_pieces(tf.kind, tf.origin, family, theta, segment, ends)
+    diffs = np.diff(tf.eval_many(xs) - family.value_many(xs, theta))
     if bool((diffs <= _D_TOL).all()):
         return Monotonicity.DECREASING
     if bool((diffs >= -_D_TOL).all()):
@@ -136,6 +152,106 @@ def check_decreasing_difference(
     return all(
         classify_difference(tf, family, theta) is Monotonicity.DECREASING
         for theta in theta_grid
+    )
+
+
+def _monotone_points(kind: OperatorKind, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
+    """Points between which T(u) is monotone, u the piecewise-linear function through (xs, ys).
+
+    They are the breakpoints and the turning points of T(u), so the
+    extremes of T(u) on [xs[0], xs[-1]], or on any [xs[0], x], lie among
+    them and x.
+    """
+    widths = xs[1:] - xs[:-1]
+    cumulative = np.concatenate(([0.0], np.cumsum((ys[:-1] + ys[1:]) / 2.0 * widths)))
+    segment = (xs[:-1], ys[:-1], (ys[1:] - ys[:-1]) / widths, cumulative[:-1])
+    return _monotone_pieces(kind, xs[0], None, 0.0, segment, xs)
+
+
+def _difference(
+    k: RankFrequencyFunction, f: RankFrequencyFunction
+) -> tuple[np.ndarray, np.ndarray]:
+    """The breakpoints (xs, ys) of the piecewise-linear k - f; k and f must share their support."""
+    _require_same_domain(k, f)
+    xs = np.array(_union_abscissas(k, f))
+    return xs, np.interp(xs, k.xs, k.ys) - np.interp(xs, f.xs, f.ys)
+
+
+# --------------------------------------------------------------------------
+# the operator contract
+# --------------------------------------------------------------------------
+
+
+def check_operator_contract(
+    kind: OperatorKind,
+    sample_functions: list[RankFrequencyFunction],
+) -> VerificationReport:
+    """Assert the contract every operator must honor.
+
+    (a) T(f) >= 0 everywhere; (b) T(f) vanishes identically iff f does;
+    (c) restriction monotonicity: f < g pointwise implies
+    T(f) < T(g) on (support_start, a_cut] for prefix cuts a_cut, checked
+    on the dominated pairs g = f + 0.5.  Each is decided exactly: T(f) and
+    T(g) - T(f) = T(g - f) are monotone between the points of
+    :func:`_monotone_points`, so their extremes lie among them.  At the
+    open end a, where the integral's difference is 0, the sign of
+    (g - f)(a), which it takes just right of a, decides.  Violations
+    become report failures, never exceptions.
+    """
+    if not sample_functions:
+        raise ValueError("need at least one sample function")
+    samples = list(sample_functions) + [zero_like(sample_functions[0])]
+    failures: list[Counterexample] = []
+    satisfied = 0
+    for i, f in enumerate(samples):
+        tf = apply(kind, f)
+        vals = tf.eval_many(_monotone_points(kind, f.xs, f.ys))
+        satisfied += 1
+        if float(vals.min()) < -_MONO_TOL:
+            failures.append(
+                Counterexample(
+                    inputs=f"positivity sample#{i} ({f.digest()})",
+                    lhs=float(vals.min()),
+                    rhs=0.0,
+                    slack=_MONO_TOL,
+                )
+            )
+        transformed_zero = bool((vals == 0.0).all())
+        if transformed_zero != f.is_zero():
+            failures.append(
+                Counterexample(
+                    inputs=f"zero-iff-zero sample#{i} ({f.digest()})",
+                    lhs=float(np.abs(vals).max()),
+                    rhs=0.0,
+                    slack=0.0,
+                )
+            )
+    # strict restriction monotonicity on dominated pairs g = f + 0.5
+    for i, f in enumerate(sample_functions):
+        g = perturb(f, PerturbMode.ADDITIVE, 0.5)
+        a, s = f.support_start, f.support_end
+        cuts = [a + frac * (s - a) for frac in (0.25, 0.5, 0.75)]
+        xs, ys = _difference(g, f)
+        pts = np.sort(np.concatenate((_monotone_points(kind, xs, ys), cuts)))
+        gap = apply(kind, g).eval_many(pts) - apply(kind, f).eval_many(pts)
+        gap[0] = ys[0]  # the sign of the gap just right of the open end a
+        for a_cut in cuts:
+            low = float(gap[pts <= a_cut].min())
+            satisfied += 1
+            if low <= 0.0:
+                failures.append(
+                    Counterexample(
+                        inputs=f"strict-restriction sample#{i} a_cut={a_cut:.6g}",
+                        lhs=low,
+                        rhs=0.0,
+                        slack=0.0,
+                    )
+                )
+    return VerificationReport(
+        name=f"operator-contract/{kind.value}",
+        trials=satisfied,
+        satisfied=satisfied,
+        failures=tuple(failures),
     )
 
 
@@ -485,12 +601,14 @@ def check_dominance_order(
     """Pointwise order of transforms carries to solutions (or reverses).
 
     The premise (T(k) vs T(f), strict or weak, either direction) is
-    established on a grid before anything is asserted; decreasing D
-    preserves the order of solutions, increasing D reverses it.
+    decided exactly before anything is asserted, from the extremes of
+    T(k) - T(f) = T(k - f) at the points of :func:`_monotone_points`; k
+    and f must share their support.  Decreasing D preserves the order of solutions,
+    increasing D reverses it.
     """
     tk = apply(kind, k)
     tf = apply(kind, f)
-    xs = np.linspace(tk.origin, tk.support_end, 512)
+    xs = _monotone_points(kind, *_difference(k, f))
     gap = tk.eval_many(xs) - tf.eval_many(xs)
     gmin, gmax = float(gap.min()), float(gap.max())
     if gmin > _STRICT_GAP:

@@ -98,6 +98,31 @@ def discrete_g(counts) -> int:
     return g
 
 
+def oracle_difference(
+    f,
+    op_kind: str,
+    theta: float,
+    family_kind: str = "power",
+    n_points: int = 100_000,
+    **family_params,
+) -> tuple[np.ndarray, np.ndarray]:
+    """D = T(f) - A(., theta) on a dense grid with f's breakpoints inserted.
+
+    A power threshold is positive only for x > shift, so grid points at or
+    below the shift are dropped.  Returns (abscissas, D there).
+    """
+    bx, _ = breakpoint_arrays(f)
+    xs = np.union1d(np.linspace(bx[0], bx[-1], n_points), bx)
+    with np.errstate(invalid="ignore"):
+        d = _transform_on_grid(f, op_kind, xs) - _threshold_on_grid(
+            xs, theta, family_kind, **family_params
+        )
+    if family_kind == "power":
+        keep = xs > family_params.get("shift", 0.0)
+        xs, d = xs[keep], d[keep]
+    return xs, d
+
+
 def oracle_roots(
     f,
     op_kind: str,
@@ -109,21 +134,13 @@ def oracle_roots(
     """Roots of T(f) - A(., theta) as a dense grid sees them.
 
     Every exact grid zero counts, and every cell whose ends carry strict
-    opposite signs counts once, located at its left end.  A power
-    threshold is positive only for x > shift, so grid points at or below
-    the shift are dropped.  Returns (sorted roots, grid spacing).
+    opposite signs counts once, located at its left end.  Grid points at or
+    below a power threshold's shift are dropped (see
+    :func:`oracle_difference`).  Returns (sorted roots, grid spacing).
     """
-    bx, _ = breakpoint_arrays(f)
-    a, s = float(bx[0]), float(bx[-1])
-    xs = np.union1d(np.linspace(a, s, n_points), bx)
-    with np.errstate(invalid="ignore"):
-        d = _transform_on_grid(f, op_kind, xs) - _threshold_on_grid(
-            xs, theta, family_kind, **family_params
-        )
-    if family_kind == "power":
-        keep = xs > family_params.get("shift", 0.0)
-        xs, d = xs[keep], d[keep]
+    xs, d = oracle_difference(f, op_kind, theta, family_kind, n_points, **family_params)
     signs = np.sign(d)
     cells = np.flatnonzero(signs[:-1] * signs[1:] < 0)
     roots = sorted(xs[signs == 0].tolist() + xs[cells].tolist())
-    return roots, (s - a) / (n_points - 1)
+    bx, _ = breakpoint_arrays(f)
+    return roots, float(bx[-1] - bx[0]) / (n_points - 1)

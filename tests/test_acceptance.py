@@ -21,12 +21,7 @@ from hirschbundles.funcspace import (
     perturb,
     random_function,
 )
-from hirschbundles.operators import (
-    Monotonicity,
-    OperatorKind,
-    apply,
-    check_operator_contract,
-)
+from hirschbundles.operators import Monotonicity, OperatorKind, apply
 from hirschbundles.reporting import Verdict
 from hirschbundles.solver import (
     g_index,
@@ -44,6 +39,7 @@ from hirschbundles.verify import (
     ReversalFamily,
     check_decreasing_difference,
     check_impact_axioms,
+    check_operator_contract,
     check_threshold_gap_bound,
     check_transform_gap_bound,
     reversal_impact_report,

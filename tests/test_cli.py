@@ -439,6 +439,13 @@ class TestOverflowingPower:
         code, out, err = self.run(tmp_path, capsys, "index", idx)
         assert (code, out.splitlines()[1], err) == (0, "r,x,1,1.00578756523", "")
 
+    def test_segment_polynomial_overflow_is_silent(self, tmp_path, capsys):
+        # theta * (x0 - shift) overflows to inf at theta = 1e308; was numpy's
+        # "overflow encountered in multiply" from the segment polynomial
+        idx = {"operator": "integral", "p": 1.0, "shift": 3.5}
+        code, out, err = self.run(tmp_path, capsys, "index", idx, "--theta-grid", "1e308:1e308:1")
+        assert (code, out.splitlines()[1], err) == (0, "r,x,1e+308,3.50000000003", "")
+
 
 class TestVerifyCommand:
     def test_stock_suite_exit_zero(self, tmp_path, capsys):
@@ -637,7 +644,7 @@ ELEVEN_INDICES = {
 }
 
 GOLDEN_STDOUT_11 = {
-    "admissible": "ab010dde9c3e8a57ea95553a33f2e0315a61cec613361081ebdc515b7e473273",
+    "admissible": "f7c2c9f7b3fbfb71ea747d39a069efac982925a9045dbba6a0514239c4ee4e44",
     "bundle": "7ae60bbccae6b8280e5e26e5c15716fc17cbfa6c683b0de3de8274ae3f9f5ed5",
     "index": "353f97055f120b72d131b7dd3146b41a79b529aebf7207d1556b98851575d6bb",
 }

@@ -6,17 +6,13 @@ from hypothesis import given, settings, strategies as st
 
 from hirschbundles.errors import DomainError
 from hirschbundles.funcspace import RankFrequencyFunction, random_function
-from hirschbundles.operators import (
-    Monotonicity,
-    OperatorKind,
-    apply,
-    check_operator_contract,
-)
+from hirschbundles.operators import Monotonicity, OperatorKind, apply
 from hirschbundles.reporting import Verdict
 from hirschbundles.solver import sample_bundle, solve_bundle_point
 from hirschbundles.thresholds import PowerThreshold, admissible_range, psi
 from hirschbundles.verify import (
     check_decreasing_difference,
+    check_operator_contract,
     check_root_side,
     check_theta_monotonicity,
 )

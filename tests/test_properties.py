@@ -13,9 +13,12 @@ from hirschbundles.funcspace import (
     perturb,
     random_function,
 )
-from hirschbundles.operators import OperatorKind, apply
+from hirschbundles.operators import Monotonicity, OperatorKind, apply
 from hirschbundles.solver import solve_bundle_point
-from hirschbundles.thresholds import PowerThreshold, psi
+from hirschbundles.thresholds import DecreasingLinearThreshold, PowerThreshold, psi
+from hirschbundles.verify import classify_difference
+
+from oracles import oracle_difference
 
 seeds = st.integers(min_value=0, max_value=2**32 - 1)
 
@@ -107,3 +110,39 @@ def test_zero_function_always_solves_to_origin(seed):
     zero = RankFrequencyFunction([(f.support_start, 0.0), (f.support_end, 0.0)])
     m, _ = solve_bundle_point(zero, IDENTITY, PowerThreshold(1.0, 0.0), 1.0)
     assert m == f.support_start
+
+
+# the pairs whose D classify_difference decides from breakpoints: no shortcut applies
+UNCERTIFIED_PAIRS = [("integral", "power", p) for p in (0.5, 1.0, 1.5, 2.0, 3.0)] + [
+    ("identity", "declin", None),
+    ("averaging", "declin", None),
+]
+
+
+@pytest.mark.parametrize("pair", UNCERTIFIED_PAIRS, ids=lambda pair: "-".join(map(str, pair)))
+@given(seeds, st.floats(min_value=0.02, max_value=0.98), st.floats(min_value=1.05, max_value=4.0))
+@settings(max_examples=60, deadline=None)
+def test_difference_classification_agrees_with_a_dense_grid(pair, seed, frac, ceiling_factor):
+    """Where a dense grid sees D rise (fall), it is not classified decreasing (increasing)."""
+    kind_name, family_kind, p = pair
+    f = random_function(seed)
+    a, s = f.support_start, f.support_end
+    if family_kind == "power":
+        family, params = PowerThreshold(p, 0.0), {"p": p, "shift": 0.0}
+    else:
+        ceiling = ceiling_factor * s
+        family, params = DecreasingLinearThreshold(ceiling), {"ceiling": ceiling}
+    kind = OperatorKind(kind_name)
+    tf = apply(kind, f)
+    # theta is psi at an interior point, as verify's _psi_candidates draws it
+    x = a + frac * (s - a)
+    if tf.eval(x) <= 0.0:
+        return
+    theta = family.theta_inverse(x, tf.eval(x))
+    got = classify_difference(tf, family, theta)
+    _, d = oracle_difference(f, kind_name, theta, family_kind, 20_000, **params)
+    tol = 1e-9 * float(np.abs(d).max())
+    if float((d - np.minimum.accumulate(d)).max()) > tol:
+        assert got is not Monotonicity.DECREASING
+    if float((np.maximum.accumulate(d) - d).max()) > tol:
+        assert got is not Monotonicity.INCREASING

@@ -231,6 +231,34 @@ class TestAdmissibleRange:
                 assert fam.value(x, theta) > 0.0
 
 
+class TestGridRangeEnds:
+    """An uncertified range ends at psi_f of an end, or at its limit at the shift."""
+
+    def test_integral_sqrt_is_open_at_zero(self, counts_fixture):
+        # psi_f ~ 10 sqrt(x) falls to 0 at the shift 0; the grid gave 0.000894
+        fam = PowerThreshold(0.5, 0.0)
+        r = admissible_range(counts_fixture, INTEGRAL, fam)
+        assert (r.theta_min, r.certified) == (None, False)
+        m, _ = solve_bundle_point(counts_fixture, INTEGRAL, fam, 5e-4)  # bisected to 1e-10
+        assert m == pytest.approx(2.5e-9, abs=1e-10)
+
+    def test_integral_square_is_unbounded(self, counts_fixture):
+        # psi_f ~ 10 / x grows without bound at the shift 0; the grid gave 1.25e9
+        fam = PowerThreshold(2.0, 0.0)
+        r = admissible_range(counts_fixture, INTEGRAL, fam)
+        assert (r.theta_max, r.certified) == (math.inf, False)
+        m, _ = solve_bundle_point(counts_fixture, INTEGRAL, fam, 1e10)
+        assert m == pytest.approx(1e-9, rel=1e-6)
+
+    def test_declin_with_zero_tail_is_open_at_zero(self, counts_fixture):
+        # f(S) = 0, so psi_f(S) = 0; the grid gave 6.7e-10
+        fam = DecreasingLinearThreshold(20.0)
+        r = admissible_range(counts_fixture, IDENTITY, fam)
+        assert (r.theta_min, r.certified) == (None, False)
+        m, _ = solve_bundle_point(counts_fixture, IDENTITY, fam, 1e-5)
+        assert m == pytest.approx(7.9998799988, rel=1e-9)
+
+
 class TestOverflowingPower:
     """A power (x - shift)**p beyond the float range is inf, never an exception."""
 
@@ -238,6 +266,12 @@ class TestOverflowingPower:
         fam = PowerThreshold(2000.0, 0.0)
         assert fam.value(20.0, 0.5) == math.inf
         assert fam.theta_inverse(20.0, 10.0) == 0.0
+
+    def test_underflowing_power_inverts_to_inf_or_zero(self, line):
+        # 0.1^400 underflows to 0; was a ZeroDivisionError
+        fam = PowerThreshold(400.0, 0.0)
+        assert psi(line, IDENTITY, fam, 0.1) == math.inf
+        assert fam.theta_inverse(0.1, 0.0) == 0.0
 
     def test_origin_power_overflowing_admits_no_theta(self):
         # (a - shift)^p = 2^2000 overflows, so A is inf already at a = 2 for

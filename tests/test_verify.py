@@ -5,6 +5,7 @@ import sys
 import numpy as np
 import pytest
 
+from hirschbundles.errors import DomainMismatchError
 from hirschbundles.funcspace import (
     PerturbMode,
     RankFrequencyFunction,
@@ -77,6 +78,25 @@ class TestProfile:
             got = classify_difference(tf, PowerThreshold(2.0, 0.0), 1.0, x_window=window)
             assert got is Monotonicity.DECREASING
 
+    # D = I(f) - theta x^p turns within 0.002 of an end, between two points
+    # of a 1024-point grid: D(0) = 0 < D(0.001) = 0.005 for p = 2, and
+    # D(7.998) - D(8) = 1.5e-6 for p = 0.5
+    @pytest.mark.parametrize("p, theta", [(2.0, 5000.0), (0.5, 0.01)])
+    def test_turn_next_to_an_end_is_non_monotone(self, counts_fixture, p, theta):
+        tf = apply(INTEGRAL, counts_fixture)
+        got = classify_difference(tf, PowerThreshold(p, 0.0), theta)
+        assert got is Monotonicity.NON_MONOTONE
+
+    # A is not evaluated below the shift (was numpy's "invalid value
+    # encountered in power"): on (3.5, 8] D falls, rises, then falls, and a
+    # shift of 9 leaves no domain
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("shift", [3.5, 9.0])
+    def test_domain_starts_at_the_shift(self, counts_fixture, shift):
+        tf = apply(INTEGRAL, counts_fixture)
+        got = classify_difference(tf, PowerThreshold(0.5, shift), 1.0)
+        assert got is Monotonicity.NON_MONOTONE
+
     def test_decreasing_difference_predicate(self, line):
         assert check_decreasing_difference(line, IDENTITY, H_FAMILY, [0.5, 1.0, 2.0])
         fam = ReversalFamily()
@@ -132,6 +152,19 @@ class TestDominanceOrder:
         mk, _ = solve_bundle_point(k, fam.operator(), fam.threshold(), theta)
         mf, _ = solve_bundle_point(f, fam.operator(), fam.threshold(), theta)
         assert mk < mf  # despite k > f
+
+    @pytest.mark.parametrize("theta", [0.5, 1.0, 2.0])
+    def test_premise_broken_between_grid_points_is_vacuous(self, theta):
+        # k - f = -0.5 at 5.002 alone, yet k >= f on a 512-point grid
+        k = RankFrequencyFunction([(0.0, 10.5), (5.0, 5.5), (5.002, 4.5), (10.0, 0.0)])
+        f = RankFrequencyFunction([(0.0, 10.0), (5.002, 5.0), (5.004, 4.0), (10.0, 0.0)])
+        r = check_dominance_order(k, f, IDENTITY, H_FAMILY, theta)
+        assert (r.trials, r.satisfied, r.failures) == (1, 0, ())
+
+    def test_different_supports_rejected(self, line):
+        k = RankFrequencyFunction([(0.0, 10.0), (8.0, 0.0)])
+        with pytest.raises(DomainMismatchError):
+            check_dominance_order(k, line, IDENTITY, H_FAMILY, 1.0)
 
 
 class TestThetaMonotonicity:
