@@ -641,11 +641,6 @@ def cmd_admissible(args, cfg: RunConfig) -> int:
         args.format,
         sys.stdout,
     )
-    if any("false" in flags for _, _, flags in columns):
-        print(
-            "warning: ranges marked certified=false are grid estimates, not analytic bounds",
-            file=sys.stderr,
-        )
     return 0
 
 

@@ -9,34 +9,20 @@ I(f)(a) = 0 = A(a, theta)) is not a solution.
 
 Existence and uniqueness are decided exactly from the breakpoints of f,
 on which T(f) is linear (identity), quadratic (integral) or a quadratic
-over (x - a) (averaging):
-
-* Identity or averaging against a power threshold: T(f) is non-increasing
-  and A strictly increasing, so D is strictly decreasing.  Along theta,
-  D = T(f) - theta * (x - shift)^p changes only by the theta factor, so
-  each window gets one solve table, memoized on the TransformedFunction:
-  the window ends and the breakpoints inside, T(f) there and the
-  theta-free base (x - shift)^p, all as Python floats, and the window's
-  first breakpoint segment.  Each theta then pays one float bisection over
-  the table for the one sign change, and solves on the segment it lands in.
-* Every other pair: each breakpoint segment is split into monotone pieces
-  at the turning points of D (``_monotone_pieces``, which ``verify`` also
-  uses to decide monotonicity and order exactly).  For the integral
-  against a threshold that is a polynomial of degree at most 2 that is
-  the vertex of D; against a power threshold of another exponent, D''
-  vanishes at most once per segment (in closed form) and the zeros of D'
-  are bisected on the pieces where D' is monotone.  For averaging against
-  the decreasing-linear threshold they are the roots of a quadratic (the
-  numerator of D').  Each monotone piece holds at most one root, so the
-  signs of D at the piece ends count the roots: none means theta is not
-  admissible, several mean the configuration left the uniqueness
-  hypotheses, which is reported rather than silently resolved.
-
-The single root is then solved on its one piece, in closed form where
+over (x - a) (averaging).  D = A(., 1) (psi_f - theta) has the sign of
+psi_f - theta, and one theta-free table per window
+(``thresholds._solve_table``) splits psi_f into monotone runs; identity or
+averaging against a power is one falling run.  D changes sign at most
+once on a run, found by one float bisection over the run's points.  A
+zero of D at a point, or a sign change on a cell, is a root; D = 0 at two
+neighbouring points is psi_f = theta on a whole cell.  No root means
+theta is not admissible, several mean the configuration left the
+uniqueness hypotheses, which is reported rather than silently resolved.
+The single root is then solved on its one cell, in closed form where
 the segment equation is a polynomial of degree at most 2 and by
-bisection otherwise.  Bisection, here and for the zeros of D', stops
-once its bracket is narrower than ``ABS_TOL_X`` or down to adjacent
-floats.
+bisection otherwise.  Bisection stops once its bracket is narrower than
+``ABS_TOL_X`` or down to adjacent floats.  ``verify`` decides the
+monotonicity of D itself from its turning points (``_monotone_pieces``).
 
 The identically-zero function is special-cased to m = support_start with
 a success status: a zero record has zero impact at every admissible
@@ -45,18 +31,25 @@ theta.
 
 from __future__ import annotations
 
-import bisect
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, NamedTuple, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
 from .errors import DomainError, NonPositiveThetaError, NoRootError, NonUniqueError
 from .funcspace import RankFrequencyFunction
 from .operators import OperatorKind, TransformedFunction, apply
-from .thresholds import DecreasingLinearThreshold, PowerThreshold, ThresholdFamily, _power
+from .thresholds import (
+    DecreasingLinearThreshold,
+    PowerThreshold,
+    ThresholdFamily,
+    _power,
+    _segment,
+    _solve_table,
+)
 
 # Width in x at which bisection stops.
 ABS_TOL_X = 1e-10
@@ -124,122 +117,47 @@ def solve_transformed(
             )
         lo, open_lo = family.shift, True
 
-    if isinstance(family, PowerThreshold) and tf.kind is not OperatorKind.INTEGRAL:
-        return _solve_decreasing(tf, family, theta, lo, hi, open_lo)
-    return _solve_general(tf, family, theta, lo, hi, open_lo)
-
-
-def _solve_decreasing(
-    tf: TransformedFunction,
-    family: PowerThreshold,
-    theta: float,
-    lo: float,
-    hi: float,
-    open_lo: bool,
-) -> tuple[float, SolveStatus]:
-    """D strictly decreasing: bisect the window's solve table for the sign change.
-
-    D at table point i is ``tvals[i] - theta * base[i]``.  The bisection
-    finds the first point with D <= 0 by the same probes (and the same
-    float arithmetic) as ``np.searchsorted(-dvals, 0.0)`` over the array
-    of those values, so every decision is that of the array search.
-    """
-    xs, tvals, base, first = _power_table(tf, family, lo, hi)
-    n = len(xs)
-    j = bisect.bisect_left(range(n), 0.0, key=lambda i: theta * base[i] - tvals[i])
-    if j == n:
-        dvals = [t - theta * b for t, b in zip(tvals, base)]
-        return _boundary_root(tf, theta, lo, hi, open_lo, dvals)
-    if tvals[j] - theta * base[j] == 0.0 and not (j == 0 and open_lo):
-        return xs[j], SolveStatus.EXACT_SEGMENT
-    if j == 0:
+    xs, tvals, base, segs, runs, _, lo_limit = _solve_table(tf, family, lo, hi)
+    # each root is (j, exact): a zero of D at xs[j], or a sign change on (xs[j - 1], xs[j])
+    roots: list[tuple[int, bool]] = []
+    for first, last, rising in runs:
+        # the first point past the run's one sign change, D >= 0 (rising) or D <= 0,
+        # by the probes of np.searchsorted over the run's values of D or -D
+        if rising:
+            j = bisect_left(range(last + 1), 0.0, first, key=lambda i: tvals[i] - theta * base[i])
+        else:
+            j = bisect_left(range(last + 1), 0.0, first, key=lambda i: theta * base[i] - tvals[i])
+        if j <= last and tvals[j] - theta * base[j] == 0.0:
+            if j < last and tvals[j + 1] - theta * base[j + 1] == 0.0:
+                # psi_f is theta on [xs[j], xs[j + 1]]
+                raise NonUniqueError(f"D = 0 on [{xs[j]}, {xs[j + 1]}] for theta={theta}")
+            if not (j == 0 and open_lo) and (j, True) not in roots:
+                roots.append((j, True))
+        elif first < j <= last:
+            roots.append((j, False))
+    if len(roots) > 1:
+        raise NonUniqueError(f"{len(roots)} roots found for theta={theta}; solution not unique")
+    if roots:
+        j, exact = roots[0]
+        if exact:
+            return xs[j], SolveStatus.EXACT_SEGMENT
+        d_lo = tvals[j - 1] - theta * base[j - 1]
+        segment = _segment(tf.source, segs[j - 1])
+        return _locate(tf, family, theta, xs[j - 1], xs[j], d_lo, segment)
+    # No root, so D keeps the sign it has at S.  Where that is the sign before the
+    # last run's change (j, last and rising are the last run's), S is a root if
+    # |D(S)| is rounding noise against the largest |D|.
+    if j > last:
+        # D past a limit entry (D is 0 at the shift itself); where an overflowing
+        # threshold makes some |D| inf, S is no root
+        dvals = [t - theta * b for t, b in zip(tvals[lo_limit:], base[lo_limit:])]
+        tol = _BOUNDARY_TOL * max(1.0, float(np.abs(dvals).max()))
+        if hi == tf.support_end and abs(dvals[-1]) <= tol < math.inf:
+            return hi, SolveStatus.EXACT_SEGMENT
+    elif not rising:
         raise NoRootError(f"theta={theta} is not admissible: D < 0 on the domain from {lo} to {hi}")
-    d_lo = tvals[j - 1] - theta * base[j - 1]
-    segment = _segment(tf.source, first + j - 1)
-    return _locate(tf, family, theta, xs[j - 1], xs[j], d_lo, segment)
-
-
-class _PowerTable(NamedTuple):
-    """The theta-free part of D = T(f) - theta * (x - shift)^p on one window."""
-
-    xs: list[float]  # lo, the breakpoints strictly inside (lo, hi), and hi
-    tvals: list[float]  # T(f) at xs
-    base: list[float]  # (xs - shift)^p
-    first: int  # the breakpoint segment of [xs[k], xs[k + 1]] is first + k
-
-
-def _power_table(
-    tf: TransformedFunction, family: PowerThreshold, lo: float, hi: float
-) -> _PowerTable:
-    """The solve table of window [lo, hi], built on first use and kept on ``tf``."""
-    key = (family, lo, hi)
-    table = tf.solve_tables.get(key)
-    if table is None:
-        i0, i1, xs = _window_points(tf, lo, hi)
-        tvals = [tf.eval(lo), *tf.breakpoint_values[i0:i1].tolist(), tf.eval(hi)]
-        with np.errstate(over="ignore"):  # an inf base makes D = -inf, as it should
-            base = np.power(xs - family.shift, family.p).tolist()
-        table = _PowerTable(xs.tolist(), tvals, base, i0 - 1)
-        tf.solve_tables[key] = table
-    return table
-
-
-def _solve_general(
-    tf: TransformedFunction,
-    family: ThresholdFamily,
-    theta: float,
-    lo: float,
-    hi: float,
-    open_lo: bool,
-) -> tuple[float, SolveStatus]:
-    """Count the roots over monotone pieces; solve the one root if it is unique."""
-    f = tf.source
-    i0, i1, ends = _window_points(tf, lo, hi)
-    segment = _segment(f, np.arange(i0 - 1, i1))  # the segment under each piece between ends
-    xs = _monotone_pieces(tf.kind, tf.origin, family, theta, segment, ends)
-    dvals = tf.eval_many(xs) - family.value_many(xs, theta)
-    signs = np.sign(dvals)
-    zeros = signs == 0.0
-    zeros[0] &= not open_lo
-    crossings = np.flatnonzero(signs[:-1] * signs[1:] < 0.0)
-    n_roots = int(zeros.sum()) + len(crossings)
-    if n_roots > 1:
-        raise NonUniqueError(f"{n_roots} roots found for theta={theta}; solution not unique")
-    if n_roots == 0:
-        return _boundary_root(tf, theta, lo, hi, open_lo, dvals)
-    if zeros.any():
-        return float(xs[int(np.argmax(zeros))]), SolveStatus.EXACT_SEGMENT
-    j = int(crossings[0])
-    seg = min(int(np.searchsorted(f.xs, xs[j], side="right")) - 1, len(f.xs) - 2)
-    return _locate(
-        tf, family, theta, float(xs[j]), float(xs[j + 1]), float(dvals[j]), _segment(f, seg)
-    )
-
-
-def _window_points(tf: TransformedFunction, lo: float, hi: float) -> tuple[int, int, np.ndarray]:
-    """lo, the breakpoints strictly inside (lo, hi), and hi; with the slice [i0, i1) of those."""
-    xs = tf.source.xs
-    i0 = int(np.searchsorted(xs, lo, side="right"))
-    i1 = int(np.searchsorted(xs, hi, side="left"))
-    return i0, i1, np.concatenate(([lo], xs[i0:i1], [hi]))
-
-
-def _boundary_root(
-    tf: TransformedFunction, theta: float, lo: float, hi: float, open_lo: bool, dvals: np.ndarray
-) -> tuple[float, SolveStatus]:
-    """No root inside: accept S when |D(S)| is rounding noise, else raise NoRootError."""
-    scale = max(1.0, float(np.abs(dvals).max()))
-    if hi == tf.support_end and abs(float(dvals[-1])) <= _BOUNDARY_TOL * scale:
-        return hi, SolveStatus.EXACT_SEGMENT
     bracket = "(" if open_lo else "["
     raise NoRootError(f"theta={theta} is not admissible: no root on {bracket}{lo}, {hi}]")
-
-
-def _segment(f: RankFrequencyFunction, seg):
-    """(x0, y0, slope, cumulative) of breakpoint segment(s) ``seg``: an index, slice or array."""
-    if isinstance(seg, int):  # Python floats, whose products overflow to inf without a warning
-        return f.xs.item(seg), f.ys.item(seg), f.slopes.item(seg), f.cumulative.item(seg)
-    return f.xs[seg], f.ys[seg], f.slopes[seg], f.cumulative[seg]
 
 
 def _transform_poly(kind: OperatorKind, segment):

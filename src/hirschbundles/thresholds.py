@@ -14,13 +14,19 @@ For a fixed x inside the bijection region, theta -> A(x, theta) is
 invertible; composing that inverse with T(f) yields psi_f, the map from
 an abscissa to the unique theta whose solution lands there.  The image
 of psi_f is exactly the set of admissible thetas.
+
+Both families are theta times A(x, 1) > 0, so psi_f = T(f) / A(., 1), and
+where it turns does not depend on theta.  ``_solve_table`` keeps one
+table per search window on the TransformedFunction: psi_f's monotone runs
+between the breakpoints and its stationary points.  The solver searches
+it for every theta; every admissible range is its least and greatest psi_f.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Union
+from typing import NamedTuple, Sequence, Union
 
 import numpy as np
 
@@ -33,9 +39,7 @@ from .errors import (
     ZeroValueError,
 )
 from .funcspace import RankFrequencyFunction
-from .operators import MONOTONICITY, Monotonicity, OperatorKind, apply
-
-_RANGE_GRID = 1024
+from .operators import MONOTONICITY, Monotonicity, OperatorKind, TransformedFunction, apply
 
 
 @dataclass(frozen=True)
@@ -75,14 +79,9 @@ class PowerThreshold:
             raise SingularAbscissaError(f"theta-inverse undefined at x = shift = {x}")
         self._check_x(x)
         power = _power(x - self.shift, self.p)
-        if power == 0.0:  # an underflow: as in theta_inverse_many, inf for a positive value
+        if power == 0.0:  # an underflow: inf for a positive value
             return math.inf if value > 0.0 else 0.0
         return value / power
-
-    def theta_inverse_many(self, x: np.ndarray, values: np.ndarray) -> np.ndarray:
-        # a power that overflows gives theta 0, one that underflows inf
-        with np.errstate(over="ignore", divide="ignore"):
-            return values / np.power(x - self.shift, self.p)
 
     def describe(self) -> str:
         return f"power(p={self.p:g},shift={self.shift:g})"
@@ -122,9 +121,6 @@ class DecreasingLinearThreshold:
             raise SingularAbscissaError(f"theta-inverse undefined at x = ceiling = {x}")
         self._check_x(x)
         return value / (self.ceiling - x)
-
-    def theta_inverse_many(self, x: np.ndarray, values: np.ndarray) -> np.ndarray:
-        return values / (self.ceiling - x)
 
     def describe(self) -> str:
         return f"declin(ceiling={self.ceiling:g})"
@@ -166,14 +162,121 @@ def psi(
     return family.theta_inverse(x, value)
 
 
+# The table below and its two helpers are shared with the solver and verify,
+# yet private, as _power is.
+def _window_points(tf: TransformedFunction, lo: float, hi: float) -> tuple[int, int, np.ndarray]:
+    """lo, the breakpoints strictly inside (lo, hi), and hi; with the slice [i0, i1) of those."""
+    xs = tf.source.xs
+    i0 = int(np.searchsorted(xs, lo, side="right"))
+    i1 = int(np.searchsorted(xs, hi, side="left"))
+    return i0, i1, np.concatenate(([lo], xs[i0:i1], [hi]))
+
+
+def _segment(f: RankFrequencyFunction, seg):
+    """(x0, y0, slope, cumulative) of breakpoint segment(s) ``seg``: an index, slice or array."""
+    if isinstance(seg, int):  # Python floats, whose products overflow to inf without a warning
+        return f.xs.item(seg), f.ys.item(seg), f.slopes.item(seg), f.cumulative.item(seg)
+    return f.xs[seg], f.ys[seg], f.slopes[seg], f.cumulative[seg]
+
+
+class _SolveTable(NamedTuple):
+    """psi_f on one search window, theta-free: D = tvals - theta * base at xs."""
+
+    xs: list[float]  # lo, the breakpoints and psi_f's stationary points inside, and hi
+    tvals: list[float]  # T(f) at xs
+    base: list[float]  # A(xs, 1)
+    segs: Sequence[int]  # the breakpoint segment under [xs[k], xs[k + 1]]
+    runs: list[tuple[int, int, bool]]  # (first, last, rising): psi_f monotone on xs[first..last]
+    psi: np.ndarray | None  # psi_f at xs; None where the range is certified
+    lo_limit: bool  # index 0 holds psi_f's limit at the open lower end, over a base of 1.0
+
+
+def _solve_table(
+    tf: TransformedFunction, family: ThresholdFamily, lo: float, hi: float
+) -> _SolveTable:
+    """The table of window [lo, hi], or (lo, hi] when lo is a power shift; built once per tf."""
+    key = (family, lo, hi)
+    table = tf.solve_tables.get(key)
+    if table is not None:
+        return table
+    f = tf.source
+    i0, i1, xs = _window_points(tf, lo, hi)
+    tvals = [tf.eval(lo), *tf.breakpoint_values[i0:i1].tolist(), tf.eval(hi)]
+    segs = range(i0 - 1, i1)
+    # psi_f of a decreasing T(f) over a power decreases: one run, nothing more to find
+    monotone = is_certified(tf.kind, family)
+    if not monotone:
+        turns = _psi_turns(tf, family, _segment(f, np.arange(i0 - 1, i1)), xs)
+        if len(turns):
+            order = np.argsort(np.concatenate((xs, turns)), kind="stable")
+            xs = np.concatenate((xs, turns))[order]
+            tvals = np.concatenate((tvals, tf.eval_many(turns)))[order].tolist()
+            segs = (np.searchsorted(f.xs, xs[:-1], side="right") - 1).tolist()
+    base = family.value_many(xs, 1.0).tolist()  # an inf base makes D = -inf, as it should
+    # Where T(f) and A(., 1) both vanish at an open lower end, psi_f's limit
+    # gives D its sign just right of it: for the integral at shift = a (f being
+    # non-zero, I(f) > 0 right of a), psi_f ~ f(a) (x - a)^(1 - p) tends to 0,
+    # f(a) or inf for p <, = or > 1; a non-increasing T(f) stays 0.
+    lo_limit = isinstance(family, PowerThreshold) and lo == family.shift and tvals[0] == 0.0
+    if lo_limit:
+        limit = f.ys.item(0) if family.p == 1.0 else (math.inf if family.p > 1.0 else 0.0)
+        tvals[0], base[0] = limit if tf.kind is OperatorKind.INTEGRAL else 0.0, 1.0
+    psi, runs = None, [(0, len(base) - 1, False)]
+    if not monotone:
+        with np.errstate(divide="ignore", invalid="ignore"):
+            psi = np.divide(tvals, base)
+        psi[np.array(tvals) == 0.0] = 0.0  # also where the base underflows to 0
+        rising = np.diff(psi) > 0.0  # per cell; a constant cell counts as falling
+        cuts = [0, *(np.flatnonzero(np.diff(rising)) + 1).tolist(), len(rising)]
+        runs = [(k0, k1, bool(rising[k0])) for k0, k1 in zip(cuts, cuts[1:])]
+    table = tf.solve_tables[key] = _SolveTable(xs.tolist(), tvals, base, segs, runs, psi, lo_limit)
+    return table
+
+
+def _psi_turns(
+    tf: TransformedFunction, family: ThresholdFamily, segment, ends: np.ndarray
+) -> np.ndarray:
+    """psi_f's stationary points strictly inside the cells [ends[k], ends[k + 1]].
+
+    Per cell, with the :func:`_segment` columns of its breakpoint segment,
+    psi_f' has the sign of a quadratic N:
+
+    * integral x power(p, shift): N = u (x - shift) - p I(u); in t = x - x0,
+      with e = x0 - shift and C = I(u)(x0),
+      N = s (1 - p/2) t^2 + ((1 - p) y0 + s e) t + (y0 e - p C);
+    * averaging x declin(c): in w = x - a, with the segment's
+      I(u) = P0 + P1 w + (s/2) w^2,
+      N = ((s/2) (c - a) + P1) w^2 + 2 P0 w - P0 (c - a).
+
+    Identity x declin has the constant N = y0 + s (c - x0) on a segment;
+    every other psi_f is monotone.
+    """
+    x0, y0, slope, cumulative = segment
+    if tf.kind is OperatorKind.INTEGRAL and isinstance(family, PowerThreshold):
+        p, e = family.p, x0 - family.shift
+        c2, c1, c0 = slope * (1.0 - p / 2.0), (1.0 - p) * y0 + slope * e, y0 * e - p * cumulative
+        origin = x0
+    elif tf.kind is OperatorKind.AVERAGING and isinstance(family, DecreasingLinearThreshold):
+        e, width = x0 - tf.origin, family.ceiling - tf.origin
+        p0, p1 = cumulative - e * (y0 - slope / 2.0 * e), y0 - slope * e
+        c2, c1, c0, origin = slope / 2.0 * width + p1, 2.0 * p0, -p0 * width, tf.origin
+    else:
+        return np.empty(0)
+    # both roots by the numerically stable split; NaN or inf where there is none
+    with np.errstate(all="ignore"):
+        q = -(c1 + np.copysign(np.sqrt(c1 * c1 - 4.0 * c2 * c0), c1)) / 2.0
+        roots = [origin + q / c2, origin + c0 / q]
+    return np.concatenate([x[(x > ends[:-1]) & (x < ends[1:])] for x in roots])
+
+
 @dataclass(frozen=True)
 class AdmissibleRange:
     """The set of thetas for which the defining equation has a solution.
 
     ``theta_min`` is None when every positive theta is admissible (the
-    range is open at zero).  ``certified`` is True when the endpoints are
-    analytic consequences of endpoint monotonicity and False when they
-    were estimated on a grid.
+    range is open at zero).  Both kinds are exact: ``certified`` marks the
+    closed form from T(f) at the two ends (psi_f decreasing); otherwise the
+    range is the least and greatest psi_f over the solve table of [a, S].
     """
 
     theta_min: float | None
@@ -269,13 +372,11 @@ def admissible_range(
     kind: OperatorKind,
     family: ThresholdFamily,
 ) -> AdmissibleRange:
-    """Image of psi_f over the domain interior.
+    """Image of psi_f over the domain, exactly.
 
-    Certified (see :func:`is_certified`) when T(f) decreases and the
-    family is a power family.  Otherwise the interior is estimated on a
-    grid and the range comes back with ``certified=False``; its ends are
-    exact: psi_f at an end of [a, S] where the threshold is positive, and
-    its limit at a power shift at or past a.
+    Certified (see :func:`is_certified`) when T(f) decreases and the family
+    is a power family; otherwise psi_f's least and greatest value over the
+    solve table of [a, S], or of (shift, S] with its limit at the shift.
     """
     tf = apply(kind, f)
     if f.is_zero():
@@ -283,35 +384,18 @@ def admissible_range(
     a, s = tf.origin, tf.support_end
     if is_certified(kind, family):
         return certified_range(tf.eval(a), tf.eval(s), a, s, family)
-    # grid estimate over the bijection region interior
-    lo_x, hi_x = a, s
-    span = s - a
     if isinstance(family, PowerThreshold):
         if family.shift >= s:
             raise _no_positive_threshold(a, s)
-        lo_x = max(lo_x, family.shift) + 1e-9 * span
-        ends = [s] if family.shift >= a else [a, s]
-    else:
-        hi_x = min(hi_x, family.ceiling) - 1e-9 * span
-        ends = [x for x in (a, s) if x < family.ceiling]
-    xs = np.linspace(lo_x, hi_x, _RANGE_GRID)
-    vals = tf.eval_many(xs)
-    mask = vals > 0.0
-    if not bool(mask.any()):
-        raise ZeroFunctionError("T(f) vanishes on the sampled interior")
-    thetas = family.theta_inverse_many(xs[mask], vals[mask]).tolist()
-    thetas += [family.theta_inverse(x, tf.eval(x)) for x in ends]
-    if isinstance(family, PowerThreshold) and family.shift >= a:
-        # psi_f's limit at the shift: inf where T(f) > 0 there; else T is the
-        # integral with shift = a (I(f) > 0 right of a, f being non-zero), where
-        # psi_f ~ f(a) (x - a)^(1 - p) tends to 0, f(a) or inf for p <, = or > 1
-        if tf.eval(family.shift) > 0.0 or family.p > 1.0:
-            thetas.append(math.inf)
-        else:
-            thetas.append(0.0 if family.p < 1.0 else float(f.ys[0]))
-    theta_min = min(thetas)  # 0 where T(f) or psi_f vanishes at an end: open at zero
+    elif family.ceiling <= s:
+        raise DomainError(
+            f"threshold ceiling {family.ceiling} must exceed the search domain end {s}"
+        )
+    lo = max(a, family.shift) if isinstance(family, PowerThreshold) else a
+    psis = _solve_table(tf, family, lo, s).psi
+    theta_min = float(psis.min())  # 0 where T(f) or psi_f vanishes: open at zero
     return AdmissibleRange(
         theta_min=theta_min if theta_min > 0.0 else None,
-        theta_max=max(thetas),
+        theta_max=float(psis.max()),
         certified=False,
     )

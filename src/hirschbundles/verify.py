@@ -11,7 +11,7 @@ Hypotheses are decided exactly, not on a sampling grid.  On each
 breakpoint segment T is a polynomial of degree at most 2 (over x - a for
 averaging), so D = T(f) - A, and T(k) - T(f) = T(k - f) for two
 functions, are monotone between the breakpoints and a few turning
-points, found as the solver finds them (``solver._monotone_pieces``).
+points, found by ``solver._monotone_pieces``.
 The monotonicity of D, the order of two transforms and the operator
 contract are read off the values at those points.
 
@@ -76,11 +76,13 @@ from .funcspace import (
 )
 from .operators import Monotonicity, OperatorKind, TransformedFunction, apply
 from .reporting import Counterexample, Verdict, VerificationReport
-from .solver import ABS_TOL_X, _monotone_pieces, _segment, _window_points, solve_transformed
+from .solver import ABS_TOL_X, _monotone_pieces, solve_transformed
 from .thresholds import (
     DecreasingLinearThreshold,
     PowerThreshold,
     ThresholdFamily,
+    _segment,
+    _window_points,
 )
 
 _D_TOL = 1e-12

@@ -144,3 +144,19 @@ def oracle_roots(
     roots = sorted(xs[signs == 0].tolist() + xs[cells].tolist())
     bx, _ = breakpoint_arrays(f)
     return roots, float(bx[-1] - bx[0]) / (n_points - 1)
+
+
+def oracle_psi(
+    f, op_kind: str, family_kind: str = "power", n_points: int = 100_000, **family_params
+) -> np.ndarray:
+    """psi_f = T(f) / A(., 1) on a dense grid with f's breakpoints inserted.
+
+    Grid points at or below a power threshold's shift, where A(., 1) is
+    not positive, are dropped.
+    """
+    bx, _ = breakpoint_arrays(f)
+    xs = np.union1d(np.linspace(bx[0], bx[-1], n_points), bx)
+    with np.errstate(invalid="ignore"):  # a power of a negative base is NaN
+        base = _threshold_on_grid(xs, 1.0, family_kind, **family_params)
+    keep = base > 0.0
+    return _transform_on_grid(f, op_kind, xs)[keep] / base[keep]

@@ -92,6 +92,19 @@ class TestIndexCommand:
         rows = list(csv.DictReader(io.StringIO(out)))
         assert {r["value"] for r in rows if r["id"] == "bob"} >= {"NoRoot"}
 
+    def test_integral_sqrt_root_next_to_the_shift(self, tmp_path, capsys):
+        # the root of 10 x = 1e-5 sqrt(x) lies at 1e-12, inside the last bisection
+        # bracket; was NoRoot
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"indices": [{"name": "n05", "operator": "integral", "p": 0.5}]}))
+        src = tmp_path / "s.csv"
+        src.write_text("id,counts\nr,10;8;5;4;3;2;1\n")
+        args = ["index", str(src), "--config", str(cfg), "--theta-grid", "1e-5:1e-5:1"]
+        code, out, err = run_cli(args, capsys)
+        assert (code, err) == (0, "")
+        value = out.splitlines()[1].split(",")[-1]
+        assert abs(float(value) - 1e-12) <= 1e-10
+
     def test_malformed_counts_exit_2(self, tmp_path, capsys):
         p = tmp_path / "bad.csv"
         p.write_text("id,counts\nok,3;2;1\nbroken,\n")
@@ -329,7 +342,8 @@ class TestAdmissibleCommand:
             monkeypatch.setattr(module, "AdmissibleRange", no_range)
         assert run_cli(["admissible", str(src)], capsys)[:2] == (0, expected)
 
-    def test_uncertified_range_prints_caveat(self, tmp_path, capsys):
+    def test_uncertified_range_prints_no_caveat(self, tmp_path, capsys):
+        # psi_f = I(f)(x) / x falls from f(0) = 4 to 14 / 4; an exact range needs no caveat
         p = tmp_path / "cfg.json"
         p.write_text(
             json.dumps(
@@ -339,13 +353,12 @@ class TestAdmissibleCommand:
         src = tmp_path / "s.csv"
         src.write_text("id,counts\nx,4;4;4\n")
         code, out, err = run_cli(["admissible", str(src), "--config", str(p)], capsys)
-        assert code == 0
-        assert "certified=false" in err
+        assert (code, out.splitlines()[1], err) == (0, "x,iq,3.5,4,false", "")
 
     # A shift at or past the support end S = 8 of the 7-count record leaves
     # the threshold non-positive on [0, S]: no theta is admissible.  The
     # first three ranges are certified, answered by the column pass and by
-    # admissible_range; the last takes admissible_range's grid branch.
+    # admissible_range; the last is psi_f's image over the solve table.
     @pytest.mark.parametrize(
         "operator, p, shift",
         [
@@ -429,12 +442,11 @@ class TestOverflowingPower:
         # about the root of 10 = 0.5 * x^2000, where f is still close to 10
         assert float(value) == pytest.approx(20.0 ** (1 / 2000), rel=1e-6)
 
-    def test_grid_range_is_open_at_zero(self, tmp_path, capsys):
+    def test_uncertified_range_is_open_at_zero(self, tmp_path, capsys):
         # psi underflows to 0 where x^400 overflows; was a ValueError (exit 1)
         idx = {"operator": "integral", "p": 400.0, "shift": 0.0}
         code, out, err = self.run(tmp_path, capsys, "admissible", idx)
-        assert (code, out.splitlines()[1]) == (0, "r,x,0,inf,false")
-        assert err.startswith("warning: ranges marked certified=false") and err.count("\n") == 1
+        assert (code, out.splitlines()[1], err) == (0, "r,x,0,inf,false", "")
         # was numpy's "overflow encountered in power" RuntimeWarning
         code, out, err = self.run(tmp_path, capsys, "index", idx)
         assert (code, out.splitlines()[1], err) == (0, "r,x,1,1.00578756523", "")
@@ -644,9 +656,9 @@ ELEVEN_INDICES = {
 }
 
 GOLDEN_STDOUT_11 = {
-    "admissible": "f7c2c9f7b3fbfb71ea747d39a069efac982925a9045dbba6a0514239c4ee4e44",
-    "bundle": "7ae60bbccae6b8280e5e26e5c15716fc17cbfa6c683b0de3de8274ae3f9f5ed5",
-    "index": "353f97055f120b72d131b7dd3146b41a79b529aebf7207d1556b98851575d6bb",
+    "admissible": "1df82b27b1a5e4b68a087e0f2b4931004956e7d5e629da6d3eedafa6556204af",
+    "bundle": "68dc8cb3a6a9efb4e3b0385bd8941bbbc481a73d9149c3ccc5a27e6b5a76b22f",
+    "index": "1e89415b223bc4a17ed1d1b431349e82ba9348ec16a16747056f340ab8e13fac",
 }
 
 

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from hirschbundles.errors import NoRootError, NonUniqueError
 from hirschbundles.funcspace import (
@@ -14,11 +14,16 @@ from hirschbundles.funcspace import (
     random_function,
 )
 from hirschbundles.operators import Monotonicity, OperatorKind, apply
-from hirschbundles.solver import solve_bundle_point
-from hirschbundles.thresholds import DecreasingLinearThreshold, PowerThreshold, psi
-from hirschbundles.verify import classify_difference
+from hirschbundles.solver import solve_bundle_point, solve_transformed
+from hirschbundles.thresholds import (
+    DecreasingLinearThreshold,
+    PowerThreshold,
+    admissible_range,
+    psi,
+)
+from hirschbundles.verify import _D_TOL, classify_difference
 
-from oracles import oracle_difference
+from oracles import oracle_difference, oracle_psi
 
 seeds = st.integers(min_value=0, max_value=2**32 - 1)
 
@@ -122,8 +127,14 @@ UNCERTIFIED_PAIRS = [("integral", "power", p) for p in (0.5, 1.0, 1.5, 2.0, 3.0)
 @pytest.mark.parametrize("pair", UNCERTIFIED_PAIRS, ids=lambda pair: "-".join(map(str, pair)))
 @given(seeds, st.floats(min_value=0.02, max_value=0.98), st.floats(min_value=1.05, max_value=4.0))
 @settings(max_examples=60, deadline=None)
+# f linear and c = 2 S: mu(f) = theta (c - x) exactly, D = 0 up to rounding
+@example(seed=147, frac=0.5, ceiling_factor=2.0)
 def test_difference_classification_agrees_with_a_dense_grid(pair, seed, frac, ceiling_factor):
-    """Where a dense grid sees D rise (fall), it is not classified decreasing (increasing)."""
+    """Where a dense grid sees D rise (fall), it is not classified decreasing (increasing).
+
+    A rise or fall counts when it exceeds both 1e-9 max|D| and the
+    ``_D_TOL`` to which classify_difference decides.
+    """
     kind_name, family_kind, p = pair
     f = random_function(seed)
     a, s = f.support_start, f.support_end
@@ -141,8 +152,46 @@ def test_difference_classification_agrees_with_a_dense_grid(pair, seed, frac, ce
     theta = family.theta_inverse(x, tf.eval(x))
     got = classify_difference(tf, family, theta)
     _, d = oracle_difference(f, kind_name, theta, family_kind, 20_000, **params)
-    tol = 1e-9 * float(np.abs(d).max())
+    tol = max(1e-9 * float(np.abs(d).max()), _D_TOL)
     if float((d - np.minimum.accumulate(d)).max()) > tol:
         assert got is not Monotonicity.DECREASING
     if float((np.maximum.accumulate(d) - d).max()) > tol:
         assert got is not Monotonicity.INCREASING
+
+
+# psi_f's range is exact for every pair, so a dense grid of psi_f never leaves
+# it, and every theta inside it has a root
+RANGE_PAIRS = [
+    ("integral", "power", p, shift) for p in (0.5, 1.0, 1.5, 2.0, 3.0) for shift in (0.0, "a")
+] + [(kind, "declin", None, None) for kind in ("identity", "averaging", "integral")]
+
+
+@pytest.mark.parametrize("pair", RANGE_PAIRS, ids=lambda pair: "-".join(map(str, pair)))
+@given(seeds, st.floats(min_value=0.02, max_value=0.98), st.floats(min_value=1.05, max_value=4.0))
+@settings(max_examples=40, deadline=None)
+def test_exact_range_holds_psi_and_admits_its_interior(pair, seed, frac, ceiling_factor):
+    kind_name, family_kind, p, shift = pair
+    # the support starts at a = 1.5, so the shifts 0 and a give [a, S] and (a, S]
+    base = random_function(seed)
+    f = RankFrequencyFunction([(x + 1.5, y) for x, y in base.breakpoints])
+    if f.is_zero():
+        return
+    if family_kind == "power":
+        shift = f.support_start if shift == "a" else shift
+        family, params = PowerThreshold(p, shift), {"p": p, "shift": shift}
+    else:
+        ceiling = ceiling_factor * f.support_end
+        family, params = DecreasingLinearThreshold(ceiling), {"ceiling": ceiling}
+    kind = OperatorKind(kind_name)
+    rng = admissible_range(f, kind, family)
+    low = rng.theta_min or 0.0
+    psis = oracle_psi(f, kind_name, family_kind, 20_000, **params)
+    assert (psis >= low * (1.0 - 1e-9)).all() and (psis <= rng.theta_max * (1.0 + 1e-9)).all()
+    high = rng.theta_max if rng.theta_max < np.inf else 2.0 * float(psis.max())
+    theta = low + frac * (high - low)
+    if not low * (1.0 + 1e-6) < theta < high * (1.0 - 1e-6):
+        return
+    try:
+        solve_transformed(apply(kind, f), family, theta)
+    except NonUniqueError:
+        pass

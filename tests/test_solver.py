@@ -16,6 +16,7 @@ from hirschbundles.funcspace import (
 )
 from hirschbundles.operators import OperatorKind, apply
 from hirschbundles.solver import (
+    ABS_TOL_X,
     SolveStatus,
     g_index,
     g_kosmulski_index,
@@ -338,6 +339,45 @@ class TestExactIsolation:
         with pytest.raises(NoRootError):
             solve_bundle_point(counts_fixture, INTEGRAL, PowerThreshold(1.0, 0.0), 1.0)
 
+    def test_integral_sqrt_root_next_to_the_shift(self, counts_fixture):
+        # D = 10 x - theta sqrt(x) on [0, 1] has its one root at (theta / 10)^2 = 1e-12;
+        # the zeros of D' were bisected only to 1e-10, and the root went unseen (NoRoot)
+        m, _ = solve_bundle_point(counts_fixture, INTEGRAL, PowerThreshold(0.5, 0.0), 1e-5)
+        assert abs(m - 1e-12) <= ABS_TOL_X
+
+    def test_constant_psi_is_not_unique(self):
+        # f is linear with f(S) = 0 and c = 2 S, so mu(f) = theta (c - x) exactly:
+        # D = 0 on the whole domain
+        f = random_function(147)
+        fam = DecreasingLinearThreshold(2.0 * f.support_end)
+        tf = apply(AVERAGING, f)
+        for x in (0.0, f.support_end / 2.0):
+            with pytest.raises(NonUniqueError):
+                solve_transformed(tf, fam, fam.theta_inverse(x, tf.eval(x)))
+
+    def test_constant_integral_average_is_not_unique(self):
+        # I(f)(x) / (x - a) = 38 on the flat first segment: D = 0 on all of it at theta = 38
+        f = RankFrequencyFunction([(1.5, 38.0), (14.1, 38.0), (21.7, 0.9)])
+        with pytest.raises(NonUniqueError):
+            solve_bundle_point(f, INTEGRAL, PowerThreshold(1.0, 1.5), 38.0)
+
+    def test_root_at_the_end_of_a_rising_run(self):
+        # psi_f turns twice and rises to theta at S, where D(S) = -1.8e-15 is rounding noise
+        f = RankFrequencyFunction(
+            [(0.0, 22.0), (2.3142671600046913, 16.0), (2.413860148983571, 12.0)]
+            + [(10.927707512521094, 9.0)]
+        )
+        fam = DecreasingLinearThreshold(11.582133651930807)
+        tf = apply(AVERAGING, f)
+        theta = fam.theta_inverse(f.support_end, tf.eval(f.support_end))
+        assert solve_transformed(tf, fam, theta) == (f.support_end, SolveStatus.EXACT_SEGMENT)
+
+    def test_overflowing_threshold_at_the_end_is_no_root(self):
+        # 16.77^400 overflows, so D(S) = -inf, and psi_f peaks at about 2.1e-72 < theta
+        f = RankFrequencyFunction([(1.5, 42.0), (16.77154115105733, 28.0)])
+        with pytest.raises(NoRootError):
+            solve_bundle_point(f, INTEGRAL, PowerThreshold(400.0, 0.0), 8.871025741206409e-72)
+
     def test_integral_square_root_after_origin(self, counts_fixture):
         m, status = solve_bundle_point(counts_fixture, INTEGRAL, PowerThreshold(2.0, 0.0), 1.0)
         assert m == 6.0  # I(f)(6) = 36
@@ -392,17 +432,18 @@ def _outcome(tf, fam, theta, window):
 
 
 class TestSolveTable:
-    """Identity or averaging against a power threshold: one solve table per window."""
+    """Every pair: one solve table per window."""
 
     FAMILIES = [
         PowerThreshold(1.0, 0.0),
         PowerThreshold(2.0, 0.0),
         PowerThreshold(0.5, 0.0),
         PowerThreshold(1.0, 2.5),
+        DecreasingLinearThreshold(20.0),
     ]
     WINDOWS = [None, (0.0, 4.5), (1.5, 8.0), (2.0, 6.0)]
 
-    @pytest.mark.parametrize("kind", [IDENTITY, AVERAGING])
+    @pytest.mark.parametrize("kind", [IDENTITY, AVERAGING, INTEGRAL])
     def test_memo_answers_as_a_fresh_transform(self, kind, counts_fixture):
         tf = apply(kind, counts_fixture)
         for _ in range(2):  # the second pass reads every table from the memo
