@@ -146,20 +146,27 @@ def load_config(path: str | None) -> RunConfig:
         grid = ThetaGrid(
             lo=float(grid_raw.get("min", 1.0)),
             hi=float(grid_raw.get("max", grid_raw.get("min", 1.0))),
-            count=int(grid_raw.get("count", 1)),
+            count=_config_int(grid_raw.get("count", 1), "theta_grid.count"),
             spacing=str(grid_raw.get("spacing", "linear")),
         )
         cfg = RunConfig(
             indices=indices,
             theta_grid=grid,
-            seed=int(raw.get("seed", 20240810)),
-            trials=int(raw.get("trials", 40)),
+            seed=_config_int(raw.get("seed", 20240810), "seed"),
+            trials=_config_int(raw.get("trials", 40), "trials"),
         )
     # AttributeError: a section that is not an object; OverflowError: int(inf)
     except (AttributeError, TypeError, ValueError, OverflowError) as e:
         raise CliError(f"bad config: {e}")
     _validate_grid(cfg.theta_grid)
     return cfg
+
+
+def _config_int(value, key: str) -> int:
+    """``int(value)``, where a bool, or a float that is not a whole number, is bad config."""
+    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
+        raise CliError(f"bad config: {key} must be an integer, got {value!r}")
+    return int(value)
 
 
 def _validate_grid(grid: ThetaGrid) -> None:

@@ -22,7 +22,8 @@ The single root is then solved on its one cell, in closed form where
 the segment equation is a polynomial of degree at most 2 and by
 bisection otherwise.  Bisection stops once its bracket is narrower than
 ``ABS_TOL_X`` or down to adjacent floats.  ``verify`` decides the
-monotonicity of D itself from its turning points (``_monotone_pieces``).
+monotonicity of D itself, for every theta at once, from the bounds of the
+theta-free phi = T(f)' / A'(., 1) (``thresholds._phi_bounds``).
 
 The identically-zero function is special-cased to m = support_start with
 a success status: a zero record has zero impact at every admissible
@@ -164,7 +165,7 @@ def _transform_poly(kind: OperatorKind, segment):
     """T(u) on a breakpoint segment as coefficients (c2, c1, c0) in t = x - x0.
 
     For averaging these are the numerator I(u) of mu(u) = I(u) / (x - a).
-    ``segment`` is what :func:`_segment` returns, for one segment or many.
+    ``segment`` is what :func:`_segment` returns for one segment.
     """
     _, y0, slope, cumulative = segment
     if kind is OperatorKind.IDENTITY:
@@ -172,13 +173,8 @@ def _transform_poly(kind: OperatorKind, segment):
     return slope / 2.0, y0, cumulative
 
 
-def _threshold_poly(family: ThresholdFamily | None, theta: float, x0):
-    """A(x, theta) as coefficients (a2, a1, a0) in t = x - x0, or None when of degree > 2.
-
-    ``family`` None stands for A = 0.
-    """
-    if family is None:
-        return 0.0, 0.0, 0.0
+def _threshold_poly(family: ThresholdFamily, theta: float, x0):
+    """A(x, theta) as coefficients (a2, a1, a0) in t = x - x0, or None when of degree > 2."""
     if isinstance(family, DecreasingLinearThreshold):
         return 0.0, -theta, theta * (family.ceiling - x0)
     d = x0 - family.shift
@@ -190,9 +186,9 @@ def _threshold_poly(family: ThresholdFamily | None, theta: float, x0):
 
 
 def _segment_poly(
-    kind: OperatorKind, origin: float, family: ThresholdFamily | None, theta: float, segment
+    kind: OperatorKind, origin: float, family: ThresholdFamily, theta: float, segment
 ):
-    """Coefficients (c2, c1, c0) in t = x - x0 of D on a breakpoint segment (or several).
+    """Coefficients (c2, c1, c0) in t = x - x0 of D on a breakpoint segment.
 
     For averaging the polynomial is the cleared-denominator
     (x - a) * D = I(u)(x) - (x - a) * A(x, theta), which has the sign of D
@@ -211,94 +207,6 @@ def _segment_poly(
         a2, a1, a0 = a1, a1 * e + a0, a0 * e
     t2, t1, t0 = _transform_poly(kind, segment)
     return t2 - a2, t1 - a1, t0 - a0
-
-
-def _monotone_pieces(
-    kind: OperatorKind,
-    origin: float,
-    family: ThresholdFamily | None,
-    theta: float,
-    segment,
-    ends: np.ndarray,
-) -> np.ndarray:
-    """``ends`` and the points between them where D = T(u) - A(., theta) can turn, sorted.
-
-    u is piecewise linear, with the :func:`_segment` columns of the
-    breakpoint segment under each piece [ends[k], ends[k + 1]] in
-    ``segment``; ``origin`` is a, and ``family`` None stands for A = 0.
-    D is monotone between neighbouring points of the result.  Per piece:
-
-    * identity: none, as D is linear (A linear) or decreasing (u
-      non-increasing against a power threshold);
-    * integral: D's vertex where A has degree <= 2, else the zeros of D'
-      (:func:`_integral_power_critical_points`);
-    * averaging, with A linear in x of slope a1 (against a power p != 1 a
-      non-increasing u has a decreasing D, and nothing asks): the zero of
-      D' = N / w^2 - a1, where w = x - a and N = u w - I(u).  With the
-      piece's I(u) = P0 + P1 w + (s / 2) w^2, N = (s / 2) w^2 - P0, so
-      w = sqrt(P0 / (s / 2 - a1)).
-    """
-    lo, hi = ends[:-1], ends[1:]
-    x0, y0, slope, cumulative = segment
-    if kind is OperatorKind.IDENTITY:
-        turns = np.empty(0)
-    elif kind is OperatorKind.INTEGRAL:
-        # a theta near the float maximum overflows the coefficients to inf
-        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-            poly = _segment_poly(kind, origin, family, theta, segment)
-            if poly is None:
-                turns = _integral_power_critical_points(family, theta, segment, ends)
-            else:
-                c2, c1, _ = poly
-                vertex = x0 - c1 / (2.0 * c2)
-                turns = vertex[(c2 != 0.0) & (vertex > lo) & (vertex < hi)]
-    else:
-        _, a1, _ = _threshold_poly(family, theta, x0)
-        half, e = slope / 2.0, x0 - origin
-        # P0 = I(u) continued along the piece's polynomial to x = a
-        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-            root = origin + np.sqrt((cumulative - e * (y0 - half * e)) / (half - a1))
-        turns = root[(root > lo) & (root < hi)]  # NaN or inf where there is none
-    return np.sort(np.concatenate((ends, turns)))
-
-
-def _integral_power_critical_points(
-    family: PowerThreshold,
-    theta: float,
-    segment,
-    ends: np.ndarray,
-) -> np.ndarray:
-    """Zeros of D' = u - theta p (x - shift)^(p - 1) strictly between ``ends``.
-
-    On a segment with slope s, D'' = s - theta p (p - 1) (x - shift)^(p - 2)
-    is monotone, so it vanishes at most once, where
-    (x - shift)^(p - 2) = s / (theta p (p - 1)).  D' is monotone on each
-    side of that point and is bisected wherever it changes sign.
-    """
-    x0, y0, slope, _ = segment
-    p, shift = family.p, family.shift
-    ratio = slope / (theta * p * (p - 1.0))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        inflect = shift + np.power(ratio, 1.0 / (p - 2.0))
-    inflect = inflect[(ratio > 0.0) & (inflect > ends[:-1]) & (inflect < ends[1:])]
-    cuts = np.sort(np.concatenate((ends, inflect)))
-    piece = np.minimum(np.searchsorted(ends, cuts, side="right") - 1, len(x0) - 1)
-    u = y0[piece] + slope[piece] * (cuts - x0[piece])
-    # (x - shift)^(p - 1) is inf at x = shift for p < 1, and where it overflows
-    with np.errstate(divide="ignore", over="ignore"):
-        dprime_cuts = u - theta * p * np.power(cuts - shift, p - 1.0)
-    signs = np.sign(dprime_cuts)
-
-    def bisect_piece(k: int) -> float:
-        px0, py0, pslope = x0.item(piece[k]), y0.item(piece[k]), slope.item(piece[k])
-
-        def dprime(x: float) -> float:
-            return py0 + pslope * (x - px0) - theta * p * _power(x - shift, p - 1.0)
-
-        return _bisect(dprime, cuts[k], cuts[k + 1], dprime_cuts[k])
-
-    changes = np.flatnonzero(signs[:-1] * signs[1:] < 0.0)
-    return np.array([bisect_piece(k) for k in changes])
 
 
 def _locate(

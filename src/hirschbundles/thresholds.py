@@ -20,6 +20,9 @@ where it turns does not depend on theta.  ``_solve_table`` keeps one
 table per search window on the TransformedFunction: psi_f's monotone runs
 between the breakpoints and its stationary points.  The solver searches
 it for every theta; every admissible range is its least and greatest psi_f.
+In the same way D' = A'(., 1) (phi - theta) with phi = T(f)' / A'(., 1)
+free of theta, so ``_phi_bounds``, phi's least and greatest value on a
+window, tells for every theta at once whether D is monotone there.
 """
 
 from __future__ import annotations
@@ -162,8 +165,8 @@ def psi(
     return family.theta_inverse(x, value)
 
 
-# The table below and its two helpers are shared with the solver and verify,
-# yet private, as _power is.
+# The table below and _segment are shared with the solver, and _phi_bounds
+# with verify, yet private, as _power is.
 def _window_points(tf: TransformedFunction, lo: float, hi: float) -> tuple[int, int, np.ndarray]:
     """lo, the breakpoints strictly inside (lo, hi), and hi; with the slice [i0, i1) of those."""
     xs = tf.source.xs
@@ -267,6 +270,53 @@ def _psi_turns(
         q = -(c1 + np.copysign(np.sqrt(c1 * c1 - 4.0 * c2 * c0), c1)) / 2.0
         roots = [origin + q / c2, origin + c0 / q]
     return np.concatenate([x[(x > ends[:-1]) & (x < ends[1:])] for x in roots])
+
+
+def _phi_bounds(
+    tf: TransformedFunction, family: ThresholdFamily, lo: float, hi: float
+) -> tuple[float, float]:
+    """The least and greatest phi = T(f)' / A'(., 1) on [lo, hi], or on (lo, hi] at a power shift.
+
+    A = theta A(., 1), so D' = A'(., 1) (phi - theta) with phi free of
+    theta.  Per cell of the window, with the :func:`_segment` columns of
+    its breakpoint segment (u = f there, of slope s), phi is monotone
+    between the cell's ends and the stationary points listed:
+
+    * identity x declin: phi = -s;
+    * integral x power(p, shift): phi = u (x - shift)^(1 - p) / p, which
+      is stationary where s (x - shift) + (1 - p) u = 0.  At an open
+      shift it takes its limit: 0, f(shift) or inf for p <, = or > 1,
+      and 0 wherever u = 0;
+    * averaging x declin: phi = -mu' = P0 / w^2 - s / 2 in w = x - a,
+      with the segment's I(u) = P0 + P1 w + (s / 2) w^2; mu'' = 2 P0 / w^3
+      keeps its sign on a cell.  At a, where P0 = 0, it is -s / 2;
+    * integral x declin (reached by the zero function only): phi = -u.
+
+    The other pairs have a monotone D, which needs no bounds.
+    """
+    i0, i1, ends = _window_points(tf, lo, hi)
+    x0, y0, slope, cumulative = _segment(tf.source, np.arange(i0 - 1, i1))
+    cells = np.arange(len(x0))
+    xs, seg = np.concatenate((ends[:-1], ends[1:])), np.concatenate((cells, cells))
+    power = isinstance(family, PowerThreshold)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        if power:
+            p, e = family.p, x0 - family.shift
+            # NaN or inf where there is no stationary point
+            turns = x0 - (slope * e + (1.0 - p) * y0) / ((2.0 - p) * slope)
+            inside = (turns > ends[:-1]) & (turns < ends[1:])
+            xs, seg = np.concatenate((xs, turns[inside])), np.concatenate((seg, cells[inside]))
+        x0, y0, slope, cumulative = x0[seg], y0[seg], slope[seg], cumulative[seg]
+        if tf.kind is OperatorKind.IDENTITY:
+            dt = slope
+        elif tf.kind is OperatorKind.INTEGRAL:
+            dt = y0 + slope * (xs - x0)
+        else:
+            e, half = x0 - tf.origin, slope / 2.0
+            p0 = cumulative - e * (y0 - half * e)
+            dt = half - np.where(p0 == 0.0, 0.0, p0 / (xs - tf.origin) ** 2)
+        phi = np.where(dt == 0.0, 0.0, dt / (p * (xs - family.shift) ** (p - 1.0))) if power else -dt
+    return float(phi.min()), float(phi.max())
 
 
 @dataclass(frozen=True)

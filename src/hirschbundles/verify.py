@@ -7,12 +7,15 @@ vacuous, never as passes: a report comes back Vacuous when no trial ever
 reached its conclusion, Fail when an asserted conclusion was violated,
 and Pass otherwise.
 
-Hypotheses are decided exactly, not on a sampling grid.  On each
-breakpoint segment T is a polynomial of degree at most 2 (over x - a for
-averaging), so D = T(f) - A, and T(k) - T(f) = T(k - f) for two
-functions, are monotone between the breakpoints and a few turning
-points, found by ``solver._monotone_pieces``.
-The monotonicity of D, the order of two transforms and the operator
+Hypotheses are decided exactly, not on a sampling grid.  A(x, theta) =
+theta A(x, 1), so D' = A'(., 1) (phi - theta) with phi = T(f)' / A'(., 1)
+free of theta: D decreases (or increases) on a window iff theta lies on
+one side of phi's least or greatest value there, which
+``thresholds._phi_bounds`` reads off the breakpoint segments.  On each
+segment T is a polynomial of degree at most 2 (over x - a for
+averaging), so T(f), and T(k) - T(f) = T(k - f) for two functions, are
+monotone between the breakpoints and their few turning points
+(``_monotone_points``); the order of two transforms and the operator
 contract are read off the values at those points.
 
 The checks cover:
@@ -76,16 +79,17 @@ from .funcspace import (
 )
 from .operators import Monotonicity, OperatorKind, TransformedFunction, apply
 from .reporting import Counterexample, Verdict, VerificationReport
-from .solver import ABS_TOL_X, _monotone_pieces, solve_transformed
+from .solver import ABS_TOL_X, solve_transformed
 from .thresholds import (
     DecreasingLinearThreshold,
     PowerThreshold,
     ThresholdFamily,
-    _segment,
-    _window_points,
+    _phi_bounds,
+    admissible_range,
 )
 
-_D_TOL = 1e-12
+# relative margin on theta for classify_difference's comparisons with phi
+_THETA_TOL = 1e-12
 # tolerance for the positivity check of the operator contract
 _MONO_TOL = 1e-12
 # sign threshold for a difference value to fire a strict implication
@@ -118,10 +122,10 @@ def classify_difference(
     opposite directions: D is then monotone on [a, S], so on every
     sub-window too.  Otherwise decided exactly on ``x_window`` (default
     [a, S]), or on (shift, hi] where a power shift lies at or past its
-    start, as the solver searches (NON_MONOTONE when that is empty): D is
-    monotone between the window ends, the breakpoints and its turning
-    points, so its differences over those points decide, each to within
-    ``_D_TOL``.
+    start, as the solver searches (NON_MONOTONE when that is empty):
+    D' = A'(., 1) (phi - theta) with a theta-free phi, so theta against
+    phi's least and greatest value there (``thresholds._phi_bounds``)
+    decides, each to within a relative ``_THETA_TOL``.
     """
     if tf.monotonicity is Monotonicity.DECREASING and family.increasing_in_x:
         return Monotonicity.DECREASING
@@ -132,13 +136,16 @@ def classify_difference(
         lo = max(lo, family.shift)
         if lo >= hi:  # the threshold is not positive on the window: nothing is monotone
             return Monotonicity.NON_MONOTONE
-    i0, i1, ends = _window_points(tf, lo, hi)
-    segment = _segment(tf.source, np.arange(i0 - 1, i1))
-    xs = _monotone_pieces(tf.kind, tf.origin, family, theta, segment, ends)
-    diffs = np.diff(tf.eval_many(xs) - family.value_many(xs, theta))
-    if bool((diffs <= _D_TOL).all()):
+    phi_min, phi_max = _phi_bounds(tf, family, lo, hi)
+    below, above = theta * (1.0 - _THETA_TOL), theta * (1.0 + _THETA_TOL)
+    # A'(., 1) > 0 for a power, so D falls where phi <= theta; it is -1 for declin
+    if family.increasing_in_x:
+        falls, rises = above >= phi_max, below <= phi_min
+    else:
+        falls, rises = below <= phi_min, above >= phi_max
+    if falls:
         return Monotonicity.DECREASING
-    if bool((diffs >= -_D_TOL).all()):
+    if rises:
         return Monotonicity.INCREASING
     return Monotonicity.NON_MONOTONE
 
@@ -162,12 +169,24 @@ def _monotone_points(kind: OperatorKind, xs: np.ndarray, ys: np.ndarray) -> np.n
 
     They are the breakpoints and the turning points of T(u), so the
     extremes of T(u) on [xs[0], xs[-1]], or on any [xs[0], x], lie among
-    them and x.
+    them and x.  Per segment, of slope s: the identity has none; I(u)' = u
+    vanishes at the vertex of the segment's quadratic; and with
+    w = x - xs[0] and the segment's I(u) = P0 + P1 w + (s / 2) w^2,
+    mu(u)' = ((s / 2) w^2 - P0) / w^2 vanishes at w = sqrt(P0 / (s / 2)).
     """
+    if kind is OperatorKind.IDENTITY:
+        return xs
     widths = xs[1:] - xs[:-1]
-    cumulative = np.concatenate(([0.0], np.cumsum((ys[:-1] + ys[1:]) / 2.0 * widths)))
-    segment = (xs[:-1], ys[:-1], (ys[1:] - ys[:-1]) / widths, cumulative[:-1])
-    return _monotone_pieces(kind, xs[0], None, 0.0, segment, xs)
+    cumulative = np.concatenate(([0.0], np.cumsum((ys[:-1] + ys[1:]) / 2.0 * widths)))[:-1]
+    x0, y0, half = xs[:-1], ys[:-1], (ys[1:] - ys[:-1]) / widths / 2.0
+    # NaN or inf where there is none
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        if kind is OperatorKind.INTEGRAL:
+            turns = x0 - y0 / (2.0 * half)
+        else:
+            e = x0 - xs[0]
+            turns = xs[0] + np.sqrt((cumulative - e * (y0 - half * e)) / half)
+    return np.sort(np.concatenate((xs, turns[(turns > x0) & (turns < xs[1:])])))
 
 
 def _difference(
@@ -382,23 +401,6 @@ class ReversalFamily:
         if not lo < hi:
             raise ValueError(f"empty theta window for scale_max={scale_max}")
         return lo + frac * (hi - lo)
-
-
-def increasing_difference_window(
-    f: RankFrequencyFunction, ceiling: float
-) -> tuple[float, float] | None:
-    """Theta interval where f against the decreasing-linear threshold has
-    a strictly increasing difference with exactly one crossing; None when empty.
-
-    Needs f close to linear: the bound uses f's steepest segment.
-    """
-    a, s = f.support_start, f.support_end
-    steepest = float(-f.slopes.min()) if len(f.slopes) else 0.0
-    lo = max(steepest, f.eval(a) / (ceiling - a))
-    hi = f.eval(s) / (ceiling - s) if ceiling > s else math.inf
-    if not lo < hi:
-        return None
-    return lo, hi
 
 
 def steep_power_window(
@@ -1464,24 +1466,23 @@ def reversal_impact_report(
         )
         return fam.function()
 
-    ceiling = 20.0
-
     def pick(
         tf: TransformedFunction, tg: TransformedFunction, family: ThresholdFamily
     ) -> list[float]:
-        wf = increasing_difference_window(tf.source, ceiling)
-        wg = increasing_difference_window(tg.source, ceiling)
-        if wf is None or wg is None:
-            return []
-        lo = max(wf[0], wg[0])
-        hi = min(wf[1], wg[1])
-        if not lo < hi:
-            return []
-        return [lo + 0.5 * (hi - lo)]
+        """The middle of the thetas admissible for both at which both Ds increase."""
+        lows, highs = [], []
+        for t in (tf, tg):
+            # against declin D increases for theta >= max phi, here f's steepest descent
+            rising = _phi_bounds(t, family, t.origin, t.support_end)[1]
+            rng = admissible_range(t.source, t.kind, family)
+            lows += [rising, rng.theta_min or 0.0]
+            highs.append(rng.theta_max)
+        lo, hi = max(lows), min(highs)
+        return [lo + 0.5 * (hi - lo)] if lo < hi else []
 
     return check_impact_axioms(
         OperatorKind.IDENTITY,
-        DecreasingLinearThreshold(ceiling=ceiling),
+        DecreasingLinearThreshold(ceiling=20.0),
         master_seed,
         trials,
         function_gen=gen,

@@ -160,3 +160,51 @@ def oracle_psi(
         base = _threshold_on_grid(xs, 1.0, family_kind, **family_params)
     keep = base > 0.0
     return _transform_on_grid(f, op_kind, xs)[keep] / base[keep]
+
+
+def oracle_phi(
+    f,
+    op_kind: str,
+    family_kind: str,
+    lo: float,
+    hi: float,
+    n_points: int = 100_000,
+    **family_params,
+) -> np.ndarray:
+    """phi = T(f)' / A'(., 1) on a dense grid of [lo, hi] with f's breakpoints inserted.
+
+    T(f)' is the slope of f's segment under each grid cell for the
+    identity, f for the integral, and (f (x - a) - I(f)) / (x - a)^2 for
+    averaging, whose points within 1e-3 (S - a) of a are dropped: there the
+    difference cancels to a few digits.  A'(., 1) is -1 for
+    declin and p (x - shift)^(p - 1) for a power, whose points at or below
+    the shift are dropped; where lo is the shift, the limit there of
+    phi = f (x - shift)^(1 - p) / p is appended: 0, f(shift) or inf for
+    p <, = or > 1, and 0 where f(shift) = 0.  phi is 0 where T(f)' is.
+    """
+    bx, by = breakpoint_arrays(f)
+    xs = np.union1d(np.linspace(lo, hi, n_points), bx)
+    vals = np.interp(xs, bx, by)
+    if op_kind == "identity":
+        inside = (xs[:-1] >= lo) & (xs[1:] <= hi)
+        xs = xs[:-1][inside]
+        dt = (np.diff(by) / np.diff(bx))[np.searchsorted(bx, xs, side="right") - 1]
+    else:
+        integ = _transform_on_grid(f, "integral", xs)
+        keep = (xs >= lo) & (xs <= hi)
+        if op_kind == "averaging":
+            keep &= xs - bx[0] >= 1e-3 * (bx[-1] - bx[0])
+        xs, vals, integ = xs[keep], vals[keep], integ[keep]
+        rel = xs - bx[0]
+        dt = vals if op_kind == "integral" else (vals * rel - integ) / (rel * rel)
+    if family_kind == "declin":
+        return -dt
+    p, shift = family_params["p"], family_params.get("shift", 0.0)
+    above = xs > shift
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        phi = np.where(dt == 0.0, 0.0, dt / (p * (xs - shift) ** (p - 1.0)))[above]
+    if lo == shift:
+        at = float(np.interp(shift, bx, by))
+        limit = 0.0 if p < 1.0 or at == 0.0 else (at if p == 1.0 else np.inf)
+        phi = np.append(phi, limit)
+    return phi

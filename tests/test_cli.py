@@ -566,6 +566,25 @@ class TestMalformedNumbers:
         assert code == 2
         assert "bad config" in err
 
+    # int() would truncate these to 3 theta rows, 2 trials and a count of 1
+    @pytest.mark.parametrize(
+        "text, key",
+        [
+            ('{"theta_grid": {"count": 3.7}}', "theta_grid.count"),
+            ('{"theta_grid": {"count": true}}', "theta_grid.count"),
+            ('{"trials": 2.9}', "trials"),
+            ('{"trials": false}', "trials"),
+            ('{"seed": 1.5}', "seed"),
+        ],
+    )
+    def test_config_integers_must_be_whole(self, tmp_path, capsys, text, key):
+        p = tmp_path / "cfg.json"
+        p.write_text(text)
+        rep = tmp_path / "rep.json"
+        code, out, err = run_cli(["verify", "--config", str(p), "--report", str(rep)], capsys)
+        assert (code, out) == (2, "")
+        assert f"{key} must be an integer" in err
+
     def test_negative_seed_flag(self, tmp_path, capsys):
         rep = tmp_path / "rep.json"
         code, _, err = run_cli(["verify", "--seed", "-1", "--report", str(rep)], capsys)

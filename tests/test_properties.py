@@ -18,12 +18,13 @@ from hirschbundles.solver import solve_bundle_point, solve_transformed
 from hirschbundles.thresholds import (
     DecreasingLinearThreshold,
     PowerThreshold,
+    _phi_bounds,
     admissible_range,
     psi,
 )
-from hirschbundles.verify import _D_TOL, classify_difference
+from hirschbundles.verify import classify_difference
 
-from oracles import oracle_difference, oracle_psi
+from oracles import oracle_difference, oracle_phi, oracle_psi
 
 seeds = st.integers(min_value=0, max_value=2**32 - 1)
 
@@ -132,8 +133,7 @@ UNCERTIFIED_PAIRS = [("integral", "power", p) for p in (0.5, 1.0, 1.5, 2.0, 3.0)
 def test_difference_classification_agrees_with_a_dense_grid(pair, seed, frac, ceiling_factor):
     """Where a dense grid sees D rise (fall), it is not classified decreasing (increasing).
 
-    A rise or fall counts when it exceeds both 1e-9 max|D| and the
-    ``_D_TOL`` to which classify_difference decides.
+    A rise or fall counts when it exceeds both 1e-9 max|D| and 1e-12.
     """
     kind_name, family_kind, p = pair
     f = random_function(seed)
@@ -152,7 +152,7 @@ def test_difference_classification_agrees_with_a_dense_grid(pair, seed, frac, ce
     theta = family.theta_inverse(x, tf.eval(x))
     got = classify_difference(tf, family, theta)
     _, d = oracle_difference(f, kind_name, theta, family_kind, 20_000, **params)
-    tol = max(1e-9 * float(np.abs(d).max()), _D_TOL)
+    tol = max(1e-9 * float(np.abs(d).max()), 1e-12)
     if float((d - np.minimum.accumulate(d)).max()) > tol:
         assert got is not Monotonicity.DECREASING
     if float((np.maximum.accumulate(d) - d).max()) > tol:
@@ -195,3 +195,69 @@ def test_exact_range_holds_psi_and_admits_its_interior(pair, seed, frac, ceiling
         solve_transformed(apply(kind, f), family, theta)
     except NonUniqueError:
         pass
+
+
+# the pairs of UNCERTIFIED_PAIRS, and a power p = 400 whose (x - shift)^(p - 1)
+# overflows and underflows on one support
+PHI_PAIRS = UNCERTIFIED_PAIRS + [("integral", "power", 400.0)]
+
+
+# numpy's overflow, divide and invalid warnings, as errors; a plain "error"
+# would also raise hypothesis's own deprecation warnings while it reports
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("pair", PHI_PAIRS, ids=lambda pair: "-".join(map(str, pair)))
+@given(
+    seeds,
+    st.sampled_from([None, 0.0, 0.8]),
+    st.booleans(),
+    st.none()
+    | st.tuples(st.floats(min_value=0.0, max_value=0.95), st.floats(min_value=0.05, max_value=1.0)),
+    st.floats(min_value=1.05, max_value=4.0),
+)
+@settings(max_examples=40, deadline=None)
+# a window starting 1e-9 right of a, on f's first segment
+@example(seed=165, shift_at=None, zero_tail=False, window=(1e-10, 1.0), ceiling_factor=2.0)
+def test_phi_bounds_are_a_dense_grids_extremes(
+    pair, seed, shift_at, zero_tail, window, ceiling_factor
+):
+    """phi's bounds hold every grid value of phi and are reached by them.
+
+    The support starts at a = 1.5.  A zero tail makes f vanish on the last
+    40 % of it.  A power shift is 0, or lies at the fraction ``shift_at``
+    of the support: at a, or inside a zero tail, where phi is 0 at the
+    shift itself, not 0 / 0.  The window is [a, S], or a sub-window given
+    by the fractions of the support at its start and in its width, at
+    least 5 %.  The grid's averaging leaves out the first 0.1 % of the
+    support, which lies on f's first segment, where phi is constant.
+    """
+    kind_name, family_kind, p = pair
+    base = random_function(seed)
+    s = 1.5 + base.support_end
+    if zero_tail:
+        pts = [(1.5 + 0.6 * x, y) for x, y in base.breakpoints[:-1]]
+        pts += [(1.5 + 0.6 * base.support_end, 0.0), (s, 0.0)]
+    else:
+        pts = [(x + 1.5, y) for x, y in base.breakpoints]
+    f = RankFrequencyFunction(pts)
+    a = f.support_start
+    lo, hi = a, s
+    if window is not None:
+        lo, hi = a + window[0] * (s - a), min(s, a + sum(window) * (s - a))
+    if family_kind == "power":
+        shift = 0.0 if shift_at is None else a + shift_at * (s - a)
+        lo = max(lo, shift)
+        family, params = PowerThreshold(p, shift), {"p": p, "shift": shift}
+    else:
+        ceiling = ceiling_factor * s
+        family, params = DecreasingLinearThreshold(ceiling), {"ceiling": ceiling}
+    if not lo < hi:
+        return
+    got = _phi_bounds(apply(OperatorKind(kind_name), f), family, lo, hi)
+    phi = oracle_phi(f, kind_name, family_kind, lo, hi, 20_000, **params)
+    want = (float(phi.min()), float(phi.max()))
+    for bound, grid, side in zip(got, want, (1.0, -1.0)):
+        if bound == grid:  # also both inf
+            continue
+        # no grid value lies past the bound, and one comes within 1e-6 of it
+        assert side * (grid - bound) >= -1e-9 * (abs(grid) + 1.0)
+        assert abs(bound - grid) <= 1e-6 * abs(grid) + 1e-9

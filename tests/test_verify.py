@@ -12,11 +12,12 @@ from hirschbundles.funcspace import (
     eq_on_prefix,
     lt_on_prefix,
     perturb,
+    random_function,
 )
 from hirschbundles.operators import Monotonicity, OperatorKind, TransformedFunction, apply
 from hirschbundles.reporting import Verdict, VerificationReport
 from hirschbundles.solver import solve_bundle_point
-from hirschbundles.thresholds import DecreasingLinearThreshold, PowerThreshold
+from hirschbundles.thresholds import DecreasingLinearThreshold, PowerThreshold, _phi_bounds
 from hirschbundles.verify import (
     ReversalFamily,
     SuiteConfig,
@@ -96,6 +97,43 @@ class TestProfile:
         tf = apply(INTEGRAL, counts_fixture)
         got = classify_difference(tf, PowerThreshold(0.5, shift), 1.0)
         assert got is Monotonicity.NON_MONOTONE
+
+    # D = I(f) - theta x^p decreases iff theta >= theta* = max f(x) x^(1 - p) / p:
+    # 2 f(2) sqrt(2) for p = 0.5, f(1) / 0.8 for p = 0.8, max f for p = 1
+    @pytest.mark.parametrize(
+        "p, theta_star", [(0.5, 16.0 * np.sqrt(2.0)), (0.8, 12.5), (1.0, 10.0)]
+    )
+    def test_theta_star_splits_non_monotone_from_decreasing(self, counts_fixture, p, theta_star):
+        tf = apply(INTEGRAL, counts_fixture)
+        family = PowerThreshold(p, 0.0)
+        assert _phi_bounds(tf, family, 0.0, tf.support_end)[1] == pytest.approx(theta_star)
+        got = classify_difference(tf, family, 0.999 * theta_star)
+        assert got is Monotonicity.NON_MONOTONE
+        assert classify_difference(tf, family, 1.001 * theta_star) is Monotonicity.DECREASING
+
+    # transform-gap-bound's member n = 1, 2 f, meets 2 theta x on its
+    # steep_power_window at the window start, where phi = 2 f / (2 x) is
+    # greatest: D decreases with theta = max phi, which these records round
+    # to one ulp below phi's computed maximum
+    @pytest.mark.parametrize(
+        "seed",
+        [
+            13482173405627139420,
+            13000951264373890303,
+            16719274810745099932,
+            5051881750444000207,
+            6181196579203150380,
+            5611203178012657398,
+        ],
+    )
+    def test_tie_on_the_steep_power_window_decreases(self, seed):
+        f = random_function(seed)
+        s = f.support_end
+        theta = 2.4 * f.integral(f.support_start, s) / (s * s)
+        window = steep_power_window(f, 2.0, theta, envelope_scale=2.0)
+        member = apply(INTEGRAL, perturb(f, PerturbMode.MULTIPLICATIVE, 1.0))
+        got = classify_difference(member, PowerThreshold(2.0, 0.0), theta, x_window=window)
+        assert got is Monotonicity.DECREASING
 
     def test_decreasing_difference_predicate(self, line):
         assert check_decreasing_difference(line, IDENTITY, H_FAMILY, [0.5, 1.0, 2.0])
