@@ -467,6 +467,10 @@ def _parse_rows(p: Path, rows: list[tuple[int, list[str]]]) -> _Chunk:
     return ids, np.array(values, dtype=float), lengths
 
 
+# from_citation_counts starts the support of every record at 0
+_RECORD_ORIGIN = 0.0
+
+
 def _build_functions(corpus: Corpus) -> list[tuple[str, RankFrequencyFunction]]:
     return [(source_id, from_citation_counts(counts)) for source_id, counts in corpus]
 
@@ -491,10 +495,16 @@ def _bundle_samples(args, cfg: RunConfig, thetas: list[float]):
     """(id, index, threshold, entries) for every source and index, in input order.
 
     The entries are those of the source's bundle over ``thetas``, in grid order.
+    Each index is resolved once, at the support start every record shares,
+    where the first record reaches it: an index that does not resolve fails
+    there, and an empty corpus resolves none.
     """
+    resolved: list[tuple[OperatorKind, ThresholdFamily] | None] = [None] * len(cfg.indices)
     for source_id, f in _build_functions(read_sources(args.input)):
-        for idx in cfg.indices:
-            kind, fam = idx.resolve(f)
+        for i, idx in enumerate(cfg.indices):
+            if resolved[i] is None:
+                resolved[i] = idx.resolve_at(_RECORD_ORIGIN)
+            kind, fam = resolved[i]
             try:
                 entries = sample_bundle(f, kind, fam, thetas)
             except BundleError as e:
@@ -548,9 +558,6 @@ def cmd_bundle(args, cfg: RunConfig) -> int:
     )
     return 0
 
-
-# from_citation_counts starts the support of every record at 0
-_RECORD_ORIGIN = 0.0
 
 # The theta_min, theta_max and certified cells of every record for one index.
 _RangeColumns = tuple[list[str], list[str], list[str]]

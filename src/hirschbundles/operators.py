@@ -110,6 +110,17 @@ class TransformedFunction:
         """
         return {}
 
+    @cached_property
+    def solve_slot(self) -> list:
+        """The solver's one-item memo of its last search set-up for this T(f).
+
+        The item is a tuple that starts with the family and the window it was
+        made for.  The solver replaces it whole, reads it once per solve and
+        uses it only for that family object and an equal window, so a solve
+        racing another still uses one complete set-up of its own search.
+        """
+        return [None]
+
     def eval(self, x: float) -> float:
         """Scalar :meth:`eval_many`: the same arithmetic, without array set-up."""
         if x < self.origin or x > self.support_end:

@@ -12,8 +12,13 @@ on which T(f) is linear (identity), quadratic (integral) or a quadratic
 over (x - a) (averaging).  D = A(., 1) (psi_f - theta) has the sign of
 psi_f - theta, and one theta-free table per window
 (``thresholds._solve_table``) splits psi_f into monotone runs; identity or
-averaging against a power is one falling run.  D changes sign at most
-once on a run, found by one float bisection over the run's points.  A
+averaging against a power is one falling run.  Everything that does not
+depend on theta (the zero check, the window and its ends, the table) is
+set up once per (T(f), family, window) and kept in the one-item
+``TransformedFunction.solve_slot``, which a solve reuses when its family
+is the same object and its window equal; a theta grid pays the set-up
+once.  D changes sign at most once on a run, found by one float
+bisection over the run's points.  A
 zero of D at a point, or a sign change on a cell, is a root; D = 0 at two
 neighbouring points is psi_f = theta on a whole cell.  No root means
 theta is not admissible, several mean the configuration left the
@@ -48,7 +53,7 @@ from .thresholds import (
     PowerThreshold,
     ThresholdFamily,
     _power,
-    _segment,
+    _search_window,
     _solve_table,
 )
 
@@ -101,24 +106,16 @@ def solve_transformed(
 ) -> tuple[float, SolveStatus]:
     if not 0 < theta < math.inf:  # the chained comparison also rejects NaN
         raise NonPositiveThetaError(f"theta must be positive and finite, got {theta}")
-    if tf.source.is_zero():
+    if x_window is not None and type(x_window) is not tuple:
+        x_window = tuple(x_window)  # the slot compares windows by value
+    slot = tf.solve_slot
+    setup = slot[0]
+    if setup is None or setup[0] is not family or setup[1] != x_window:
+        setup = slot[0] = _set_up(tf, family, theta, x_window)
+    _, _, table, lo, hi, open_lo = setup
+    if table is None:  # the zero function
         return tf.origin, SolveStatus.EXACT_SEGMENT
-    lo, hi = x_window if x_window is not None else (tf.origin, tf.support_end)
-    if not (tf.origin <= lo < hi <= tf.support_end):
-        raise ValueError(f"x_window [{lo}, {hi}] not inside [{tf.origin}, {tf.support_end}]")
-    if isinstance(family, DecreasingLinearThreshold) and family.ceiling <= hi:
-        raise DomainError(
-            f"threshold ceiling {family.ceiling} must exceed the search domain end {hi}"
-        )
-    open_lo = False
-    if isinstance(family, PowerThreshold) and family.shift >= lo:
-        if family.shift >= hi:
-            raise NoRootError(
-                f"theta={theta} is not admissible: the threshold is not positive on [{lo}, {hi}]"
-            )
-        lo, open_lo = family.shift, True
-
-    xs, tvals, base, segs, runs, _, lo_limit = _solve_table(tf, family, lo, hi)
+    xs, tvals, base, segs, runs, _, lo_limit = table
     # each root is (j, exact): a zero of D at xs[j], or a sign change on (xs[j - 1], xs[j])
     roots: list[tuple[int, bool]] = []
     for first, last, rising in runs:
@@ -143,8 +140,7 @@ def solve_transformed(
         if exact:
             return xs[j], SolveStatus.EXACT_SEGMENT
         d_lo = tvals[j - 1] - theta * base[j - 1]
-        segment = _segment(tf.source, segs[j - 1])
-        return _locate(tf, family, theta, xs[j - 1], xs[j], d_lo, segment)
+        return _locate(tf, family, theta, xs[j - 1], xs[j], d_lo, segs[j - 1])
     # No root, so D keeps the sign it has at S.  Where that is the sign before the
     # last run's change (j, last and rising are the last run's), S is a root if
     # |D(S)| is rounding noise against the largest |D|.
@@ -161,52 +157,32 @@ def solve_transformed(
     raise NoRootError(f"theta={theta} is not admissible: no root on {bracket}{lo}, {hi}]")
 
 
-def _transform_poly(kind: OperatorKind, segment):
-    """T(u) on a breakpoint segment as coefficients (c2, c1, c0) in t = x - x0.
-
-    For averaging these are the numerator I(u) of mu(u) = I(u) / (x - a).
-    ``segment`` is what :func:`_segment` returns for one segment.
-    """
-    _, y0, slope, cumulative = segment
-    if kind is OperatorKind.IDENTITY:
-        return 0.0, slope, y0
-    return slope / 2.0, y0, cumulative
-
-
-def _threshold_poly(family: ThresholdFamily, theta: float, x0):
-    """A(x, theta) as coefficients (a2, a1, a0) in t = x - x0, or None when of degree > 2."""
-    if isinstance(family, DecreasingLinearThreshold):
-        return 0.0, -theta, theta * (family.ceiling - x0)
-    d = x0 - family.shift
-    if family.p == 1.0:
-        return 0.0, theta, theta * d
-    if family.p == 2.0:
-        return theta, 2.0 * theta * d, theta * d * d
-    return None
-
-
-def _segment_poly(
-    kind: OperatorKind, origin: float, family: ThresholdFamily, theta: float, segment
+def _set_up(
+    tf: TransformedFunction,
+    family: ThresholdFamily,
+    theta: float,
+    x_window: tuple[float, float] | None,
 ):
-    """Coefficients (c2, c1, c0) in t = x - x0 of D on a breakpoint segment.
+    """The theta-free part of a solve: (family, x_window, table, lo, hi, open_lo).
 
-    For averaging the polynomial is the cleared-denominator
-    (x - a) * D = I(u)(x) - (x - a) * A(x, theta), which has the sign of D
-    for x > a.  Returns None when it is not of degree <= 2: a power
-    exponent other than 1 or 2, or averaging against p = 2.
+    The table is None for the zero function.  Raises as the solve does when
+    the window admits no search; ``theta`` only names the solve in the message.
     """
-    x0 = segment[0]
-    threshold = _threshold_poly(family, theta, x0)
-    if threshold is None:
-        return None
-    a2, a1, a0 = threshold
-    if kind is OperatorKind.AVERAGING:
-        if a2 != 0.0:
-            return None
-        e = x0 - origin  # multiply A by (x - a) = t + e
-        a2, a1, a0 = a1, a1 * e + a0, a0 * e
-    t2, t1, t0 = _transform_poly(kind, segment)
-    return t2 - a2, t1 - a1, t0 - a0
+    if tf.source.is_zero():
+        return family, x_window, None, tf.origin, tf.support_end, False
+    lo, hi = _search_window(tf, x_window)
+    if isinstance(family, DecreasingLinearThreshold) and family.ceiling <= hi:
+        raise DomainError(
+            f"threshold ceiling {family.ceiling} must exceed the search domain end {hi}"
+        )
+    open_lo = False
+    if isinstance(family, PowerThreshold) and family.shift >= lo:
+        if family.shift >= hi:
+            raise NoRootError(
+                f"theta={theta} is not admissible: the threshold is not positive on [{lo}, {hi}]"
+            )
+        lo, open_lo = family.shift, True
+    return family, x_window, _solve_table(tf, family, lo, hi), lo, hi, open_lo
 
 
 def _locate(
@@ -216,30 +192,54 @@ def _locate(
     lo: float,
     hi: float,
     d_lo: float,
-    segment,
+    seg: int,
 ) -> tuple[float, SolveStatus]:
     """The single root of D on (lo, hi), where D is monotone and changes sign.
 
-    [lo, hi] lies in the breakpoint segment ``segment`` (see :func:`_segment`).
-    In closed form when the segment polynomial has degree <= 2, by
-    bisection otherwise.
+    [lo, hi] lies in breakpoint segment ``seg``, which starts at x0; in
+    t = x - x0, T(f) there is t2 t^2 + t1 t + t0 (for averaging, the
+    numerator I(u) of mu(u) = I(u) / (x - a)).  Where A is a polynomial
+    a2 t^2 + a1 t + a0 too (a power of exponent 1 or 2, or declin), D is
+    c2 t^2 + c1 t + c0 with ck = tk - ak, solved in closed form.  For
+    averaging that is the cleared-denominator (x - a) D = I(u) - (x - a) A,
+    which has the sign of D for x > a and needs A of degree at most 1.
+    Otherwise D is bisected.
     """
-    x0 = float(segment[0])
-    poly = _segment_poly(tf.kind, tf.origin, family, theta, segment)
-    if poly is not None:
-        c2, c1, c0 = (float(c) for c in poly)
+    f = tf.source
+    x0, y0, slope = f.xs.item(seg), f.ys.item(seg), f.slopes.item(seg)
+    kind = tf.kind
+    if kind is OperatorKind.IDENTITY:
+        t2, t1, t0 = 0.0, slope, y0
+    else:
+        t2, t1, t0 = slope / 2.0, y0, f.cumulative.item(seg)
+    averaging = kind is OperatorKind.AVERAGING
+    poly = True
+    if isinstance(family, DecreasingLinearThreshold):
+        a2, a1, a0 = 0.0, -theta, theta * (family.ceiling - x0)
+    elif family.p == 1.0:
+        a2, a1, a0 = 0.0, theta, theta * (x0 - family.shift)
+    elif family.p == 2.0 and not averaging:
+        d = x0 - family.shift
+        a2, a1, a0 = theta, 2.0 * theta * d, theta * d * d
+    else:
+        poly = False
+    if poly:
+        if averaging:  # multiply A by (x - a) = t + e
+            e = x0 - f.support_start
+            a2, a1, a0 = a1, a1 * e + a0, a0 * e
+        c2, c1, c0 = t2 - a2, t1 - a1, t0 - a0
         # c0 = 0 puts a root at t = 0, the left end; for averaging's first
         # segment it is the spurious root x = a of the cleared denominator,
         # and a true root there would have D(lo) = 0.
         roots = _quadratic_roots(c2, c1, c0) if c0 != 0.0 else _linear_roots(c2, c1)
-        eps = 1e-12 * (tf.support_end - tf.origin + 1.0)
+        eps = 1e-12 * (f.support_end - f.support_start + 1.0)
         inside = [x0 + t for t in roots if lo - eps <= x0 + t <= hi + eps]
         if len(inside) == 1:
-            return min(max(inside[0], lo), hi), SolveStatus.EXACT_SEGMENT
+            x = inside[0]  # clamped into [lo, hi]
+            return (lo if x < lo else hi if x > hi else x), SolveStatus.EXACT_SEGMENT
 
     # D from the segment's own polynomial: no breakpoint search per step
-    t2, t1, t0 = (float(c) for c in _transform_poly(tf.kind, segment))
-    a = tf.origin if tf.kind is OperatorKind.AVERAGING else None
+    a = f.support_start if averaging else None
     if isinstance(family, PowerThreshold):
         shift, p = family.shift, family.p
 

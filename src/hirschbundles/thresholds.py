@@ -18,7 +18,10 @@ of psi_f is exactly the set of admissible thetas.
 Both families are theta times A(x, 1) > 0, so psi_f = T(f) / A(., 1), and
 where it turns does not depend on theta.  ``_solve_table`` keeps one
 table per search window on the TransformedFunction: psi_f's monotone runs
-between the breakpoints and its stationary points.  The solver searches
+between the breakpoints and its stationary points.  On the whole support
+of a decreasing T(f) against a power (the h and g settings) it is read
+straight off the breakpoint arrays, T(f) being ``breakpoint_values``
+there, with one power of the abscissas.  The solver searches
 it for every theta; every admissible range is its least and greatest psi_f.
 In the same way D' = A'(., 1) (phi - theta) with phi = T(f)' / A'(., 1)
 free of theta, so ``_phi_bounds``, phi's least and greatest value on a
@@ -165,8 +168,18 @@ def psi(
     return family.theta_inverse(x, value)
 
 
-# The table below and _segment are shared with the solver, and _phi_bounds
-# with verify, yet private, as _power is.
+# The table below, _search_window and _segment are shared with the solver, and
+# _search_window and _phi_bounds with verify, yet private, as _power is.
+def _search_window(
+    tf: TransformedFunction, x_window: tuple[float, float] | None
+) -> tuple[float, float]:
+    """``x_window``, or [a, S] for None; raises ValueError unless a <= lo < hi <= S."""
+    lo, hi = x_window if x_window is not None else (tf.origin, tf.support_end)
+    if not (tf.origin <= lo < hi <= tf.support_end):
+        raise ValueError(f"x_window [{lo}, {hi}] not inside [{tf.origin}, {tf.support_end}]")
+    return lo, hi
+
+
 def _window_points(tf: TransformedFunction, lo: float, hi: float) -> tuple[int, int, np.ndarray]:
     """lo, the breakpoints strictly inside (lo, hi), and hi; with the slice [i0, i1) of those."""
     xs = tf.source.xs
@@ -175,10 +188,8 @@ def _window_points(tf: TransformedFunction, lo: float, hi: float) -> tuple[int, 
     return i0, i1, np.concatenate(([lo], xs[i0:i1], [hi]))
 
 
-def _segment(f: RankFrequencyFunction, seg):
-    """(x0, y0, slope, cumulative) of breakpoint segment(s) ``seg``: an index, slice or array."""
-    if isinstance(seg, int):  # Python floats, whose products overflow to inf without a warning
-        return f.xs.item(seg), f.ys.item(seg), f.slopes.item(seg), f.cumulative.item(seg)
+def _segment(f: RankFrequencyFunction, seg: np.ndarray):
+    """(x0, y0, slope, cumulative) columns of the breakpoint segments ``seg``."""
     return f.xs[seg], f.ys[seg], f.slopes[seg], f.cumulative[seg]
 
 
@@ -203,8 +214,13 @@ def _solve_table(
     if table is not None:
         return table
     f = tf.source
-    i0, i1, xs = _window_points(tf, lo, hi)
-    tvals = [tf.eval(lo), *tf.breakpoint_values[i0:i1].tolist(), tf.eval(hi)]
+    if lo == f.support_start and hi == f.support_end:
+        # the whole support: its points are the breakpoints, where eval is breakpoint_values
+        i0, i1, xs = 1, len(f.xs) - 1, f.xs
+        tvals = tf.breakpoint_values.tolist()
+    else:
+        i0, i1, xs = _window_points(tf, lo, hi)
+        tvals = [tf.eval(lo), *tf.breakpoint_values[i0:i1].tolist(), tf.eval(hi)]
     segs = range(i0 - 1, i1)
     # psi_f of a decreasing T(f) over a power decreases: one run, nothing more to find
     monotone = is_certified(tf.kind, family)
@@ -215,7 +231,13 @@ def _solve_table(
             xs = np.concatenate((xs, turns))[order]
             tvals = np.concatenate((tvals, tf.eval_many(turns)))[order].tolist()
             segs = (np.searchsorted(f.xs, xs[:-1], side="right") - 1).tolist()
-    base = family.value_many(xs, 1.0).tolist()  # an inf base makes D = -inf, as it should
+    # A(xs, 1) with the bits of value_many (1.0 * v is v); an inf base makes D = -inf,
+    # as it should
+    if isinstance(family, PowerThreshold):
+        with np.errstate(over="ignore"):
+            base = np.power(xs - family.shift, family.p).tolist()
+    else:
+        base = (family.ceiling - xs).tolist()
     # Where T(f) and A(., 1) both vanish at an open lower end, psi_f's limit
     # gives D its sign just right of it: for the integral at shift = a (f being
     # non-zero, I(f) > 0 right of a), psi_f ~ f(a) (x - a)^(1 - p) tends to 0,
@@ -341,13 +363,17 @@ class AdmissibleRange:
                 raise ValueError("theta_min must not exceed theta_max")
 
 
+# A tuple, whose ``in`` finds a kind by identity, without hashing the Enum.
+_DECREASING_KINDS = tuple(k for k, m in MONOTONICITY.items() if m is Monotonicity.DECREASING)
+
+
 def is_certified(kind: OperatorKind, family: ThresholdFamily) -> bool:
     """Whether the admissible range of every non-zero f is :func:`certified_range`.
 
     It is when T(f) decreases and the family is a power family: psi_f is
     then strictly decreasing, so its image follows from its endpoint values.
     """
-    return isinstance(family, PowerThreshold) and MONOTONICITY[kind] is Monotonicity.DECREASING
+    return isinstance(family, PowerThreshold) and kind in _DECREASING_KINDS
 
 
 def certified_range(

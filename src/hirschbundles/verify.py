@@ -85,6 +85,7 @@ from .thresholds import (
     PowerThreshold,
     ThresholdFamily,
     _phi_bounds,
+    _search_window,
     admissible_range,
 )
 
@@ -125,13 +126,14 @@ def classify_difference(
     start, as the solver searches (NON_MONOTONE when that is empty):
     D' = A'(., 1) (phi - theta) with a theta-free phi, so theta against
     phi's least and greatest value there (``thresholds._phi_bounds``)
-    decides, each to within a relative ``_THETA_TOL``.
+    decides, each to within a relative ``_THETA_TOL``.  Raises ValueError,
+    as the solver does, for a window that is not inside [a, S].
     """
+    lo, hi = _search_window(tf, x_window)
     if tf.monotonicity is Monotonicity.DECREASING and family.increasing_in_x:
         return Monotonicity.DECREASING
     if tf.monotonicity is Monotonicity.INCREASING and not family.increasing_in_x:
         return Monotonicity.INCREASING
-    lo, hi = x_window if x_window is not None else (tf.origin, tf.support_end)
     if isinstance(family, PowerThreshold):
         lo = max(lo, family.shift)
         if lo >= hi:  # the threshold is not positive on the window: nothing is monotone

@@ -94,7 +94,7 @@ def test_criterion_01_closed_form_indices():
         and abs(h2 - 10.0 / 3.0) <= 1e-9
         and abs(g1 - 20.0 / 3.0) <= 1e-9
         and abs(k2 - expected_k2) <= 1e-9
-        and elapsed < 0.0010
+        and elapsed < 0.0005
     )
     _report(
         1,

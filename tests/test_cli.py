@@ -28,7 +28,7 @@ from hirschbundles.cli import (
     parse_theta_grid_flag,
     read_sources,
 )
-from hirschbundles import cli, funcspace, thresholds
+from hirschbundles import cli, funcspace, solver, thresholds
 from hirschbundles.errors import BundleError, NoRootError
 from hirschbundles.funcspace import RankFrequencyFunction, citation_integrals, from_citation_counts
 from hirschbundles.operators import OperatorKind
@@ -259,6 +259,31 @@ class TestBundleCommand:
         for row in rows:
             if row["id"] == "alice" and row["index"] == "h":
                 assert row["m"] == api[row["theta"]]
+
+    def test_one_solve_per_row_and_one_build_per_record(self, tmp_path, capsys, monkeypatch):
+        # the per-row contract that the benchmark's tracer counts
+        records = [(k, sorted(c, reverse=True)) for k, c in golden_records()[:12]]
+        p = tmp_path / "twelve.csv"
+        p.write_text("id,counts\n" + "".join(f"{k},{';'.join(map(str, c))}\n" for k, c in records))
+        calls = {"solve": 0, "build": 0}
+        solve, build = solver.solve_transformed, funcspace.from_citation_counts
+
+        def counting_solve(*args, **kwargs):
+            calls["solve"] += 1
+            return solve(*args, **kwargs)
+
+        def counting_build(counts):
+            calls["build"] += 1
+            return build(counts)
+
+        monkeypatch.setattr(solver, "solve_transformed", counting_solve)
+        for module in (funcspace, cli):
+            monkeypatch.setattr(module, "from_citation_counts", counting_build)
+        code, out, _ = run_cli(["bundle", str(p), "--theta-grid", "0.5:2:7"], capsys)
+        assert code == 0
+        assert calls["solve"] == len(out.splitlines()) - 1 == 12 * 2 * 7
+        assert calls["build"] == 12
+        assert cli.sample_bundle is solver.sample_bundle
 
     def test_theta_grid_flag_log_spacing(self):
         grid = parse_theta_grid_flag("0.5:2:3:log")
@@ -638,6 +663,25 @@ class TestMalformedNumbers:
         assert code == 2
         assert out == ""
         assert "'bad'" in err
+
+    @pytest.mark.parametrize("command", ["bundle", "index"])
+    def test_errors_in_index_order(self, csv_file, tmp_path, capsys, command):
+        # the first record's first index fails its solve before the second
+        # index is reached, although that one cannot even be resolved
+        indices = [
+            {"name": "dl", "operator": "identity", "family": "declin", "ceiling": 3},
+            {"name": "bad", "operator": "nope"},
+        ]
+        p = tmp_path / "cfg.json"
+        p.write_text(json.dumps({"indices": indices}))
+        code, out, err = run_cli([command, csv_file, "--config", str(p)], capsys)
+        assert (code, out) == (2, "")
+        assert "source 'alice', index 'dl': threshold ceiling 3 must exceed" in err
+        # with no record, no index is resolved
+        empty = tmp_path / "empty.csv"
+        empty.write_text("id,counts\n")
+        code, out, err = run_cli([command, str(empty), "--config", str(p)], capsys)
+        assert (code, err) == (0, "")
 
 
 def golden_records():

@@ -1,5 +1,7 @@
 import bisect
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -457,6 +459,52 @@ class TestSolveTable:
         # one table per window searched: for shift 2.5, [0, 8] and [1.5, 8] both become (2.5, 8]
         assert len(tf.solve_tables) == len(self.FAMILIES) * len(self.WINDOWS) - 1
 
+    def test_shared_transform_answers_as_alone_under_threads(self, counts_fixture):
+        # threads alternating families and windows on one T(f) race for its set-up slot
+        cases = [
+            (fam, window, theta)
+            for fam in self.FAMILIES
+            for window in self.WINDOWS
+            for theta in (0.3, 1.0, 3.0)
+        ]
+        alone = apply(AVERAGING, counts_fixture)
+        want = [_outcome(alone, fam, theta, window) for fam, window, theta in cases]
+        tf, wrong, start = apply(AVERAGING, counts_fixture), [], threading.Barrier(6)
+
+        def work(offset):
+            try:
+                start.wait(timeout=60.0)
+                for k in range(40 * len(cases)):
+                    i = (k * 7 + offset) % len(cases)
+                    fam, window, theta = cases[i]
+                    if _outcome(tf, fam, theta, window) != want[i]:
+                        wrong.append(i)
+            except Exception as e:  # a torn set-up can also fail outright
+                wrong.append(e)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(n,)) for n in range(6)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert wrong == []
+
+    def test_set_up_follows_a_window_changed_in_place(self, counts_fixture):
+        # the set-up kept for the last search must not hold on to the caller's list
+        tf, fam = apply(IDENTITY, counts_fixture), PowerThreshold(1.0, 0.0)
+        window = [0.0, 3.0]
+        with pytest.raises(NoRootError, match=r"no root on \(0.0, 3.0\]"):
+            solve_transformed(tf, fam, 1.0, x_window=window)
+        window[1] = 8.0
+        assert solve_transformed(tf, fam, 1.0, x_window=window) == (4.0, SolveStatus.EXACT_SEGMENT)
+        assert solve_transformed(tf, fam, 1.0, x_window=np.array(window))[0] == 4.0
+
     def test_exact_breakpoint_root(self, counts_fixture, monkeypatch):
         # f(4) = 4 = theta * 4: D = 0 at a breakpoint, answered without a segment solve
         monkeypatch.setattr(solver, "_locate", None)
@@ -491,6 +539,60 @@ class TestSolveTable:
             )
             assert status is SolveStatus.EXACT_SEGMENT
             assert m == pytest.approx(10.0 / theta, rel=1e-12)
+
+
+def _bits(values) -> list[int]:
+    return np.array(values, dtype=float).view(np.int64).tolist()
+
+
+@given(
+    counts=st.lists(st.integers(0, 10_000), min_size=1, max_size=60),
+    offset=st.sampled_from([0.0, 1.5]),
+    kind=st.sampled_from([IDENTITY, AVERAGING]),
+    p=st.sampled_from([0.5, 1.0, 2.0]),
+    shift_at=st.sampled_from(["zero", "origin", "interior"]),
+    ends=st.one_of(st.none(), st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0))),
+    frac=st.floats(0.01, 0.99),
+)
+@settings(max_examples=300, deadline=None)
+def test_decreasing_pair_table_holds_the_values_at_its_points(
+    counts, offset, kind, p, shift_at, ends, frac
+):
+    """The solve table of identity or averaging x power, on the whole support
+    or on a window inside it: its points are the window ends and the
+    breakpoints between them, its T(f) is ``eval`` there and its A(., 1) is
+    ``value_many``, bit for bit."""
+    record = from_citation_counts(sorted(counts, reverse=True))
+    if record.is_zero():
+        return  # the zero function is answered without a table
+    f = RankFrequencyFunction(list(zip((record.xs + offset).tolist(), record.ys.tolist())))
+    a, s = f.support_start, f.support_end
+    shift = {"zero": 0.0, "origin": a, "interior": a + frac * (s - a)}[shift_at]
+    window = None if ends is None else tuple(sorted(a + u * (s - a) for u in ends))
+    if window is not None and not window[0] < window[1]:
+        return
+    family = PowerThreshold(p, shift)
+    tf = apply(kind, f)
+    lo, hi = window if window is not None else (a, s)
+    if shift >= hi:
+        return  # no table: the threshold is not positive on the window
+    try:
+        solve_transformed(tf, family, 1.0, x_window=window)
+    except (NoRootError, NonUniqueError):
+        pass
+    (table,) = tf.solve_tables.values()
+    lo = max(lo, shift)
+    assert table.xs == [lo, *[x for x in f.xs.tolist() if lo < x < hi], hi]
+    for k, seg in enumerate(table.segs):
+        assert f.xs[seg] <= table.xs[k] < table.xs[k + 1] <= f.xs[seg + 1]
+    assert table.runs == [(0, len(table.xs) - 1, False)]
+    # the limit entry at an open lower end, where T(f) = 0, is psi_f's, not A's
+    first = 1 if table.lo_limit else 0
+    xs = table.xs[first:]
+    assert _bits(table.tvals[first:]) == _bits([tf.eval(x) for x in xs])
+    # value_many, not the scalar value: numpy's power and Python's ** can
+    # differ in the last bit (x = 2921, p = 0.5)
+    assert _bits(table.base[first:]) == _bits(family.value_many(np.array(xs), 1.0))
 
 
 @given(st.lists(st.floats(-1e3, 1e3), min_size=1, max_size=40))

@@ -135,6 +135,19 @@ class TestProfile:
         got = classify_difference(member, PowerThreshold(2.0, 0.0), theta, x_window=window)
         assert got is Monotonicity.DECREASING
 
+    # a window past S indexed past the segment columns (IndexError), and one
+    # starting before a read D off the last segment (DECREASING)
+    @pytest.mark.parametrize("window", [(1.0, 12.0), (0.0, 9.0), (5.0, 5.0)])
+    def test_window_outside_the_support_raises_as_the_solver(self, window):
+        f = RankFrequencyFunction([(1.0, 10.0), (5.0, 2.0), (9.0, 0.0)])
+        family = PowerThreshold(1.0, 0.0)
+        message = rf"x_window \[{window[0]}, {window[1]}\] not inside \[1.0, 9.0\]"
+        with pytest.raises(ValueError, match=message):
+            solve_bundle_point(f, INTEGRAL, family, 10.5, x_window=window)
+        for kind in (INTEGRAL, IDENTITY):  # the identity's answer is certified
+            with pytest.raises(ValueError, match=message):
+                classify_difference(apply(kind, f), family, 10.5, x_window=window)
+
     def test_decreasing_difference_predicate(self, line):
         assert check_decreasing_difference(line, IDENTITY, H_FAMILY, [0.5, 1.0, 2.0])
         fam = ReversalFamily()
