@@ -130,12 +130,15 @@ class RankFrequencyFunction:
 
     @cached_property
     def slopes(self) -> np.ndarray:
-        return _read_only(np.diff(self.ys) / np.diff(self.xs))
+        # np.diff's arithmetic, without its Python-level wrapper
+        ys, xs = self.ys, self.xs
+        return _read_only((ys[1:] - ys[:-1]) / (xs[1:] - xs[:-1]))
 
     @cached_property
     def cumulative(self) -> np.ndarray:
         """Running integral from support_start to each breakpoint (exact)."""
-        seg = (self.ys[:-1] + self.ys[1:]) / 2.0 * np.diff(self.xs)
+        xs, ys = self.xs, self.ys
+        seg = (ys[:-1] + ys[1:]) / 2.0 * (xs[1:] - xs[:-1])
         out = np.zeros(len(self.xs))
         out[1:] = np.cumsum(seg)
         return _read_only(out)
@@ -150,20 +153,24 @@ class RankFrequencyFunction:
         return hashlib.md5(raw).hexdigest()[:12]
 
     def _segment_index(self, x: float) -> int:
-        i = int(np.searchsorted(self.xs, x, side="right")) - 1
+        # the method, not np.searchsorted's Python-level wrapper
+        i = int(self.xs.searchsorted(x, side="right")) - 1
         return min(max(i, 0), len(self.xs) - 2)
 
     def eval(self, x: float) -> float:
-        """Value at x; exact at breakpoints, linear in between (as :meth:`eval_many`)."""
+        """Value at x; exact at breakpoints, linear in between (as :meth:`eval_many`).
+
+        The arithmetic is :meth:`eval_many`'s, on Python floats.
+        """
         if x < self.support_start or x > self.support_end:
             raise DomainError(f"x={x} outside [{self.support_start}, {self.support_end}]")
         i = self._segment_index(x)
-        x0 = self.xs[i]
+        x0 = self.xs.item(i)
         if x == x0:
-            return float(self.ys[i])
+            return self.ys.item(i)
         if x == self.support_end:
-            return float(self.ys[-1])
-        return float(self.ys[i] + self.slopes[i] * (x - x0))
+            return self.ys.item(-1)
+        return self.ys.item(i) + self.slopes.item(i) * (x - x0)
 
     def eval_many(self, x: np.ndarray) -> np.ndarray:
         """Vectorized :meth:`eval`; callers guarantee x lies in the domain."""
@@ -183,10 +190,10 @@ class RankFrequencyFunction:
     def antiderivative(self, x: float) -> float:
         """Exact integral of f over [support_start, x]; callers guarantee x is in the domain."""
         if x == self.support_end:
-            return float(self.cumulative[-1])
+            return self.cumulative.item(-1)
         i = self._segment_index(x)
-        dx = x - self.xs[i]
-        return float(self.cumulative[i] + self.ys[i] * dx + self.slopes[i] * dx * dx / 2.0)
+        dx = x - self.xs.item(i)
+        return self.cumulative.item(i) + self.ys.item(i) * dx + self.slopes.item(i) * dx * dx / 2.0
 
 
 class PerturbMode(Enum):

@@ -132,7 +132,7 @@ class TransformedFunction:
             return f.antiderivative(x)
         rel = x - self.origin
         if rel < _AVERAGING_EDGE * self._span:
-            return float(f.ys[0])
+            return f.ys.item(0)
         return f.antiderivative(x) / rel
 
     def eval_many(self, x: np.ndarray) -> np.ndarray:

@@ -17,18 +17,18 @@ depend on theta (the zero check, the window and its ends, the table) is
 set up once per (T(f), family, window) and kept in the one-item
 ``TransformedFunction.solve_slot``, which a solve reuses when its family
 is the same object and its window equal; a theta grid pays the set-up
-once.  D changes sign at most once on a run, found by one float
-bisection over the run's points.  A
-zero of D at a point, or a sign change on a cell, is a root; D = 0 at two
-neighbouring points is psi_f = theta on a whole cell.  No root means
-theta is not admissible, several mean the configuration left the
-uniqueness hypotheses, which is reported rather than silently resolved.
-The single root is then solved on its one cell, in closed form where
-the segment equation is a polynomial of degree at most 2 and by
-bisection otherwise.  Bisection stops once its bracket is narrower than
-``ABS_TOL_X`` or down to adjacent floats.  ``verify`` decides the
-monotonicity of D itself, for every theta at once, from the bounds of the
-theta-free phi = T(f)' / A'(., 1) (``thresholds._phi_bounds``).
+once.  D changes sign at most once on a run, found by a binary search
+of the run's points.  A zero of D at a point, or a sign change on a
+cell, is a root; D = 0 at two neighbouring points is psi_f = theta on a
+whole cell.  No root means theta is not admissible, several mean the
+configuration left the uniqueness hypotheses, which is reported rather
+than silently resolved.  The single root is then solved on its one cell,
+in closed form where the segment equation is a polynomial of degree at
+most 2, and otherwise found by iteration on its cell: a safeguarded
+Newton iteration inside the cell's bracket, which places the root to
+about one ulp (its status keeps the name ``Bisection``).  ``verify``
+decides the monotonicity of D itself, for every theta at once, from the
+bounds of the theta-free phi = T(f)' / A'(., 1) (``thresholds._phi_bounds``).
 
 The identically-zero function is special-cased to m = support_start with
 a success status: a zero record has zero impact at every admissible
@@ -39,9 +39,8 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left
-from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -57,7 +56,8 @@ from .thresholds import (
     _solve_table,
 )
 
-# Width in x at which bisection stops.
+# An absolute tolerance in x for comparing solutions (``verify`` builds its
+# tolerances on it); the solver itself places a root to about one ulp.
 ABS_TOL_X = 1e-10
 
 # |D(S)| below this (relative to the largest |D| seen) counts as a root
@@ -72,8 +72,7 @@ class SolveStatus(Enum):
     NON_UNIQUE = "NonUnique"
 
 
-@dataclass(frozen=True)
-class BundleEntry:
+class BundleEntry(NamedTuple):
     theta: float
     m: float
     status: SolveStatus
@@ -203,7 +202,15 @@ def _locate(
     c2 t^2 + c1 t + c0 with ck = tk - ak, solved in closed form.  For
     averaging that is the cleared-denominator (x - a) D = I(u) - (x - a) A,
     which has the sign of D for x > a and needs A of degree at most 1.
-    Otherwise D is bisected.
+
+    Otherwise the root is found by iteration on its cell: a safeguarded
+    Newton iteration on D = T(f) - A, with T(f)' = N' (or (N' - T(f)) /
+    (x - a) for averaging) and A' = p A / (x - shift) (or -theta for
+    declin).  It keeps the bracket [lo, hi] and the sign ``d_lo`` the table
+    gives, takes a Newton step only when it is finite and falls inside the
+    bracket, and halves the bracket otherwise.  It stops at D = 0, at a
+    step of at most 2 ulp, or at adjacent floats, so the root is placed to
+    about one ulp whatever its size.
     """
     f = tf.source
     x0, y0, slope = f.xs.item(seg), f.ys.item(seg), f.slopes.item(seg)
@@ -238,44 +245,46 @@ def _locate(
             x = inside[0]  # clamped into [lo, hi]
             return (lo if x < lo else hi if x > hi else x), SolveStatus.EXACT_SEGMENT
 
-    # D from the segment's own polynomial: no breakpoint search per step
+    # Safeguarded Newton on D from the segment's own polynomial N(t): no breakpoint
+    # search per step, and the ends of [lo, hi] are never evaluated again (their
+    # signs are the table's, whose power is np.power and may differ from ** in
+    # the last bit).  T' = N', or (N' - T) / (x - a) for averaging.
     a = f.support_start if averaging else None
-    if isinstance(family, PowerThreshold):
+    power = isinstance(family, PowerThreshold)
+    if power:
         shift, p = family.shift, family.p
-
-        def threshold(x: float) -> float:
-            return theta * _power(x - shift, p)  # PowerThreshold.value, without its checks
-
     else:
-
-        def threshold(x: float) -> float:
-            return family.value(x, theta)
-
-    def d(x: float) -> float:
+        ceiling = family.ceiling
+    lo_positive = d_lo > 0.0
+    x = (lo + hi) / 2.0
+    while lo < x < hi:
         t = x - x0
-        value = t0 + t1 * t + t2 * t * t
+        value, deriv = t0 + t1 * t + t2 * t * t, t1 + 2.0 * t2 * t
         if a is not None:
             value /= x - a
-        return value - threshold(x)
-
-    return _bisect(d, lo, hi, d_lo), SolveStatus.BISECTION
-
-
-def _bisect(func: Callable[[float], float], lo: float, hi: float, f_lo: float) -> float:
-    """Zero of a continuous ``func`` with a strict sign change on [lo, hi]."""
-    lo_positive = f_lo > 0
-    while hi - lo > ABS_TOL_X:
-        mid = (lo + hi) / 2.0
-        if not lo < mid < hi:  # the bracket is down to adjacent floats
-            break
-        f_mid = func(mid)
-        if f_mid == 0.0:
-            return mid
-        if (f_mid > 0) == lo_positive:
-            lo = mid
+            deriv = (deriv - value) / (x - a)
+        if power:
+            gap = x - shift
+            threshold = theta * _power(gap, p)  # PowerThreshold.value, without its checks
+            deriv -= p * threshold / gap
         else:
-            hi = mid
-    return (lo + hi) / 2.0
+            threshold = theta * (ceiling - x)
+            deriv += theta
+        d = value - threshold
+        if d == 0.0:
+            break
+        if (d > 0.0) == lo_positive:
+            lo = x
+        else:
+            hi = x
+        step = d / deriv if deriv else math.inf
+        if abs(step) <= 2.0 * math.ulp(x):  # converged: the last step, kept in the bracket
+            x = min(max(x - step, lo), hi)
+            break
+        x -= step
+        if not lo < x < hi:  # also a NaN or infinite step: halve the bracket instead
+            x = (lo + hi) / 2.0
+    return x, SolveStatus.BISECTION
 
 
 def _linear_roots(c1: float, c0: float) -> list[float]:
@@ -320,7 +329,7 @@ def sample_bundle(
             m, status = math.nan, SolveStatus.NO_ROOT
         except NonUniqueError:
             m, status = math.nan, SolveStatus.NON_UNIQUE
-        entries.append(BundleEntry(theta=theta, m=m, status=status))
+        entries.append(BundleEntry(theta, m, status))
     return tuple(entries)
 
 

@@ -136,7 +136,7 @@ ThresholdFamily = Union[PowerThreshold, DecreasingLinearThreshold]
 
 
 # Shared with the solver, yet private: bench/tracing.py gives every public
-# function of a layer module a span, and this one runs per bisection step.
+# function of a layer module a span, and this one runs per Newton step.
 def _power(gap: float, p: float) -> float:
     """gap**p by Python's ``**``: 0.0 for gap <= 0, inf where it overflows."""
     try:

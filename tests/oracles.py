@@ -1,12 +1,16 @@
 """Independent numeric oracles used to cross-check the library.
 
 Everything here is built from numpy primitives (interp, cumulative
-trapezoids, dense-grid argmin) and deliberately avoids the package's own
-evaluation and solving code paths, so agreement between the two is
-meaningful evidence.
+trapezoids, dense-grid argmin) or from the stdlib ``decimal`` module, and
+deliberately avoids the package's own evaluation and solving code paths,
+so agreement between the two is meaningful evidence.
 """
 
 from __future__ import annotations
+
+import bisect
+import decimal
+from decimal import Decimal
 
 import numpy as np
 
@@ -208,3 +212,53 @@ def oracle_phi(
         limit = 0.0 if p < 1.0 or at == 0.0 else (at if p == 1.0 else np.inf)
         phi = np.append(phi, limit)
     return phi
+
+
+def oracle_root(
+    f, op_kind: str, theta: float, lo: float, hi: float, p: float, shift: float = 0.0
+) -> Decimal:
+    """The root of T(f)(x) = theta (x - shift)^p on (lo, hi), to about 45 digits.
+
+    Bisection at 60 significant digits, with T(f) from f's breakpoints
+    alone (each float is exact as a Decimal): f interpolated linearly, its
+    integral summed by trapezoids, the average that over (x - a).  D must
+    change sign exactly once on (lo, hi); only its sign at ``hi`` is read
+    from the ends, so lo may be the shift, where D vanishes.
+    """
+    with decimal.localcontext() as ctx:
+        ctx.prec = 60
+        bx = [Decimal(v) for v, _ in f.breakpoints]
+        by = [Decimal(v) for _, v in f.breakpoints]
+        cumulative = [Decimal(0)]
+        for x0, y0, x1, y1 in zip(bx, by, bx[1:], by[1:]):
+            cumulative.append(cumulative[-1] + (y0 + y1) / 2 * (x1 - x0))
+        big_theta, big_p, big_shift = Decimal(theta), Decimal(p), Decimal(shift)
+        twice_p = 2 * p
+
+        def d(x: Decimal) -> Decimal:
+            k = min(max(bisect.bisect_right(bx, x) - 1, 0), len(bx) - 2)
+            slope = (by[k + 1] - by[k]) / (bx[k + 1] - bx[k])
+            value = by[k] + slope * (x - bx[k])
+            if op_kind != "identity":
+                value = cumulative[k] + (by[k] + value) / 2 * (x - bx[k])
+                if op_kind == "averaging":
+                    value /= x - bx[0]
+            gap = x - big_shift
+            if twice_p == int(twice_p):  # a half-integer power, by the faster sqrt
+                return value - big_theta * gap.sqrt() ** int(twice_p)
+            return value - big_theta * gap**big_p
+
+        low, high = Decimal(lo), Decimal(hi)
+        high_sign = d(high) > 0
+        for _ in range(1000):
+            mid = (low + high) / 2
+            if mid in (low, high) or high - low <= high.scaleb(-45):
+                break
+            value = d(mid)
+            if value == 0:
+                return mid
+            if (value > 0) == high_sign:
+                high = mid
+            else:
+                low = mid
+        return (low + high) / 2

@@ -40,6 +40,8 @@ from hirschbundles.thresholds import (
     is_certified,
 )
 
+from oracles import oracle_root
+
 CSV_FIXTURE = "id,counts\nalice,10;8;5;4;3;2;1\nbob,9;7;2\n"
 
 
@@ -92,18 +94,27 @@ class TestIndexCommand:
         rows = list(csv.DictReader(io.StringIO(out)))
         assert {r["value"] for r in rows if r["id"] == "bob"} >= {"NoRoot"}
 
-    def test_integral_sqrt_root_next_to_the_shift(self, tmp_path, capsys):
-        # the root of 10 x = 1e-5 sqrt(x) lies at 1e-12, inside the last bisection
-        # bracket; was NoRoot
+    def check_integral_sqrt_root(self, tmp_path, capsys, counts, theta, value):
+        """``index`` prints the root of T(f) = theta sqrt(x) on [0, 1] as ``value``, the oracle's."""
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"indices": [{"name": "n05", "operator": "integral", "p": 0.5}]}))
         src = tmp_path / "s.csv"
-        src.write_text("id,counts\nr,10;8;5;4;3;2;1\n")
-        args = ["index", str(src), "--config", str(cfg), "--theta-grid", "1e-5:1e-5:1"]
+        src.write_text(f"id,counts\nr,{';'.join(map(str, counts))}\n")
+        args = ["index", str(src), "--config", str(cfg), "--theta-grid", f"{theta}:{theta}:1"]
         code, out, err = run_cli(args, capsys)
-        assert (code, err) == (0, "")
-        value = out.splitlines()[1].split(",")[-1]
-        assert abs(float(value) - 1e-12) <= 1e-10
+        assert (code, out.splitlines()[1], err) == (0, f"r,n05,{theta:g},{value}", "")
+        root = oracle_root(from_citation_counts(counts), "integral", theta, 0.0, 1.0, 0.5)
+        assert format(float(root), ".12g") == value
+
+    def test_integral_sqrt_root_next_to_the_shift(self, tmp_path, capsys):
+        # the root of 10 x = 1e-5 sqrt(x) lies at 1e-12, inside the last bisection
+        # bracket; was NoRoot, then 2.9e-11 from a bisection that stopped at ABS_TOL_X
+        self.check_integral_sqrt_root(tmp_path, capsys, [10, 8, 5, 4, 3, 2, 1], 1e-5, "1e-12")
+
+    def test_integral_sqrt_root_of_one_count(self, tmp_path, capsys):
+        # 8594 x = 0.5 sqrt(x) at 0.25 / 8594^2; bisection to ABS_TOL_X printed
+        # 3.40514816344e-09, wrong in the third digit
+        self.check_integral_sqrt_root(tmp_path, capsys, [8594], 0.5, "3.38492702287e-09")
 
     def test_malformed_counts_exit_2(self, tmp_path, capsys):
         p = tmp_path / "bad.csv"
@@ -435,7 +446,10 @@ class TestAdmissibleCommand:
             rng = admissible_range(f, *IndexDef(**idx).resolve(f))
             assert (rng.theta_min, rng.theta_max, rng.certified) == (None, math.inf, True)
             code, out, err = run_cli(["index", str(src), "--config", str(cfg)], capsys)
-            assert (code, out.splitlines()[1], err) == (0, "r,x,1,1.0057730547", "")
+            # bisection to ABS_TOL_X printed 1.0057730547; the root is 1.00577305466968
+            assert (code, out.splitlines()[1], err) == (0, "r,x,1,1.00577305467", "")
+            root = oracle_root(f, "averaging", 1.0, 1.0, 2.0, 400.0)
+            assert format(float(root), ".12g") == "1.00577305467"
 
 
 class TestOverflowingPower:
@@ -450,22 +464,24 @@ class TestOverflowingPower:
             warnings.simplefilter("error")
             return run_cli([command, str(src), "--config", str(cfg), *flags], capsys)
 
-    # x^2000 overflows past x = 1.43, inside the first bisection bracket;
-    # was an OverflowError out of the bisection (exit 1)
+    # x^2000 overflows past x = 1.43, inside the first bracket of the iteration;
+    # was an OverflowError out of the bisection (exit 1).  Bisection to
+    # ABS_TOL_X printed 1.00149883839 and 1.00149973881 for identity and integral
     @pytest.mark.parametrize(
         "operator, shift, value",
         [
-            ("identity", 0.0, "1.00149883839"),
+            ("identity", 0.0, "1.00149883837"),
             ("averaging", "origin", "1.00149898839"),
-            ("integral", 0.0, "1.00149973881"),
+            ("integral", 0.0, "1.00149973882"),
         ],
     )
     def test_bisection_reads_inf(self, tmp_path, capsys, operator, shift, value):
         idx = {"operator": operator, "p": 2000.0, "shift": shift}
         code, out, err = self.run(tmp_path, capsys, "index", idx, "--theta-grid", "0.5:0.5:1")
         assert (code, out.splitlines()[1], err) == (0, f"r,x,0.5,{value}", "")
-        # about the root of 10 = 0.5 * x^2000, where f is still close to 10
-        assert float(value) == pytest.approx(20.0 ** (1 / 2000), rel=1e-6)
+        # the root of T(f) = 0.5 x^2000 on the second segment, where f is still close to 10
+        f = from_citation_counts([10, 8, 5, 4, 3, 2, 1])
+        assert format(float(oracle_root(f, operator, 0.5, 1.0, 2.0, 2000.0)), ".12g") == value
 
     def test_uncertified_range_is_open_at_zero(self, tmp_path, capsys):
         # psi underflows to 0 where x^400 overflows; was a ValueError (exit 1)
@@ -481,7 +497,10 @@ class TestOverflowingPower:
         # "overflow encountered in multiply" from the segment polynomial
         idx = {"operator": "integral", "p": 1.0, "shift": 3.5}
         code, out, err = self.run(tmp_path, capsys, "index", idx, "--theta-grid", "1e308:1e308:1")
-        assert (code, out.splitlines()[1], err) == (0, "r,x,1e+308,3.50000000003", "")
+        # the root is 3.5 + 2.8e-307; bisection to ABS_TOL_X printed 3.50000000003
+        assert (code, out.splitlines()[1], err) == (0, "r,x,1e+308,3.5", "")
+        f = from_citation_counts([10, 8, 5, 4, 3, 2, 1])
+        assert format(float(oracle_root(f, "integral", 1e308, 3.5, 4.0, 1.0, 3.5)), ".12g") == "3.5"
 
 
 class TestVerifyCommand:
@@ -718,10 +737,13 @@ ELEVEN_INDICES = {
     ]
 }
 
+# Bisection cells are placed to about one ulp; every status and every other row
+# is as it was when the cells stopped at ABS_TOL_X, and each moved cell is at
+# least as close to a 60-digit decimal root
 GOLDEN_STDOUT_11 = {
     "admissible": "1df82b27b1a5e4b68a087e0f2b4931004956e7d5e629da6d3eedafa6556204af",
-    "bundle": "68dc8cb3a6a9efb4e3b0385bd8941bbbc481a73d9149c3ccc5a27e6b5a76b22f",
-    "index": "1e89415b223bc4a17ed1d1b431349e82ba9348ec16a16747056f340ab8e13fac",
+    "bundle": "c08850caac6ccfc5ac8cd87d0e4b14f5da76da352a972c424bebab7e88152f81",
+    "index": "626d2935e65524ab5f092d78b9dba9307a5f302351ed955f8c6eef2a0a3aa9bc",
 }
 
 

@@ -1,5 +1,7 @@
 import bisect
+import decimal
 import math
+from decimal import Decimal
 import sys
 import threading
 
@@ -18,7 +20,6 @@ from hirschbundles.funcspace import (
 )
 from hirschbundles.operators import OperatorKind, apply
 from hirschbundles.solver import (
-    ABS_TOL_X,
     SolveStatus,
     g_index,
     g_kosmulski_index,
@@ -31,7 +32,7 @@ from hirschbundles.solver import (
 )
 from hirschbundles.thresholds import PowerThreshold, DecreasingLinearThreshold, psi
 
-from oracles import oracle_grid_root, oracle_roots
+from oracles import oracle_grid_root, oracle_root, oracle_roots
 
 IDENTITY = OperatorKind.IDENTITY
 AVERAGING = OperatorKind.AVERAGING
@@ -98,12 +99,19 @@ class TestSolveBundlePoint:
 
     def test_bisection_matches_known_root(self, line):
         # 10 - x = theta * sqrt(x) has no closed-form solve path, but with
-        # u = sqrt(x) it is the quadratic u^2 + theta u - 10 = 0
+        # u = sqrt(x) it is the quadratic u^2 + theta u - 10 = 0; the
+        # iteration places the root to within a few ulp (bisection to
+        # ABS_TOL_X was 36,848 ulp off)
         theta = 1.3
-        u = (-theta + math.sqrt(theta * theta + 40.0)) / 2.0
+        with decimal.localcontext() as ctx:
+            ctx.prec = 60
+            big = Decimal(theta)
+            u = (-big + (big * big + 40).sqrt()) / 2
+            root = u * u
+        assert abs(oracle_root(line, "identity", theta, 0.0, 10.0, 0.5) - root) < Decimal("1e-40")
         m, status = solve_bundle_point(line, IDENTITY, PowerThreshold(0.5, 0.0), theta)
         assert status is SolveStatus.BISECTION
-        assert abs(m - u * u) <= 1e-10
+        assert abs(m - float(root)) <= 4.0 * math.ulp(float(root))
 
     def test_x_window_restricts_search(self, line):
         fam = PowerThreshold(1.0, 0.0)
@@ -343,9 +351,11 @@ class TestExactIsolation:
 
     def test_integral_sqrt_root_next_to_the_shift(self, counts_fixture):
         # D = 10 x - theta sqrt(x) on [0, 1] has its one root at (theta / 10)^2 = 1e-12;
-        # the zeros of D' were bisected only to 1e-10, and the root went unseen (NoRoot)
+        # the zeros of D' were bisected only to 1e-10, and the root went unseen (NoRoot);
+        # then the bisection stopped at ABS_TOL_X and gave 2.9e-11
         m, _ = solve_bundle_point(counts_fixture, INTEGRAL, PowerThreshold(0.5, 0.0), 1e-5)
-        assert abs(m - 1e-12) <= ABS_TOL_X
+        root = oracle_root(counts_fixture, "integral", 1e-5, 0.0, 1.0, 0.5)
+        assert abs(Decimal(m) - root) <= Decimal("1e-12") * root
 
     def test_constant_psi_is_not_unique(self):
         # f is linear with f(S) = 0 and c = 2 S, so mu(f) = theta (c - x) exactly:
@@ -602,3 +612,34 @@ def test_table_bisect_probes_as_searchsorted(dvals):
     array search pick the same point."""
     j = bisect.bisect_left(range(len(dvals)), 0.0, key=lambda i: -dvals[i])
     assert j == int(np.searchsorted(-np.array(dvals), 0.0))
+
+
+# Every pair whose cells are found by iteration: identity or averaging against
+# a power other than 1 (and 2 for identity), the integral against p = 0.5, 1.5
+ITERATED_PAIRS = [
+    (IDENTITY, 0.5),
+    (AVERAGING, 0.5),
+    (AVERAGING, 2.0),
+    (INTEGRAL, 0.5),
+    (INTEGRAL, 1.5),
+]
+
+
+@given(
+    st.lists(st.integers(min_value=0, max_value=2000), min_size=1, max_size=30).filter(any),
+    st.lists(
+        st.floats(min_value=1e-4, max_value=1e3, allow_nan=False), min_size=1, max_size=4
+    ).map(sorted),
+)
+@settings(max_examples=40, deadline=None)
+def test_iterated_roots_match_a_decimal_oracle(counts, thetas):
+    # the bisection to ABS_TOL_X missed integral x power(0.5) roots by up to a relative 6e-3
+    f = from_citation_counts(sorted(counts, reverse=True))
+    xs = f.xs.tolist()
+    for kind, p in ITERATED_PAIRS:
+        for entry in sample_bundle(f, kind, PowerThreshold(p, 0.0), thetas):
+            if entry.status is not SolveStatus.BISECTION:
+                continue
+            k = min(bisect.bisect_right(xs, entry.m) - 1, len(xs) - 2)
+            root = oracle_root(f, kind.value, entry.theta, xs[k], xs[k + 1], p)
+            assert abs(Decimal(entry.m) - root) <= Decimal("1e-12") * root, (kind, p, entry)
