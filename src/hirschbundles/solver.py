@@ -207,10 +207,12 @@ def _locate(
     Newton iteration on D = T(f) - A, with T(f)' = N' (or (N' - T(f)) /
     (x - a) for averaging) and A' = p A / (x - shift) (or -theta for
     declin).  It keeps the bracket [lo, hi] and the sign ``d_lo`` the table
-    gives, takes a Newton step only when it is finite and falls inside the
-    bracket, and halves the bracket otherwise.  It stops at D = 0, at a
-    step of at most 2 ulp, or at adjacent floats, so the root is placed to
-    about one ulp whatever its size.
+    gives, and takes a Newton step only when D' is finite and not zero, the
+    step falls inside the bracket and it is at most half the step before
+    the last; otherwise it halves the bracket, so a slow Newton run costs
+    at most about twice the halvings.  It stops at D = 0, at a Newton step
+    of at most 2 ulp, or at adjacent floats, so the root is placed to about
+    one ulp whatever its size.
     """
     f = tf.source
     x0, y0, slope = f.xs.item(seg), f.ys.item(seg), f.slopes.item(seg)
@@ -257,6 +259,7 @@ def _locate(
         ceiling = family.ceiling
     lo_positive = d_lo > 0.0
     x = (lo + hi) / 2.0
+    last = older = hi - lo  # the sizes of the last two steps
     while lo < x < hi:
         t = x - x0
         value, deriv = t0 + t1 * t + t2 * t * t, t1 + 2.0 * t2 * t
@@ -277,13 +280,19 @@ def _locate(
             lo = x
         else:
             hi = x
-        step = d / deriv if deriv else math.inf
+        # An infinite or NaN D' (p A overflowing) gives no step, as does D' = 0
+        step = d / deriv if deriv and math.isfinite(deriv) else math.inf
         if abs(step) <= 2.0 * math.ulp(x):  # converged: the last step, kept in the bracket
             x = min(max(x - step, lo), hi)
             break
-        x -= step
-        if not lo < x < hi:  # also a NaN or infinite step: halve the bracket instead
+        # A step that leaves the bracket, or is not at most half the step before
+        # the last one (Newton converging slowly), halves the bracket instead.
+        if lo < x - step < hi and abs(step) <= older / 2.0:
+            x -= step
+        else:
             x = (lo + hi) / 2.0
+            step = hi - x
+        last, older = abs(step), last
     return x, SolveStatus.BISECTION
 
 

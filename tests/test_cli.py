@@ -483,6 +483,29 @@ class TestOverflowingPower:
         f = from_citation_counts([10, 8, 5, 4, 3, 2, 1])
         assert format(float(oracle_root(f, operator, 0.5, 1.0, 2.0, 2000.0)), ".12g") == value
 
+    # At the first iterate x = 1.5, A = 0.5 (x - 0.077)^2000 is about 1.3e306 but
+    # p A overflows, so D' is -inf and gives no step; the iteration once read that
+    # as a zero step and stopped at 1.5
+    @pytest.mark.parametrize(
+        "operator, value",
+        [
+            ("identity", "1.0784910653"),
+            ("averaging", "1.07849870231"),
+            ("integral", "1.07853656196"),
+        ],
+    )
+    def test_overflowing_slope_halves_the_bracket(self, tmp_path, capsys, operator, value):
+        idx = {"operator": operator, "p": 2000.0, "shift": 0.077}
+        code, out, err = self.run(tmp_path, capsys, "index", idx, "--theta-grid", "0.5:0.5:1")
+        assert (code, out.splitlines()[1], err) == (0, f"r,x,0.5,{value}", "")
+        f = from_citation_counts([10, 8, 5, 4, 3, 2, 1])
+        root = oracle_root(f, operator, 0.5, 1.0, 2.0, 2000.0, 0.077)
+        assert format(float(root), ".12g") == value
+        family = PowerThreshold(2000.0, 0.077)
+        m, status = solver.solve_bundle_point(f, OperatorKind(operator), family, 0.5)
+        assert status is solver.SolveStatus.BISECTION
+        assert abs(m - float(root)) <= 1e-12 * float(root)
+
     def test_uncertified_range_is_open_at_zero(self, tmp_path, capsys):
         # psi underflows to 0 where x^400 overflows; was a ValueError (exit 1)
         idx = {"operator": "integral", "p": 400.0, "shift": 0.0}

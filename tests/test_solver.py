@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hirschbundles import solver
+from hirschbundles import solver, thresholds
 from hirschbundles.errors import NonPositiveThetaError, NoRootError, NonUniqueError
 from hirschbundles.funcspace import (
     PerturbMode,
@@ -643,3 +643,24 @@ def test_iterated_roots_match_a_decimal_oracle(counts, thetas):
             k = min(bisect.bisect_right(xs, entry.m) - 1, len(xs) - 2)
             root = oracle_root(f, kind.value, entry.theta, xs[k], xs[k + 1], p)
             assert abs(Decimal(entry.m) - root) <= Decimal("1e-12") * root, (kind, p, entry)
+
+
+@pytest.mark.parametrize("kind", [IDENTITY, AVERAGING, INTEGRAL])
+def test_slow_newton_steps_give_way_to_halving(kind, monkeypatch):
+    # From the right of the root of T(f) = 0.5 x^2000, each Newton step lowers
+    # ln A by about 1: 450 D-evaluations before a step that is not half the one
+    # before the last halves the bracket instead.  Halving alone reaches adjacent
+    # floats on the cell [1, 2] in 52.
+    bases = []
+
+    def counted_power(base, p):
+        bases.append(base)
+        return thresholds._power(base, p)
+
+    monkeypatch.setattr(solver, "_power", counted_power)
+    f = from_citation_counts([10, 8, 5, 4, 3, 2, 1])
+    m, status = solve_bundle_point(f, kind, PowerThreshold(2000.0, 0.0), 0.5)
+    assert status is SolveStatus.BISECTION
+    assert 0 < len(bases) <= 52
+    root = oracle_root(f, kind.value, 0.5, 1.0, 2.0, 2000.0)
+    assert abs(Decimal(m) - root) <= Decimal("1e-12") * root
