@@ -36,7 +36,14 @@ import numpy as np
 from .errors import BundleError
 from .funcspace import RankFrequencyFunction, citation_integrals, from_citation_counts
 from .operators import OperatorKind
-from .solver import sample_bundle
+from .solver import (
+    _DECLINED,
+    _STATUSES,
+    _bundle_cells,
+    _CitationColumns,
+    _closed_form_pair,
+    sample_bundle,
+)
 from .thresholds import (
     AdmissibleRange,
     DecreasingLinearThreshold,
@@ -491,40 +498,87 @@ def _emit(rows: Iterable[tuple], columns: list[str], fmt: str, out: io.TextIOBas
     writer.writerows(rows)
 
 
-def _bundle_samples(args, cfg: RunConfig, thetas: list[float]):
-    """(id, index, threshold, entries) for every source and index, in input order.
+def _m_cell(m: float) -> str:
+    """The printed m of a bundle cell: empty where the solve failed (m is NaN)."""
+    return format(m, ".12g") if math.isfinite(m) else ""  # _fmt of a finite m
 
-    The entries are those of the source's bundle over ``thetas``, in grid order.
-    Each index is resolved once, at the support start every record shares,
-    where the first record reaches it: an index that does not resolve fails
-    there, and an empty corpus resolves none.
+
+def _bundle_samples(args, cfg: RunConfig, thetas: list[float]):
+    """(id, index, threshold, m_cells, status_cells) for every source and index,
+    in input order.
+
+    The cells are the printed m (:func:`_m_cell`) and status of the source's
+    bundle at each of ``thetas``, as :func:`sample_bundle` gives them.  The
+    records are taken ``CSV_CHUNK`` at a time.  For an index with
+    closed-form cells (``solver._closed_form_pair``: h, g, and identity x
+    power(2)), one ``solver._bundle_cells`` call answers the whole chunk,
+    and only the cells it declines are solved one by one, by
+    ``sample_bundle`` over those thetas; any other index takes
+    ``sample_bundle`` per record.  A record's function is built once, for
+    its first such solve.  Each index is resolved once, at the support start
+    every record shares, where the first record reaches it: an index that
+    does not resolve fails there, and an empty corpus resolves none.  A
+    failure names the first failing (record, index) in that order.
     """
+    corpus = read_sources(args.input)
+    bounds = corpus.offsets.tolist()
     resolved: list[tuple[OperatorKind, ThresholdFamily] | None] = [None] * len(cfg.indices)
-    for source_id, f in _build_functions(read_sources(args.input)):
-        for i, idx in enumerate(cfg.indices):
-            if resolved[i] is None:
-                resolved[i] = idx.resolve_at(_RECORD_ORIGIN)
-            kind, fam = resolved[i]
-            try:
-                entries = sample_bundle(f, kind, fam, thetas)
-            except BundleError as e:
-                raise CliError(f"source {source_id!r}, index {idx.name!r}: {e}")
-            yield source_id, idx, fam, entries
+    for start in range(0, len(corpus), CSV_CHUNK):
+        stop = min(start + CSV_CHUNK, len(corpus))
+        columns = None
+        kernel: dict[int, list[tuple[list[str], list[str | None]]]] = {}  # by index position
+        for r in range(start, stop):
+            source_id, f = corpus.ids[r], None
+            for i, idx in enumerate(cfg.indices):
+                if resolved[i] is None:
+                    resolved[i] = idx.resolve_at(_RECORD_ORIGIN)
+                kind, fam = resolved[i]
+                try:
+                    if i not in kernel and _closed_form_pair(kind, fam):
+                        if columns is None:
+                            chunk = corpus.offsets[start : stop + 1]
+                            columns = _CitationColumns(corpus.counts, chunk)
+                        kernel[i] = _kernel_cells(columns, kind, fam, thetas)
+                    if i in kernel:
+                        m_cells, status_cells = kernel[i][r - start]
+                    else:
+                        m_cells, status_cells = [""] * len(thetas), [None] * len(thetas)
+                    todo = [k for k, status in enumerate(status_cells) if status is None]
+                    if todo:
+                        if f is None:
+                            f = from_citation_counts(corpus.counts[bounds[r] : bounds[r + 1]])
+                        entries = sample_bundle(f, kind, fam, [thetas[k] for k in todo])
+                        for k, entry in zip(todo, entries):
+                            m_cells[k], status_cells[k] = _m_cell(entry.m), entry.status.value
+                except BundleError as e:
+                    raise CliError(f"source {source_id!r}, index {idx.name!r}: {e}")
+                yield source_id, idx, fam, m_cells, status_cells
+
+
+def _kernel_cells(
+    columns: _CitationColumns, kind: OperatorKind, fam: PowerThreshold, thetas: list[float]
+) -> list[tuple[list[str], list[str | None]]]:
+    """(m_cells, status_cells) per record of ``columns`` from ``_bundle_cells``,
+    with the status None for a declined cell."""
+    ms, codes = _bundle_cells(columns, kind, fam, thetas)
+    names = {code: status.value for code, status in enumerate(_STATUSES)}
+    names[_DECLINED] = None
+    m_cells = list(map(_m_cell, ms.ravel().tolist()))
+    n = len(thetas)
+    return [
+        (m_cells[r * n : r * n + n], [names[c] for c in row])
+        for r, row in enumerate(codes.tolist())
+    ]
 
 
 def cmd_index(args, cfg: RunConfig) -> int:
     thetas = cfg.theta_grid.values()
     theta_cells = [_fmt(theta) for theta in thetas]
-    rows = [
-        (
-            source_id,
-            idx.name,
-            theta_cell,
-            _fmt(entry.m) if math.isfinite(entry.m) else entry.status.value,
-        )
-        for source_id, idx, _, entries in _bundle_samples(args, cfg, thetas)
-        for theta_cell, entry in zip(theta_cells, entries)
-    ]
+    rows = []
+    for source_id, idx, _, m_cells, status_cells in _bundle_samples(args, cfg, thetas):
+        # the value is m, or the status where the solve failed
+        values = [m or status for m, status in zip(m_cells, status_cells)]
+        rows.extend(zip(repeat(source_id), repeat(idx.name), theta_cells, values))
     _emit(rows, ["id", "index", "theta", "value"], args.format, sys.stdout)
     return 0
 
@@ -533,23 +587,12 @@ def cmd_bundle(args, cfg: RunConfig) -> int:
     thetas = cfg.theta_grid.values()
     theta_cells = [_fmt(theta) for theta in thetas]
     rows = []
-    for source_id, idx, fam, entries in _bundle_samples(args, cfg, thetas):
+    for source_id, idx, fam, m_cells, status_cells in _bundle_samples(args, cfg, thetas):
         power = idx.family == "power"
         p_cell = _fmt(idx.p) if power else ""
         shift_cell = _fmt(fam.shift) if power else ""
-        rows.extend(
-            (
-                source_id,
-                idx.name,
-                idx.operator,
-                p_cell,
-                shift_cell,
-                theta_cell,
-                _fmt(entry.m) if math.isfinite(entry.m) else "",
-                entry.status.value,
-            )
-            for theta_cell, entry in zip(theta_cells, entries)
-        )
+        fixed = (source_id, idx.name, idx.operator, p_cell, shift_cell)
+        rows.extend(zip(*map(repeat, fixed), theta_cells, m_cells, status_cells))
     _emit(
         rows,
         ["id", "index", "operator", "p", "shift", "theta", "m", "status"],

@@ -243,18 +243,30 @@ def citation_integrals(counts: np.ndarray, offsets: np.ndarray) -> np.ndarray:
 
     Record i is ``counts[offsets[i]:offsets[i + 1]]``, non-empty and sorted
     non-increasingly.  Each result is bitwise equal to the function's
-    ``cumulative[-1]``: the records of one length are summed as the rows of
-    one array, each row by the same sequential running sum.
+    ``cumulative[-1]`` (see :func:`_running_integrals`).
+    """
+    out = np.empty(len(offsets) - 1)
+    for rows, sums in _running_integrals(counts, offsets):
+        out[rows] = sums[:, -1]
+    return out
+
+
+def _running_integrals(counts: np.ndarray, offsets: np.ndarray):
+    """Per record length N: (rows, sums), where ``sums[k]`` is the ``cumulative``
+    of record ``rows[k]``'s :func:`from_citation_counts` past its first entry 0.
+
+    Records as in :func:`citation_integrals`.  The records of one length are
+    summed as the rows of one array, each row by the sequential running sum
+    of ``cumulative``, so every entry is bitwise equal to the function's.
     """
     lengths = np.diff(offsets)
-    out = np.empty(len(lengths))
-    for n in np.flatnonzero(np.bincount(lengths)).tolist():
-        rows = np.flatnonzero(lengths == n)
+    order = np.argsort(lengths, kind="stable")
+    for rows in np.split(order, np.flatnonzero(np.diff(lengths[order])) + 1):
+        n = int(lengths[rows[0]])
         c = counts[offsets[rows, None] + np.arange(n)]
         ys = np.concatenate([c[:, :1], c, np.zeros((len(rows), 1))], axis=1)
         # the abscissas are 0, 1, ..., N + 1: every segment has width 1.0
-        out[rows] = np.cumsum((ys[:, :-1] + ys[:, 1:]) / 2.0, axis=1)[:, -1]
-    return out
+        yield rows, np.cumsum((ys[:, :-1] + ys[:, 1:]) / 2.0, axis=1)
 
 
 def _require_same_domain(f: RankFrequencyFunction, g: RankFrequencyFunction) -> None:

@@ -26,9 +26,24 @@ than silently resolved.  The single root is then solved on its one cell,
 in closed form where the segment equation is a polynomial of degree at
 most 2, and otherwise found by iteration on its cell: a safeguarded
 Newton iteration inside the cell's bracket, which places the root to
-about one ulp (its status keeps the name ``Bisection``).  ``verify``
+about one ulp (its status keeps the name ``Bisection``).  A root that
+lies right of a power's shift 0 but below the least positive float
+underflows to 0, the shift itself, and is reported as NoRoot.  ``verify``
 decides the monotonicity of D itself, for every theta at once, from the
 bounds of the theta-free phi = T(f)' / A'(., 1) (``thresholds._phi_bounds``).
+
+The CLI's records all start at 0, and for the pairs whose every root cell
+has a closed form there, identity x power(1 or 2) and averaging x power(1)
+with the shift at 0 (the h-, Kosmulski- and g-bundles), a private columnar
+kernel (``_bundle_cells``) solves every record at every theta of a grid in
+a few numpy passes.  It lays the records' breakpoints out as flat columns
+once (``_CitationColumns``) and repeats, per theta and for all records at
+once, the whole-support search above and ``_locate``'s closed form, in the
+same order of operations, so each cell it answers is bitwise the one
+``sample_bundle`` gives.  A cell it cannot answer that way is left to
+``solve_transformed``: the zero record, points with D > 0 that rounding
+leaves no prefix, and a closed form without exactly one root in its cell.
+``solve_transformed`` and ``sample_bundle`` stay the per-function API.
 
 The identically-zero function is special-cased to m = support_start with
 a success status: a zero record has zero impact at every admissible
@@ -40,13 +55,14 @@ from __future__ import annotations
 import math
 from bisect import bisect_left
 from enum import Enum
+from functools import cached_property
 from typing import NamedTuple, Sequence
 
 import numpy as np
 
 from .errors import DomainError, NonPositiveThetaError, NoRootError, NonUniqueError
-from .funcspace import RankFrequencyFunction
-from .operators import OperatorKind, TransformedFunction, apply
+from .funcspace import RankFrequencyFunction, _running_integrals
+from .operators import _AVERAGING_EDGE, OperatorKind, TransformedFunction, apply
 from .thresholds import (
     DecreasingLinearThreshold,
     PowerThreshold,
@@ -245,7 +261,9 @@ def _locate(
         inside = [x0 + t for t in roots if lo - eps <= x0 + t <= hi + eps]
         if len(inside) == 1:
             x = inside[0]  # clamped into [lo, hi]
-            return (lo if x < lo else hi if x > hi else x), SolveStatus.EXACT_SEGMENT
+            return _not_underflowed(lo if x < lo else hi if x > hi else x, family, theta), (
+                SolveStatus.EXACT_SEGMENT
+            )
 
     # Safeguarded Newton on D from the segment's own polynomial N(t): no breakpoint
     # search per step, and the ends of [lo, hi] are never evaluated again (their
@@ -293,7 +311,18 @@ def _locate(
             x = (lo + hi) / 2.0
             step = hi - x
         last, older = abs(step), last
-    return x, SolveStatus.BISECTION
+    return _not_underflowed(x, family, theta), SolveStatus.BISECTION
+
+
+def _not_underflowed(x: float, family: ThresholdFamily, theta: float) -> float:
+    """x, unless a power's shift is 0 and x is 0 too: the root, which lies
+    right of the shift, underflows, and no float represents it."""
+    if x <= 0.0 and isinstance(family, PowerThreshold):  # 0 <= shift <= x
+        raise NoRootError(
+            f"theta={theta}: the root underflows to 0, the threshold's shift, "
+            "below the least positive float"
+        )
+    return x
 
 
 def _linear_roots(c1: float, c0: float) -> list[float]:
@@ -324,11 +353,7 @@ def sample_bundle(
 ) -> tuple[BundleEntry, ...]:
     """The bundle theta -> m_theta(f) at every theta of a sorted positive grid,
     in grid order; failures become statuses."""
-    thetas = [float(t) for t in theta_grid]
-    if not all(0 < t < math.inf for t in thetas):
-        raise NonPositiveThetaError("theta grid values must be positive and finite")
-    if thetas != sorted(thetas):
-        raise ValueError("theta grid must be sorted ascending")
+    thetas = _theta_list(theta_grid)
     tf = apply(kind, f)
     entries = []
     for theta in thetas:
@@ -340,6 +365,195 @@ def sample_bundle(
             m, status = math.nan, SolveStatus.NON_UNIQUE
         entries.append(BundleEntry(theta, m, status))
     return tuple(entries)
+
+
+def _theta_list(theta_grid: Sequence[float]) -> list[float]:
+    thetas = [float(t) for t in theta_grid]
+    if not all(0 < t < math.inf for t in thetas):
+        raise NonPositiveThetaError("theta grid values must be positive and finite")
+    if thetas != sorted(thetas):
+        raise ValueError("theta grid must be sorted ascending")
+    return thetas
+
+
+class _CitationColumns:
+    """The whole-support solve tables of citation records, as flat columns.
+
+    Record r, ``counts[offsets[r]:offsets[r + 1]]`` of N counts, has the N + 2
+    points of its :func:`from_citation_counts` function at
+    ``starts[r]:starts[r] + lengths[r]``: the local abscissas ``x`` = 0, 1,
+    ..., N + 1 and the values ``ys``.  ``cumulative`` and ``averages``
+    (mu(f) at the points) are made on first use, each bitwise equal to the
+    function's ``cumulative`` and averaging ``breakpoint_values``.
+    """
+
+    def __init__(self, counts: np.ndarray, offsets: np.ndarray):
+        self.offsets = offsets - offsets[0]
+        self.counts = counts[offsets[0] : offsets[-1]]
+        n = np.diff(self.offsets)
+        records = np.arange(len(n))
+        self.lengths = n + 2
+        self.starts = self.offsets[:-1] + 2 * records
+        self.ends = self.starts + n + 1
+        points = int(self.ends[-1]) + 1
+        self.x = (np.arange(points) - np.repeat(self.starts, self.lengths)).astype(float)
+        # c_1, c_1, c_2, ..., c_N, 0: count k of record r sits at point k + 2 r + 1
+        self.ys = np.empty(points)
+        self.ys[self.starts] = self.counts[self.offsets[:-1]]
+        self.ys[np.arange(len(self.counts)) + np.repeat(2 * records + 1, n)] = self.counts
+        self.ys[self.ends] = 0.0
+
+    @cached_property
+    def cumulative(self) -> np.ndarray:
+        out = np.zeros(len(self.x))  # read by _bundle_cells, under its errstate
+        for rows, sums in _running_integrals(self.counts, self.offsets):
+            out[self.starts[rows, None] + np.arange(1, sums.shape[1] + 1)] = sums
+        return out
+
+    @cached_property
+    def averages(self) -> np.ndarray:
+        # the support of every record starts at 0, and x is x - a
+        span = np.repeat(self.x[self.ends], self.lengths)
+        edge = self.x < _AVERAGING_EDGE * span
+        firsts = self.ys[np.repeat(self.starts, self.lengths)]
+        return np.where(edge, firsts, self.cumulative / np.where(edge, 1.0, self.x))
+
+
+# Codes of the kernel's cells: positions in SolveStatus, and a cell the kernel
+# leaves to solve_transformed
+_STATUSES = tuple(SolveStatus)
+_EXACT = _STATUSES.index(SolveStatus.EXACT_SEGMENT)
+_NO_ROOT = _STATUSES.index(SolveStatus.NO_ROOT)
+_NON_UNIQUE = _STATUSES.index(SolveStatus.NON_UNIQUE)
+_DECLINED = -1
+
+
+def _closed_form_pair(kind: OperatorKind, family: ThresholdFamily) -> bool:
+    """Whether :func:`_bundle_cells` serves (kind, family): identity x power(1 or 2)
+    or averaging x power(1), with its shift at the records' origin 0."""
+    if not isinstance(family, PowerThreshold) or family.shift != 0.0:
+        return False
+    if kind is OperatorKind.IDENTITY:
+        return family.p in (1.0, 2.0)
+    return kind is OperatorKind.AVERAGING and family.p == 1.0
+
+
+def _bundle_cells(
+    columns: _CitationColumns,
+    kind: OperatorKind,
+    family: PowerThreshold,
+    theta_grid: Sequence[float],
+) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`sample_bundle` of every record of ``columns`` at once, for a
+    :func:`_closed_form_pair`: (m, code), each of shape (records, thetas).
+
+    Per theta it is :func:`solve_transformed` on the whole support, whose
+    table is one falling run of D = T(f) - theta A(., 1) at the points, and
+    ``_locate``'s closed form, in the same order of operations.  A code is
+    a position in ``SolveStatus`` (m is NaN but for ExactSegment), or
+    ``_DECLINED`` for a cell left to :func:`solve_transformed`: every cell
+    of the zero record, a cell whose points with D > 0 are no prefix, and
+    one whose closed form does not give exactly one root in its bracket.
+    Raises as :func:`sample_bundle` for a bad grid.
+    """
+    thetas = _theta_list(theta_grid)
+    m = np.full((len(columns.starts), len(thetas)), math.nan)
+    code = np.full(m.shape, _NO_ROOT, dtype=np.int8)
+    # no overflow or NaN warnings, as the scalar solve's float arithmetic gives none
+    with np.errstate(all="ignore"):
+        tvals = columns.ys if kind is OperatorKind.IDENTITY else columns.averages
+        base = np.power(columns.x - family.shift, family.p)
+        d = np.empty_like(base)  # one buffer: a fresh large array costs page faults
+        for k, theta in enumerate(thetas):
+            np.subtract(tvals, np.multiply(base, theta, out=d), out=d)  # tvals - theta * base
+            _theta_cells(columns, kind, family, theta, d, m[:, k], code[:, k])
+    return m, code
+
+
+def _theta_cells(
+    columns: _CitationColumns,
+    kind: OperatorKind,
+    family: PowerThreshold,
+    theta: float,
+    d: np.ndarray,
+    m: np.ndarray,
+    code: np.ndarray,
+) -> None:
+    """Fill the m and code of every record at one theta, from D at its points;
+    they hold NaN and NoRoot until then."""
+    starts, ends, lengths, x = columns.starts, columns.ends, columns.lengths, columns.x
+    # solve_transformed's binary search finds the first point with D <= 0 (or
+    # NaN), which is the count j of points with D > 0 where those form a
+    # prefix: where no point with D > 0 follows one without inside a record
+    positive = d > 0.0
+    j = np.add.reduceat(positive, starts)
+    everywhere = j == lengths
+    rises = positive[1:] > positive[:-1]
+    rises[starts[1:] - 1] = False  # the next point starts a record
+    declined = columns.ys[starts] == 0.0  # the zero record
+    declined[np.searchsorted(starts, np.flatnonzero(rises), side="right") - 1] = True
+    at = starts + np.minimum(j, lengths - 1)
+    zero_at = ~everywhere & (d[at] == 0.0)
+    non_unique = zero_at & (at < ends) & (d[np.minimum(at + 1, ends)] == 0.0)
+    # a zero at x = 0, the open lower end at the shift, is no root
+    exact = zero_at & ~non_unique & (j > 0)
+    m[exact] = x[at[exact]]
+    if everywhere.any():  # the S-boundary rule
+        largest = np.maximum(np.maximum.reduceat(d, starts), -np.minimum.reduceat(d, starts))
+        tol = _BOUNDARY_TOL * np.maximum(1.0, largest)  # the largest |D|
+        boundary = everywhere & (np.abs(d[ends]) <= tol) & (tol < math.inf)
+        m[boundary] = x[ends[boundary]]
+        exact |= boundary
+    code[exact] = _EXACT
+    code[non_unique] = _NON_UNIQUE
+    cells = np.flatnonzero(~declined & ~everywhere & ~zero_at & (j > 0))
+    if len(cells):
+        root, one = _cell_roots(columns, kind, family, theta, at[cells], x[ends[cells]])
+        solved = one & (root > 0.0)  # else the root underflows to the shift 0
+        m[cells[solved]] = root[solved]
+        code[cells[solved]] = _EXACT
+        declined[cells[~one]] = True
+    code[declined] = _DECLINED
+
+
+def _cell_roots(
+    columns: _CitationColumns,
+    kind: OperatorKind,
+    family: PowerThreshold,
+    theta: float,
+    i1: np.ndarray,
+    support_end: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray]:
+    """``_locate``'s closed form on the cells [x[i1 - 1], x[i1]]: the root,
+    clamped into its cell, and whether there was exactly one."""
+    x, ys = columns.x, columns.ys
+    i0 = i1 - 1
+    x0, x1, y0 = x[i0], x[i1], ys[i0]
+    slope = (ys[i1] - y0) / (x1 - x0)
+    averaging = kind is OperatorKind.AVERAGING
+    if averaging:
+        t2, t1, t0 = slope / 2.0, y0, columns.cumulative[i0]
+    else:
+        t2, t1, t0 = 0.0, slope, y0
+    if family.p == 1.0:
+        a2, a1, a0 = 0.0, theta, theta * (x0 - family.shift)
+    else:
+        gap = x0 - family.shift
+        a2, a1, a0 = theta, 2.0 * theta * gap, theta * gap * gap
+    if averaging:  # multiply A by (x - a) = t + x0
+        a2, a1, a0 = a1, a1 * x0 + a0, a0 * x0
+    c2, c1, c0 = np.broadcast_arrays(t2 - a2, t1 - a1, t0 - a0)
+    # _quadratic_roots' stable split; where c2 = 0, _linear_roots(c1, c0); where
+    # c0 = 0, the one root of _linear_roots(c2, c1).  NaN or inf is no root.
+    q = -(c1 + np.copysign(np.sqrt(c1 * c1 - 4.0 * c2 * c0), c1)) / 2.0
+    linear = c2 == 0.0
+    t = np.where(c0 == 0.0, -c1 / c2, np.where(linear, -c0 / c1, np.where(q == 0.0, 0.0, q / c2)))
+    other = np.where((c0 == 0.0) | linear | (q == 0.0), math.nan, c0 / q)
+    eps = 1e-12 * (support_end - 0.0 + 1.0)
+    roots = x0 + t, x0 + other
+    inside = [(x0 - eps <= r) & (r <= x1 + eps) for r in roots]
+    r = np.where(inside[0], *roots)
+    return np.where(r < x0, x0, np.where(r > x1, x1, r)), inside[0] != inside[1]
 
 
 def h_index(f: RankFrequencyFunction, theta: float = 1.0) -> float:

@@ -250,8 +250,9 @@ def _solve_table(
     if not monotone:
         with np.errstate(divide="ignore", invalid="ignore"):
             psi = np.divide(tvals, base)
-        psi[np.array(tvals) == 0.0] = 0.0  # also where the base underflows to 0
-        rising = np.diff(psi) > 0.0  # per cell; a constant cell counts as falling
+            psi[np.array(tvals) == 0.0] = 0.0  # also where the base underflows to 0
+            # per cell; a constant cell counts as falling, as does inf - inf (NaN)
+            rising = np.diff(psi) > 0.0
         cuts = [0, *(np.flatnonzero(np.diff(rising)) + 1).tolist(), len(rising)]
         runs = [(k0, k1, bool(rising[k0])) for k0, k1 in zip(cuts, cuts[1:])]
     table = tf.solve_tables[key] = _SolveTable(xs.tolist(), tvals, base, segs, runs, psi, lo_limit)

@@ -271,11 +271,35 @@ class TestBundleCommand:
             if row["id"] == "alice" and row["index"] == "h":
                 assert row["m"] == api[row["theta"]]
 
-    def test_one_solve_per_row_and_one_build_per_record(self, tmp_path, capsys, monkeypatch):
-        # the per-row contract that the benchmark's tracer counts
+    def test_per_row_solves_only_for_declined_cells(self, tmp_path, capsys, monkeypatch):
+        # the kernel answers h and g for whole chunks; the zero record's cells are
+        # declined, so that record alone is built and solved row by row
         records = [(k, sorted(c, reverse=True)) for k, c in golden_records()[:12]]
-        p = tmp_path / "twelve.csv"
+        records.insert(5, ("zero", [0, 0, 0]))
+        p = tmp_path / "thirteen.csv"
         p.write_text("id,counts\n" + "".join(f"{k},{';'.join(map(str, c))}\n" for k, c in records))
+        thetas = ThetaGrid(0.5, 2.0, 7).values()
+        declined, built = 0, set()
+        for k, counts in records:
+            record = np.array(counts, dtype=float)
+            columns = solver._CitationColumns(record, np.array([0, len(counts)]))
+            for idx in cli.DEFAULT_INDICES:
+                _, code = solver._bundle_cells(columns, *idx.resolve_at(0.0), thetas)
+                declined += int((code == solver._DECLINED).sum())
+                if (code == solver._DECLINED).any():
+                    built.add(k)
+        assert (declined, built) == (2 * 7, {"zero"})
+        # the rows of sample_bundle, one record and one index at a time
+        want = ["id,index,operator,p,shift,theta,m,status"]
+        for k, counts in records:
+            f = from_citation_counts(counts)
+            for idx in cli.DEFAULT_INDICES:
+                for entry in sample_bundle(f, *idx.resolve(f), thetas):
+                    m = cli._fmt(entry.m) if math.isfinite(entry.m) else ""
+                    want.append(
+                        f"{k},{idx.name},{idx.operator},1,0,{cli._fmt(entry.theta)},{m},"
+                        f"{entry.status.value}"
+                    )
         calls = {"solve": 0, "build": 0}
         solve, build = solver.solve_transformed, funcspace.from_citation_counts
 
@@ -290,10 +314,11 @@ class TestBundleCommand:
         monkeypatch.setattr(solver, "solve_transformed", counting_solve)
         for module in (funcspace, cli):
             monkeypatch.setattr(module, "from_citation_counts", counting_build)
+        monkeypatch.setattr(cli, "CSV_CHUNK", 4)  # four kernel chunks
         code, out, _ = run_cli(["bundle", str(p), "--theta-grid", "0.5:2:7"], capsys)
         assert code == 0
-        assert calls["solve"] == len(out.splitlines()) - 1 == 12 * 2 * 7
-        assert calls["build"] == 12
+        assert out.splitlines() == want
+        assert calls == {"solve": declined, "build": len(built)}
         assert cli.sample_bundle is solver.sample_bundle
 
     def test_theta_grid_flag_log_spacing(self):
@@ -525,6 +550,20 @@ class TestOverflowingPower:
         f = from_citation_counts([10, 8, 5, 4, 3, 2, 1])
         assert format(float(oracle_root(f, "integral", 1e308, 3.5, 4.0, 1.0, 3.5)), ".12g") == "3.5"
 
+    def test_psi_of_an_underflowing_power_is_silent(self, tmp_path):
+        # (x - 0.5)^2000 underflows to 0 near the shift, where psi is inf at two
+        # neighbouring points: their difference inf - inf printed numpy's
+        # "invalid value encountered in subtract"
+        cfg = tmp_path / "cfg.json"
+        idx = {"name": "x", "operator": "integral", "p": 2000.0, "shift": 0.5}
+        cfg.write_text(json.dumps({"indices": [idx], "theta_grid": {"min": 0.5}}))
+        src = tmp_path / "s.csv"
+        src.write_text("id,counts\nr,10;8;5;4;3;2;1\n")
+        cmd = [sys.executable, "-W", "error", "-m", "hirschbundles", "index", str(src)]
+        proc = subprocess.run([*cmd, "--config", str(cfg)], capture_output=True, text=True)
+        assert (proc.returncode, proc.stderr) == (0, "")
+        assert proc.stdout.splitlines()[1] == "r,x,0.5,1.50169414507"
+
 
 class TestVerifyCommand:
     def test_stock_suite_exit_zero(self, tmp_path, capsys):
@@ -705,6 +744,15 @@ class TestMalformedNumbers:
         assert code == 2
         assert out == ""
         assert "'bad'" in err
+
+    @pytest.mark.parametrize("command", ["bundle", "index"])
+    def test_overflowing_log_grid_names_the_first_record(self, csv_file, capsys, command):
+        # the grid's ratio overflows to inf; h, the first index, meets it at the first record
+        code, out, err = run_cli([command, csv_file, "--theta-grid", "1e-300:1e300:3:log"], capsys)
+        assert (code, out) == (2, "")
+        assert err == (
+            "error: source 'alice', index 'h': theta grid values must be positive and finite\n"
+        )
 
     @pytest.mark.parametrize("command", ["bundle", "index"])
     def test_errors_in_index_order(self, csv_file, tmp_path, capsys, command):

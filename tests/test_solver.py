@@ -4,6 +4,7 @@ import math
 from decimal import Decimal
 import sys
 import threading
+import warnings
 
 import numpy as np
 import pytest
@@ -664,3 +665,103 @@ def test_slow_newton_steps_give_way_to_halving(kind, monkeypatch):
     assert 0 < len(bases) <= 52
     root = oracle_root(f, kind.value, 0.5, 1.0, 2.0, 2000.0)
     assert abs(Decimal(m) - root) <= Decimal("1e-12") * root
+
+
+def test_underflowing_root_is_no_root():
+    # the root of f = 1e300 x^0.1 lies near 1e-2990, below every positive float:
+    # the iteration halves its cell down to the shift itself
+    f = from_citation_counts([10, 8, 5, 4, 3, 2, 1])
+    with pytest.raises(NoRootError, match="underflows"):
+        solve_bundle_point(f, IDENTITY, PowerThreshold(0.1), 1e300)
+    (entry,) = sample_bundle(f, IDENTITY, PowerThreshold(0.1), [1e300])
+    assert entry.status is SolveStatus.NO_ROOT
+
+
+@given(
+    st.lists(st.integers(min_value=0, max_value=10_000), min_size=1, max_size=20).filter(any),
+    st.sampled_from([IDENTITY, AVERAGING]),
+    st.floats(math.log(0.01), math.log(2000.0)).map(math.exp),
+    st.floats(-300.0, 300.0).map(lambda u: 10.0**u),
+)
+@settings(max_examples=300, deadline=None)
+def test_every_root_lies_in_its_domain(counts, kind, p, theta):
+    f = from_citation_counts(sorted(counts, reverse=True))
+    try:
+        m, _ = solve_bundle_point(f, kind, PowerThreshold(p, 0.0), theta)
+    except (NoRootError, NonUniqueError):
+        return
+    assert 0.0 < m <= f.support_end
+
+
+# The pairs of the columnar kernel, and records that reach each of its rules:
+# ties and zeros, one count, long flat runs (g's NoRoot and S-boundary cells),
+# counts whose running sums overflow, and the zero record, which it declines.
+KERNEL_PAIRS = [(IDENTITY, 1.0), (IDENTITY, 2.0), (AVERAGING, 1.0)]
+kernel_records = st.one_of(
+    st.lists(st.integers(min_value=0, max_value=50), min_size=1, max_size=30),
+    st.integers(min_value=0, max_value=10**6).map(lambda c: [c]),
+    st.tuples(st.integers(min_value=1, max_value=1000), st.integers(min_value=1, max_value=400))
+    .map(lambda cn: [cn[0]] * cn[1]),
+    st.lists(st.floats(min_value=0.0, max_value=1.7e308), min_size=1, max_size=5),
+    st.integers(min_value=1, max_value=5).map(lambda n: [0] * n),
+).map(lambda record: sorted(record, reverse=True))
+# round thetas, which put D = 0 at points of integer records, and log-uniform ones
+kernel_thetas = st.one_of(
+    st.sampled_from([0.25, 0.5, 1.0, 2.0]),
+    st.floats(-3.0, 3.0).map(lambda u: 10.0**u),
+    st.floats(-300.0, 300.0).map(lambda u: 10.0**u),
+)
+
+
+@pytest.mark.parametrize("kind, p", KERNEL_PAIRS)
+@given(
+    st.lists(kernel_records, min_size=1, max_size=8),
+    st.lists(kernel_thetas, min_size=1, max_size=5).map(sorted),
+)
+@settings(max_examples=150, deadline=None)
+def test_kernel_cells_are_bitwise_those_of_sample_bundle(kind, p, records, thetas):
+    family = PowerThreshold(p, 0.0)
+    lengths = [len(r) for r in records]
+    columns = solver._CitationColumns(
+        np.array([c for r in records for c in r], dtype=float),
+        np.concatenate([[0], np.cumsum(lengths)]),
+    )
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # silent, as the scalar solve's arithmetic
+        m, code = solver._bundle_cells(columns, kind, family, thetas)
+    for r, record in enumerate(records):
+        entries = sample_bundle(from_citation_counts(record), kind, family, thetas)
+        if not any(record):
+            assert (code[r] == solver._DECLINED).all()
+            continue
+        for t, entry in enumerate(entries):
+            if code[r, t] != solver._DECLINED:
+                assert solver._STATUSES[code[r, t]] is entry.status, (r, entry)
+                assert float(m[r, t]).hex() == entry.m.hex(), (r, entry)
+
+
+def test_kernel_declines_a_record_whose_positive_points_are_no_prefix():
+    # records 3;2;1 (points 0..4) and 5 (points 5..7); in the first, D > 0 at
+    # a point after one with D < 0, which rounding can leave where D decreases
+    columns = solver._CitationColumns(np.array([3.0, 2.0, 1.0, 5.0]), np.array([0, 3, 4]))
+    d = np.array([1.0, -1.0, 1.0, -1.0, -1.0, 1.0, 1.0, -1.0])
+    m, code = np.full(2, np.nan), np.full(2, solver._NO_ROOT, dtype=np.int8)
+    solver._theta_cells(columns, IDENTITY, PowerThreshold(1.0), 1.0, d, m, code)
+    assert code[0] == solver._DECLINED
+    # the rise from the first record's last point to the second's first is none
+    want = solve_bundle_point(from_citation_counts([5.0]), IDENTITY, PowerThreshold(1.0), 1.0)
+    assert (solver._STATUSES[code[1]], m[1]) == (want[1], want[0])
+
+
+def test_kernel_cells_of_each_rule():
+    # g on 1;1;1: mu(S) = 3.5 / 4 = theta S at theta = 0.21875.  Below it D > 0
+    # everywhere: NoRoot, or the S-boundary rule's root S where D(S) = 2**-53 is
+    # within its tolerance; at it D(S) = 0 at a point; above it a closed-form cell
+    thetas = [0.1, 0.21875 - 2.0**-55, 0.21875, 0.25]
+    columns = solver._CitationColumns(np.array([1.0, 1.0, 1.0]), np.array([0, 3]))
+    m, code = solver._bundle_cells(columns, AVERAGING, PowerThreshold(1.0), thetas)
+    entries = sample_bundle(from_citation_counts([1, 1, 1]), AVERAGING, PowerThreshold(1.0), thetas)
+    assert [solver._STATUSES[c] for c in code[0]] == [e.status for e in entries]
+    assert [float(v).hex() for v in m[0]] == [e.m.hex() for e in entries]
+    assert [e.status for e in entries] == [SolveStatus.NO_ROOT] + [SolveStatus.EXACT_SEGMENT] * 3
+    assert m[0, 1] == m[0, 2] == 4.0 != m[0, 3]
