@@ -9,12 +9,12 @@ rule is exact per linear segment), and exact pointwise comparison (a
 difference of two piecewise-linear functions attains its extrema at the
 union of their breakpoints).
 
-A function is stored as two read-only float arrays, the breakpoint
-abscissas ``xs`` and values ``ys``; every evaluation works on them, and
-the tuple of (x, y) pairs (``breakpoints``) is derived from them only
-when asked for.  The public constructor checks the invariants with a few
-array comparisons; :func:`from_citation_counts` checks only the counts,
-since the abscissas it lays out are valid by construction.
+A function is plain data: read-only float arrays of the breakpoint
+abscissas ``xs`` and values ``ys``, with the ``slopes`` and the running
+integral ``cumulative`` computed when it is built.  The public
+constructor checks the invariants with a few array comparisons;
+:func:`from_citation_counts` checks only the counts, since the abscissas
+it lays out are valid by construction.
 """
 
 from __future__ import annotations
@@ -24,7 +24,6 @@ import math
 import warnings
 from dataclasses import dataclass
 from enum import Enum
-from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -87,9 +86,11 @@ class RankFrequencyFunction:
     finite, non-negative and non-increasing; the function interpolates
     linearly between consecutive pairs.  The pairs are kept as the
     read-only arrays ``xs`` and ``ys``, with their end abscissas as the
-    floats ``support_start`` and ``support_end``; ``breakpoints`` is the
-    tuple of pairs, derived on first use.  Equality, hashing, ``repr`` and
-    :meth:`digest` are those of that tuple.
+    floats ``support_start`` and ``support_end``, and the read-only
+    ``slopes`` of the segments and the exact running integral from
+    ``support_start`` to each breakpoint, ``cumulative``.  ``breakpoints``
+    is the tuple of pairs; equality, hashing, ``repr`` and :meth:`digest`
+    are those of that tuple.
     """
 
     xs: np.ndarray
@@ -112,8 +113,16 @@ class RankFrequencyFunction:
         object.__setattr__(self, "ys", _read_only(ys))
         object.__setattr__(self, "support_start", float(xs[0]))
         object.__setattr__(self, "support_end", float(xs[-1]))
+        # a slope over a tiny width, or a running integral, may overflow to inf
+        with np.errstate(over="ignore"):
+            # np.diff's arithmetic, without its Python-level wrapper
+            slopes = (ys[1:] - ys[:-1]) / (xs[1:] - xs[:-1])
+            cumulative = np.zeros(len(xs))
+            cumulative[1:] = np.cumsum((ys[:-1] + ys[1:]) / 2.0 * (xs[1:] - xs[:-1]))
+        object.__setattr__(self, "slopes", _read_only(slopes))
+        object.__setattr__(self, "cumulative", _read_only(cumulative))
 
-    @cached_property
+    @property
     def breakpoints(self) -> tuple[tuple[float, float], ...]:
         return tuple(zip(self.xs.tolist(), self.ys.tolist()))
 
@@ -127,21 +136,6 @@ class RankFrequencyFunction:
 
     def __repr__(self) -> str:
         return f"{type(self).__qualname__}(breakpoints={self.breakpoints!r})"
-
-    @cached_property
-    def slopes(self) -> np.ndarray:
-        # np.diff's arithmetic, without its Python-level wrapper
-        ys, xs = self.ys, self.xs
-        return _read_only((ys[1:] - ys[:-1]) / (xs[1:] - xs[:-1]))
-
-    @cached_property
-    def cumulative(self) -> np.ndarray:
-        """Running integral from support_start to each breakpoint (exact)."""
-        xs, ys = self.xs, self.ys
-        seg = (ys[:-1] + ys[1:]) / 2.0 * (xs[1:] - xs[:-1])
-        out = np.zeros(len(self.xs))
-        out[1:] = np.cumsum(seg)
-        return _read_only(out)
 
     def is_zero(self) -> bool:
         # the values are non-negative and non-increasing

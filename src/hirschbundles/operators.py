@@ -22,7 +22,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from functools import cached_property
 
 import numpy as np
 
@@ -65,7 +64,7 @@ class TransformedFunction:
     source: RankFrequencyFunction
     kind: OperatorKind
 
-    @cached_property
+    @property
     def monotonicity(self) -> Monotonicity:
         if self.kind is OperatorKind.INTEGRAL and self.source.is_zero():
             return Monotonicity.DECREASING
@@ -79,11 +78,12 @@ class TransformedFunction:
     def support_end(self) -> float:
         return self.source.support_end
 
-    @cached_property
+    @property
     def _span(self) -> float:
-        return self.support_end - self.origin
+        f = self.source
+        return f.support_end - f.support_start
 
-    @cached_property
+    @property
     def breakpoint_values(self) -> np.ndarray:
         """T(f) at every breakpoint of f (read-only); equal to ``eval_many(source.xs)``.
 
@@ -100,26 +100,6 @@ class TransformedFunction:
         values = np.where(edge, f.ys[0], f.cumulative / np.where(edge, 1.0, rel))
         values.flags.writeable = False
         return values
-
-    @cached_property
-    def solve_tables(self) -> dict:
-        """The solver's memo of per-window solve tables for this T(f), filled on first use.
-
-        Each entry is a pure function of its key, so concurrent fills write
-        equal values and the memo is as safe to share as the function.
-        """
-        return {}
-
-    @cached_property
-    def solve_slot(self) -> list:
-        """The solver's one-item memo of its last search set-up for this T(f).
-
-        The item is a tuple that starts with the family and the window it was
-        made for.  The solver replaces it whole, reads it once per solve and
-        uses it only for that family object and an equal window, so a solve
-        racing another still uses one complete set-up of its own search.
-        """
-        return [None]
 
     def eval(self, x: float) -> float:
         """Scalar :meth:`eval_many`: the same arithmetic, without array set-up."""

@@ -14,13 +14,12 @@ psi_f - theta, and one theta-free table per window
 (``thresholds._solve_table``) splits psi_f into monotone runs; identity or
 averaging against a power is one falling run.  Everything that does not
 depend on theta (the zero check, the window and its ends, the table) is
-set up once per (T(f), family, window) and kept in the one-item
-``TransformedFunction.solve_slot``, which a solve reuses when its family
-is the same object and its window equal; a theta grid pays the set-up
-once.  D changes sign at most once on a run, found by a binary search
-of the run's points.  A zero of D at a point, or a sign change on a
-cell, is a root; D = 0 at two neighbouring points is psi_f = theta on a
-whole cell.  No root means theta is not admissible, several mean the
+one set-up value (``_set_up``), which the per-theta ``_solve`` takes:
+``sample_bundle`` makes one per theta grid, and ``verify`` one per T(f)
+that it solves at several thetas.  D changes sign at most once on a run,
+found by a binary search of the run's points.  A zero of D at a point,
+or a sign change on a cell, is a root; D = 0 at two neighbouring points
+is psi_f = theta on a whole cell.  No root means theta is not admissible, several mean the
 configuration left the uniqueness hypotheses, which is reported rather
 than silently resolved.  The single root is then solved on its one cell,
 in closed form where the segment equation is a polynomial of degree at
@@ -41,7 +40,7 @@ once (``_CitationColumns``) and repeats, per theta and for all records at
 once, the whole-support search above and ``_locate``'s closed form, in the
 same order of operations, so each cell it answers is bitwise the one
 ``sample_bundle`` gives.  A cell it cannot answer that way is left to
-``solve_transformed``: the zero record, points with D > 0 that rounding
+``sample_bundle``: the zero record, points with D > 0 that rounding
 leaves no prefix, and a closed form without exactly one root in its cell.
 ``solve_transformed`` and ``sample_bundle`` stay the per-function API.
 
@@ -55,7 +54,6 @@ from __future__ import annotations
 import math
 from bisect import bisect_left
 from enum import Enum
-from functools import cached_property
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -67,9 +65,11 @@ from .thresholds import (
     DecreasingLinearThreshold,
     PowerThreshold,
     ThresholdFamily,
+    _check_theta,
     _power,
     _search_window,
     _solve_table,
+    _SolveTable,
 )
 
 # An absolute tolerance in x for comparing solutions (``verify`` builds its
@@ -119,17 +119,58 @@ def solve_transformed(
     *,
     x_window: tuple[float, float] | None = None,
 ) -> tuple[float, SolveStatus]:
-    if not 0 < theta < math.inf:  # the chained comparison also rejects NaN
-        raise NonPositiveThetaError(f"theta must be positive and finite, got {theta}")
-    if x_window is not None and type(x_window) is not tuple:
-        x_window = tuple(x_window)  # the slot compares windows by value
-    slot = tf.solve_slot
-    setup = slot[0]
-    if setup is None or setup[0] is not family or setup[1] != x_window:
-        setup = slot[0] = _set_up(tf, family, theta, x_window)
-    _, _, table, lo, hi, open_lo = setup
-    if table is None:  # the zero function
-        return tf.origin, SolveStatus.EXACT_SEGMENT
+    _check_theta(theta)  # a bad theta is named before a bad window
+    return _solve(_set_up(tf, family, x_window), theta)
+
+
+class _SetUp(NamedTuple):
+    """The theta-free part of the solves of T(f) = A on one search window."""
+
+    tf: TransformedFunction
+    family: ThresholdFamily
+    table: _SolveTable | None  # None where there is no search (see _set_up)
+    lo: float
+    hi: float
+    open_lo: bool  # the domain is (lo, hi]: lo is a power's shift
+
+
+def _set_up(
+    tf: TransformedFunction,
+    family: ThresholdFamily,
+    x_window: tuple[float, float] | None,
+) -> _SetUp:
+    """The set-up of a search on ``x_window`` ([a, S] for None) for :func:`_solve`.
+
+    Raises ValueError for a window not inside [a, S].  There is no table
+    for the zero function, nor where a declin ceiling or a power shift does
+    not leave the window a search; :func:`_solve` answers or raises there.
+    """
+    if tf.source.is_zero():
+        return _SetUp(tf, family, None, tf.origin, tf.support_end, False)
+    lo, hi = _search_window(tf, x_window)
+    power = isinstance(family, PowerThreshold)
+    if (family.shift >= hi) if power else (family.ceiling <= hi):
+        return _SetUp(tf, family, None, lo, hi, False)
+    open_lo = power and family.shift >= lo
+    if open_lo:
+        lo = family.shift
+    return _SetUp(tf, family, _solve_table(tf, family, lo, hi), lo, hi, open_lo)
+
+
+def _solve(setup: _SetUp, theta: float) -> tuple[float, SolveStatus]:
+    """:func:`solve_transformed` at one theta, on its :func:`_set_up`."""
+    _check_theta(theta)
+    tf, family, table, lo, hi, open_lo = setup
+    if table is None:
+        if tf.source.is_zero():
+            return tf.origin, SolveStatus.EXACT_SEGMENT
+        if isinstance(family, DecreasingLinearThreshold):
+            raise DomainError(
+                f"threshold ceiling {family.ceiling} must exceed the search domain end {hi}"
+            )
+        raise NoRootError(
+            f"theta={theta} is not admissible: the threshold is not positive on [{lo}, {hi}]"
+        )
     xs, tvals, base, segs, runs, _, lo_limit = table
     # each root is (j, exact): a zero of D at xs[j], or a sign change on (xs[j - 1], xs[j])
     roots: list[tuple[int, bool]] = []
@@ -170,34 +211,6 @@ def solve_transformed(
         raise NoRootError(f"theta={theta} is not admissible: D < 0 on the domain from {lo} to {hi}")
     bracket = "(" if open_lo else "["
     raise NoRootError(f"theta={theta} is not admissible: no root on {bracket}{lo}, {hi}]")
-
-
-def _set_up(
-    tf: TransformedFunction,
-    family: ThresholdFamily,
-    theta: float,
-    x_window: tuple[float, float] | None,
-):
-    """The theta-free part of a solve: (family, x_window, table, lo, hi, open_lo).
-
-    The table is None for the zero function.  Raises as the solve does when
-    the window admits no search; ``theta`` only names the solve in the message.
-    """
-    if tf.source.is_zero():
-        return family, x_window, None, tf.origin, tf.support_end, False
-    lo, hi = _search_window(tf, x_window)
-    if isinstance(family, DecreasingLinearThreshold) and family.ceiling <= hi:
-        raise DomainError(
-            f"threshold ceiling {family.ceiling} must exceed the search domain end {hi}"
-        )
-    open_lo = False
-    if isinstance(family, PowerThreshold) and family.shift >= lo:
-        if family.shift >= hi:
-            raise NoRootError(
-                f"theta={theta} is not admissible: the threshold is not positive on [{lo}, {hi}]"
-            )
-        lo, open_lo = family.shift, True
-    return family, x_window, _solve_table(tf, family, lo, hi), lo, hi, open_lo
 
 
 def _locate(
@@ -354,11 +367,11 @@ def sample_bundle(
     """The bundle theta -> m_theta(f) at every theta of a sorted positive grid,
     in grid order; failures become statuses."""
     thetas = _theta_list(theta_grid)
-    tf = apply(kind, f)
+    setup = _set_up(apply(kind, f), family, None)
     entries = []
     for theta in thetas:
         try:
-            m, status = solve_transformed(tf, family, theta)
+            m, status = _solve(setup, theta)
         except NoRootError:
             m, status = math.nan, SolveStatus.NO_ROOT
         except NonUniqueError:
@@ -382,9 +395,8 @@ class _CitationColumns:
     Record r, ``counts[offsets[r]:offsets[r + 1]]`` of N counts, has the N + 2
     points of its :func:`from_citation_counts` function at
     ``starts[r]:starts[r] + lengths[r]``: the local abscissas ``x`` = 0, 1,
-    ..., N + 1 and the values ``ys``.  ``cumulative`` and ``averages``
-    (mu(f) at the points) are made on first use, each bitwise equal to the
-    function's ``cumulative`` and averaging ``breakpoint_values``.
+    ..., N + 1 and the values ``ys``.  :func:`_averaging_columns` adds the
+    columns of the averaging operator.
     """
 
     def __init__(self, counts: np.ndarray, offsets: np.ndarray):
@@ -403,24 +415,22 @@ class _CitationColumns:
         self.ys[np.arange(len(self.counts)) + np.repeat(2 * records + 1, n)] = self.counts
         self.ys[self.ends] = 0.0
 
-    @cached_property
-    def cumulative(self) -> np.ndarray:
-        out = np.zeros(len(self.x))  # read by _bundle_cells, under its errstate
-        for rows, sums in _running_integrals(self.counts, self.offsets):
-            out[self.starts[rows, None] + np.arange(1, sums.shape[1] + 1)] = sums
-        return out
 
-    @cached_property
-    def averages(self) -> np.ndarray:
-        # the support of every record starts at 0, and x is x - a
-        span = np.repeat(self.x[self.ends], self.lengths)
-        edge = self.x < _AVERAGING_EDGE * span
-        firsts = self.ys[np.repeat(self.starts, self.lengths)]
-        return np.where(edge, firsts, self.cumulative / np.where(edge, 1.0, self.x))
+def _averaging_columns(columns: _CitationColumns) -> tuple[np.ndarray, np.ndarray]:
+    """(cumulative, mu(f)) at the points of ``columns``, bitwise the function's ``cumulative``
+    and averaging ``breakpoint_values``; run under an errstate, as a sum may overflow."""
+    cumulative = np.zeros(len(columns.x))
+    for rows, sums in _running_integrals(columns.counts, columns.offsets):
+        cumulative[columns.starts[rows, None] + np.arange(1, sums.shape[1] + 1)] = sums
+    # the support of every record starts at 0, and x is x - a
+    span = np.repeat(columns.x[columns.ends], columns.lengths)
+    edge = columns.x < _AVERAGING_EDGE * span
+    firsts = columns.ys[np.repeat(columns.starts, columns.lengths)]
+    return cumulative, np.where(edge, firsts, cumulative / np.where(edge, 1.0, columns.x))
 
 
 # Codes of the kernel's cells: positions in SolveStatus, and a cell the kernel
-# leaves to solve_transformed
+# leaves to sample_bundle
 _STATUSES = tuple(SolveStatus)
 _EXACT = _STATUSES.index(SolveStatus.EXACT_SEGMENT)
 _NO_ROOT = _STATUSES.index(SolveStatus.NO_ROOT)
@@ -451,7 +461,7 @@ def _bundle_cells(
     table is one falling run of D = T(f) - theta A(., 1) at the points, and
     ``_locate``'s closed form, in the same order of operations.  A code is
     a position in ``SolveStatus`` (m is NaN but for ExactSegment), or
-    ``_DECLINED`` for a cell left to :func:`solve_transformed`: every cell
+    ``_DECLINED`` for a cell left to :func:`sample_bundle`: every cell
     of the zero record, a cell whose points with D > 0 are no prefix, and
     one whose closed form does not give exactly one root in its bracket.
     Raises as :func:`sample_bundle` for a bad grid.
@@ -461,26 +471,28 @@ def _bundle_cells(
     code = np.full(m.shape, _NO_ROOT, dtype=np.int8)
     # no overflow or NaN warnings, as the scalar solve's float arithmetic gives none
     with np.errstate(all="ignore"):
-        tvals = columns.ys if kind is OperatorKind.IDENTITY else columns.averages
+        tvals, cumulative = columns.ys, None
+        if kind is OperatorKind.AVERAGING:
+            cumulative, tvals = _averaging_columns(columns)
         base = np.power(columns.x - family.shift, family.p)
         d = np.empty_like(base)  # one buffer: a fresh large array costs page faults
         for k, theta in enumerate(thetas):
             np.subtract(tvals, np.multiply(base, theta, out=d), out=d)  # tvals - theta * base
-            _theta_cells(columns, kind, family, theta, d, m[:, k], code[:, k])
+            _theta_cells(columns, cumulative, family, theta, d, m[:, k], code[:, k])
     return m, code
 
 
 def _theta_cells(
     columns: _CitationColumns,
-    kind: OperatorKind,
+    cumulative: np.ndarray | None,
     family: PowerThreshold,
     theta: float,
     d: np.ndarray,
     m: np.ndarray,
     code: np.ndarray,
 ) -> None:
-    """Fill the m and code of every record at one theta, from D at its points;
-    they hold NaN and NoRoot until then."""
+    """Fill the m and code of every record at one theta, from D at its points; they hold
+    NaN and NoRoot until then.  ``cumulative`` is None for the identity."""
     starts, ends, lengths, x = columns.starts, columns.ends, columns.lengths, columns.x
     # solve_transformed's binary search finds the first point with D <= 0 (or
     # NaN), which is the count j of points with D > 0 where those form a
@@ -508,7 +520,7 @@ def _theta_cells(
     code[non_unique] = _NON_UNIQUE
     cells = np.flatnonzero(~declined & ~everywhere & ~zero_at & (j > 0))
     if len(cells):
-        root, one = _cell_roots(columns, kind, family, theta, at[cells], x[ends[cells]])
+        root, one = _cell_roots(columns, cumulative, family, theta, at[cells], x[ends[cells]])
         solved = one & (root > 0.0)  # else the root underflows to the shift 0
         m[cells[solved]] = root[solved]
         code[cells[solved]] = _EXACT
@@ -518,7 +530,7 @@ def _theta_cells(
 
 def _cell_roots(
     columns: _CitationColumns,
-    kind: OperatorKind,
+    cumulative: np.ndarray | None,
     family: PowerThreshold,
     theta: float,
     i1: np.ndarray,
@@ -530,9 +542,9 @@ def _cell_roots(
     i0 = i1 - 1
     x0, x1, y0 = x[i0], x[i1], ys[i0]
     slope = (ys[i1] - y0) / (x1 - x0)
-    averaging = kind is OperatorKind.AVERAGING
+    averaging = cumulative is not None
     if averaging:
-        t2, t1, t0 = slope / 2.0, y0, columns.cumulative[i0]
+        t2, t1, t0 = slope / 2.0, y0, cumulative[i0]
     else:
         t2, t1, t0 = 0.0, slope, y0
     if family.p == 1.0:

@@ -16,13 +16,13 @@ an abscissa to the unique theta whose solution lands there.  The image
 of psi_f is exactly the set of admissible thetas.
 
 Both families are theta times A(x, 1) > 0, so psi_f = T(f) / A(., 1), and
-where it turns does not depend on theta.  ``_solve_table`` keeps one
-table per search window on the TransformedFunction: psi_f's monotone runs
-between the breakpoints and its stationary points.  On the whole support
-of a decreasing T(f) against a power (the h and g settings) it is read
-straight off the breakpoint arrays, T(f) being ``breakpoint_values``
-there, with one power of the abscissas.  The solver searches
-it for every theta; every admissible range is its least and greatest psi_f.
+where it turns does not depend on theta.  ``_solve_table`` builds the
+table of one search window: psi_f's monotone runs between the breakpoints
+and its stationary points.  On the whole support of a decreasing T(f)
+against a power (the h and g settings) it is read straight off the
+breakpoint arrays, T(f) being ``breakpoint_values`` there, with one power
+of the abscissas.  The solver searches it for every theta; every
+admissible range is its least and greatest psi_f.
 In the same way D' = A'(., 1) (phi - theta) with phi = T(f)' / A'(., 1)
 free of theta, so ``_phi_bounds``, phi's least and greatest value on a
 window, tells for every theta at once whether D is monotone there.
@@ -208,11 +208,7 @@ class _SolveTable(NamedTuple):
 def _solve_table(
     tf: TransformedFunction, family: ThresholdFamily, lo: float, hi: float
 ) -> _SolveTable:
-    """The table of window [lo, hi], or (lo, hi] when lo is a power shift; built once per tf."""
-    key = (family, lo, hi)
-    table = tf.solve_tables.get(key)
-    if table is not None:
-        return table
+    """The table of window [lo, hi], or (lo, hi] when lo is a power shift."""
     f = tf.source
     if lo == f.support_start and hi == f.support_end:
         # the whole support: its points are the breakpoints, where eval is breakpoint_values
@@ -255,8 +251,7 @@ def _solve_table(
             rising = np.diff(psi) > 0.0
         cuts = [0, *(np.flatnonzero(np.diff(rising)) + 1).tolist(), len(rising)]
         runs = [(k0, k1, bool(rising[k0])) for k0, k1 in zip(cuts, cuts[1:])]
-    table = tf.solve_tables[key] = _SolveTable(xs.tolist(), tvals, base, segs, runs, psi, lo_limit)
-    return table
+    return _SolveTable(xs.tolist(), tvals, base, segs, runs, psi, lo_limit)
 
 
 def _psi_turns(
@@ -278,18 +273,19 @@ def _psi_turns(
     every other psi_f is monotone.
     """
     x0, y0, slope, cumulative = segment
-    if tf.kind is OperatorKind.INTEGRAL and isinstance(family, PowerThreshold):
-        p, e = family.p, x0 - family.shift
-        c2, c1, c0 = slope * (1.0 - p / 2.0), (1.0 - p) * y0 + slope * e, y0 * e - p * cumulative
-        origin = x0
-    elif tf.kind is OperatorKind.AVERAGING and isinstance(family, DecreasingLinearThreshold):
-        e, width = x0 - tf.origin, family.ceiling - tf.origin
-        p0, p1 = cumulative - e * (y0 - slope / 2.0 * e), y0 - slope * e
-        c2, c1, c0, origin = slope / 2.0 * width + p1, 2.0 * p0, -p0 * width, tf.origin
-    else:
-        return np.empty(0)
-    # both roots by the numerically stable split; NaN or inf where there is none
+    # both roots by the numerically stable split; NaN or inf where there is
+    # none, and where a running integral has overflowed
     with np.errstate(all="ignore"):
+        if tf.kind is OperatorKind.INTEGRAL and isinstance(family, PowerThreshold):
+            p, e = family.p, x0 - family.shift
+            c2, c1 = slope * (1.0 - p / 2.0), (1.0 - p) * y0 + slope * e
+            c0, origin = y0 * e - p * cumulative, x0
+        elif tf.kind is OperatorKind.AVERAGING and isinstance(family, DecreasingLinearThreshold):
+            e, width = x0 - tf.origin, family.ceiling - tf.origin
+            p0, p1 = cumulative - e * (y0 - slope / 2.0 * e), y0 - slope * e
+            c2, c1, c0, origin = slope / 2.0 * width + p1, 2.0 * p0, -p0 * width, tf.origin
+        else:
+            return np.empty(0)
         q = -(c1 + np.copysign(np.sqrt(c1 * c1 - 4.0 * c2 * c0), c1)) / 2.0
         roots = [origin + q / c2, origin + c0 / q]
     return np.concatenate([x[(x > ends[:-1]) & (x < ends[1:])] for x in roots])

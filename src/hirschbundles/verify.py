@@ -79,7 +79,7 @@ from .funcspace import (
 )
 from .operators import Monotonicity, OperatorKind, TransformedFunction, apply
 from .reporting import Counterexample, Verdict, VerificationReport
-from .solver import ABS_TOL_X, solve_transformed
+from .solver import ABS_TOL_X, _set_up, _SetUp, _solve, solve_transformed
 from .thresholds import (
     DecreasingLinearThreshold,
     PowerThreshold,
@@ -456,6 +456,15 @@ def _try_solve(
         return None
 
 
+def _try_solve_on(setup: _SetUp, theta: float) -> float | None:
+    """:func:`_try_solve` on a ``solver._set_up``, made once for several thetas."""
+    try:
+        m, _ = _solve(setup, theta)
+        return m
+    except (NoRootError, NonUniqueError):
+        return None
+
+
 def _psi_candidates(
     tf: TransformedFunction,
     family: ThresholdFamily,
@@ -684,8 +693,9 @@ def check_theta_monotonicity(
     d2 = classify_difference(tf, family, theta_prime)
     if d1 is not d2 or d1 is Monotonicity.NON_MONOTONE:
         return VerificationReport(name=name, trials=1, satisfied=0)
-    m = _try_solve(tf, family, theta)
-    m_prime = _try_solve(tf, family, theta_prime)
+    setup = _set_up(tf, family, None)
+    m = _try_solve_on(setup, theta)
+    m_prime = _try_solve_on(setup, theta_prime)
     if m is None or m_prime is None:
         return VerificationReport(name=name, trials=1, satisfied=0)
     if d1 is Monotonicity.DECREASING:
@@ -850,10 +860,9 @@ def check_convergence_pointwise(
     fn = sequence(n_max)
     tf1 = apply(kind, f1)
     tfn = apply(kind, fn)
+    setups = [_set_up(t, family, None) for t in (tf, tf1, tfn)]
     for theta in theta_grid:
-        m = _try_solve(tf, family, theta)
-        m1 = _try_solve(tf1, family, theta)
-        mn = _try_solve(tfn, family, theta)
+        m, m1, mn = (_try_solve_on(setup, theta) for setup in setups)
         if m is None or m1 is None or mn is None:
             continue
         satisfied += 1
@@ -915,9 +924,10 @@ def check_convergence_uniform(
         n *= 2
     n_values.append(n_max)
     tf = apply(kind, f)
+    setup = _set_up(tf, family, None)
     base: dict[float, float] = {}
     for theta in thetas:
-        m = _try_solve(tf, family, float(theta))
+        m = _try_solve_on(setup, float(theta))
         if m is not None:
             base[float(theta)] = m
     trials = len(n_values)
@@ -927,10 +937,10 @@ def check_convergence_uniform(
     failures: list[Counterexample] = []
     satisfied = 0
     for n in n_values:
-        tfn = apply(kind, sequence(n))
+        setup = _set_up(apply(kind, sequence(n)), family, None)
         gaps = []
         for theta, m in base.items():
-            mn = _try_solve(tfn, family, theta)
+            mn = _try_solve_on(setup, theta)
             if mn is not None:
                 gaps.append(abs(mn - m))
         if not gaps:
@@ -995,7 +1005,7 @@ def check_impact_axioms(
     pick_thetas = pair_theta_fn or _pair_thetas
 
     def pair_axiom(
-        tf: TransformedFunction,
+        sf: _SetUp,
         tg: TransformedFunction,
         thetas: Sequence[float],
         holds: Callable[[float, float], bool],
@@ -1003,11 +1013,12 @@ def check_impact_axioms(
         slack: float,
         seed: int,
     ) -> int:
-        """Check ``holds(m_f, m_g)`` at every theta both solve; 1 if any did, else 0."""
+        """Check ``holds(m_f, m_g)`` at every theta both solve, f on ``sf``; 1 if any did."""
         fired = 0
+        sg = _set_up(tg, family, None)
         for theta in thetas:
-            mf = _try_solve(tf, family, theta)
-            mg = _try_solve(tg, family, theta)
+            mf = _try_solve_on(sf, theta)
+            mg = _try_solve_on(sg, theta)
             if mf is None or mg is None:
                 continue
             fired = 1
@@ -1031,6 +1042,7 @@ def check_impact_axioms(
         if f.is_zero():
             continue
         tf = apply(kind, f)
+        sf = _set_up(tf, family, None)
         a, s = f.support_start, f.support_end
 
         # zero-iff-zero
@@ -1049,7 +1061,7 @@ def check_impact_axioms(
                 )
             )
         for theta in _psi_candidates(tf, family):
-            m = _try_solve(tf, family, theta)
+            m = _try_solve_on(sf, theta)
             if m is None:
                 continue
             if not m > _STRICT_GAP:
@@ -1072,7 +1084,7 @@ def check_impact_axioms(
         if leq(f, g):
             tg = apply(kind, g)
             satisfied += pair_axiom(
-                tf,
+                sf,
                 tg,
                 pick_thetas(tf, tg, family),
                 lambda mf, mg: mf <= mg + _SIGN_EPS,
@@ -1093,7 +1105,7 @@ def check_impact_axioms(
                 tg, family, hi_x=a_cut
             )
             satisfied += pair_axiom(
-                tf,
+                sf,
                 tg,
                 thetas,
                 lambda mf, mg: mg - mf > _STRICT_GAP,
@@ -1108,7 +1120,7 @@ def check_impact_axioms(
             g = flatten_tail(f, a_cut, softening=float(rng.uniform(0.3, 0.7)))
             if eq_on_prefix(f, g, a_cut):
                 satisfied += pair_axiom(
-                    tf,
+                    sf,
                     apply(kind, g),
                     _psi_candidates(tf, family, hi_x=a_cut),
                     lambda mf, mg: abs(mf - mg) <= ABS_TOL_X,

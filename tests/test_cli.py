@@ -301,17 +301,17 @@ class TestBundleCommand:
                         f"{entry.status.value}"
                     )
         calls = {"solve": 0, "build": 0}
-        solve, build = solver.solve_transformed, funcspace.from_citation_counts
+        solve, build = solver._solve, funcspace.from_citation_counts
 
-        def counting_solve(*args, **kwargs):
+        def counting_solve(setup, theta):  # the per-theta solve on a set-up
             calls["solve"] += 1
-            return solve(*args, **kwargs)
+            return solve(setup, theta)
 
         def counting_build(counts):
             calls["build"] += 1
             return build(counts)
 
-        monkeypatch.setattr(solver, "solve_transformed", counting_solve)
+        monkeypatch.setattr(solver, "_solve", counting_solve)
         for module in (funcspace, cli):
             monkeypatch.setattr(module, "from_citation_counts", counting_build)
         monkeypatch.setattr(cli, "CSV_CHUNK", 4)  # four kernel chunks
@@ -563,6 +563,22 @@ class TestOverflowingPower:
         proc = subprocess.run([*cmd, "--config", str(cfg)], capture_output=True, text=True)
         assert (proc.returncode, proc.stderr) == (0, "")
         assert proc.stdout.splitlines()[1] == "r,x,0.5,1.50169414507"
+
+    @pytest.mark.parametrize(
+        "name, operator, value", [("i05", "identity", "4"), ("n05", "integral", "NoRoot")]
+    )
+    def test_overflowing_running_integral_is_silent(self, tmp_path, name, operator, value):
+        # the running integral of this record overflows: n05 printed numpy's
+        # overflow and invalid-value RuntimeWarnings from the integral and the
+        # psi turns' coefficients
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"indices": [{"name": name, "operator": operator, "p": 0.5}]}))
+        src = tmp_path / "s.csv"
+        src.write_text("id,counts\nr,1.7e308;1.7e308;1e308\n")
+        cmd = [sys.executable, "-m", "hirschbundles", "index", str(src), "--config", str(cfg)]
+        proc = subprocess.run([*cmd, "--theta-grid", "0.5:0.5:1"], capture_output=True, text=True)
+        assert (proc.returncode, proc.stderr) == (0, "")
+        assert proc.stdout == f"id,index,theta,value\nr,{name},0.5,{value}\n"
 
 
 class TestVerifyCommand:

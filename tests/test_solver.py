@@ -1,9 +1,8 @@
 import bisect
 import decimal
 import math
+import re
 from decimal import Decimal
-import sys
-import threading
 import warnings
 
 import numpy as np
@@ -11,7 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from hirschbundles import solver, thresholds
-from hirschbundles.errors import NonPositiveThetaError, NoRootError, NonUniqueError
+from hirschbundles.errors import BundleError, NonPositiveThetaError, NoRootError, NonUniqueError
 from hirschbundles.funcspace import (
     PerturbMode,
     RankFrequencyFunction,
@@ -437,77 +436,11 @@ class TestExactIsolation:
                     assert abs(m - roots[0]) <= spacing + 1e-10, where
 
 
-def _outcome(tf, fam, theta, window):
-    try:
-        return solve_transformed(tf, fam, theta, x_window=window)
-    except (NoRootError, NonUniqueError) as e:
-        return type(e), str(e)
-
-
 class TestSolveTable:
     """Every pair: one solve table per window."""
 
-    FAMILIES = [
-        PowerThreshold(1.0, 0.0),
-        PowerThreshold(2.0, 0.0),
-        PowerThreshold(0.5, 0.0),
-        PowerThreshold(1.0, 2.5),
-        DecreasingLinearThreshold(20.0),
-    ]
-    WINDOWS = [None, (0.0, 4.5), (1.5, 8.0), (2.0, 6.0)]
-
-    @pytest.mark.parametrize("kind", [IDENTITY, AVERAGING, INTEGRAL])
-    def test_memo_answers_as_a_fresh_transform(self, kind, counts_fixture):
-        tf = apply(kind, counts_fixture)
-        for _ in range(2):  # the second pass reads every table from the memo
-            for theta in (0.3, 1.0, 3.0):
-                for fam in self.FAMILIES:  # alternating families and windows
-                    for window in self.WINDOWS:
-                        fresh = apply(kind, counts_fixture)
-                        assert _outcome(tf, fam, theta, window) == _outcome(
-                            fresh, fam, theta, window
-                        )
-        # one table per window searched: for shift 2.5, [0, 8] and [1.5, 8] both become (2.5, 8]
-        assert len(tf.solve_tables) == len(self.FAMILIES) * len(self.WINDOWS) - 1
-
-    def test_shared_transform_answers_as_alone_under_threads(self, counts_fixture):
-        # threads alternating families and windows on one T(f) race for its set-up slot
-        cases = [
-            (fam, window, theta)
-            for fam in self.FAMILIES
-            for window in self.WINDOWS
-            for theta in (0.3, 1.0, 3.0)
-        ]
-        alone = apply(AVERAGING, counts_fixture)
-        want = [_outcome(alone, fam, theta, window) for fam, window, theta in cases]
-        tf, wrong, start = apply(AVERAGING, counts_fixture), [], threading.Barrier(6)
-
-        def work(offset):
-            try:
-                start.wait(timeout=60.0)
-                for k in range(40 * len(cases)):
-                    i = (k * 7 + offset) % len(cases)
-                    fam, window, theta = cases[i]
-                    if _outcome(tf, fam, theta, window) != want[i]:
-                        wrong.append(i)
-            except Exception as e:  # a torn set-up can also fail outright
-                wrong.append(e)
-
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            threads = [threading.Thread(target=work, args=(n,)) for n in range(6)]
-            for t in threads:
-                t.start()
-            for t in threads:
-                t.join(timeout=60.0)
-        finally:
-            sys.setswitchinterval(interval)
-        assert not any(t.is_alive() for t in threads)
-        assert wrong == []
-
     def test_set_up_follows_a_window_changed_in_place(self, counts_fixture):
-        # the set-up kept for the last search must not hold on to the caller's list
+        # a window is any pair: a list changed between solves, or an array
         tf, fam = apply(IDENTITY, counts_fixture), PowerThreshold(1.0, 0.0)
         window = [0.0, 3.0]
         with pytest.raises(NoRootError, match=r"no root on \(0.0, 3.0\]"):
@@ -515,6 +448,25 @@ class TestSolveTable:
         window[1] = 8.0
         assert solve_transformed(tf, fam, 1.0, x_window=window) == (4.0, SolveStatus.EXACT_SEGMENT)
         assert solve_transformed(tf, fam, 1.0, x_window=np.array(window))[0] == 4.0
+
+    @pytest.mark.parametrize(
+        "fam, error",
+        [
+            (DecreasingLinearThreshold(5.0), "ceiling 5.0"),
+            (PowerThreshold(1.0, 9.0), "not positive"),
+        ],
+    )
+    def test_set_up_without_a_search_raises_per_theta(self, counts_fixture, fam, error):
+        # on [0, 8] neither threshold leaves a search: the set-up itself raises
+        # nothing, and each theta's solve raises as a solve on its own does
+        tf = apply(IDENTITY, counts_fixture)
+        setup = solver._set_up(tf, fam, None)
+        assert setup.table is None and sample_bundle(counts_fixture, IDENTITY, fam, []) == ()
+        for theta in (0.5, 2.0):
+            with pytest.raises(BundleError, match=error) as alone:
+                solve_transformed(tf, fam, theta)
+            with pytest.raises(type(alone.value), match=re.escape(str(alone.value))):
+                solver._solve(setup, theta)
 
     def test_exact_breakpoint_root(self, counts_fixture, monkeypatch):
         # f(4) = 4 = theta * 4: D = 0 at a breakpoint, answered without a segment solve
@@ -587,11 +539,7 @@ def test_decreasing_pair_table_holds_the_values_at_its_points(
     lo, hi = window if window is not None else (a, s)
     if shift >= hi:
         return  # no table: the threshold is not positive on the window
-    try:
-        solve_transformed(tf, family, 1.0, x_window=window)
-    except (NoRootError, NonUniqueError):
-        pass
-    (table,) = tf.solve_tables.values()
+    table = solver._set_up(tf, family, window).table
     lo = max(lo, shift)
     assert table.xs == [lo, *[x for x in f.xs.tolist() if lo < x < hi], hi]
     for k, seg in enumerate(table.segs):
@@ -746,7 +694,8 @@ def test_kernel_declines_a_record_whose_positive_points_are_no_prefix():
     columns = solver._CitationColumns(np.array([3.0, 2.0, 1.0, 5.0]), np.array([0, 3, 4]))
     d = np.array([1.0, -1.0, 1.0, -1.0, -1.0, 1.0, 1.0, -1.0])
     m, code = np.full(2, np.nan), np.full(2, solver._NO_ROOT, dtype=np.int8)
-    solver._theta_cells(columns, IDENTITY, PowerThreshold(1.0), 1.0, d, m, code)
+    with np.errstate(all="ignore"):  # as _bundle_cells runs it
+        solver._theta_cells(columns, None, PowerThreshold(1.0), 1.0, d, m, code)
     assert code[0] == solver._DECLINED
     # the rise from the first record's last point to the second's first is none
     want = solve_bundle_point(from_citation_counts([5.0]), IDENTITY, PowerThreshold(1.0), 1.0)
