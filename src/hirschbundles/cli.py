@@ -11,9 +11,12 @@ line by line, whose messages name the first bad line.
 
 All computed tables are emitted in input order with 12 significant
 digits, so identical (input, config, seed) triples produce byte-identical
-output.  Rows are tuples of cells in column order; ``--format json``
-turns them into objects.  Certified admissible ranges are computed and
-formatted as columns over the whole corpus.
+output.  A table is handed to the writer as groups of rows that share
+their first cells, a (record, index) pair's for ``bundle`` and ``index``
+and a record's id for ``admissible``, and is written as text: the bytes
+of ``csv.writer`` or, with ``--format json``, of ``json.dump(indent=2)``.
+Certified admissible ranges are computed and formatted as columns over
+the whole corpus.
 
 Exit codes: 0 success, 1 verification failure, 2 input or config error.
 """
@@ -25,11 +28,13 @@ import csv
 import io
 import json
 import math
+import re
 import sys
 from dataclasses import dataclass, field, replace
 from itertools import chain, repeat
+from json.encoder import encode_basestring_ascii as _json_str
 from pathlib import Path
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -129,8 +134,7 @@ class RunConfig:
 
 
 def _fmt(x: float) -> str:
-    if math.isinf(x):
-        return "inf"
+    """``x`` with 12 significant digits; infinity prints as ``inf``."""
     return format(x, ".12g")
 
 
@@ -333,7 +337,12 @@ def _read_json(p: Path) -> _Chunk:
         problem = _counts_problem(vals)
         if problem:
             raise CliError(f"{p}: record {i}: {problem}")
-        ids.append(str(rec["id"]))
+        source_id = str(rec["id"])
+        try:
+            source_id.encode("utf-8")
+        except UnicodeEncodeError:  # a lone surrogate, which UTF-8 output cannot hold
+            raise CliError(f"{p}: record {i}: 'id' is not encodable as UTF-8")
+        ids.append(source_id)
         records.append(vals)
     return ids, np.concatenate(records or [np.empty(0)]), [len(r) for r in records]
 
@@ -487,20 +496,95 @@ def _build_functions(corpus: Corpus) -> list[tuple[str, RankFrequencyFunction]]:
 # --------------------------------------------------------------------------
 
 
-def _emit(rows: Iterable[tuple], columns: list[str], fmt: str, out: io.TextIOBase) -> None:
-    """Write ``rows``, tuples of cells in column order, as CSV or JSON records."""
-    if fmt == "json":
-        json.dump([dict(zip(columns, row)) for row in rows], out, indent=2)
-        out.write("\n")
-        return
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(columns)
-    writer.writerows(rows)
+class _Groups(NamedTuple):
+    """Groups of table rows, by column: group g has ``counts[g]`` rows, each
+    opened by the group's cells ``fixed[0][g], fixed[1][g], ...``, at least
+    one; ``varying[j]`` holds the cells of the j-th remaining column of every
+    row, group after group."""
+
+    fixed: list[Sequence[str]]
+    varying: list[Sequence[str]]
+    counts: Sequence[int]
+
+
+def _emit(columns: list[str], groups: _Groups, fmt: str, out: io.TextIOBase) -> None:
+    """Write the table of ``groups`` under ``columns`` as CSV or JSON records.
+
+    The text is the bytes of ``csv.writer(out, lineterminator="\\n")``, or of
+    ``json.dump(records, out, indent=2)`` and a newline, for a table of more
+    than one column.  Each group's fixed cells are rendered once, and every
+    line is that prefix and the line's own cells.  The text is written with
+    one call, so nothing reaches ``out`` before every cell is computed.
+    """
+    out.write(_json_text(columns, groups) if fmt == "json" else _csv_text(columns, groups))
+
+
+def _repeated(prefixes: Iterable[str], counts: Sequence[int]) -> Iterator[str]:
+    """Each group's prefix, once for each of its rows."""
+    return chain.from_iterable(map(repeat, prefixes, counts))
+
+
+# The characters that csv.writer may quote a cell for, on one Python version
+# or another: the delimiter, the quote, both line ends and NUL.  3.11 quotes
+# ",", '"' and "\n", but leaves "\r" (with "\n" as line terminator) and NUL bare.
+_CSV_QUOTABLE = re.compile('[,"\r\n\0]')
+
+
+def _csv_cell(cell: str) -> str:
+    """``cell`` as csv.writer writes it in a row of more than one cell."""
+    if _CSV_QUOTABLE.search(cell) is None:
+        return cell
+    text = io.StringIO()
+    csv.writer(text, lineterminator="\n").writerow([cell, ""])
+    return text.getvalue()[:-2]  # less the empty cell's "," and the "\n"
+
+
+def _csv_text(columns: list[str], groups: _Groups) -> str:
+    """Every cell as it is, unless one holds a character that csv may quote,
+    as no number or status does; then each cell as :func:`_csv_cell` gives it."""
+    text = _csv_lines(columns, groups)
+    lines = 1 + sum(groups.counts)
+    # lines of such cells hold no other separators, and no quote
+    if (
+        text.count("\n") != lines
+        or text.count(",") != lines * (len(columns) - 1)
+        or any(c in text for c in '"\r\0')
+    ):
+        text = _csv_lines(
+            list(map(_csv_cell, columns)),
+            groups._replace(
+                fixed=[list(map(_csv_cell, column)) for column in groups.fixed],
+                varying=[list(map(_csv_cell, column)) for column in groups.varying],
+            ),
+        )
+    return text
+
+
+def _csv_lines(columns: list[str], groups: _Groups) -> str:
+    """The cells joined by "," into lines, each ended by "\\n"."""
+    heads = _repeated(map(",".join, zip(*groups.fixed)), groups.counts)
+    lines = map(",".join, zip(heads, map(",".join, zip(*groups.varying))))
+    return "\n".join(chain([",".join(columns)], lines)) + "\n"
+
+
+def _json_text(columns: list[str], groups: _Groups) -> str:
+    if not sum(groups.counts):
+        return "[]\n"
+    # '    "key": value' for every cell, joined by ",\n" as the cells of a
+    # group's head, then as the rest of each row
+    cells = [
+        map(f"    {_json_str(name)}: ".__add__, map(_json_str, column))
+        for name, column in zip(columns, [*groups.fixed, *groups.varying])
+    ]
+    k = len(groups.fixed)
+    heads = _repeated(map(",\n".join, zip(*cells[:k])), groups.counts)
+    records = map(",\n".join, zip(heads, map(",\n".join, zip(*cells[k:]))))
+    return "[\n  {\n" + "\n  },\n  {\n".join(records) + "\n  }\n]\n"
 
 
 def _m_cell(m: float) -> str:
     """The printed m of a bundle cell: empty where the solve failed (m is NaN)."""
-    return format(m, ".12g") if math.isfinite(m) else ""  # _fmt of a finite m
+    return _fmt(m) if math.isfinite(m) else ""
 
 
 def _bundle_samples(args, cfg: RunConfig, thetas: list[float]):
@@ -543,8 +627,8 @@ def _bundle_samples(args, cfg: RunConfig, thetas: list[float]):
                         m_cells, status_cells = kernel[i][r - start]
                     else:
                         m_cells, status_cells = [""] * len(thetas), [None] * len(thetas)
-                    todo = [k for k, status in enumerate(status_cells) if status is None]
-                    if todo:
+                    if None in status_cells:
+                        todo = [k for k, status in enumerate(status_cells) if status is None]
                         if f is None:
                             f = from_citation_counts(corpus.counts[bounds[r] : bounds[r + 1]])
                         entries = sample_bundle(f, kind, fam, [thetas[k] for k in todo])
@@ -564,38 +648,44 @@ def _kernel_cells(
     names = {code: status.value for code, status in enumerate(_STATUSES)}
     names[_DECLINED] = None
     m_cells = list(map(_m_cell, ms.ravel().tolist()))
+    status_cells = list(map(names.__getitem__, codes.ravel().tolist()))
     n = len(thetas)
-    return [
-        (m_cells[r * n : r * n + n], [names[c] for c in row])
-        for r, row in enumerate(codes.tolist())
-    ]
+    return [(m_cells[k : k + n], status_cells[k : k + n]) for k in range(0, len(m_cells), n)]
+
+
+def _grid_groups(fixed: list[tuple], theta_cells: list[str], *cells: list[str]) -> _Groups:
+    """Groups of one row per theta: ``fixed`` per group, then the theta and
+    ``cells`` per row."""
+    return _Groups(
+        list(zip(*fixed)), [theta_cells * len(fixed), *cells], [len(theta_cells)] * len(fixed)
+    )
 
 
 def cmd_index(args, cfg: RunConfig) -> int:
     thetas = cfg.theta_grid.values()
-    theta_cells = [_fmt(theta) for theta in thetas]
-    rows = []
+    fixed, values = [], []
     for source_id, idx, _, m_cells, status_cells in _bundle_samples(args, cfg, thetas):
+        fixed.append((source_id, idx.name))
         # the value is m, or the status where the solve failed
-        values = [m or status for m, status in zip(m_cells, status_cells)]
-        rows.extend(zip(repeat(source_id), repeat(idx.name), theta_cells, values))
-    _emit(rows, ["id", "index", "theta", "value"], args.format, sys.stdout)
+        values += [m or status for m, status in zip(m_cells, status_cells)]
+    groups = _grid_groups(fixed, list(map(_fmt, thetas)), values)
+    _emit(["id", "index", "theta", "value"], groups, args.format, sys.stdout)
     return 0
 
 
 def cmd_bundle(args, cfg: RunConfig) -> int:
     thetas = cfg.theta_grid.values()
-    theta_cells = [_fmt(theta) for theta in thetas]
-    rows = []
+    fixed, ms, statuses = [], [], []
     for source_id, idx, fam, m_cells, status_cells in _bundle_samples(args, cfg, thetas):
         power = idx.family == "power"
         p_cell = _fmt(idx.p) if power else ""
         shift_cell = _fmt(fam.shift) if power else ""
-        fixed = (source_id, idx.name, idx.operator, p_cell, shift_cell)
-        rows.extend(zip(*map(repeat, fixed), theta_cells, m_cells, status_cells))
+        fixed.append((source_id, idx.name, idx.operator, p_cell, shift_cell))
+        ms += m_cells
+        statuses += status_cells
     _emit(
-        rows,
         ["id", "index", "operator", "p", "shift", "theta", "m", "status"],
+        _grid_groups(fixed, list(map(_fmt, thetas)), ms, statuses),
         args.format,
         sys.stdout,
     )
@@ -688,13 +778,13 @@ def cmd_admissible(args, cfg: RunConfig) -> int:
                 functions = [f for _, f in _build_functions(corpus)]
             cells = [_range_cells(_range_or_error(f, kind, fam)) for f in functions]
             columns.append(tuple(map(list, zip(*cells))))
-    # one row per (record, index), in input order
-    rows = zip(
-        *(zip(corpus.ids, repeat(idx.name), *column) for idx, column in zip(cfg.indices, columns))
-    )
+    # one group per record, of one row per index, in input order: the cells
+    # of theta_min, theta_max and certified, record by record
+    names = [idx.name for idx in cfg.indices]
+    cells = [list(chain.from_iterable(zip(*by_index))) for by_index in zip(*columns)]
     _emit(
-        chain.from_iterable(rows),
         ["id", "index", "theta_min", "theta_max", "certified"],
+        _Groups([corpus.ids], [names * len(corpus), *cells], [len(names)] * len(corpus)),
         args.format,
         sys.stdout,
     )

@@ -419,7 +419,8 @@ def test_criterion_11_cli_end_to_end(tmp_path):
     src.write_text("id,counts\nalice,10;8;5;4;3;2;1\nbob,9;7;2\n")
     bad = tmp_path / "bad.csv"
     bad.write_text("id,counts\nbroken,\n")
-    base = [sys.executable, "-m", "hirschbundles"]
+    # a numpy RuntimeWarning fails the run, as it fails an in-process test
+    base = [sys.executable, "-W", "error::RuntimeWarning", "-m", "hirschbundles"]
 
     cmd = base + ["bundle", str(src), "--theta-grid", "0.5:3:7", "--seed", "11"]
     a = subprocess.run(cmd, capture_output=True)

@@ -141,6 +141,17 @@ class TestIndexCommand:
         assert out == ""
         assert "record 1" in err and "finite" in err
 
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("command", ["index", "bundle", "admissible"])
+    def test_json_id_not_encodable_as_utf8_exit_2(self, tmp_path, capsys, command, fmt):
+        p = tmp_path / "bad.json"
+        p.write_text(
+            '[{"id": "ok", "counts": [3, 2, 1]}, {"id": "bad\\ud800", "counts": [5, 3, 1]}]'
+        )
+        code, out, err = run_cli([command, str(p), "--format", fmt], capsys)
+        assert (code, out) == (2, "")
+        assert err == f"error: {p}: record 1: 'id' is not encodable as UTF-8\n"
+
     # the exact exit code and message for each kind of bad token, in both input formats
     @pytest.mark.parametrize(
         "token, problem",
@@ -861,6 +872,91 @@ def test_golden_corpus_output_is_byte_identical(tmp_path, capsys, fmt, command, 
     assert err.count("counts not sorted") == 7
 
 
+# Ids and an index name that csv quotes, or that JSON escapes, and a zero record,
+# whose admissible cells hold an error
+FREE_TEXT_IDS = ["a,b", 'say "hi"', "two\nlines", "cr\rid", " padded ", "", '""', "ü", "tab\tx"]
+FREE_TEXT_INPUTS = {
+    "free.json": json.dumps(
+        [
+            {"id": k, "counts": [3 + i, 2, 1][: 1 + i % 3] + [1] * i}
+            for i, k in enumerate(FREE_TEXT_IDS)
+        ]
+        + [{"id": "zero", "counts": [0, 0]}]
+    ),
+    "quoted.csv": 'id,counts\n"q""id",3;2;1\nplain,4;1\n',
+}
+FREE_TEXT_CONFIG = {
+    "indices": [
+        {"name": "h,1", "operator": "identity", "p": 1.0},
+        {"name": "g", "operator": "averaging", "p": 1.0, "shift": "origin"},
+    ]
+}
+
+# sha256 of stdout with FREE_TEXT_CONFIG and --theta-grid 0.5:2:2, by input, command
+# and output format; every run exits 0 with empty stderr
+FREE_TEXT_STDOUT = {
+    ("free.json", "admissible", "csv"):
+        "f1a336fc7c3d8bd62e9148636c244af884f58cecf43eef777aa60a7e0396e692",
+    ("free.json", "admissible", "json"):
+        "a95a227d874c5895682b30af8870b30291b9300865c5b054662a488111d0c629",
+    ("free.json", "bundle", "csv"):
+        "cfb8892bfcfbcd35a7c13ecc1f4a46dcceaacb8056fe4e4deb09df31c5126986",
+    ("free.json", "bundle", "json"):
+        "71e8f7496b4a627bd00172375df54f91df9948953aa11da16ffd826da98495f3",
+    ("free.json", "index", "csv"):
+        "addfc923fe2a797d14d23f595fcbd785a592f4c78227a4083f45ad3f7df30704",
+    ("free.json", "index", "json"):
+        "b8113b4926486f7ae981bcdb6eaef96a7835e3bb1264f7542b68e17481c2a70c",
+    ("quoted.csv", "admissible", "csv"):
+        "58a465577977c57afd9d07ff78e662326f50afb8b1165d3b538a96a81922c2ad",
+    ("quoted.csv", "admissible", "json"):
+        "a16d5e18ce19d5d492c5677bcc10cfef3c05b83b8066a9a5d58ec3894f11152c",
+    ("quoted.csv", "bundle", "csv"):
+        "4f24e6fd37b28a9c28491432b022631e08f6f27d93951e49da5f06164fc6167d",
+    ("quoted.csv", "bundle", "json"):
+        "e109b918bfe9591577a17b12bc75aea91fc33b4f47984de61900456e3bd4614a",
+    ("quoted.csv", "index", "csv"):
+        "7af11b5bdc42bc536ab67ff1ee0ae2d6acf35346280820eb95f48bd1f181a14a",
+    ("quoted.csv", "index", "json"):
+        "46e143230201c09dd87a0f3e56e970eae451dd85cd4d9fcf7b7486f4b2596f41",
+}
+
+
+@pytest.mark.parametrize("name, command, fmt", list(FREE_TEXT_STDOUT))
+def test_free_text_cells_are_pinned(tmp_path, capsys, name, command, fmt):
+    p = tmp_path / name
+    p.write_text(FREE_TEXT_INPUTS[name], newline="")
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(FREE_TEXT_CONFIG))
+    args = [command, str(p), "--config", str(cfg), "--theta-grid", "0.5:2:2", "--format", fmt]
+    code, out, err = run_cli(args, capsys)
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == FREE_TEXT_STDOUT[name, command, fmt]
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("command", ["bundle", "index"])
+def test_error_in_second_chunk_leaves_stdout_empty(tmp_path, capsys, command, fmt):
+    # every row of the first chunk is computed before the first record of
+    # the second fails; none of them may reach stdout
+    p = tmp_path / "late.csv"
+    p.write_text("id,counts\n" + "r,3;2;1\n" * CSV_CHUNK + "late," + ";".join(["1"] * 20) + "\n")
+    dl = {"name": "dl", "operator": "identity", "family": "declin", "ceiling": 10.0}
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"indices": [dl]}))
+    code, out, err = run_cli([command, str(p), "--config", str(cfg), "--format", fmt], capsys)
+    assert (code, out) == (2, "")
+    assert err == (
+        "error: source 'late', index 'dl': "
+        "threshold ceiling 10.0 must exceed the search domain end 21.0\n"
+    )
+
+
+def test_fmt_prints_inf_and_zero():
+    assert cli._fmt(math.inf) == "inf"
+    assert cli._fmt(0.0) == "0"
+
+
 # Irregular CSV input for the reader, which parses a chunk of CSV_CHUNK records
 # from the digits of its text, or else with one numpy call, and sends any chunk
 # it cannot parse either way through the line-by-line reader.  ONE_CHUNK fills
@@ -1147,6 +1243,59 @@ def test_csv_rows_are_those_of_csv_reader(text, limit):
     finally:
         csv.field_size_limit(old_limit)
     assert got == want
+
+
+# Cells for the table writer: empty, or any mix of what csv quotes or JSON
+# escapes, spaces, non-ASCII and a lone surrogate
+table_cells = st.text(alphabet=',"\r\n\0\t a1.\u00fc\u2028\ud800', max_size=5)
+
+
+@st.composite
+def cell_tables(draw):
+    """Column names, and groups of rows of 1 to 5 fixed and varying cells each."""
+    width = draw(st.integers(min_value=2, max_value=6))
+    fixed_width = draw(st.integers(min_value=1, max_value=width - 1))
+    columns = draw(st.lists(table_cells, min_size=width, max_size=width, unique=True))
+    counts = draw(st.lists(st.integers(min_value=0, max_value=3), max_size=5))
+    fixed, varying = (
+        [draw(st.lists(table_cells, min_size=n, max_size=n)) for _ in range(w)]
+        for n, w in ((len(counts), fixed_width), (sum(counts), width - fixed_width))
+    )
+    return columns, cli._Groups(fixed, varying, counts)
+
+
+def _table_rows(groups):
+    """The rows of ``groups``, each a list of cells in column order."""
+    rows = []
+    for g, n in enumerate(groups.counts):
+        for i in range(len(rows), len(rows) + n):
+            rows.append([column[g] for column in groups.fixed] + [c[i] for c in groups.varying])
+    return rows
+
+
+@given(cell_tables())
+@settings(max_examples=400, deadline=None)
+def test_csv_table_is_that_of_csv_writer(table):
+    columns, groups = table
+    want = io.StringIO()
+    writer = csv.writer(want, lineterminator="\n")
+    writer.writerow(columns)
+    writer.writerows(_table_rows(groups))
+    got = io.StringIO()
+    cli._emit(columns, groups, "csv", got)
+    assert got.getvalue() == want.getvalue()
+
+
+@given(cell_tables())
+@settings(max_examples=400, deadline=None)
+def test_json_table_is_that_of_json_dump(table):
+    columns, groups = table
+    want = io.StringIO()
+    json.dump([dict(zip(columns, row)) for row in _table_rows(groups)], want, indent=2)
+    want.write("\n")
+    got = io.StringIO()
+    cli._emit(columns, groups, "json", got)
+    assert got.getvalue() == want.getvalue()
 
 
 # non-integer counts, with ties and zeros drawn often
