@@ -28,13 +28,12 @@ import csv
 import io
 import json
 import math
-import re
 import sys
 from dataclasses import dataclass, field, replace
 from itertools import chain, repeat
 from json.encoder import encode_basestring_ascii as _json_str
 from pathlib import Path
-from typing import Iterable, Iterator, NamedTuple, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -496,15 +495,12 @@ def _build_functions(corpus: Corpus) -> list[tuple[str, RankFrequencyFunction]]:
 # --------------------------------------------------------------------------
 
 
-class _Groups(NamedTuple):
-    """Groups of table rows, by column: group g has ``counts[g]`` rows, each
-    opened by the group's cells ``fixed[0][g], fixed[1][g], ...``, at least
-    one; ``varying[j]`` holds the cells of the j-th remaining column of every
-    row, group after group."""
-
-    fixed: list[Sequence[str]]
-    varying: list[Sequence[str]]
-    counts: Sequence[int]
+# Groups of table rows, by column: (fixed, varying, counts).  Group g has
+# counts[g] rows, each opened by the group's cells fixed[0][g], fixed[1][g],
+# ... (at least one); varying[j] holds the cells of the j-th remaining column
+# of every row, group after group.
+_Columns = list[Sequence[str]]
+_Groups = tuple[_Columns, _Columns, Sequence[int]]
 
 
 def _emit(columns: list[str], groups: _Groups, fmt: str, out: io.TextIOBase) -> None:
@@ -516,7 +512,7 @@ def _emit(columns: list[str], groups: _Groups, fmt: str, out: io.TextIOBase) -> 
     line is that prefix and the line's own cells.  The text is written with
     one call, so nothing reaches ``out`` before every cell is computed.
     """
-    out.write(_json_text(columns, groups) if fmt == "json" else _csv_text(columns, groups))
+    out.write(_json_text(columns, *groups) if fmt == "json" else _csv_text(columns, *groups))
 
 
 def _repeated(prefixes: Iterable[str], counts: Sequence[int]) -> Iterator[str]:
@@ -524,26 +520,25 @@ def _repeated(prefixes: Iterable[str], counts: Sequence[int]) -> Iterator[str]:
     return chain.from_iterable(map(repeat, prefixes, counts))
 
 
-# The characters that csv.writer may quote a cell for, on one Python version
-# or another: the delimiter, the quote, both line ends and NUL.  3.11 quotes
-# ",", '"' and "\n", but leaves "\r" (with "\n" as line terminator) and NUL bare.
-_CSV_QUOTABLE = re.compile('[,"\r\n\0]')
-
-
 def _csv_cell(cell: str) -> str:
     """``cell`` as csv.writer writes it in a row of more than one cell."""
-    if _CSV_QUOTABLE.search(cell) is None:
+    # the characters that csv.writer may quote a cell for, on one Python
+    # version or another: 3.11 quotes ",", '"' and "\n", but leaves "\r"
+    # (with "\n" as line terminator) and NUL bare
+    if not any(c in cell for c in ',"\r\n\0'):
         return cell
     text = io.StringIO()
     csv.writer(text, lineterminator="\n").writerow([cell, ""])
     return text.getvalue()[:-2]  # less the empty cell's "," and the "\n"
 
 
-def _csv_text(columns: list[str], groups: _Groups) -> str:
+def _csv_text(
+    columns: list[str], fixed: _Columns, varying: _Columns, counts: Sequence[int]
+) -> str:
     """Every cell as it is, unless one holds a character that csv may quote,
     as no number or status does; then each cell as :func:`_csv_cell` gives it."""
-    text = _csv_lines(columns, groups)
-    lines = 1 + sum(groups.counts)
+    text = _csv_lines(columns, fixed, varying, counts)
+    lines = 1 + sum(counts)
     # lines of such cells hold no other separators, and no quote
     if (
         text.count("\n") != lines
@@ -552,33 +547,36 @@ def _csv_text(columns: list[str], groups: _Groups) -> str:
     ):
         text = _csv_lines(
             list(map(_csv_cell, columns)),
-            groups._replace(
-                fixed=[list(map(_csv_cell, column)) for column in groups.fixed],
-                varying=[list(map(_csv_cell, column)) for column in groups.varying],
-            ),
+            [list(map(_csv_cell, column)) for column in fixed],
+            [list(map(_csv_cell, column)) for column in varying],
+            counts,
         )
     return text
 
 
-def _csv_lines(columns: list[str], groups: _Groups) -> str:
+def _csv_lines(
+    columns: list[str], fixed: _Columns, varying: _Columns, counts: Sequence[int]
+) -> str:
     """The cells joined by "," into lines, each ended by "\\n"."""
-    heads = _repeated(map(",".join, zip(*groups.fixed)), groups.counts)
-    lines = map(",".join, zip(heads, map(",".join, zip(*groups.varying))))
+    heads = _repeated(map(",".join, zip(*fixed)), counts)
+    lines = map(",".join, zip(heads, map(",".join, zip(*varying))))
     return "\n".join(chain([",".join(columns)], lines)) + "\n"
 
 
-def _json_text(columns: list[str], groups: _Groups) -> str:
-    if not sum(groups.counts):
+def _json_text(
+    columns: list[str], fixed: _Columns, varying: _Columns, counts: Sequence[int]
+) -> str:
+    """The records as ``json.dump(records, indent=2)`` writes them, and a newline."""
+    if not sum(counts):
         return "[]\n"
     # '    "key": value' for every cell, joined by ",\n" as the cells of a
     # group's head, then as the rest of each row
     cells = [
         map(f"    {_json_str(name)}: ".__add__, map(_json_str, column))
-        for name, column in zip(columns, [*groups.fixed, *groups.varying])
+        for name, column in zip(columns, [*fixed, *varying])
     ]
-    k = len(groups.fixed)
-    heads = _repeated(map(",\n".join, zip(*cells[:k])), groups.counts)
-    records = map(",\n".join, zip(heads, map(",\n".join, zip(*cells[k:]))))
+    heads = _repeated(map(",\n".join, zip(*cells[: len(fixed)])), counts)
+    records = map(",\n".join, zip(heads, map(",\n".join, zip(*cells[len(fixed) :]))))
     return "[\n  {\n" + "\n  },\n  {\n".join(records) + "\n  }\n]\n"
 
 
@@ -656,9 +654,7 @@ def _kernel_cells(
 def _grid_groups(fixed: list[tuple], theta_cells: list[str], *cells: list[str]) -> _Groups:
     """Groups of one row per theta: ``fixed`` per group, then the theta and
     ``cells`` per row."""
-    return _Groups(
-        list(zip(*fixed)), [theta_cells * len(fixed), *cells], [len(theta_cells)] * len(fixed)
-    )
+    return list(zip(*fixed)), [theta_cells * len(fixed), *cells], [len(theta_cells)] * len(fixed)
 
 
 def cmd_index(args, cfg: RunConfig) -> int:
@@ -784,7 +780,7 @@ def cmd_admissible(args, cfg: RunConfig) -> int:
     cells = [list(chain.from_iterable(zip(*by_index))) for by_index in zip(*columns)]
     _emit(
         ["id", "index", "theta_min", "theta_max", "certified"],
-        _Groups([corpus.ids], [names * len(corpus), *cells], [len(names)] * len(corpus)),
+        ([corpus.ids], [names * len(corpus), *cells], [len(names)] * len(corpus)),
         args.format,
         sys.stdout,
     )

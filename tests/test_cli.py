@@ -1261,15 +1261,16 @@ def cell_tables(draw):
         [draw(st.lists(table_cells, min_size=n, max_size=n)) for _ in range(w)]
         for n, w in ((len(counts), fixed_width), (sum(counts), width - fixed_width))
     )
-    return columns, cli._Groups(fixed, varying, counts)
+    return columns, (fixed, varying, counts)
 
 
 def _table_rows(groups):
     """The rows of ``groups``, each a list of cells in column order."""
+    fixed, varying, counts = groups
     rows = []
-    for g, n in enumerate(groups.counts):
+    for g, n in enumerate(counts):
         for i in range(len(rows), len(rows) + n):
-            rows.append([column[g] for column in groups.fixed] + [c[i] for c in groups.varying])
+            rows.append([column[g] for column in fixed] + [column[i] for column in varying])
     return rows
 
 
