@@ -520,38 +520,41 @@ def _repeated(prefixes: Iterable[str], counts: Sequence[int]) -> Iterator[str]:
     return chain.from_iterable(map(repeat, prefixes, counts))
 
 
+# the characters that csv.writer may quote a cell for, on one Python version
+# or another: 3.11 quotes ",", '"' and "\n", but leaves "\r" (with "\n" as
+# line terminator) and NUL bare
+_CSV_QUOTABLE = ',"\r\n\0'
+
+
 def _csv_cell(cell: str) -> str:
     """``cell`` as csv.writer writes it in a row of more than one cell."""
-    # the characters that csv.writer may quote a cell for, on one Python
-    # version or another: 3.11 quotes ",", '"' and "\n", but leaves "\r"
-    # (with "\n" as line terminator) and NUL bare
-    if not any(c in cell for c in ',"\r\n\0'):
+    if not any(c in cell for c in _CSV_QUOTABLE):
         return cell
     text = io.StringIO()
     csv.writer(text, lineterminator="\n").writerow([cell, ""])
     return text.getvalue()[:-2]  # less the empty cell's "," and the "\n"
 
 
+def _csv_column(column: Sequence[str]) -> Sequence[str]:
+    """``column`` as it is, unless a cell holds a character that csv may
+    quote, as no number or status does; then each cell as :func:`_csv_cell`
+    gives it."""
+    joined = "".join(column)
+    if any(c in joined for c in _CSV_QUOTABLE):
+        return list(map(_csv_cell, column))
+    return column
+
+
 def _csv_text(
     columns: list[str], fixed: _Columns, varying: _Columns, counts: Sequence[int]
 ) -> str:
-    """Every cell as it is, unless one holds a character that csv may quote,
-    as no number or status does; then each cell as :func:`_csv_cell` gives it."""
-    text = _csv_lines(columns, fixed, varying, counts)
-    lines = 1 + sum(counts)
-    # lines of such cells hold no other separators, and no quote
-    if (
-        text.count("\n") != lines
-        or text.count(",") != lines * (len(columns) - 1)
-        or any(c in text for c in '"\r\0')
-    ):
-        text = _csv_lines(
-            list(map(_csv_cell, columns)),
-            [list(map(_csv_cell, column)) for column in fixed],
-            [list(map(_csv_cell, column)) for column in varying],
-            counts,
-        )
-    return text
+    """The table's lines, each column's cells as :func:`_csv_column` gives them."""
+    return _csv_lines(
+        list(_csv_column(columns)),
+        list(map(_csv_column, fixed)),
+        list(map(_csv_column, varying)),
+        counts,
+    )
 
 
 def _csv_lines(
