@@ -132,9 +132,14 @@ class RunConfig:
     trials: int = 40
 
 
+# A number with 12 significant digits, as format(x, ".12g") prints it
+# (infinity as "inf"); a table's columns are formatted by mapping its __mod__
+_CELL = "%.12g"
+
+
 def _fmt(x: float) -> str:
     """``x`` with 12 significant digits; infinity prints as ``inf``."""
-    return format(x, ".12g")
+    return _CELL % x
 
 
 def load_config(path: str | None) -> RunConfig:
@@ -168,6 +173,11 @@ def load_config(path: str | None) -> RunConfig:
     # AttributeError: a section that is not an object; OverflowError: int(inf)
     except (AttributeError, TypeError, ValueError, OverflowError) as e:
         raise CliError(f"bad config: {e}")
+    for idx in indices:
+        try:
+            str(idx.name).encode("utf-8")
+        except UnicodeEncodeError:  # a lone surrogate, which UTF-8 output cannot hold
+            raise CliError(f"bad config: index {idx.name!r}: 'name' is not encodable as UTF-8")
     _validate_grid(cfg.theta_grid)
     return cfg
 
@@ -247,7 +257,7 @@ class Corpus:
 
 # What a reader returns per chunk: the ids, the counts of all its records
 # back to back, and how many counts each record holds.
-_Chunk = tuple[list[str], np.ndarray, list[int]]
+_Chunk = tuple[list[str], np.ndarray, Sequence[int]]
 
 
 def read_sources(path: str) -> Corpus:
@@ -283,7 +293,8 @@ def _corpus(chunks: list[_Chunk]) -> Corpus:
     ids = [source_id for chunk in chunks for source_id in chunk[0]]
     counts = np.concatenate([chunk[1] for chunk in chunks])
     offsets = np.zeros(len(ids) + 1, dtype=np.intp)
-    offsets[1:] = np.cumsum([n for chunk in chunks for n in chunk[2]])
+    lengths = [np.asarray(chunk[2], dtype=np.intp) for chunk in chunks]
+    offsets[1:] = np.cumsum(np.concatenate(lengths))
     # a rise from one count to the next marks its record unsorted, unless
     # the next count starts a record
     rises = counts[1:] > counts[:-1]
@@ -397,27 +408,28 @@ def _csv_rows(fh: Iterable[str]) -> Iterator[list[str]]:
 def _parse_chunk(p: Path, rows: list[tuple[int, list[str]]]) -> _Chunk:
     """Parse the counts of non-blank rows in one pass over the chunk's text.
 
-    Counts of 1 to 15 ASCII digits go through :func:`_parse_digits`; any
-    other chunk is converted with one numpy call.  Any irregularity (a short
-    row; an empty, blank, non-numeric, non-finite or negative token) sends
-    the rows through the line-by-line reader instead, which skips what it
-    may skip and names the first bad line.
+    Counts of 1 to 15 ASCII digits go through :func:`_parse_digits`, which
+    also counts each row's tokens; any other chunk is converted with one
+    numpy call.  Any irregularity (a short row; an empty, blank,
+    non-numeric, non-finite or negative token) sends the rows through the
+    line-by-line reader instead, which skips what it may skip and names the
+    first bad line.
     """
     try:
         fields = [row[1] for _, row in rows]
     except IndexError:
         return _parse_rows(p, rows)
-    text = ";".join(fields)
-    counts = _parse_digits(text)
-    if counts is None:
+    parsed = _parse_digits("\n".join(fields), len(fields))
+    if parsed is None:
         try:
             # numpy converts each string as float() does
-            counts = np.array(text.split(";"), dtype=float)
+            counts = np.array(";".join(fields).split(";"), dtype=float)
         except ValueError:
             return _parse_rows(p, rows)
         if not ((counts >= 0.0) & (counts < math.inf)).all():  # NaN fails both
             return _parse_rows(p, rows)
-    return [row[0].strip() for _, row in rows], counts, [f.count(";") + 1 for f in fields]
+        parsed = counts, [f.count(";") + 1 for f in fields]
+    return [row[0].strip() for _, row in rows], *parsed
 
 
 # Tokens of at most this many digits are below 10**15 < 2**53, so every
@@ -425,23 +437,29 @@ def _parse_chunk(p: Path, rows: list[tuple[int, list[str]]]) -> _Chunk:
 _MAX_DIGITS = 15
 
 
-def _parse_digits(text: str) -> np.ndarray | None:
-    """The values of ``;``-separated tokens of 1 to 15 ASCII digits each.
+def _parse_digits(text: str, lines: int) -> tuple[np.ndarray, np.ndarray] | None:
+    """The values of ``lines`` lines of ``;``-separated tokens of 1 to 15 ASCII
+    digits each, and the number of tokens on each line.
 
     Each value is bitwise ``float(token)``, leading zeros included.  Returns
-    None for any other text, an empty token or a longer one included.
+    None for any other text, an empty token, a longer one or a number of
+    lines other than ``lines`` included.
     """
     if not text.isascii():
         return None
     # allocated before the temporaries, so that their space is reused
     # once they are freed rather than left below the kept array
-    values = np.empty(text.count(";") + 1)
-    # a separator in front, so that every token's first digit follows one
-    codes = np.frombuffer(f";{text}".encode("ascii"), dtype=np.uint8)
+    values = np.empty(text.count(";") + lines)
+    # a line break in front, so that every token's first digit follows a separator
+    codes = np.frombuffer(f"\n{text}".encode("ascii"), dtype=np.uint8)
     digits = codes - ord("0")  # wraps around below "0"
     separators = np.flatnonzero(digits > 9)
-    if len(separators) != len(values):  # a byte that is neither a digit nor ";"
+    # more where a byte is neither a digit nor a separator, or a line holds a line break
+    if len(separators) != len(values):
         return None
+    # each line's first token, and so its number of tokens
+    firsts = np.flatnonzero(codes[separators] == ord("\n"))
+    lengths = np.diff(firsts, append=len(values))
     pos = np.append(separators[1:], len(codes)) - 1  # the last byte of each token
     column = digits[pos]
     if not (column <= 9).all():  # an empty token
@@ -453,12 +471,12 @@ def _parse_digits(text: str) -> np.ndarray | None:
     pos = pos[live] - 1
     for k in range(1, _MAX_DIGITS):
         if not len(live):
-            return values
+            return values, lengths
         values[live] += digits[pos] * 10.0**k
         pos -= 1
         more = digits[pos] <= 9
         live, pos = live[more], pos[more]
-    return None if len(live) else values
+    return None if len(live) else (values, lengths)
 
 
 def _parse_rows(p: Path, rows: list[tuple[int, list[str]]]) -> _Chunk:
@@ -648,7 +666,10 @@ def _kernel_cells(
     ms, codes = _bundle_cells(columns, kind, fam, thetas)
     names = {code: status.value for code, status in enumerate(_STATUSES)}
     names[_DECLINED] = None
-    m_cells = list(map(_m_cell, ms.ravel().tolist()))
+    ms = ms.ravel()
+    m_cells = list(map(_CELL.__mod__, ms.tolist()))
+    for k in np.flatnonzero(~np.isfinite(ms)).tolist():  # as _m_cell
+        m_cells[k] = ""
     status_cells = list(map(names.__getitem__, codes.ravel().tolist()))
     n = len(thetas)
     return [(m_cells[k : k + n], status_cells[k : k + n]) for k in range(0, len(m_cells), n)]
@@ -706,7 +727,7 @@ def _range_or_error(
 
 def _certified_columns(
     corpus: Corpus, kind: OperatorKind, fam: PowerThreshold
-) -> tuple[list[float], list[float], dict[int, BundleError]]:
+) -> tuple[np.ndarray, np.ndarray, dict[int, BundleError]]:
     """theta_min and theta_max of every record for an index whose ranges are
     certified, and the error of each record that has no range.
 
@@ -740,7 +761,7 @@ def _certified_columns(
                 certified_range(firsts[i], t_ends[i], _RECORD_ORIGIN, float(ends[i]), fam)
         except BundleError as e:
             errors[i] = e
-    return theta_min.tolist(), theta_max.tolist(), errors
+    return theta_min, theta_max, errors
 
 
 def _range_cells(rng: AdmissibleRange | BundleError) -> tuple[str, str, str]:
@@ -756,8 +777,10 @@ def _range_cells(rng: AdmissibleRange | BundleError) -> tuple[str, str, str]:
 
 def _certified_cells(corpus: Corpus, kind: OperatorKind, fam: PowerThreshold) -> _RangeColumns:
     theta_min, theta_max, errors = _certified_columns(corpus, kind, fam)
-    lows = [_fmt(low) if low > 0.0 else "0" for low in theta_min]
-    highs = list(map(_fmt, theta_max))
+    lows = list(map(_CELL.__mod__, theta_min.tolist()))
+    for i in np.flatnonzero(~(theta_min > 0.0)).tolist():  # open at zero, or NaN
+        lows[i] = "0"
+    highs = list(map(_CELL.__mod__, theta_max.tolist()))
     flags = ["true"] * len(corpus)
     for i, error in errors.items():
         lows[i], highs[i], flags[i] = _range_cells(error)

@@ -237,12 +237,38 @@ def citation_integrals(counts: np.ndarray, offsets: np.ndarray) -> np.ndarray:
 
     Record i is ``counts[offsets[i]:offsets[i + 1]]``, non-empty and sorted
     non-increasingly.  Each result is bitwise equal to the function's
-    ``cumulative[-1]`` (see :func:`_running_integrals`).
+    ``cumulative[-1]``: for counts within :func:`_exact_in_halves`, the
+    record's sum plus half its first count; for any others, the
+    function's running sum (:func:`_running_integrals`).
     """
-    out = np.empty(len(offsets) - 1)
-    for rows, sums in _running_integrals(counts, offsets):
-        out[rows] = sums[:, -1]
-    return out
+    if not _exact_in_halves(counts, len(offsets) - 1):
+        out = np.empty(len(offsets) - 1)
+        with np.errstate(over="ignore"):  # a running integral may overflow to inf, as in _set
+            for rows, sums in _running_integrals(counts, offsets):
+                out[rows] = sums[:, -1]
+        return out
+    firsts = offsets[:-1]
+    return np.add.reduceat(counts, firsts) + counts[firsts] / 2.0
+
+
+def _exact_in_halves(counts: np.ndarray, records: int) -> bool:
+    """Whether every running integral of these records' functions is exact in float64.
+
+    True where the counts are integers with no negative zero and
+    ``max(counts) * (len(counts) + records) <= 2**52``.  Then every
+    trapezoid term (y_k + y_(k+1)) / 2 of a :func:`from_citation_counts`
+    function is a multiple of 1/2, and so is any partial sum of them, of
+    the counts or of the counts and each record's first count once more:
+    each is at most 2**52 and so exact, in any order of summation.  A sum
+    of such terms is then the same float however it is formed, and none
+    is -0.0.
+    """
+    return bool(
+        # a Python float product overflows to inf with no warning
+        float(counts.max()) * (len(counts) + records) <= 2.0**52
+        and not np.signbit(counts).any()
+        and (np.floor(counts) == counts).all()
+    )
 
 
 def _running_integrals(counts: np.ndarray, offsets: np.ndarray):
@@ -252,6 +278,8 @@ def _running_integrals(counts: np.ndarray, offsets: np.ndarray):
     Records as in :func:`citation_integrals`.  The records of one length are
     summed as the rows of one array, each row by the sequential running sum
     of ``cumulative``, so every entry is bitwise equal to the function's.
+    This is the path for counts outside :func:`_exact_in_halves` (fractions,
+    sums past 2**52, -0.0), where the order of summation shows in the bits.
     """
     lengths = np.diff(offsets)
     order = np.argsort(lengths, kind="stable")

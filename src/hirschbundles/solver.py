@@ -59,7 +59,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .errors import DomainError, NonPositiveThetaError, NoRootError, NonUniqueError
-from .funcspace import RankFrequencyFunction, _running_integrals
+from .funcspace import RankFrequencyFunction, _exact_in_halves, _running_integrals
 from .operators import _AVERAGING_EDGE, OperatorKind, TransformedFunction, apply
 from .thresholds import (
     DecreasingLinearThreshold,
@@ -418,14 +418,25 @@ class _CitationColumns:
 
 def _averaging_columns(columns: _CitationColumns) -> tuple[np.ndarray, np.ndarray]:
     """(cumulative, mu(f)) at the points of ``columns``, bitwise the function's ``cumulative``
-    and averaging ``breakpoint_values``; run under an errstate, as a sum may overflow."""
-    cumulative = np.zeros(len(columns.x))
-    for rows, sums in _running_integrals(columns.counts, columns.offsets):
-        cumulative[columns.starts[rows, None] + np.arange(1, sums.shape[1] + 1)] = sums
+    and averaging ``breakpoint_values``; run under an errstate, as a sum may overflow.
+
+    For counts within ``funcspace._exact_in_halves``, the running integral at
+    point j of a record is its values' sum up to j less half its first and
+    half its j-th value (the trapezoid sum), from one running sum of all the
+    values; for any others, the function's running sum (``_running_integrals``).
+    """
+    firsts = columns.ys[np.repeat(columns.starts, columns.lengths)]
+    if _exact_in_halves(columns.counts, len(columns.starts)):
+        sums = np.cumsum(columns.ys)
+        before = sums[columns.starts] - columns.ys[columns.starts]  # the sum before each record
+        cumulative = (sums - np.repeat(before, columns.lengths)) - (firsts + columns.ys) / 2.0
+    else:
+        cumulative = np.zeros(len(columns.x))
+        for rows, sums in _running_integrals(columns.counts, columns.offsets):
+            cumulative[columns.starts[rows, None] + np.arange(1, sums.shape[1] + 1)] = sums
     # the support of every record starts at 0, and x is x - a
     span = np.repeat(columns.x[columns.ends], columns.lengths)
     edge = columns.x < _AVERAGING_EDGE * span
-    firsts = columns.ys[np.repeat(columns.starts, columns.lengths)]
     return cumulative, np.where(edge, firsts, cumulative / np.where(edge, 1.0, columns.x))
 
 

@@ -152,6 +152,17 @@ class TestIndexCommand:
         assert (code, out) == (2, "")
         assert err == f"error: {p}: record 1: 'id' is not encodable as UTF-8\n"
 
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("command", ["index", "bundle", "admissible"])
+    def test_index_name_not_encodable_as_utf8_exit_2(
+        self, csv_file, tmp_path, capsys, command, fmt
+    ):
+        p = tmp_path / "cfg.json"
+        p.write_text('{"indices": [{"name": "h\\ud800", "operator": "identity"}]}')
+        code, out, err = run_cli([command, csv_file, "--config", str(p), "--format", fmt], capsys)
+        assert (code, out) == (2, "")
+        assert err == "error: bad config: index 'h\\ud800': 'name' is not encodable as UTF-8\n"
+
     # the exact exit code and message for each kind of bad token, in both input formats
     @pytest.mark.parametrize(
         "token, problem",
@@ -591,6 +602,19 @@ class TestOverflowingPower:
         assert (proc.returncode, proc.stderr) == (0, "")
         assert proc.stdout == f"id,index,theta,value\nr,{name},0.5,{value}\n"
 
+    def test_overflowing_total_integral_is_silent(self, tmp_path):
+        # g's total integral of this record overflows to inf: admissible's
+        # columnar ranges printed numpy's overflow RuntimeWarning
+        src = tmp_path / "s.csv"
+        src.write_text("id,counts\nr,1.7e308;1.7e308;1e308\n")
+        cmd = [sys.executable, "-m", "hirschbundles", "admissible", str(src)]
+        proc = subprocess.run(cmd, capture_output=True, text=True)
+        assert (proc.returncode, proc.stderr) == (0, "")
+        assert proc.stdout == (
+            "id,index,theta_min,theta_max,certified\nr,h,0,inf,true\n"
+            'r,g,,,"error: no theta is admissible: the threshold is not positive on [0.0, 4.0]"\n'
+        )
+
 
 class TestVerifyCommand:
     def test_stock_suite_exit_zero(self, tmp_path, capsys):
@@ -957,6 +981,13 @@ def test_fmt_prints_inf_and_zero():
     assert cli._fmt(0.0) == "0"
 
 
+# every float: both zeros, infinities, NaN, subnormals and integers past 2**53
+@given(st.floats())
+@settings(max_examples=2000, deadline=None)
+def test_fmt_is_format_with_12_significant_digits(x):
+    assert cli._fmt(x) == format(x, ".12g")
+
+
 # Irregular CSV input for the reader, which parses a chunk of CSV_CHUNK records
 # from the digits of its text, or else with one numpy call, and sends any chunk
 # it cannot parse either way through the line-by-line reader.  ONE_CHUNK fills
@@ -1011,6 +1042,12 @@ READER_INPUTS = {
     "nul-in-count": "id,counts\nok,3;2;1\nt,4\x001;1\n",
     "quoted-id-after-1000-records": "id,counts\n" + ONE_CHUNK + '"q,1",3;2\nr1001,2;1\n',
     "crlf-after-1000-records": "id,counts\n" + ONE_CHUNK + "r1000,3;2\r\nr1001,2;1\r\n",
+    # a quoted line break inside the counts, where the digit reader finds
+    # one line more than the chunk has records
+    "line-break-in-counts": 'id,counts\nok,3;2;1\na,"1\n2"\n',
+    "line-break-in-counts-after-1000-records": (
+        "id,counts\n" + ONE_CHUNK + 'r1000,"4\n3";1\nr1001,2;1\n'
+    ),
 }
 
 # exit code, stderr (of both commands), and sha256 of the stdout of
@@ -1171,6 +1208,16 @@ READER_OUTPUTS = {
         "cb317413e1165ca590d51bedc24308d3e74eae7698e802dfa756e0bd22474b92",
         "1111de4e0f69cb77287435892fe0de07837da22a1a895eed872c730f5da3dca1",
     ),
+    "line-break-in-counts": (
+        2, "error: {p}: line 3: counts must be numbers\n",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    ),
+    "line-break-in-counts-after-1000-records": (
+        2, "error: {p}: line 1002: counts must be numbers\n",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    ),
 }
 
 
@@ -1304,8 +1351,23 @@ count_values = st.one_of(
     st.floats(min_value=0.0, max_value=1e12, allow_nan=False, allow_infinity=False),
     st.sampled_from([0.0, 0.1, 1 / 3, 2.5, 1e-300]),
 )
-count_records = st.lists(count_values, min_size=1, max_size=40).map(
-    lambda c: sorted(c, reverse=True)
+
+
+def _descending(counts):
+    return sorted(map(float, counts), reverse=True)
+
+
+# integer counts, whose totals are one prefix sum within funcspace._exact_in_halves:
+# small ones, long flat runs of 10**9, records past its bound 2**52 (the last
+# two round as a prefix sum) and records of -0.0 (whose prefix sum is -0.0)
+integer_count_records = st.one_of(
+    st.lists(st.integers(min_value=0, max_value=10**6), min_size=1, max_size=40),
+    st.integers(min_value=1, max_value=200).map(lambda n: [10**9] * n),
+    st.sampled_from([[-0.0], [-0.0, -0.0], [3, -0.0]]),
+    st.sampled_from([[2**51, 2**51], [2**52], [2**52, 1], [2766970116572595, 2714609530289398]]),
+).map(_descending)
+count_records = st.one_of(
+    st.lists(count_values, min_size=1, max_size=40).map(_descending), integer_count_records
 )
 
 
@@ -1315,7 +1377,12 @@ def _comparable(rng):
     return rng.theta_min is not None and rng.theta_min.hex(), rng.theta_max.hex(), rng.certified
 
 
-@given(st.lists(count_records, min_size=1, max_size=12))
+@given(
+    st.one_of(
+        st.lists(count_records, min_size=1, max_size=12),
+        st.lists(integer_count_records, max_size=12),  # corpora of integer counts only
+    )
+)
 @settings(max_examples=100, deadline=None)
 def test_certified_ranges_are_bitwise_those_of_admissible_range(records):
     records = records + [[0.0] * 3]  # the zero function admits no theta

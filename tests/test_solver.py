@@ -9,11 +9,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hirschbundles import solver, thresholds
+from hirschbundles import funcspace, solver, thresholds
 from hirschbundles.errors import BundleError, NonPositiveThetaError, NoRootError, NonUniqueError
 from hirschbundles.funcspace import (
     PerturbMode,
     RankFrequencyFunction,
+    citation_integrals,
     from_citation_counts,
     perturb,
     random_function,
@@ -641,6 +642,17 @@ def test_every_root_lies_in_its_domain(counts, kind, p, theta):
     assert 0.0 < m <= f.support_end
 
 
+# Records on both sides of funcspace._exact_in_halves, within which g's running
+# integrals are one prefix sum: at its bound 2**52 (2**50 * (3 counts + 1
+# record), 2**51 * (1 + 1)), and past it, with records whose running sums
+# round otherwise ([2**52, 1], and one whose sums stay below 2**53), records
+# of -0.0, whose running sums keep a sign, and a fraction.
+PAST_BOUND = [2766970116572595, 2714609530289398]
+BOUND_RECORDS = [
+    [2**50] * 3, [2**51], [2**51, 2**51], [2**52], [2**52, 1], PAST_BOUND,
+    [-0.0], [3, -0.0], [2.5, 1],
+]
+
 # The pairs of the columnar kernel, and records that reach each of its rules:
 # ties and zeros, one count, long flat runs (g's NoRoot and S-boundary cells),
 # counts whose running sums overflow, and the zero record, which it declines.
@@ -650,8 +662,11 @@ kernel_records = st.one_of(
     st.integers(min_value=0, max_value=10**6).map(lambda c: [c]),
     st.tuples(st.integers(min_value=1, max_value=1000), st.integers(min_value=1, max_value=400))
     .map(lambda cn: [cn[0]] * cn[1]),
+    st.integers(min_value=1, max_value=400).map(lambda n: [10**9] * n),
     st.lists(st.floats(min_value=0.0, max_value=1.7e308), min_size=1, max_size=5),
     st.integers(min_value=1, max_value=5).map(lambda n: [0] * n),
+    st.integers(min_value=1, max_value=3).map(lambda n: [-0.0] * n),
+    st.sampled_from(BOUND_RECORDS),
 ).map(lambda record: sorted(record, reverse=True))
 # round thetas, which put D = 0 at points of integer records, and log-uniform ones
 kernel_thetas = st.one_of(
@@ -659,6 +674,14 @@ kernel_thetas = st.one_of(
     st.floats(-3.0, 3.0).map(lambda u: 10.0**u),
     st.floats(-300.0, 300.0).map(lambda u: 10.0**u),
 )
+
+
+def _citation_columns(records):
+    lengths = [len(r) for r in records]
+    return solver._CitationColumns(
+        np.array([c for r in records for c in r], dtype=float),
+        np.concatenate([[0], np.cumsum(lengths)]),
+    )
 
 
 @pytest.mark.parametrize("kind, p", KERNEL_PAIRS)
@@ -669,11 +692,7 @@ kernel_thetas = st.one_of(
 @settings(max_examples=150, deadline=None)
 def test_kernel_cells_are_bitwise_those_of_sample_bundle(kind, p, records, thetas):
     family = PowerThreshold(p, 0.0)
-    lengths = [len(r) for r in records]
-    columns = solver._CitationColumns(
-        np.array([c for r in records for c in r], dtype=float),
-        np.concatenate([[0], np.cumsum(lengths)]),
-    )
+    columns = _citation_columns(records)
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # silent, as the scalar solve's arithmetic
         m, code = solver._bundle_cells(columns, kind, family, thetas)
@@ -686,6 +705,73 @@ def test_kernel_cells_are_bitwise_those_of_sample_bundle(kind, p, records, theta
             if code[r, t] != solver._DECLINED:
                 assert solver._STATUSES[code[r, t]] is entry.status, (r, entry)
                 assert float(m[r, t]).hex() == entry.m.hex(), (r, entry)
+
+
+def _hexes(values):
+    return [float(v).hex() for v in values]
+
+
+def _assert_integrals_are_the_functions(records):
+    """g's kernel columns and the records' total integrals, bitwise against
+    each record's function, its ``cumulative`` and averaging values."""
+    columns = _citation_columns(records)
+    with np.errstate(all="ignore"):  # as _bundle_cells runs it
+        cumulative, tvals = solver._averaging_columns(columns)
+    totals = citation_integrals(columns.counts, columns.offsets)
+    for r, record in enumerate(records):
+        f = from_citation_counts(record)
+        points = slice(columns.starts[r], columns.ends[r] + 1)
+        assert _hexes(cumulative[points]) == _hexes(f.cumulative), record
+        assert _hexes(tvals[points]) == _hexes(apply(AVERAGING, f).breakpoint_values), record
+        assert totals[r].hex() == f.cumulative[-1].hex(), record
+
+
+@given(
+    st.lists(
+        st.one_of(
+            st.lists(st.integers(min_value=0, max_value=10**6), min_size=1, max_size=30),
+            st.integers(min_value=1, max_value=400).map(lambda n: [10**9] * n),
+            st.integers(min_value=1, max_value=3).map(lambda n: [-0.0] * n),
+            st.sampled_from(BOUND_RECORDS),
+        ).map(lambda record: sorted(map(float, record), reverse=True)),
+        min_size=1,
+        max_size=6,
+    )
+)
+@settings(max_examples=300, deadline=None)
+def test_running_integrals_are_bitwise_those_of_the_functions(records):
+    _assert_integrals_are_the_functions(records)
+
+
+@pytest.mark.parametrize(
+    "records, outside",
+    [
+        ([[3, 2, 1], [5], [0]], False),
+        ([[10**9] * 400], False),
+        ([[2**50] * 3], False),  # at the bound
+        ([[2**51, 2**51]], True),
+        ([[2**52, 1]], True),
+        ([PAST_BOUND], True),
+        ([[3, 2, 1], [-0.0]], True),
+        ([[3, 2, 1], [2.5, 1]], True),
+    ],
+)
+def test_running_sums_only_outside_exact_halves(monkeypatch, records, outside):
+    records = [[float(c) for c in record] for record in records]
+    counts = np.array([c for r in records for c in r])
+    assert funcspace._exact_in_halves(counts, len(records)) is not outside
+    calls = []
+    running = funcspace._running_integrals
+
+    def spy(counts, offsets):
+        calls.append(len(offsets) - 1)
+        return running(counts, offsets)
+
+    monkeypatch.setattr(funcspace, "_running_integrals", spy)
+    monkeypatch.setattr(solver, "_running_integrals", spy)
+    _assert_integrals_are_the_functions(records)
+    # once by citation_integrals and once by _averaging_columns, each for every record
+    assert calls == ([len(records)] * 2 if outside else [])
 
 
 def test_kernel_declines_a_record_whose_positive_points_are_no_prefix():
