@@ -174,8 +174,10 @@ def load_config(path: str | None) -> RunConfig:
     except (AttributeError, TypeError, ValueError, OverflowError) as e:
         raise CliError(f"bad config: {e}")
     for idx in indices:
+        if not isinstance(idx.name, str):  # a table cell must be text
+            raise CliError(f"bad config: index {idx.name!r}: 'name' must be a string")
         try:
-            str(idx.name).encode("utf-8")
+            idx.name.encode("utf-8")
         except UnicodeEncodeError:  # a lone surrogate, which UTF-8 output cannot hold
             raise CliError(f"bad config: index {idx.name!r}: 'name' is not encodable as UTF-8")
     _validate_grid(cfg.theta_grid)
@@ -601,111 +603,108 @@ def _json_text(
     return "[\n  {\n" + "\n  },\n  {\n".join(records) + "\n  }\n]\n"
 
 
-def _m_cell(m: float) -> str:
-    """The printed m of a bundle cell: empty where the solve failed (m is NaN)."""
-    return _fmt(m) if math.isfinite(m) else ""
+# A cell's status by its code from solver._bundle_cells, a position in SolveStatus
+_STATUS_NAMES = [status.value for status in _STATUSES]
 
 
-def _bundle_samples(args, cfg: RunConfig, thetas: list[float]):
-    """(id, index, threshold, m_cells, status_cells) for every source and index,
-    in input order.
-
-    The cells are the printed m (:func:`_m_cell`) and status of the source's
-    bundle at each of ``thetas``, as :func:`sample_bundle` gives them.  The
-    records are taken ``CSV_CHUNK`` at a time.  For an index with
-    closed-form cells (``solver._closed_form_pair``: h, g, and identity x
-    power(2)), one ``solver._bundle_cells`` call answers the whole chunk,
-    and only the cells it declines are solved one by one, by
-    ``sample_bundle`` over those thetas; any other index takes
-    ``sample_bundle`` per record.  A record's function is built once, for
-    its first such solve.  Each index is resolved once, at the support start
-    every record shares, where the first record reaches it: an index that
-    does not resolve fails there, and an empty corpus resolves none.  A
-    failure names the first failing (record, index) in that order.
+def _bundle_chunks(
+    corpus: Corpus, indices: Sequence[IndexDef], thetas: list[float]
+) -> Iterator[tuple[list[str], np.ndarray, np.ndarray]]:
+    """Per ``CSV_CHUNK`` records: their ids, and the m (NaN where the solve
+    failed) and status code (``solver._bundle_cells``') that
+    :func:`sample_bundle` gives at each of ``thetas``, as arrays of shape
+    (record, index, theta).  ``_bundle_cells`` fills a closed-form index (h,
+    g, identity x power(2)) whole, and ``sample_bundle`` what it declines
+    and every other index, in (record, index) order, building a record's
+    function once.  An index is resolved once, where the first record
+    reaches it, at the support start all records share.  So a failure names
+    the first failing (record, index), or index.
     """
-    corpus = read_sources(args.input)
     bounds = corpus.offsets.tolist()
-    resolved: list[tuple[OperatorKind, ThresholdFamily] | None] = [None] * len(cfg.indices)
+    resolved: list[tuple[OperatorKind, ThresholdFamily] | None] = [None] * len(indices)
     for start in range(0, len(corpus), CSV_CHUNK):
         stop = min(start + CSV_CHUNK, len(corpus))
-        columns = None
-        kernel: dict[int, list[tuple[list[str], list[str | None]]]] = {}  # by index position
-        for r in range(start, stop):
-            source_id, f = corpus.ids[r], None
-            for i, idx in enumerate(cfg.indices):
-                if resolved[i] is None:
-                    resolved[i] = idx.resolve_at(_RECORD_ORIGIN)
-                kind, fam = resolved[i]
-                try:
-                    if i not in kernel and _closed_form_pair(kind, fam):
-                        if columns is None:
-                            chunk = corpus.offsets[start : stop + 1]
-                            columns = _CitationColumns(corpus.counts, chunk)
-                        kernel[i] = _kernel_cells(columns, kind, fam, thetas)
-                    if i in kernel:
-                        m_cells, status_cells = kernel[i][r - start]
-                    else:
-                        m_cells, status_cells = [""] * len(thetas), [None] * len(thetas)
-                    if None in status_cells:
-                        todo = [k for k, status in enumerate(status_cells) if status is None]
-                        if f is None:
-                            f = from_citation_counts(corpus.counts[bounds[r] : bounds[r + 1]])
-                        entries = sample_bundle(f, kind, fam, [thetas[k] for k in todo])
-                        for k, entry in zip(todo, entries):
-                            m_cells[k], status_cells[k] = _m_cell(entry.m), entry.status.value
-                except BundleError as e:
-                    raise CliError(f"source {source_id!r}, index {idx.name!r}: {e}")
-                yield source_id, idx, fam, m_cells, status_cells
+        m = np.full((stop - start, len(indices), len(thetas)), math.nan)
+        code = np.full(m.shape, _DECLINED, dtype=np.int8)
+        columns, built = None, (None, None)  # built: a record and its function
+        for r, i in chain(zip(repeat(0), range(len(indices))), _declined_pairs(code)):
+            if resolved[i] is None:
+                resolved[i] = indices[i].resolve_at(_RECORD_ORIGIN)
+            kind, fam = resolved[i]
+            try:
+                if r == 0 and _closed_form_pair(kind, fam):
+                    if columns is None:
+                        columns = _CitationColumns(corpus.counts, corpus.offsets[start : stop + 1])
+                    m[:, i], code[:, i] = _bundle_cells(columns, kind, fam, thetas)
+                todo = np.flatnonzero(code[r, i] == _DECLINED)
+                if len(todo):
+                    if built[0] != r:
+                        record = corpus.counts[bounds[start + r] : bounds[start + r + 1]]
+                        built = r, from_citation_counts(record)
+                    entries = sample_bundle(built[1], kind, fam, [thetas[k] for k in todo])
+                    m[r, i, todo] = [entry.m for entry in entries]
+                    code[r, i, todo] = [_STATUSES.index(entry.status) for entry in entries]
+            except BundleError as e:
+                raise CliError(f"source {corpus.ids[start + r]!r}, index {indices[i].name!r}: {e}")
+        yield corpus.ids[start:stop], m, code
 
 
-def _kernel_cells(
-    columns: _CitationColumns, kind: OperatorKind, fam: PowerThreshold, thetas: list[float]
-) -> list[tuple[list[str], list[str | None]]]:
-    """(m_cells, status_cells) per record of ``columns`` from ``_bundle_cells``,
-    with the status None for a declined cell."""
-    ms, codes = _bundle_cells(columns, kind, fam, thetas)
-    names = {code: status.value for code, status in enumerate(_STATUSES)}
-    names[_DECLINED] = None
-    ms = ms.ravel()
-    m_cells = list(map(_CELL.__mod__, ms.tolist()))
-    for k in np.flatnonzero(~np.isfinite(ms)).tolist():  # as _m_cell
-        m_cells[k] = ""
-    status_cells = list(map(names.__getitem__, codes.ravel().tolist()))
-    n = len(thetas)
-    return [(m_cells[k : k + n], status_cells[k : k + n]) for k in range(0, len(m_cells), n)]
+def _declined_pairs(code: np.ndarray) -> Iterator[tuple[int, int]]:
+    """The later records' (record, index) pairs with a declined cell, read when first iterated."""
+    for r, i in np.argwhere((code[1:] == _DECLINED).any(axis=2)).tolist():
+        yield r + 1, i
 
 
-def _grid_groups(fixed: list[tuple], theta_cells: list[str], *cells: list[str]) -> _Groups:
-    """Groups of one row per theta: ``fixed`` per group, then the theta and
-    ``cells`` per row."""
-    return list(zip(*fixed)), [theta_cells * len(fixed), *cells], [len(theta_cells)] * len(fixed)
+def _m_cells(m: np.ndarray, code: np.ndarray, failed: Sequence[str]) -> list[str]:
+    """Every cell's printed m, flattened, or ``failed[code]`` where the solve failed (m is NaN)."""
+    cells = list(map(_CELL.__mod__, m.ravel().tolist()))
+    for k in np.flatnonzero(~np.isfinite(m.ravel())).tolist():
+        cells[k] = failed[code.flat[k]]
+    return cells
+
+
+def _grid_groups(
+    ids: list[str], heads: list[tuple[str, ...]], thetas: list[float], *cells: list[str]
+) -> _Groups:
+    """One group per (record, index), of one row per theta: the record's id and the
+    index's ``heads`` cells per group, then the theta and ``cells`` per row."""
+    groups = len(ids) * len(heads)
+    fixed = [list(_repeated(ids, [len(heads)] * len(ids)))]
+    fixed += [list(column) * len(ids) for column in zip(*heads)]
+    return fixed, [list(map(_fmt, thetas)) * groups, *cells], [len(thetas)] * groups
 
 
 def cmd_index(args, cfg: RunConfig) -> int:
     thetas = cfg.theta_grid.values()
-    fixed, values = [], []
-    for source_id, idx, _, m_cells, status_cells in _bundle_samples(args, cfg, thetas):
-        fixed.append((source_id, idx.name))
-        # the value is m, or the status where the solve failed
-        values += [m or status for m, status in zip(m_cells, status_cells)]
-    groups = _grid_groups(fixed, list(map(_fmt, thetas)), values)
+    ids: list[str] = []
+    values: list[str] = []  # m, or the status where the solve failed
+    for chunk_ids, m, code in _bundle_chunks(read_sources(args.input), cfg.indices, thetas):
+        ids += chunk_ids
+        values += _m_cells(m, code, _STATUS_NAMES)
+    groups = _grid_groups(ids, [(idx.name,) for idx in cfg.indices], thetas, values)
     _emit(["id", "index", "theta", "value"], groups, args.format, sys.stdout)
     return 0
 
 
 def cmd_bundle(args, cfg: RunConfig) -> int:
     thetas = cfg.theta_grid.values()
-    fixed, ms, statuses = [], [], []
-    for source_id, idx, fam, m_cells, status_cells in _bundle_samples(args, cfg, thetas):
-        power = idx.family == "power"
-        p_cell = _fmt(idx.p) if power else ""
-        shift_cell = _fmt(fam.shift) if power else ""
-        fixed.append((source_id, idx.name, idx.operator, p_cell, shift_cell))
-        ms += m_cells
-        statuses += status_cells
+    ids: list[str] = []
+    ms: list[str] = []
+    statuses: list[str] = []
+    for chunk_ids, m, code in _bundle_chunks(read_sources(args.input), cfg.indices, thetas):
+        ids += chunk_ids
+        ms += _m_cells(m, code, [""] * len(_STATUSES))
+        statuses += map(_STATUS_NAMES.__getitem__, code.ravel().tolist())
+    # each index's cells, once; a power's shift as resolved for the cells (if a record was)
+    heads = [
+        (idx.name, idx.operator, _fmt(idx.p), _fmt(idx.resolve_at(_RECORD_ORIGIN)[1].shift))
+        if idx.family == "power"
+        else (idx.name, idx.operator, "", "")
+        for idx in (cfg.indices if ids else ())
+    ]
     _emit(
         ["id", "index", "operator", "p", "shift", "theta", "m", "status"],
-        _grid_groups(fixed, list(map(_fmt, thetas)), ms, statuses),
+        _grid_groups(ids, heads, thetas, ms, statuses),
         args.format,
         sys.stdout,
     )
@@ -849,28 +848,26 @@ def cmd_verify(args, cfg: RunConfig) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    # parents for the options every command shares and for the input: each argument is built once
+    shared = argparse.ArgumentParser(add_help=False)
+    shared.add_argument("--config", help="JSON config file")
+    shared.add_argument("--seed", type=int, default=None, help="master seed")
+    shared.add_argument("--theta-grid", default=None, help="min:max:count[:log]")
+    shared.add_argument("--format", choices=("csv", "json"), default="csv")
+    source = argparse.ArgumentParser(add_help=False)
+    source.add_argument("input", help="CSV (id,counts with ';'-separated counts) or JSON file")
+    reading = [source, shared]
     parser = argparse.ArgumentParser(
         prog="hirschbundles",
         description="Generalized Hirsch-type impact bundles over citation records",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p: argparse.ArgumentParser, needs_input: bool) -> None:
-        if needs_input:
-            p.add_argument("input", help="CSV (id,counts with ';'-separated counts) or JSON file")
-        p.add_argument("--config", help="JSON config file")
-        p.add_argument("--seed", type=int, default=None, help="master seed")
-        p.add_argument("--theta-grid", default=None, help="min:max:count[:log]")
-        p.add_argument("--format", choices=("csv", "json"), default="csv")
-
-    p_index = sub.add_parser("index", help="one value per (source, index, theta)")
-    common(p_index, True)
-    p_bundle = sub.add_parser("bundle", help="sampled bundle table over the theta grid")
-    common(p_bundle, True)
-    p_adm = sub.add_parser("admissible", help="admissible theta range per source and index")
-    common(p_adm, True)
-    p_verify = sub.add_parser("verify", help="run the randomized property suite")
-    common(p_verify, False)
+    sub.add_parser("index", parents=reading, help="one value per (source, index, theta)")
+    sub.add_parser("bundle", parents=reading, help="sampled bundle table over the theta grid")
+    sub.add_parser(
+        "admissible", parents=reading, help="admissible theta range per source and index"
+    )
+    p_verify = sub.add_parser("verify", parents=[shared], help="run the randomized property suite")
     p_verify.add_argument("--trials", type=int, default=None, help="trials per property")
     p_verify.add_argument(
         "--report", default="verification_report.json", help="machine-readable report path"

@@ -251,6 +251,9 @@ def citation_integrals(counts: np.ndarray, offsets: np.ndarray) -> np.ndarray:
     return np.add.reduceat(counts, firsts) + counts[firsts] / 2.0
 
 
+_CHECK_BLOCK = 1 << 16  # counts per block of the integer check of _exact_in_halves
+
+
 def _exact_in_halves(counts: np.ndarray, records: int) -> bool:
     """Whether every running integral of these records' functions is exact in float64.
 
@@ -263,11 +266,11 @@ def _exact_in_halves(counts: np.ndarray, records: int) -> bool:
     of such terms is then the same float however it is formed, and none
     is -0.0.
     """
-    return bool(
-        # a Python float product overflows to inf with no warning
-        float(counts.max()) * (len(counts) + records) <= 2.0**52
-        and not np.signbit(counts).any()
-        and (np.floor(counts) == counts).all()
+    # checked block by block: temporaries the size of a corpus cost more than the checks
+    blocks = (counts[k : k + _CHECK_BLOCK] for k in range(0, len(counts), _CHECK_BLOCK))
+    # a Python float product overflows to inf with no warning
+    return float(counts.max()) * (len(counts) + records) <= 2.0**52 and all(
+        not np.signbit(block).any() and (np.floor(block) == block).all() for block in blocks
     )
 
 

@@ -34,14 +34,9 @@ bounds of the theta-free phi = T(f)' / A'(., 1) (``thresholds._phi_bounds``).
 The CLI's records all start at 0, and for the pairs whose every root cell
 has a closed form there, identity x power(1 or 2) and averaging x power(1)
 with the shift at 0 (the h-, Kosmulski- and g-bundles), a private columnar
-kernel (``_bundle_cells``) solves every record at every theta of a grid in
-a few numpy passes.  It lays the records' breakpoints out as flat columns
-once (``_CitationColumns``) and repeats, per theta and for all records at
-once, the whole-support search above and ``_locate``'s closed form, in the
-same order of operations, so each cell it answers is bitwise the one
-``sample_bundle`` gives.  A cell it cannot answer that way is left to
-``sample_bundle``: the zero record, points with D > 0 that rounding
-leaves no prefix, and a closed form without exactly one root in its cell.
+kernel (``_bundle_cells``) solves every record at every theta of a grid at
+once, each cell it answers bitwise as ``sample_bundle`` does, by the
+whole-support search above run in lockstep over all (record, theta) lanes.
 ``solve_transformed`` and ``sample_bundle`` stay the per-function API.
 
 The identically-zero function is special-cased to m = support_start with
@@ -468,87 +463,92 @@ def _bundle_cells(
     """:func:`sample_bundle` of every record of ``columns`` at once, for a
     :func:`_closed_form_pair`: (m, code), each of shape (records, thetas).
 
-    Per theta it is :func:`solve_transformed` on the whole support, whose
-    table is one falling run of D = T(f) - theta A(., 1) at the points, and
-    ``_locate``'s closed form, in the same order of operations.  A code is
-    a position in ``SolveStatus`` (m is NaN but for ExactSegment), or
-    ``_DECLINED`` for a cell left to :func:`sample_bundle`: every cell
-    of the zero record, a cell whose points with D > 0 are no prefix, and
-    one whose closed form does not give exactly one root in its bracket.
-    Raises as :func:`sample_bundle` for a bad grid.
+    Every (record, theta) lane runs :func:`_solve` on the whole support: its
+    search in lockstep over all lanes (:func:`_bisect_lanes`), then its
+    exact-zero, NonUnique and S-boundary rules and ``_locate``'s closed form
+    per lane, in the same order of operations, so each cell it answers is
+    bitwise the one ``sample_bundle`` gives.  A code is a position in
+    ``SolveStatus`` (m is NaN but for ExactSegment), or ``_DECLINED`` for a
+    cell left to :func:`sample_bundle`: the zero record's, and one whose
+    closed form has not exactly one root in its bracket.  Raises as
+    :func:`sample_bundle` for a bad grid.
     """
     thetas = _theta_list(theta_grid)
-    m = np.full((len(columns.starts), len(thetas)), math.nan)
-    code = np.full(m.shape, _NO_ROOT, dtype=np.int8)
+    count, x = len(thetas), columns.x
+    theta = np.tile(thetas, len(columns.starts))  # lane r * count + k: record r at thetas[k]
+    start, length = np.repeat(columns.starts, count), np.repeat(columns.lengths, count)
+    end = start + length - 1
+    m = np.full(len(theta), math.nan)
+    code = np.full(len(theta), _NO_ROOT, dtype=np.int8)
     # no overflow or NaN warnings, as the scalar solve's float arithmetic gives none
     with np.errstate(all="ignore"):
         tvals, cumulative = columns.ys, None
         if kind is OperatorKind.AVERAGING:
             cumulative, tvals = _averaging_columns(columns)
-        base = np.power(columns.x - family.shift, family.p)
-        d = np.empty_like(base)  # one buffer: a fresh large array costs page faults
-        for k, theta in enumerate(thetas):
-            np.subtract(tvals, np.multiply(base, theta, out=d), out=d)  # tvals - theta * base
-            _theta_cells(columns, cumulative, family, theta, d, m[:, k], code[:, k])
-    return m, code
-
-
-def _theta_cells(
-    columns: _CitationColumns,
-    cumulative: np.ndarray | None,
-    family: PowerThreshold,
-    theta: float,
-    d: np.ndarray,
-    m: np.ndarray,
-    code: np.ndarray,
-) -> None:
-    """Fill the m and code of every record at one theta, from D at its points; they hold
-    NaN and NoRoot until then.  ``cumulative`` is None for the identity."""
-    starts, ends, lengths, x = columns.starts, columns.ends, columns.lengths, columns.x
-    # solve_transformed's binary search finds the first point with D <= 0 (or
-    # NaN), which is the count j of points with D > 0 where those form a
-    # prefix: where no point with D > 0 follows one without inside a record
-    positive = d > 0.0
-    j = np.add.reduceat(positive, starts)
-    everywhere = j == lengths
-    rises = positive[1:] > positive[:-1]
-    rises[starts[1:] - 1] = False  # the next point starts a record
-    declined = columns.ys[starts] == 0.0  # the zero record
-    declined[np.searchsorted(starts, np.flatnonzero(rises), side="right") - 1] = True
-    at = starts + np.minimum(j, lengths - 1)
-    zero_at = ~everywhere & (d[at] == 0.0)
-    non_unique = zero_at & (at < ends) & (d[np.minimum(at + 1, ends)] == 0.0)
-    # a zero at x = 0, the open lower end at the shift, is no root
-    exact = zero_at & ~non_unique & (j > 0)
-    m[exact] = x[at[exact]]
-    if everywhere.any():  # the S-boundary rule
-        largest = np.maximum(np.maximum.reduceat(d, starts), -np.minimum.reduceat(d, starts))
-        tol = _BOUNDARY_TOL * np.maximum(1.0, largest)  # the largest |D|
-        boundary = everywhere & (np.abs(d[ends]) <= tol) & (tol < math.inf)
-        m[boundary] = x[ends[boundary]]
-        exact |= boundary
-    code[exact] = _EXACT
-    code[non_unique] = _NON_UNIQUE
-    cells = np.flatnonzero(~declined & ~everywhere & ~zero_at & (j > 0))
-    if len(cells):
-        root, one = _cell_roots(columns, cumulative, family, theta, at[cells], x[ends[cells]])
-        solved = one & (root > 0.0)  # else the root underflows to the shift 0
-        m[cells[solved]] = root[solved]
-        code[cells[solved]] = _EXACT
-        declined[cells[~one]] = True
+        base = np.power(x - family.shift, family.p)
+        j = _bisect_lanes(tvals, base, theta, start, length)
+        at = np.minimum(start + j, end)
+        after = np.minimum(at + 1, end)
+        zero_at = (j < length) & (tvals[at] - theta * base[at] == 0.0)
+        non_unique = zero_at & (at < end) & (tvals[after] - theta * base[after] == 0.0)
+        # a zero at x = 0, the open lower end at the shift, is no root
+        exact = zero_at & ~non_unique & (j > 0)
+        m[exact] = x[at[exact]]
+        # The S-boundary rule where the search met no D <= 0.  As |D| <= |tvals| + theta |base|,
+        # it skips the lanes where |D(S)| > 1e-12 max(1, 2 (max |tvals| + theta max |base|)).
+        lanes = np.flatnonzero(j == length)
+        if len(lanes):
+            d_end = np.abs(tvals[end[lanes]] - theta[lanes] * base[end[lanes]])
+            top = np.maximum.reduceat(np.abs(tvals), columns.starts)[lanes // count]
+            top += theta[lanes] * np.maximum.reduceat(np.abs(base), columns.starts)[lanes // count]
+            for k in lanes[~(d_end > _BOUNDARY_TOL * np.maximum(1.0, 2.0 * top))].tolist():
+                d = tvals[start[k] : end[k] + 1] - theta[k] * base[start[k] : end[k] + 1]
+                tol = _BOUNDARY_TOL * max(1.0, float(np.abs(d).max()))
+                if abs(d[-1]) <= tol < math.inf:
+                    m[k], exact[k] = x[end[k]], True
+        code[exact] = _EXACT
+        code[non_unique] = _NON_UNIQUE
+        declined = np.repeat(columns.ys[columns.starts] == 0.0, count)  # the zero record
+        cells = np.flatnonzero(~declined & ~zero_at & (j > 0) & (j < length))
+        if len(cells):
+            root, one = _cell_roots(
+                columns, cumulative, family, theta[cells], at[cells], end[cells]
+            )
+            solved = one & (root > 0.0)  # else the root underflows to the shift 0
+            m[cells[solved]] = root[solved]
+            code[cells[solved]] = _EXACT
+            declined[cells[~one]] = True
     code[declined] = _DECLINED
+    return m.reshape(-1, count), code.reshape(-1, count)
+
+
+def _bisect_lanes(
+    tvals: np.ndarray, base: np.ndarray, theta: np.ndarray, start: np.ndarray, length: np.ndarray
+) -> np.ndarray:
+    """:func:`_solve`'s ``bisect_left`` on all lanes at once, by the same probes whether or
+    not D falls: on lane k, the first j of 0, ..., length[k] with D = tvals - theta[k] base at
+    start[k] + j not > 0.  Each round sets lo = mid + 1 if D(mid) > 0, else hi = mid, if lo < hi."""
+    lo, hi = np.zeros_like(length), length.copy()
+    for _ in range(int(length.max()).bit_length()):
+        mid = (lo + hi) >> 1
+        at = start + mid  # past the lane's points only once lo = hi = length
+        positive = tvals.take(at, mode="clip") - theta * base.take(at, mode="clip") > 0.0
+        positive &= mid < hi
+        lo = np.where(positive, mid + 1, lo)
+        hi = np.where(positive, hi, mid)
+    return lo
 
 
 def _cell_roots(
     columns: _CitationColumns,
     cumulative: np.ndarray | None,
     family: PowerThreshold,
-    theta: float,
+    theta: np.ndarray,
     i1: np.ndarray,
-    support_end: np.ndarray,
+    ends: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """``_locate``'s closed form on the cells [x[i1 - 1], x[i1]]: the root,
-    clamped into its cell, and whether there was exactly one."""
+    """``_locate``'s closed form on the cells [x[i1 - 1], x[i1]], at their thetas, in records
+    ending at x[ends]: the root, clamped into its cell, and whether there was exactly one."""
     x, ys = columns.x, columns.ys
     i0 = i1 - 1
     x0, x1, y0 = x[i0], x[i1], ys[i0]
@@ -572,7 +572,7 @@ def _cell_roots(
     linear = c2 == 0.0
     t = np.where(c0 == 0.0, -c1 / c2, np.where(linear, -c0 / c1, np.where(q == 0.0, 0.0, q / c2)))
     other = np.where((c0 == 0.0) | linear | (q == 0.0), math.nan, c0 / q)
-    eps = 1e-12 * (support_end - 0.0 + 1.0)
+    eps = 1e-12 * (x[ends] - 0.0 + 1.0)
     roots = x0 + t, x0 + other
     inside = [(x0 - eps <= r) & (r <= x1 + eps) for r in roots]
     r = np.where(inside[0], *roots)

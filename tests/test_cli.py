@@ -163,6 +163,18 @@ class TestIndexCommand:
         assert (code, out) == (2, "")
         assert err == "error: bad config: index 'h\\ud800': 'name' is not encodable as UTF-8\n"
 
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("command", ["index", "bundle", "admissible"])
+    @pytest.mark.parametrize("name, shown", [("5", "5"), ("null", "None"), ('["h"]', "['h']")])
+    def test_index_name_not_a_string_exit_2(
+        self, csv_file, tmp_path, capsys, command, fmt, name, shown
+    ):
+        p = tmp_path / "cfg.json"
+        p.write_text(f'{{"indices": [{{"name": {name}, "operator": "identity"}}]}}')
+        code, out, err = run_cli([command, csv_file, "--config", str(p), "--format", fmt], capsys)
+        assert (code, out) == (2, "")
+        assert err == f"error: bad config: index {shown}: 'name' must be a string\n"
+
     # the exact exit code and message for each kind of bad token, in both input formats
     @pytest.mark.parametrize(
         "token, problem",
@@ -1430,3 +1442,136 @@ class TestDeterminism:
         b = subprocess.run(cmd, capture_output=True)
         assert a.returncode == b.returncode == 0
         assert a.stdout == b.stdout
+
+
+# What the parser prints for help and for bad arguments, in 80 columns, as
+# captured from the parser that added every shared option to each command
+# (Python 3.11's argparse): (argv, exit code, stdout, stderr)
+USAGE_BUNDLE = """\
+usage: hirschbundles bundle [-h] [--config CONFIG] [--seed SEED]
+                            [--theta-grid THETA_GRID] [--format {csv,json}]
+                            input
+"""
+USAGE_TOP = "usage: hirschbundles [-h] {index,bundle,admissible,verify} ...\n"
+SHARED_HELP = """\
+options:
+  -h, --help            show this help message and exit
+  --config CONFIG       JSON config file
+  --seed SEED           master seed
+  --theta-grid THETA_GRID
+                        min:max:count[:log]
+  --format {csv,json}
+"""
+INPUT_HELP = """\
+positional arguments:
+  input                 CSV (id,counts with ';'-separated counts) or JSON file
+"""
+PARSER_TEXT = [
+    (
+        ["--help"],
+        0,
+        USAGE_TOP
+        + """
+Generalized Hirsch-type impact bundles over citation records
+
+positional arguments:
+  {index,bundle,admissible,verify}
+    index               one value per (source, index, theta)
+    bundle              sampled bundle table over the theta grid
+    admissible          admissible theta range per source and index
+    verify              run the randomized property suite
+
+options:
+  -h, --help            show this help message and exit
+""",
+        "",
+    ),
+    (["bundle", "--help"], 0, USAGE_BUNDLE + "\n" + INPUT_HELP + "\n" + SHARED_HELP, ""),
+    (
+        ["verify", "--help"],
+        0,
+        """\
+usage: hirschbundles verify [-h] [--config CONFIG] [--seed SEED]
+                            [--theta-grid THETA_GRID] [--format {csv,json}]
+                            [--trials TRIALS] [--report REPORT]
+                            [--inject-reversal]
+
+"""
+        + SHARED_HELP
+        + """\
+  --trials TRIALS       trials per property
+  --report REPORT       machine-readable report path
+  --inject-reversal     include the order-reversing configuration in the
+                        impact audit (self-test; fails)
+""",
+        "",
+    ),
+    (
+        ["admissible", "--help"],
+        0,
+        """\
+usage: hirschbundles admissible [-h] [--config CONFIG] [--seed SEED]
+                                [--theta-grid THETA_GRID]
+                                [--format {csv,json}]
+                                input
+
+"""
+        + INPUT_HELP
+        + "\n"
+        + SHARED_HELP,
+        "",
+    ),
+    (
+        ["bundle"],
+        2,
+        "",
+        USAGE_BUNDLE + "hirschbundles bundle: error: the following arguments are required: input\n",
+    ),
+    (
+        ["bundle", "x.csv", "--format", "xml"],
+        2,
+        "",
+        USAGE_BUNDLE + "hirschbundles bundle: error: argument --format: invalid choice: 'xml' "
+        "(choose from 'csv', 'json')\n",
+    ),
+    (
+        ["frobnicate"],
+        2,
+        "",
+        USAGE_TOP + "hirschbundles: error: argument command: invalid choice: 'frobnicate' "
+        "(choose from 'index', 'bundle', 'admissible', 'verify')\n",
+    ),
+]
+
+
+@pytest.mark.skipif(
+    sys.version_info[:2] != (3, 11), reason="the text as Python 3.11's argparse formats it"
+)
+@pytest.mark.parametrize("argv, code, out, err", PARSER_TEXT, ids=lambda v: str(v)[:40])
+def test_parser_text_is_pinned(monkeypatch, capsys, argv, code, out, err):
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as exit_info:
+        main(argv)
+    assert exit_info.value.code == code
+    assert capsys.readouterr() == (out, err)
+
+
+def test_option_prefixes_and_defaults():
+    parser = cli.build_parser()
+    args = parser.parse_args(["index", "x.csv", "--form", "json"])
+    assert vars(args) == {
+        "command": "index",
+        "input": "x.csv",
+        "config": None,
+        "seed": None,
+        "theta_grid": None,
+        "format": "json",
+    }
+    args = parser.parse_args(["verify", "--seed", "3"])
+    assert (args.seed, args.trials, args.report, args.inject_reversal, args.format) == (
+        3,
+        None,
+        "verification_report.json",
+        False,
+        "csv",
+    )

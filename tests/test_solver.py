@@ -687,7 +687,8 @@ def _citation_columns(records):
 @pytest.mark.parametrize("kind, p", KERNEL_PAIRS)
 @given(
     st.lists(kernel_records, min_size=1, max_size=8),
-    st.lists(kernel_thetas, min_size=1, max_size=5).map(sorted),
+    # at least 8 thetas, so that lanes at different thetas share the search's rounds
+    st.lists(kernel_thetas, min_size=8, max_size=12).map(sorted),
 )
 @settings(max_examples=150, deadline=None)
 def test_kernel_cells_are_bitwise_those_of_sample_bundle(kind, p, records, thetas):
@@ -774,18 +775,60 @@ def test_running_sums_only_outside_exact_halves(monkeypatch, records, outside):
     assert calls == ([len(records)] * 2 if outside else [])
 
 
-def test_kernel_declines_a_record_whose_positive_points_are_no_prefix():
-    # records 3;2;1 (points 0..4) and 5 (points 5..7); in the first, D > 0 at
-    # a point after one with D < 0, which rounding can leave where D decreases
-    columns = solver._CitationColumns(np.array([3.0, 2.0, 1.0, 5.0]), np.array([0, 3, 4]))
-    d = np.array([1.0, -1.0, 1.0, -1.0, -1.0, 1.0, 1.0, -1.0])
-    m, code = np.full(2, np.nan), np.full(2, solver._NO_ROOT, dtype=np.int8)
-    with np.errstate(all="ignore"):  # as _bundle_cells runs it
-        solver._theta_cells(columns, None, PowerThreshold(1.0), 1.0, d, m, code)
-    assert code[0] == solver._DECLINED
-    # the rise from the first record's last point to the second's first is none
-    want = solve_bundle_point(from_citation_counts([5.0]), IDENTITY, PowerThreshold(1.0), 1.0)
-    assert (solver._STATUSES[code[1]], m[1]) == (want[1], want[0])
+@given(
+    st.lists(
+        st.one_of(
+            st.integers(min_value=0, max_value=2**40).map(float),
+            st.sampled_from([-0.0, 0.5, 3.25, 2.0**51, 2.0**52]),
+        ),
+        min_size=1,
+        max_size=40,
+    ),
+    st.integers(min_value=1, max_value=40),
+    st.integers(min_value=1, max_value=5),
+)
+@settings(max_examples=300, deadline=None)
+def test_exact_in_halves_checks_in_blocks_as_in_one_pass(counts, records, block):
+    counts = np.array(counts)
+    one_pass = bool(
+        float(counts.max()) * (len(counts) + records) <= 2.0**52
+        and not np.signbit(counts).any()
+        and (np.floor(counts) == counts).all()
+    )
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(funcspace, "_CHECK_BLOCK", block)  # a fraction or -0.0 in any block
+        assert funcspace._exact_in_halves(counts, records) is one_pass
+
+
+# Records of (tvals, base) points, from one point up, and the thetas of their
+# lanes: D = tvals - theta base of any sign and order, with signed zeros,
+# infinities and NaN, which no falling D gives
+lane_records = st.lists(
+    st.lists(st.tuples(st.floats(), st.floats()), min_size=1, max_size=40),
+    min_size=1,
+    max_size=6,
+)
+
+
+@given(lane_records, st.lists(st.floats(), min_size=1, max_size=4))
+@settings(max_examples=400, deadline=None)
+def test_lockstep_search_is_bisect_left_on_every_lane(records, thetas):
+    lengths = np.array([len(points) for points in records])
+    tvals = np.array([t for points in records for t, _ in points])
+    base = np.array([b for points in records for _, b in points])
+    # lanes record by record, each record at every theta, as _bundle_cells lays them out
+    start = np.repeat(np.cumsum(lengths) - lengths, len(thetas))
+    length = np.repeat(lengths, len(thetas))
+    theta = np.tile(thetas, len(records))
+    with np.errstate(all="ignore"):
+        j = solver._bisect_lanes(tvals, base, theta, start, length)
+    lane = 0
+    for points in records:
+        for th in thetas:
+            # _solve's search of one falling run
+            key = lambda i: th * points[i][1] - points[i][0]  # noqa: E731
+            assert j[lane] == bisect.bisect_left(range(len(points)), 0.0, key=key), (lane, points)
+            lane += 1
 
 
 def test_kernel_cells_of_each_rule():
@@ -800,3 +843,17 @@ def test_kernel_cells_of_each_rule():
     assert [float(v).hex() for v in m[0]] == [e.m.hex() for e in entries]
     assert [e.status for e in entries] == [SolveStatus.NO_ROOT] + [SolveStatus.EXACT_SEGMENT] * 3
     assert m[0, 1] == m[0, 2] == 4.0 != m[0, 3]
+
+
+def test_kernel_s_boundary_tolerance_scales_with_the_largest_d():
+    # g on 2**20;2**20;2**20: mu(S) = theta S at theta = 229376.  Just below it D > 0
+    # everywhere and D(S) = 4 (229376 - theta): 2**-31 is within 1e-12 of the largest
+    # |D| (D(0) = 2**20), so S is the root, while 2**-18 is not, and there is none
+    counts = [2.0**20] * 3
+    thetas = [229376.0 - 2.0**-20, 229376.0 - 2.0**-33]
+    columns = solver._CitationColumns(np.array(counts), np.array([0, 3]))
+    m, code = solver._bundle_cells(columns, AVERAGING, PowerThreshold(1.0), thetas)
+    entries = sample_bundle(from_citation_counts(counts), AVERAGING, PowerThreshold(1.0), thetas)
+    assert [e.status for e in entries] == [SolveStatus.NO_ROOT, SolveStatus.EXACT_SEGMENT]
+    assert [solver._STATUSES[c] for c in code[0]] == [e.status for e in entries]
+    assert m[0, 1] == entries[1].m == 4.0
