@@ -825,9 +825,8 @@ def test_lockstep_search_is_bisect_left_on_every_lane(records, thetas):
     lane = 0
     for points in records:
         for th in thetas:
-            # _solve's search of one falling run
-            key = lambda i: th * points[i][1] - points[i][0]  # noqa: E731
-            assert j[lane] == bisect.bisect_left(range(len(points)), 0.0, key=key), (lane, points)
+            keys = [th * b - t for t, b in points]  # _solve's key of one falling run
+            assert j[lane] == bisect.bisect_left(keys, 0.0), (lane, points, th)
             lane += 1
 
 
