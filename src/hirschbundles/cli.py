@@ -99,6 +99,9 @@ class IndexDef:
 # The grid is materialized as a list before the first solve; a count far
 # beyond any useful resolution would exhaust memory instead of failing.
 MAX_THETA_COUNT = 1_000_000
+# verify spawns a seed sequence per trial before the first one runs, so
+# the same holds for a trial count
+MAX_TRIALS = 100_000
 
 
 @dataclass(frozen=True)
@@ -204,6 +207,15 @@ def _validate_grid(grid: ThetaGrid) -> None:
         raise CliError("theta grid maximum must not be below minimum")
     if grid.spacing not in ("linear", "log"):
         raise CliError(f"unknown theta grid spacing {grid.spacing!r}")
+    # finite bounds can still step past the largest float: lo + step * i
+    # rounds to inf, hi / lo overflows, or a log ratio's power raises
+    try:
+        finite = all(map(math.isfinite, grid.values()))
+    except OverflowError:
+        finite = False
+    if not finite:
+        spec = f"{grid.lo!r}:{grid.hi!r}:{grid.count}" + (":log" if grid.spacing == "log" else "")
+        raise CliError(f"theta grid {spec} overflows: its values must be finite")
 
 
 def parse_theta_grid_flag(text: str) -> ThetaGrid:
@@ -816,6 +828,8 @@ def cmd_verify(args, cfg: RunConfig) -> int:
     trials = args.trials if args.trials is not None else cfg.trials
     if trials < 0:
         raise CliError(f"trials must be non-negative, got {trials}")
+    if trials > MAX_TRIALS:
+        raise CliError(f"trials must be at most {MAX_TRIALS}, got {trials}")
     if cfg.seed < 0:
         raise CliError(f"seed must be non-negative, got {cfg.seed}")
     if trials == 0:

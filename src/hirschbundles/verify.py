@@ -41,8 +41,9 @@ The checks cover:
 
 Checks take the operator as its ``OperatorKind`` and build each T(f)
 with ``operators.apply``.  ``run_property_suite`` runs all of them over
-seeded random inputs; its property list is one table (``_suite_table``)
-of report names and the runs that build them.
+seeded random inputs.  The suite is one table (``_suite_table``) of
+report names and the runs that build them; each randomized row runs one
+trial per sub-seed of its own label and merges the trials' reports.
 
 A deliberately order-reversing configuration (a gently decreasing
 function against a faster-decreasing linear threshold, so that D
@@ -443,21 +444,8 @@ def steep_power_window(
 # --------------------------------------------------------------------------
 
 
-def _try_solve(
-    tf: TransformedFunction,
-    family: ThresholdFamily,
-    theta: float,
-    x_window: tuple[float, float] | None = None,
-) -> float | None:
-    try:
-        m, _ = solve_transformed(tf, family, theta, x_window=x_window)
-        return m
-    except (NoRootError, NonUniqueError):
-        return None
-
-
 def _try_solve_on(setup: _SetUp, theta: float) -> float | None:
-    """:func:`_try_solve` on a ``solver._set_up``, made once for several thetas."""
+    """The root at theta on a ``solver._set_up``; None for NoRoot and NonUnique."""
     try:
         m, _ = _solve(setup, theta)
         return m
@@ -535,7 +523,7 @@ def check_root_side(
     d_mono = classify_difference(tf, family, theta)
     if d_mono is Monotonicity.NON_MONOTONE:
         return VerificationReport(name=name, trials=trials, satisfied=0)
-    m = _try_solve(tf, family, theta)
+    m = _try_solve_on(_set_up(tf, family, None), theta)
     if m is None:
         return VerificationReport(name=name, trials=trials, satisfied=0)
     flip = -1.0 if d_mono is Monotonicity.INCREASING else 1.0
@@ -639,8 +627,8 @@ def check_dominance_order(
     d_mono = classify_difference(tk, family, theta)
     if d_mono is Monotonicity.NON_MONOTONE:
         return VerificationReport(name=name, trials=1, satisfied=0)
-    mk = _try_solve(tk, family, theta)
-    mf = _try_solve(tf, family, theta)
+    mk = _try_solve_on(_set_up(tk, family, None), theta)
+    mf = _try_solve_on(_set_up(tf, family, None), theta)
     if mk is None or mf is None:
         return VerificationReport(name=name, trials=1, satisfied=0)
     reverse = d_mono is Monotonicity.INCREASING
@@ -745,7 +733,7 @@ def _gap_bound(
     """
     tf = apply(kind, f)
     trials = len(schedule)
-    m = _try_solve(tf, family, theta, x_window)
+    m = _try_solve_on(_set_up(tf, family, x_window), theta)
     if m is None:
         return VerificationReport(name=name, trials=trials, satisfied=0)
     a_m = family.value(m, theta)
@@ -756,7 +744,7 @@ def _gap_bound(
         tfn = apply(kind, fn)
         if not hypothesis(tfn):
             continue
-        mn = _try_solve(tfn, family, theta, x_window)
+        mn = _try_solve_on(_set_up(tfn, family, x_window), theta)
         if mn is None:
             continue
         threshold_gap = abs(family.value(mn, theta) - a_m)
@@ -1048,7 +1036,7 @@ def check_impact_axioms(
         # zero-iff-zero
         attempted += 1
         zero = zero_like(f)
-        m_zero = _try_solve(apply(kind, zero), family, 1.0)
+        m_zero = _try_solve_on(_set_up(apply(kind, zero), family, None), 1.0)
         satisfied += 1
         if m_zero is None or m_zero != a:
             failures.append(
@@ -1186,6 +1174,13 @@ def _random_mode(rng: np.random.Generator) -> PerturbMode:
     return PerturbMode.MULTIPLICATIVE if rng.random() < 0.5 else PerturbMode.ADDITIVE
 
 
+def _random_reversal(rng: np.random.Generator) -> ReversalFamily:
+    """A reversal family on [0, 10] with a random intercept, then a random slope."""
+    return ReversalFamily(
+        span=10.0, intercept=float(rng.uniform(8.0, 12.0)), slope=float(rng.uniform(0.03, 0.08))
+    )
+
+
 def _schedule(
     f: RankFrequencyFunction, mode: PerturbMode, scale: float, length: int
 ) -> list[RankFrequencyFunction]:
@@ -1207,9 +1202,9 @@ def _contract(master_seed: int, kind: OperatorKind, name: str) -> VerificationRe
 
 
 def _root_side_trial(
-    seed: int, f: RankFrequencyFunction, kind: OperatorKind,
-    family: PowerThreshold,
+    kind: OperatorKind, family: PowerThreshold, i: int, seed: int
 ) -> VerificationReport | None:
+    f = _nonzero_random(seed)
     thetas = _psi_candidates(apply(kind, f), family, fractions=(0.5,))
     if not thetas:
         return None
@@ -1218,9 +1213,9 @@ def _root_side_trial(
 
 
 def _dominance_trial(
-    seed: int, f: RankFrequencyFunction, kind: OperatorKind,
-    family: PowerThreshold,
+    kind: OperatorKind, family: PowerThreshold, i: int, seed: int
 ) -> VerificationReport | None:
+    f = _nonzero_random(seed)
     rng = np.random.default_rng(seed)
     k = perturb(f, _random_mode(rng), float(rng.uniform(0.05, 0.4)))
     thetas = _pair_thetas(apply(kind, f), apply(kind, k), family, fractions=(0.5,))
@@ -1230,45 +1225,32 @@ def _dominance_trial(
 
 
 def _theta_monotonicity_trial(
-    seed: int, f: RankFrequencyFunction, kind: OperatorKind,
-    family: PowerThreshold,
+    kind: OperatorKind, family: PowerThreshold, i: int, seed: int
 ) -> VerificationReport | None:
+    f = _nonzero_random(seed)
     thetas = _psi_candidates(apply(kind, f), family, fractions=(0.6,))
     if not thetas:
         return None
     return check_theta_monotonicity(f, kind, family, thetas[0], 1.7 * thetas[0])
 
 
-# (report prefix, sub-seed label, trial) of the properties run per stock setting
-_PER_SETTING = (
-    ("root-side", "rootside", _root_side_trial),
-    ("dominance-order", "dominance", _dominance_trial),
-    ("theta-monotonicity", "thetamono", _theta_monotonicity_trial),
-)
-
-
-def _per_setting(
-    cfg: SuiteConfig,
-    seed_label: str,
-    trial: Callable[..., VerificationReport | None],
-    kind: OperatorKind,
-    p: float,
+def _seeded(
+    master_seed: int,
+    label: str,
+    count: int,
+    trial: Callable[[int, int], VerificationReport | None],
     name: str,
 ) -> VerificationReport:
-    """One property on one stock setting: a trial per sub-seed, merged."""
-    family = PowerThreshold(p=p, shift=0.0)
-    per = []
-    for seed in _sub_seeds(cfg.master_seed, seed_label, cfg.trials):
-        report = trial(seed, _nonzero_random(seed), kind, family)
-        if report is not None:
-            per.append(report)
-    return VerificationReport.merge(name, per)
+    """``trial(i, seed)`` on the i-th of ``count`` sub-seeds of ``label``; Nones drop out."""
+    per = (trial(i, seed) for i, seed in enumerate(_sub_seeds(master_seed, label, count)))
+    return VerificationReport.merge(name, [r for r in per if r is not None])
 
 
 def _suite_table(cfg: SuiteConfig) -> list[tuple[str, Callable[..., VerificationReport]]]:
     """Every property of the suite as (report name, run), in report order.
 
-    ``run(name=name)`` builds that property's report.
+    ``run(name=name)`` builds that property's report.  The randomized
+    rows run through :func:`_seeded`, each on its own sub-seed label.
     """
     seed, trials = cfg.master_seed, cfg.trials
     table = [
@@ -1276,12 +1258,17 @@ def _suite_table(cfg: SuiteConfig) -> list[tuple[str, Callable[..., Verification
         for kind in OperatorKind
     ]
     for label, kind, p in _STOCK_SETTINGS:
+        family = PowerThreshold(p=p, shift=0.0)
         table += [
             (
                 f"{prefix}/{label}",
-                partial(_per_setting, cfg, f"{seed_label}-{label}", trial, kind, p),
+                partial(_seeded, seed, f"{seed_label}-{label}", trials, partial(trial, kind, family)),
             )
-            for prefix, seed_label, trial in _PER_SETTING
+            for prefix, seed_label, trial in (
+                ("root-side", "rootside", _root_side_trial),
+                ("dominance-order", "dominance", _dominance_trial),
+                ("theta-monotonicity", "thetamono", _theta_monotonicity_trial),
+            )
         ]
 
     # reversal branches of the same three checks
@@ -1301,12 +1288,8 @@ def _suite_table(cfg: SuiteConfig) -> list[tuple[str, Callable[..., Verification
             check_theta_monotonicity, rev_f, rev_kind, rev_a,
             lo_w + 0.3 * (hi_w - lo_w), lo_w + 0.7 * (hi_w - lo_w),
         )),
-        ("threshold-gap-bound", partial(
-            threshold_gap_bound_batch, seed, trials, _SCHEDULE_LENGTH
-        )),
-        ("transform-gap-bound", partial(
-            transform_gap_bound_batch, seed, trials, _SCHEDULE_LENGTH
-        )),
+        ("threshold-gap-bound", partial(_seeded, seed, "gap13", trials, _threshold_gap_trial)),
+        ("transform-gap-bound", partial(_seeded, seed, "gap14", trials, _transform_gap_trial)),
     ]
 
     line = RankFrequencyFunction([(0.0, 10.0), (10.0, 0.0)])
@@ -1336,7 +1319,7 @@ def _suite_table(cfg: SuiteConfig) -> list[tuple[str, Callable[..., Verification
     # sufficiency: settings whose difference decreases everywhere satisfy the axioms
     table.append((
         "monotone-difference-forward",
-        partial(monotone_difference_forward_batch, seed, max(trials // 2, 5)),
+        partial(_seeded, seed, "thm3fwd", max(trials // 2, 5), _forward_trial),
     ))
     return table
 
@@ -1355,91 +1338,58 @@ def run_property_suite(config: SuiteConfig | None = None) -> SuiteResult:
     return SuiteResult(reports=tuple(run(name=name) for name, run in table))
 
 
-def threshold_gap_bound_batch(
-    master_seed: int,
-    trials: int,
-    schedule_length: int,
-    slack: float = 1e-9,
-    name: str = "threshold-gap-bound",
-) -> VerificationReport:
-    """Randomized instances of the first gap bound across both branches."""
-    per: list[VerificationReport] = []
-    seeds = _sub_seeds(master_seed, "gap13", trials)
-    for i, seed in enumerate(seeds):
+def _threshold_gap_trial(i: int, seed: int) -> VerificationReport | None:
+    """One instance of the first gap bound; i picks the branch."""
+    f = _nonzero_random(seed)
+    rng = np.random.default_rng(seed)
+    branch = i % 3
+    if branch in (0, 1):
+        kind = OperatorKind.IDENTITY if branch == 0 else OperatorKind.AVERAGING
+        family = PowerThreshold(p=float(rng.choice([1.0, 2.0])), shift=0.0)
+        schedule = _schedule(f, _random_mode(rng), 1.0, _SCHEDULE_LENGTH)
+        theta = _theta_for_schedule(f, schedule, kind, family)
+        if theta is None:
+            return None
+    else:
+        # increasing transform against a decreasing threshold
+        kind = OperatorKind.INTEGRAL
+        family = DecreasingLinearThreshold(ceiling=2.0 * f.support_end)
+        schedule = _schedule(f, PerturbMode.MULTIPLICATIVE, 1.0, _SCHEDULE_LENGTH)
+        total = f.integral(f.support_start, f.support_end)
+        if total <= 0:
+            return None
+        theta = 0.45 * total / (family.ceiling - f.support_end)
+    return check_threshold_gap_bound(f, schedule, kind, family, theta)
+
+
+def _transform_gap_trial(i: int, seed: int) -> VerificationReport | None:
+    """One instance of the second gap bound; i picks the branch."""
+    rng = np.random.default_rng(seed)
+    if i % 2 == 0:
+        # increasing transform, decreasing difference on a steep-power window
         f = _nonzero_random(seed)
-        rng = np.random.default_rng(seed)
-        branch = i % 3
-        if branch in (0, 1):
-            kind = OperatorKind.IDENTITY if branch == 0 else OperatorKind.AVERAGING
-            family = PowerThreshold(p=float(rng.choice([1.0, 2.0])), shift=0.0)
-            schedule = _schedule(f, _random_mode(rng), 1.0, schedule_length)
-            theta = _theta_for_schedule(f, schedule, kind, family)
-            if theta is None:
-                continue
-        else:
-            # increasing transform against a decreasing threshold
-            kind = OperatorKind.INTEGRAL
-            family = DecreasingLinearThreshold(ceiling=2.0 * f.support_end)
-            schedule = _schedule(f, PerturbMode.MULTIPLICATIVE, 1.0, schedule_length)
-            total = f.integral(f.support_start, f.support_end)
-            if total <= 0:
-                continue
-            theta = 0.45 * total / (family.ceiling - f.support_end)
-        per.append(check_threshold_gap_bound(f, schedule, kind, family, theta, slack))
-    return VerificationReport.merge(name, per)
-
-
-def transform_gap_bound_batch(
-    master_seed: int,
-    trials: int,
-    schedule_length: int,
-    slack: float = 1e-9,
-    name: str = "transform-gap-bound",
-) -> VerificationReport:
-    """Randomized instances of the second gap bound across both branches."""
-    per: list[VerificationReport] = []
-    seeds = _sub_seeds(master_seed, "gap14", trials)
-    for i, seed in enumerate(seeds):
-        rng = np.random.default_rng(seed)
-        if i % 2 == 0:
-            # increasing transform, decreasing difference on a steep-power window
-            f = _nonzero_random(seed)
-            kind = OperatorKind.INTEGRAL
-            family = PowerThreshold(p=2.0, shift=0.0)
-            schedule = _schedule(f, PerturbMode.MULTIPLICATIVE, 1.0, schedule_length)
-            total = f.integral(f.support_start, f.support_end)
-            if total <= 0:
-                continue
-            s = f.support_end
-            theta = 2.4 * total / (s * s)
-            window = steep_power_window(f, 2.0, theta, envelope_scale=2.0)
-            if window is None:
-                continue
-            per.append(
-                check_transform_gap_bound(
-                    f, schedule, kind, family, theta, slack, x_window=window
-                )
-            )
-        else:
-            # decreasing transform, increasing difference: the reversal family
-            fam = ReversalFamily(
-                span=10.0,
-                intercept=float(rng.uniform(8.0, 12.0)),
-                slope=float(rng.uniform(0.03, 0.08)),
-            )
-            f = fam.function()
-            kappa = 0.4
-            schedule = _schedule(f, PerturbMode.MULTIPLICATIVE, kappa, schedule_length)
-            lo, hi = fam.theta_window(scale_max=kappa)
-            if not lo < hi:
-                continue
-            theta = lo + 0.5 * (hi - lo)
-            per.append(
-                check_transform_gap_bound(
-                    f, schedule, fam.operator(), fam.threshold(), theta, slack
-                )
-            )
-    return VerificationReport.merge(name, per)
+        kind = OperatorKind.INTEGRAL
+        family = PowerThreshold(p=2.0, shift=0.0)
+        schedule = _schedule(f, PerturbMode.MULTIPLICATIVE, 1.0, _SCHEDULE_LENGTH)
+        total = f.integral(f.support_start, f.support_end)
+        if total <= 0:
+            return None
+        s = f.support_end
+        theta = 2.4 * total / (s * s)
+        window = steep_power_window(f, 2.0, theta, envelope_scale=2.0)
+        if window is None:
+            return None
+        return check_transform_gap_bound(f, schedule, kind, family, theta, x_window=window)
+    # decreasing transform, increasing difference: the reversal family
+    fam = _random_reversal(rng)
+    f = fam.function()
+    kappa = 0.4
+    schedule = _schedule(f, PerturbMode.MULTIPLICATIVE, kappa, _SCHEDULE_LENGTH)
+    lo, hi = fam.theta_window(scale_max=kappa)
+    if not lo < hi:
+        return None
+    theta = lo + 0.5 * (hi - lo)
+    return check_transform_gap_bound(f, schedule, fam.operator(), fam.threshold(), theta)
 
 
 def _theta_for_schedule(
@@ -1472,14 +1422,6 @@ def reversal_impact_report(
 ) -> VerificationReport:
     """Impact audit of the order-reversing configuration; expected to fail."""
 
-    def gen(rng: np.random.Generator) -> RankFrequencyFunction:
-        fam = ReversalFamily(
-            span=10.0,
-            intercept=float(rng.uniform(8.0, 12.0)),
-            slope=float(rng.uniform(0.03, 0.08)),
-        )
-        return fam.function()
-
     def pick(
         tf: TransformedFunction, tg: TransformedFunction, family: ThresholdFamily
     ) -> list[float]:
@@ -1499,30 +1441,20 @@ def reversal_impact_report(
         DecreasingLinearThreshold(ceiling=20.0),
         master_seed,
         trials,
-        function_gen=gen,
+        function_gen=lambda rng: _random_reversal(rng).function(),
         pair_theta_fn=pick,
         name=name,
     )
 
 
-def monotone_difference_forward_batch(
-    master_seed: int,
-    trials: int,
-    name: str = "monotone-difference-forward",
-) -> VerificationReport:
-    """Configurations whose difference decreases everywhere satisfy the axioms."""
-    per: list[VerificationReport] = []
-    seeds = _sub_seeds(master_seed, "thm3fwd", trials)
-    for i, seed in enumerate(seeds):
-        label, kind, p = _STOCK_SETTINGS[i % len(_STOCK_SETTINGS)]
-        family = PowerThreshold(p=p, shift=0.0)
-        f = _nonzero_random(seed)
-        thetas = _psi_candidates(apply(kind, f), family)
-        if not thetas or not check_decreasing_difference(f, kind, family, thetas):
-            continue
-        per.append(
-            check_impact_axioms(
-                kind, family, seed, 1, name=f"{name}/{label}"
-            )
-        )
-    return VerificationReport.merge(name, per)
+def _forward_trial(i: int, seed: int) -> VerificationReport | None:
+    """A stock setting (i picks it) whose difference decreases satisfies the axioms."""
+    label, kind, p = _STOCK_SETTINGS[i % len(_STOCK_SETTINGS)]
+    family = PowerThreshold(p=p, shift=0.0)
+    f = _nonzero_random(seed)
+    thetas = _psi_candidates(apply(kind, f), family)
+    if not thetas or not check_decreasing_difference(f, kind, family, thetas):
+        return None
+    return check_impact_axioms(
+        kind, family, seed, 1, name=f"monotone-difference-forward/{label}"
+    )

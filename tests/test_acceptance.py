@@ -328,7 +328,8 @@ def test_criterion_07_convergence():
         ok = ok and monotone and final_ok
         detail.append(f"{op.value}: final sup {sups[-1]:.2e} monotone={monotone}")
     elapsed = time.perf_counter() - t0
-    ok = ok and elapsed < 5.0
+    # 0.16-0.26 s over 12 fresh-process runs on a 2-core host: about 4x headroom
+    ok = ok and elapsed < 1.0
     _report(7, ok, "; ".join(detail) + f", {elapsed:.1f} s")
 
 

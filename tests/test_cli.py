@@ -16,6 +16,7 @@ from hypothesis import given, settings, strategies as st
 from hirschbundles.cli import (
     CSV_CHUNK,
     MAX_THETA_COUNT,
+    MAX_TRIALS,
     CliError,
     Corpus,
     IndexDef,
@@ -714,6 +715,26 @@ class TestMalformedNumbers:
         assert code == 2
         assert "trials" in err
 
+    @pytest.mark.parametrize("how", ["flag", "config"])
+    def test_trials_are_bounded(self, tmp_path, capsys, monkeypatch, how):
+        # one seed sequence per trial is spawned before the first runs
+        def run_property_suite(cfg):
+            raise AssertionError("the trial count must be rejected before the suite runs")
+
+        monkeypatch.setattr(cli, "run_property_suite", run_property_suite)
+        rep = tmp_path / "rep.json"
+        args = ["verify", "--report", str(rep)]
+        if how == "flag":
+            args += ["--trials", "10000000000"]
+        else:
+            p = tmp_path / "cfg.json"
+            p.write_text('{"trials": 1e10}')
+            args += ["--config", str(p)]
+        code, out, err = run_cli(args, capsys)
+        assert (code, out) == (2, "")
+        assert err == f"error: trials must be at most {MAX_TRIALS}, got 10000000000\n"
+        assert not rep.exists()
+
     def test_negative_trials_in_config(self, tmp_path, capsys):
         p = tmp_path / "cfg.json"
         p.write_text(json.dumps({"trials": -2}))
@@ -809,13 +830,48 @@ class TestMalformedNumbers:
         assert "'bad'" in err
 
     @pytest.mark.parametrize("command", ["bundle", "index"])
-    def test_overflowing_log_grid_names_the_first_record(self, csv_file, capsys, command):
-        # the grid's ratio overflows to inf; h, the first index, meets it at the first record
-        code, out, err = run_cli([command, csv_file, "--theta-grid", "1e-300:1e300:3:log"], capsys)
-        assert (code, out) == (2, "")
-        assert err == (
-            "error: source 'alice', index 'h': theta grid values must be positive and finite\n"
-        )
+    def test_overflowing_log_grid_is_a_grid_error(self, csv_file, tmp_path, capsys, command):
+        # the grid's ratio overflows to inf: named as the grid's error, with or without a record
+        empty = tmp_path / "empty.csv"
+        empty.write_text("id,counts\n")
+        for source in (csv_file, str(empty)):
+            code, out, err = run_cli([command, source, "--theta-grid", "1e-300:1e300:3:log"], capsys)
+            assert (code, out) == (2, "")
+            assert err == "error: theta grid 1e-300:1e+300:3:log overflows: its values must be finite\n"
+
+    # finite bounds whose values pass the largest float: lo + step * i rounds
+    # to inf, hi / lo overflows, and a log ratio's power raises OverflowError
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            "1.0:1.7976931348623157e+308:7",
+            "1e-10:1.7976931348623157e+308:5:log",
+            "1.0:1.7976931348623157e+308:5:log",
+        ],
+        ids=["linear", "log-ratio-inf", "log-power-raises"],
+    )
+    @pytest.mark.parametrize("how", ["flag", "config"])
+    def test_overflowing_grid_is_rejected_before_any_record(
+        self, csv_file, tmp_path, capsys, spec, how
+    ):
+        empty = tmp_path / "empty.csv"
+        empty.write_text("id,counts\n")
+        lo, hi, count, *log = spec.split(":")
+        for source in (csv_file, str(empty)):
+            if how == "flag":
+                args = ["bundle", source, "--theta-grid", spec]
+            else:
+                p = tmp_path / "cfg.json"
+                grid = {"min": float(lo), "max": float(hi), "count": int(count)}
+                p.write_text(json.dumps({"theta_grid": {**grid, "spacing": "log" if log else "linear"}}))
+                args = ["bundle", source, "--config", str(p)]
+            code, out, err = run_cli(args, capsys)
+            assert (code, out) == (2, "")
+            assert err == f"error: theta grid {spec} overflows: its values must be finite\n"
+
+    def test_largest_finite_grids_are_accepted(self):
+        for spec in ("1:1e308:3", "1e-300:1e300:3", "1:1.7976931348623157e308:2:log"):
+            assert math.isfinite(parse_theta_grid_flag(spec).values()[-1])
 
     @pytest.mark.parametrize("command", ["bundle", "index"])
     def test_errors_in_index_order(self, csv_file, tmp_path, capsys, command):

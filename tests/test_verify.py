@@ -40,14 +40,19 @@ from hirschbundles.verify import (
     reversal_impact_report,
     run_property_suite,
     steep_power_window,
-    transform_gap_bound_batch,
-    threshold_gap_bound_batch,
+    _suite_table,
 )
 
 IDENTITY = OperatorKind.IDENTITY
 AVERAGING = OperatorKind.AVERAGING
 INTEGRAL = OperatorKind.INTEGRAL
 H_FAMILY = PowerThreshold(1.0, 0.0)
+
+
+def _suite_row(name, master_seed, trials):
+    """The suite's report ``name`` alone, as run_property_suite builds it."""
+    run = dict(_suite_table(SuiteConfig(master_seed=master_seed, trials=trials)))[name]
+    return run(name=name)
 
 
 class TestProfile:
@@ -285,7 +290,7 @@ class TestThresholdGapBound:
         assert r.verdict is Verdict.VACUOUS
 
     def test_batch_randomized(self):
-        r = threshold_gap_bound_batch(master_seed=5, trials=30, schedule_length=20)
+        r = _suite_row("threshold-gap-bound", master_seed=5, trials=30)
         assert r.verdict is Verdict.PASS
         assert not r.failures
 
@@ -326,7 +331,7 @@ class TestTransformGapBound:
         assert r.verdict is Verdict.PASS
 
     def test_batch_randomized(self):
-        r = transform_gap_bound_batch(master_seed=6, trials=30, schedule_length=20)
+        r = _suite_row("transform-gap-bound", master_seed=6, trials=30)
         assert r.verdict is Verdict.PASS
         assert not r.failures
         assert r.satisfied > 0
