@@ -1,4 +1,6 @@
 import hashlib
+import itertools
+import json
 import os
 import subprocess
 import sys
@@ -7,7 +9,7 @@ import numpy as np
 import pytest
 
 from hirschbundles import solver, verify
-from hirschbundles.errors import DomainMismatchError
+from hirschbundles.errors import DomainMismatchError, NoRootError
 from hirschbundles.funcspace import (
     PerturbMode,
     RankFrequencyFunction,
@@ -29,6 +31,7 @@ from hirschbundles.verify import (
     check_decreasing_difference,
     check_dominance_order,
     check_impact_axioms,
+    check_operator_contract,
     check_root_side,
     check_theta_monotonicity,
     check_threshold_gap_bound,
@@ -556,3 +559,180 @@ class TestReportShape:
         d = r.to_dict()
         assert d["verdict"] == "pass"
         assert d["failures"] == []
+
+
+class TestReportPin:
+    # sha256 of the report's json.dumps: the reversal row fails, so the
+    # counterexamples' fields and texts are pinned along with every count
+    GOLDEN = "1cee4c20e56dc45f930b218a383d41b0b3958b0c3604822436da9a98cbec4ae3"
+
+    def test_suite_report_is_pinned(self):
+        cfg = SuiteConfig(master_seed=1, trials=3, include_reversal_in_impact=True)
+        text = json.dumps(run_property_suite(cfg).to_dict())
+        assert hashlib.sha256(text.encode()).hexdigest() == self.GOLDEN
+
+
+def _solves(*values):
+    """A stand-in for ``solver._solve`` answering with ``values`` in turn, cyclically."""
+    answers = itertools.cycle(values)
+
+    def solve(setup, theta):
+        return next(answers), None
+
+    return solve
+
+
+def _no_root(setup, theta):
+    raise NoRootError("stand-in: no root")
+
+
+class _Negative:
+    """A stand-in T(f) that is -1 everywhere."""
+
+    def eval_many(self, xs):
+        return -np.ones(len(xs))
+
+
+def _line():
+    return RankFrequencyFunction([(0.0, 10.0), (10.0, 0.0)])
+
+
+def _reversal_gap():
+    fam = ReversalFamily()
+    f = fam.function()
+    member = perturb(f, PerturbMode.MULTIPLICATIVE, 0.2)
+    return check_transform_gap_bound(
+        f, [member], fam.operator(), fam.threshold(), fam.theta(scale_max=0.2)
+    )
+
+
+def _reversal_theta_monotonicity():
+    fam = ReversalFamily()
+    lo, hi = fam.theta_window()
+    return check_theta_monotonicity(
+        fam.function(), fam.operator(), fam.threshold(), lo + 0.3 * (hi - lo), lo + 0.7 * (hi - lo)
+    )
+
+
+# (stand-in for verify._solve or verify.apply, the check, the counterexample's
+# inputs prefix): each row makes one Counterexample branch fire, with the
+# root 5 of the line f = 10 - x at theta = 1 moved to 0 or 10, say
+FAILURE_BRANCHES = {
+    "contract-positivity": (
+        ("apply", lambda kind, f: _Negative()),
+        lambda: check_operator_contract(IDENTITY, [_line()]),
+        "positivity sample#0",
+    ),
+    "contract-zero-iff-zero": (
+        ("apply", lambda kind, f: _Negative()),
+        lambda: check_operator_contract(IDENTITY, [_line()]),
+        "zero-iff-zero sample#1",
+    ),
+    "contract-strict-restriction": (
+        ("apply", lambda kind, f: _Negative()),
+        lambda: check_operator_contract(IDENTITY, [_line()]),
+        "strict-restriction sample#0",
+    ),
+    "root-side-positive-d": (
+        ("_solve", _solves(0.0)),
+        lambda: check_root_side(_line(), IDENTITY, H_FAMILY, 1.0, [1.0, 9.0]),
+        "D(x)>0 should put m above x=1",
+    ),
+    "root-side-negative-d": (
+        ("_solve", _solves(10.0)),
+        lambda: check_root_side(_line(), IDENTITY, H_FAMILY, 1.0, [1.0, 9.0]),
+        "D(x)<0 should put m below x=9",
+    ),
+    "root-side-m-above": (
+        ("_solve", _solves(10.0)),
+        lambda: check_root_side(_line(), IDENTITY, H_FAMILY, 1.0, [1.0, 9.0]),
+        "m above x=9 should force D(x)>=0",
+    ),
+    "root-side-m-below": (
+        ("_solve", _solves(0.0)),
+        lambda: check_root_side(_line(), IDENTITY, H_FAMILY, 1.0, [1.0, 9.0]),
+        "m below x=1 should force D(x)<=0",
+    ),
+    "dominance-order": (
+        ("_solve", _solves(5.0)),
+        lambda: check_dominance_order(
+            perturb(_line(), PerturbMode.ADDITIVE, 0.3), _line(), IDENTITY, H_FAMILY, 1.0
+        ),
+        "premise=gt d=decreasing",
+    ),
+    "theta-monotonicity-decreasing": (
+        ("_solve", _solves(5.0)),
+        lambda: check_theta_monotonicity(_line(), IDENTITY, H_FAMILY, 1.0, 2.0),
+        "expected m(theta') < m(theta)",
+    ),
+    "theta-monotonicity-increasing": (
+        ("_solve", _solves(5.0)),
+        _reversal_theta_monotonicity,
+        "expected m(theta) < m(theta')",
+    ),
+    "threshold-gap-bound": (
+        ("_solve", _solves(2.0, 7.0)),
+        lambda: check_threshold_gap_bound(_line(), [_line()], IDENTITY, H_FAMILY, 1.0),
+        "schedule#1 f=",
+    ),
+    "transform-gap-bound": (
+        ("_solve", _solves(5.0)),
+        _reversal_gap,
+        "schedule#1 f=",
+    ),
+    "convergence-pointwise-solution": (
+        ("_solve", _solves(3.0, 3.0, 4.0)),
+        lambda: check_convergence_pointwise(
+            _line(), multiplicative_sequence(_line()), IDENTITY, H_FAMILY, [1.0], 200
+        ),
+        "solution gap at n=200",
+    ),
+    "convergence-pointwise-transform": (
+        ("_solve", _solves(5.0)),
+        lambda: check_convergence_pointwise(
+            _line(),
+            lambda n: _line() if n == 1 else perturb(_line(), PerturbMode.ADDITIVE, 1.0),
+            IDENTITY, H_FAMILY, [1.0], 200,
+        ),
+        "transform gap at base solution, n=200",
+    ),
+    "convergence-uniform-rise": (
+        ("_solve", _solves(5.0, 5.0, 6.0, 7.0)),
+        lambda: check_convergence_uniform(
+            _line(), additive_sequence(_line()), IDENTITY, H_FAMILY, 0.5, 1, 4
+        ),
+        "sup-gap rose between checked indices 0 and 1",
+    ),
+    "convergence-uniform-terminal": (
+        ("_solve", _solves(5.0, 5.0, 6.0, 7.0)),
+        lambda: check_convergence_uniform(
+            _line(), additive_sequence(_line()), IDENTITY, H_FAMILY, 0.5, 1, 4
+        ),
+        "terminal sup-gap at n=4",
+    ),
+    "impact-zero-function": (
+        ("_solve", _no_root),
+        lambda: check_impact_axioms(
+            IDENTITY, H_FAMILY, master_seed=1, trials=1, function_gen=lambda rng: _line()
+        ),
+        "zero-iff-zero: zero function trial#0",
+    ),
+    "impact-nonzero-solved-to-zero": (
+        ("_solve", _solves(0.0)),
+        lambda: check_impact_axioms(
+            IDENTITY, H_FAMILY, master_seed=1, trials=1, function_gen=lambda rng: _line()
+        ),
+        "zero-iff-zero: nonzero f solved to zero trial#0",
+    ),
+}
+
+
+@pytest.mark.parametrize("branch", FAILURE_BRANCHES)
+def test_failure_branch_reports_its_counterexample(branch, monkeypatch):
+    (target, stand_in), check, prefix = FAILURE_BRANCHES[branch]
+    monkeypatch.setattr(verify, target, stand_in)
+    report = check()
+    assert report.verdict is Verdict.FAIL
+    assert any(c.inputs.startswith(prefix) for c in report.failures), [
+        c.inputs for c in report.failures
+    ]
