@@ -6,8 +6,9 @@ or JSON arrays of ``{"id": ..., "counts": [...]}``.  The CSV reader splits
 plain lines at their commas itself and leaves the rest of the file to the
 csv module from the first line that needs it.  It parses 1,000 records at
 a time: counts of 1 to 15 ASCII digits straight from the text's bytes,
-exactly; any other chunk with one numpy conversion, and an irregular one
-line by line, whose messages name the first bad line.
+exactly; a chunk with any other token line by line, as ``float()`` reads
+it, with messages that name the first bad line.  A leading UTF-8
+byte-order mark is skipped in either format.
 
 All computed tables are emitted in input order with 12 significant
 digits, so identical (input, config, seed) triples produce byte-identical
@@ -55,7 +56,6 @@ from .thresholds import (
     ThresholdFamily,
     admissible_range,
     certified_bounds,
-    certified_range,
     is_certified,
 )
 from .verify import SuiteConfig, run_property_suite
@@ -338,7 +338,7 @@ def _counts_problem(counts: np.ndarray) -> str | None:
 
 def _read_json(p: Path) -> _Chunk:
     try:
-        raw = json.loads(p.read_text(encoding="utf-8"))
+        raw = json.loads(p.read_text(encoding="utf-8-sig"))
     except ValueError as e:  # JSONDecodeError, or an integer past Python's digit limit
         raise CliError(f"{p}: invalid JSON: {e}")
     if not isinstance(raw, list):
@@ -373,7 +373,7 @@ def _read_json(p: Path) -> _Chunk:
 
 def _read_csv(p: Path) -> list[_Chunk]:
     chunks = []
-    with p.open(encoding="utf-8", newline="") as fh:
+    with p.open(encoding="utf-8-sig", newline="") as fh:
         reader = _csv_rows(fh)
         try:
             header = next(reader)
@@ -423,11 +423,10 @@ def _parse_chunk(p: Path, rows: list[tuple[int, list[str]]]) -> _Chunk:
     """Parse the counts of non-blank rows in one pass over the chunk's text.
 
     Counts of 1 to 15 ASCII digits go through :func:`_parse_digits`, which
-    also counts each row's tokens; any other chunk is converted with one
-    numpy call.  Any irregularity (a short row; an empty, blank,
-    non-numeric, non-finite or negative token) sends the rows through the
-    line-by-line reader instead, which skips what it may skip and names the
-    first bad line.
+    also counts each row's tokens.  Any other chunk (a short row; a token
+    with a sign, point, exponent, space or other digits; an empty,
+    non-numeric, non-finite or negative one) goes through the line-by-line
+    reader, which skips what it may skip and names the first bad line.
     """
     try:
         fields = [row[1] for _, row in rows]
@@ -435,14 +434,7 @@ def _parse_chunk(p: Path, rows: list[tuple[int, list[str]]]) -> _Chunk:
         return _parse_rows(p, rows)
     parsed = _parse_digits("\n".join(fields), len(fields))
     if parsed is None:
-        try:
-            # numpy converts each string as float() does
-            counts = np.array(";".join(fields).split(";"), dtype=float)
-        except ValueError:
-            return _parse_rows(p, rows)
-        if not ((counts >= 0.0) & (counts < math.inf)).all():  # NaN fails both
-            return _parse_rows(p, rows)
-        parsed = counts, [f.count(";") + 1 for f in fields]
+        return _parse_rows(p, rows)
     return [row[0].strip() for _, row in rows], *parsed
 
 
@@ -518,10 +510,6 @@ def _parse_rows(p: Path, rows: list[tuple[int, list[str]]]) -> _Chunk:
 _RECORD_ORIGIN = 0.0
 
 
-def _build_functions(corpus: Corpus) -> list[tuple[str, RankFrequencyFunction]]:
-    return [(source_id, from_citation_counts(counts)) for source_id, counts in corpus]
-
-
 # --------------------------------------------------------------------------
 # table emission
 # --------------------------------------------------------------------------
@@ -580,22 +568,11 @@ def _csv_column(column: Sequence[str]) -> Sequence[str]:
 def _csv_text(
     columns: list[str], fixed: _Columns, varying: _Columns, counts: Sequence[int]
 ) -> str:
-    """The table's lines, each column's cells as :func:`_csv_column` gives them."""
-    return _csv_lines(
-        list(_csv_column(columns)),
-        list(map(_csv_column, fixed)),
-        list(map(_csv_column, varying)),
-        counts,
-    )
-
-
-def _csv_lines(
-    columns: list[str], fixed: _Columns, varying: _Columns, counts: Sequence[int]
-) -> str:
-    """The cells joined by "," into lines, each ended by "\\n"."""
-    heads = _repeated(map(",".join, zip(*fixed)), counts)
-    lines = map(",".join, zip(heads, map(",".join, zip(*varying))))
-    return "\n".join(chain([",".join(columns)], lines)) + "\n"
+    """The table's lines, each column's cells as :func:`_csv_column` gives
+    them, joined by "," and each ended by "\\n"."""
+    heads = _repeated(map(",".join, zip(*map(_csv_column, fixed))), counts)
+    lines = map(",".join, zip(heads, map(",".join, zip(*map(_csv_column, varying)))))
+    return "\n".join(chain([",".join(_csv_column(columns))], lines)) + "\n"
 
 
 def _json_text(
@@ -738,12 +715,12 @@ def _range_or_error(
 
 def _certified_columns(
     corpus: Corpus, kind: OperatorKind, fam: PowerThreshold
-) -> tuple[np.ndarray, np.ndarray, dict[int, BundleError]]:
+) -> tuple[np.ndarray, np.ndarray, dict[int, AdmissibleRange | BundleError]]:
     """theta_min and theta_max of every record for an index whose ranges are
-    certified, and the error of each record that has no range.
+    certified, and :func:`_range_or_error` of each record that has none.
 
     A theta_min of 0.0 means the range is open at zero; the bounds of a
-    record with an error are NaN: the zero record, and a record whose
+    record with no range are NaN: the zero record, and a record whose
     threshold is not positive on its support (see ``certified_bounds``).
     A record of N counts has the support [0, S] with S = N + 1, on which
     T(f)(0) = c_1: f is flat at c_1 on [0, 1], and mu(f)(0) is its
@@ -762,16 +739,10 @@ def _certified_columns(
     theta_min[nonzero], theta_max[nonzero] = certified_bounds(
         firsts[nonzero], t_ends[nonzero], _RECORD_ORIGIN, ends[nonzero], fam
     )
-    errors: dict[int, BundleError] = {}
+    errors = {}
     for i in np.flatnonzero(np.isnan(theta_min)).tolist():
-        try:
-            if firsts[i] == 0.0:  # the zero function, whose error admissible_range names
-                record = corpus.counts[corpus.offsets[i] : corpus.offsets[i + 1]]
-                admissible_range(from_citation_counts(record), kind, fam)
-            else:  # no positive threshold, which certified_range rejects
-                certified_range(firsts[i], t_ends[i], _RECORD_ORIGIN, float(ends[i]), fam)
-        except BundleError as e:
-            errors[i] = e
+        record = corpus.counts[corpus.offsets[i] : corpus.offsets[i + 1]]
+        errors[i] = _range_or_error(from_citation_counts(record), kind, fam)
     return theta_min, theta_max, errors
 
 
@@ -808,7 +779,7 @@ def cmd_admissible(args, cfg: RunConfig) -> int:
             columns.append(_certified_cells(corpus, kind, fam))
         else:
             if functions is None:
-                functions = [f for _, f in _build_functions(corpus)]
+                functions = [from_citation_counts(counts) for _, counts in corpus]
             cells = [_range_cells(_range_or_error(f, kind, fam)) for f in functions]
             columns.append(tuple(map(list, zip(*cells))))
     # one group per record, of one row per index, in input order: the cells

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from enum import Enum
 from typing import Iterable
 
@@ -25,14 +25,7 @@ class Counterexample:
     theta: float | None = None
 
     def to_dict(self) -> dict:
-        return {
-            "inputs": self.inputs,
-            "lhs": self.lhs,
-            "rhs": self.rhs,
-            "slack": self.slack,
-            "seed": self.seed,
-            "theta": self.theta,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)

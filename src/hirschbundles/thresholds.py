@@ -365,38 +365,12 @@ _DECREASING_KINDS = tuple(k for k, m in MONOTONICITY.items() if m is Monotonicit
 
 
 def is_certified(kind: OperatorKind, family: ThresholdFamily) -> bool:
-    """Whether the admissible range of every non-zero f is :func:`certified_range`.
+    """Whether the admissible range of every non-zero f is certified.
 
     It is when T(f) decreases and the family is a power family: psi_f is
     then strictly decreasing, so its image follows from its endpoint values.
     """
     return isinstance(family, PowerThreshold) and kind in _DECREASING_KINDS
-
-
-def certified_range(
-    t_origin: float,
-    t_end: float,
-    origin: float,
-    end: float,
-    family: PowerThreshold,
-) -> AdmissibleRange:
-    """The image of a decreasing psi_f from T(f) at the ends of [origin, end].
-
-    theta_min = psi_f(end), or None (open at zero) when T(f)(end) = 0;
-    theta_max = psi_f(origin), or inf when origin <= shift, where the
-    power vanishes.  Raises NoRootError when no theta is admissible (see
-    :func:`certified_bounds`): the threshold is not positive on
-    [origin, end], or it overflows already at the origin.
-    """
-    lows, highs = certified_bounds(
-        np.array([t_origin]), np.array([t_end]), origin, np.array([end]), family
-    )
-    lo, theta_max = float(lows[0]), float(highs[0])
-    if math.isnan(lo):
-        if origin > family.shift and _power(origin - family.shift, family.p) == math.inf:
-            raise NoRootError(f"no theta is admissible: the threshold overflows at {origin}")
-        raise _no_positive_threshold(origin, end)
-    return AdmissibleRange(theta_min=lo if lo > 0.0 else None, theta_max=theta_max, certified=True)
 
 
 def certified_bounds(
@@ -406,7 +380,7 @@ def certified_bounds(
     end: np.ndarray,
     family: PowerThreshold,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """theta_min and theta_max of :func:`certified_range` for many functions at once.
+    """theta_min and theta_max of certified admissible ranges for many functions at once.
 
     Function i has T(f) = ``t_origin[i]`` at the common ``origin`` and
     ``t_end[i]`` at its support end ``end[i]``.  A theta_min of 0.0 means
@@ -448,15 +422,28 @@ def admissible_range(
     """Image of psi_f over the domain, exactly.
 
     Certified (see :func:`is_certified`) when T(f) decreases and the family
-    is a power family; otherwise psi_f's least and greatest value over the
-    solve table of [a, S], or of (shift, S] with its limit at the shift.
+    is a power family: psi_f then decreases, so theta_min = psi_f(S), or
+    None (open at zero) when T(f)(S) = 0, and theta_max = psi_f(a), or inf
+    when a <= shift, where the power vanishes.  Otherwise psi_f's least and
+    greatest value over the solve table of [a, S], or of (shift, S] with
+    its limit at the shift.  Raises NoRootError when no theta is
+    admissible: the threshold is not positive on the domain, or (certified)
+    it overflows already at a (see :func:`certified_bounds`).
     """
     tf = apply(kind, f)
     if f.is_zero():
         raise ZeroFunctionError("the zero function admits no positive theta")
     a, s = tf.origin, tf.support_end
     if is_certified(kind, family):
-        return certified_range(tf.eval(a), tf.eval(s), a, s, family)
+        lows, highs = certified_bounds(
+            np.array([tf.eval(a)]), np.array([tf.eval(s)]), a, np.array([s]), family
+        )
+        lo = float(lows[0])
+        if math.isnan(lo):
+            if a > family.shift and _power(a - family.shift, family.p) == math.inf:
+                raise NoRootError(f"no theta is admissible: the threshold overflows at {a}")
+            raise _no_positive_threshold(a, s)
+        return AdmissibleRange(lo if lo > 0.0 else None, float(highs[0]), certified=True)
     if isinstance(family, PowerThreshold):
         if family.shift >= s:
             raise _no_positive_threshold(a, s)

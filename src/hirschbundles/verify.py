@@ -531,58 +531,23 @@ def check_root_side(
     satisfied = 0
     for x in x_samples:
         d = (tf.eval(x) - family.value(x, theta)) * flip
+        # (premise, conclusion, counterexample inputs, lhs, rhs, slack): each
+        # equivalence in both directions
+        implications = (
+            (d > _SIGN_EPS, m > x - _X_EPS, "D(x)>0 should put m above x={:.6g}", m, x, _X_EPS),
+            (d < -_SIGN_EPS, m < x + _X_EPS, "D(x)<0 should put m below x={:.6g}", m, x, _X_EPS),
+            (x < m - _X_EPS, d >= -_SIGN_EPS, "m above x={:.6g} should force D(x)>=0", d, 0.0,
+             _SIGN_EPS),
+            (x > m + _X_EPS, d <= _SIGN_EPS, "m below x={:.6g} should force D(x)<=0", d, 0.0,
+             _SIGN_EPS),
+        )
         fired = False
-        if d > _SIGN_EPS:
-            fired = True
-            if not m > x - _X_EPS:
-                failures.append(
-                    Counterexample(
-                        inputs=f"D(x)>0 should put m above x={x:.6g}",
-                        lhs=m,
-                        rhs=x,
-                        slack=_X_EPS,
-                        theta=theta,
-                    )
-                )
-        elif d < -_SIGN_EPS:
-            fired = True
-            if not m < x + _X_EPS:
-                failures.append(
-                    Counterexample(
-                        inputs=f"D(x)<0 should put m below x={x:.6g}",
-                        lhs=m,
-                        rhs=x,
-                        slack=_X_EPS,
-                        theta=theta,
-                    )
-                )
-        # converse directions of the equivalences
-        if x < m - _X_EPS:
-            fired = True
-            if not d >= -_SIGN_EPS:
-                failures.append(
-                    Counterexample(
-                        inputs=f"m above x={x:.6g} should force D(x)>=0",
-                        lhs=d,
-                        rhs=0.0,
-                        slack=_SIGN_EPS,
-                        theta=theta,
-                    )
-                )
-        elif x > m + _X_EPS:
-            fired = True
-            if not d <= _SIGN_EPS:
-                failures.append(
-                    Counterexample(
-                        inputs=f"m below x={x:.6g} should force D(x)<=0",
-                        lhs=d,
-                        rhs=0.0,
-                        slack=_SIGN_EPS,
-                        theta=theta,
-                    )
-                )
-        if fired:
-            satisfied += 1
+        for premise, conclusion, inputs, lhs, rhs, slack in implications:
+            if premise:
+                fired = True
+                if not conclusion:
+                    failures.append(Counterexample(inputs.format(x), lhs, rhs, slack, theta=theta))
+        satisfied += fired
     return VerificationReport(
         name=name, trials=trials, satisfied=satisfied, failures=tuple(failures)
     )

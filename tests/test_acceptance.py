@@ -94,7 +94,7 @@ def test_criterion_01_closed_form_indices():
         and abs(h2 - 10.0 / 3.0) <= 1e-9
         and abs(g1 - 20.0 / 3.0) <= 1e-9
         and abs(k2 - expected_k2) <= 1e-9
-        and elapsed < 0.0005
+        and elapsed < 0.0003
     )
     _report(
         1,
@@ -116,7 +116,7 @@ def test_criterion_02_discrete_fixture():
         and abs(g1 - 6.0) <= 1e-9
         and abs(h1 - h_oracle) <= h_spacing + 1e-9
         and abs(g1 - g_oracle) <= g_spacing + 1e-9
-        and elapsed < 0.5
+        and elapsed < 0.4
     )
     _report(2, ok, f"h={h1:.9f} g={g1:.9f} grid-oracle agrees, {elapsed:.2f} s")
 

@@ -1302,6 +1302,21 @@ def test_reader_output_is_pinned(tmp_path, capsys, name):
         assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+@pytest.mark.parametrize("command", ["index", "bundle", "admissible"])
+@pytest.mark.parametrize("suffix", [".csv", ".json"])
+def test_byte_order_mark_is_skipped(tmp_path, capsys, command, suffix):
+    # as a spreadsheet may save UTF-8; read like the same file without it
+    records = [{"id": "alice", "counts": [10, 8, 5, 4, 3, 2, 1]}, {"id": "bob", "counts": [9, 7, 2]}]
+    text = CSV_FIXTURE if suffix == ".csv" else json.dumps(records)
+    plain, marked = tmp_path / f"plain{suffix}", tmp_path / f"marked{suffix}"
+    plain.write_text(text, encoding="utf-8", newline="")
+    marked.write_text(text, encoding="utf-8-sig", newline="")
+    assert marked.read_bytes()[:3] == b"\xef\xbb\xbf"
+    expected = run_cli([command, str(plain)], capsys)
+    assert expected[0] == 0
+    assert run_cli([command, str(marked)], capsys) == expected
+
+
 # Count tokens for the reader: integers of 1 to 17 digits, leading zeros
 # included, and in some records a token that only float() reads, or none.
 integer_tokens = st.integers(min_value=1, max_value=17).flatmap(
