@@ -4,11 +4,11 @@ report admissible ranges, and run the verification suite.
 Input files are CSV with header ``id,counts`` (counts separated by ``;``)
 or JSON arrays of ``{"id": ..., "counts": [...]}``.  The CSV reader splits
 plain lines at their commas itself and leaves the rest of the file to the
-csv module from the first line that needs it.  It parses 1,000 records at
-a time: counts of 1 to 15 ASCII digits straight from the text's bytes,
-exactly; a chunk with any other token line by line, as ``float()`` reads
-it, with messages that name the first bad line.  A leading UTF-8
-byte-order mark is skipped in either format.
+csv module from the first line that needs it.  It parses blocks of whole
+lines of about 16 KB at a time: counts of 1 to 15 ASCII digits straight
+from the text's bytes, exactly; a block with any other token line by line,
+as ``float()`` reads it, with messages that name the first bad line.  A
+leading UTF-8 byte-order mark is skipped in either format.
 
 All computed tables are emitted in input order with 12 significant
 digits, so identical (input, config, seed) triples produce byte-identical
@@ -29,10 +29,12 @@ import csv
 import io
 import json
 import math
+import re
 import sys
 from dataclasses import dataclass, field, replace
 from itertools import chain, repeat
 from json.encoder import encode_basestring_ascii as _json_str
+from operator import itemgetter
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
 
@@ -149,8 +151,9 @@ def load_config(path: str | None) -> RunConfig:
     if path is None:
         return RunConfig()
     try:
-        raw = json.loads(Path(path).read_text())
-    except (OSError, json.JSONDecodeError) as e:
+        raw = json.loads(Path(path).read_text(encoding="utf-8-sig"))
+    # ValueError: JSONDecodeError, or UnicodeDecodeError for a byte UTF-8 does not decode
+    except (OSError, ValueError) as e:
         raise CliError(f"cannot read config {path}: {e}")
     if not isinstance(raw, dict):
         raise CliError("config root must be a JSON object")
@@ -241,8 +244,9 @@ def parse_theta_grid_flag(text: str) -> ThetaGrid:
 # --------------------------------------------------------------------------
 
 
-# Records per chunk of the CSV reader: the counts of a whole chunk are parsed
-# at once, and a chunk keeps few enough strings and arrays alive at once.
+# Records per chunk of the bundle kernel (_bundle_chunks): the cells of a
+# whole chunk are computed at once, and a chunk keeps few enough arrays
+# alive at once.
 CSV_CHUNK = 1000
 
 
@@ -372,67 +376,166 @@ def _read_json(p: Path) -> _Chunk:
 
 
 def _read_csv(p: Path) -> list[_Chunk]:
-    chunks = []
-    with p.open(encoding="utf-8-sig", newline="") as fh:
-        reader = _csv_rows(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise CliError(f"{p}: empty file")
-        except csv.Error as e:
-            raise CliError(f"{p}: line 1: {e}")
-        if [h.strip() for h in header[:2]] != ["id", "counts"]:
-            raise CliError(f"{p}: line 1: expected header 'id,counts'")
-        rows: list[tuple[int, list[str]]] = []
-        lineno = 1
-        try:
-            for lineno, row in enumerate(reader, start=2):
-                if row:
-                    rows.append((lineno, row))
-                if len(rows) == CSV_CHUNK:
-                    chunk, rows = rows, []
-                    chunks.append(_parse_chunk(p, chunk))
-        except csv.Error as e:  # a field beyond csv.field_size_limit(), say
-            raise CliError(f"{p}: line {lineno + 1}: {e}")
-        finally:
-            # also when the reader fails part-way, so that a bad line before
-            # the failure is reported first, as line by line
-            chunks.append(_parse_chunk(p, rows))
+    chunks: list[_Chunk] = []
+    # an undecodable byte is read as a surrogate, so that it is reported in
+    # line order: after any bad line before it
+    with p.open(encoding="utf-8-sig", errors="surrogateescape", newline="") as fh:
+        for done, block in _blocks(fh):
+            if not isinstance(block, list):
+                return chunks + _parse_csv(p, done, block)
+            if not done:
+                _check_header(p, _fields(block[0]))
+                done, block = 1, block[1:]
+            chunks.append(_parse_lines(p, done, block))
+    if not chunks:
+        raise CliError(f"{p}: empty file")
     return chunks
 
 
-def _csv_rows(fh: Iterable[str]) -> Iterator[list[str]]:
-    """The rows of ``csv.reader(fh)``, for lines read with ``newline=""``.
+# Characters (bytes, for ASCII text) of whole lines that the CSV reader
+# parses at once.  The digit kernel's largest temporaries then hold 8 bytes
+# a token, about 64 KiB at most, under glibc's 128 KiB mmap threshold however
+# short the tokens, so the heap reuses them from block to block.  A fresh
+# `admissible` on the seed-1 bench corpus of 10,000 records (3.8 MB) took
+# 4,800 to 5,300 minor page faults, against 16,100 to 16,700 with chunks of
+# 1,000 records (380 KB), whose temporaries were mapped afresh, or trimmed
+# off the heap, for every chunk.  8 KiB blocks pay the kernel's fixed cost
+# (about 20 us a call) twice as often; blocks up to 64 KiB faulted as
+# little on that corpus only as glibc raised its threshold.
+_BLOCK_SIZE = 16 * 1024
 
-    csv yields ``line.split(",")`` for a line with no quote, carriage
-    return or NUL (which csv rejects before Python 3.11) that is no longer
-    than its field limit, and ``[]`` for a blank line.  Such plain lines
-    are split here; from the first other line on, csv reads the rest.
+# what "surrogateescape" reads an undecodable byte as
+_UNDECODABLE = re.compile("[\udc80-\udcff]")
+
+
+def _blocks(fh: io.TextIOBase) -> Iterator[tuple[int, list[str] | Iterator[list[str]]]]:
+    """The lines of ``fh``, read with ``newline=""``, as blocks of about
+    ``_BLOCK_SIZE`` characters of whole plain lines, and then, from the first
+    other line on, as the rows of ``csv.reader``; each with the number of
+    lines before it.
+
+    A plain line has no quote, carriage return or NUL (which csv rejects
+    before Python 3.11), no undecodable byte and is no longer than csv's
+    field limit, and csv's row for it is :func:`_fields`.  Reading a line
+    with an undecodable byte, the rows raise its UnicodeDecodeError.
     """
     limit = csv.field_size_limit()
-    for line in fh:
-        if '"' in line or "\r" in line or "\0" in line or len(line) > limit:
-            yield from csv.reader(chain([line], fh))
+    done = 0
+    while lines := fh.readlines(_BLOCK_SIZE):
+        plain = len(lines)
+        if not (_plain("".join(lines)) and max(map(len, lines)) <= limit):
+            plain = next(
+                k for k, line in enumerate(lines) if not (_plain(line) and len(line) <= limit)
+            )
+        if plain:
+            yield done, lines[:plain]
+            done += plain
+        if plain < len(lines):
+            yield done, csv.reader(_decodable(chain(lines[plain:], fh)))
             return
-        if line[-1] == "\n":
-            line = line[:-1]
-        yield line.split(",") if line else []
+
+
+def _plain(text: str) -> bool:
+    """Whether ``text`` holds no quote, carriage return, NUL or undecodable byte."""
+    return not ('"' in text or "\r" in text or "\0" in text) and (
+        text.isascii() or not _UNDECODABLE.search(text)
+    )
+
+
+def _fields(line: str) -> list[str]:
+    """csv's row for a plain line: the line less its line break, split at
+    its commas; ``[]`` for a blank line."""
+    line = line.removesuffix("\n")
+    return line.split(",") if line else []
+
+
+def _decodable(lines: Iterable[str]) -> Iterator[str]:
+    """``lines``, up to one with an undecodable byte, where it raises the
+    UnicodeDecodeError of the line's bytes."""
+    for line in lines:
+        if not line.isascii() and _UNDECODABLE.search(line):
+            line.encode("utf-8", "surrogateescape").decode("utf-8")
+        yield line
+
+
+def _check_header(p: Path, header: list[str]) -> None:
+    if [h.strip() for h in header[:2]] != ["id", "counts"]:
+        raise CliError(f"{p}: line 1: expected header 'id,counts'")
+
+
+def _parse_lines(p: Path, done: int, lines: list[str]) -> _Chunk:
+    """Parse plain lines, which follow ``done`` lines, with one kernel call.
+
+    When every line is a row of two fields (the last may have more), the
+    count fields, each ended by a line break, are the text of
+    :func:`_parse_digits`.
+    Any other block (a blank line, a row of one field, a row of more than
+    two before the last, a count that is not 1 to 15 ASCII digits) goes
+    through the line-by-line reader, which skips what it may skip and
+    names the first bad line.
+    """
+    rows = list(map(str.split, lines, repeat(",")))
+    try:
+        text = "".join(map(itemgetter(1), rows))
+    except IndexError:  # a blank line, or a row of one field
+        parsed = None
+    else:
+        # only the file's last line may lack its line break.  A row of more
+        # than two fields leaves its break out of the text, which then holds
+        # too few lines, unless it is the block's last: the break added here
+        # then ends its counts.
+        parsed = _parse_digits(text if text.endswith("\n") else text + "\n", len(rows))
+    if parsed is None:
+        numbered = enumerate(map(_fields, lines), start=done + 1)
+        return _parse_rows(p, [(lineno, row) for lineno, row in numbered if row])
+    return list(map(str.strip, map(itemgetter(0), rows))), *parsed
+
+
+def _parse_csv(p: Path, done: int, rows: Iterator[list[str]]) -> list[_Chunk]:
+    """Parse the rows of the csv module, which follow ``done`` lines (so the
+    first is the header if ``done`` is 0), in blocks of about ``_BLOCK_SIZE``
+    characters, each as :func:`_parse_chunk` does."""
+    if not done:
+        try:
+            _check_header(p, next(rows))
+        except csv.Error as e:
+            raise CliError(f"{p}: line 1: {e}")
+        done = 1
+    chunks: list[_Chunk] = []
+    block: list[tuple[int, list[str]]] = []
+    size = 0
+    lineno = done
+    try:
+        for lineno, row in enumerate(rows, start=done + 1):
+            if row:
+                block.append((lineno, row))
+                size += sum(map(len, row))
+            if size > _BLOCK_SIZE:
+                chunks.append(_parse_chunk(p, block))
+                block, size = [], 0
+    except csv.Error as e:  # a field beyond csv.field_size_limit(), say
+        raise CliError(f"{p}: line {lineno + 1}: {e}")
+    finally:
+        # also when the reader fails part-way, so that a bad line before
+        # the failure is reported first, as line by line
+        chunks.append(_parse_chunk(p, block))
+    return chunks
 
 
 def _parse_chunk(p: Path, rows: list[tuple[int, list[str]]]) -> _Chunk:
-    """Parse the counts of non-blank rows in one pass over the chunk's text.
+    """Parse the counts of non-blank rows in one pass over their text.
 
     Counts of 1 to 15 ASCII digits go through :func:`_parse_digits`, which
-    also counts each row's tokens.  Any other chunk (a short row; a token
+    also counts each row's tokens.  Any other rows (a short row; a token
     with a sign, point, exponent, space or other digits; an empty,
-    non-numeric, non-finite or negative one) goes through the line-by-line
+    non-numeric, non-finite or negative one) go through the line-by-line
     reader, which skips what it may skip and names the first bad line.
     """
     try:
         fields = [row[1] for _, row in rows]
     except IndexError:
         return _parse_rows(p, rows)
-    parsed = _parse_digits("\n".join(fields), len(fields))
+    parsed = _parse_digits("\n".join(fields) + "\n", len(fields))
     if parsed is None:
         return _parse_rows(p, rows)
     return [row[0].strip() for _, row in rows], *parsed
@@ -444,35 +547,34 @@ _MAX_DIGITS = 15
 
 
 def _parse_digits(text: str, lines: int) -> tuple[np.ndarray, np.ndarray] | None:
-    """The values of ``lines`` lines of ``;``-separated tokens of 1 to 15 ASCII
-    digits each, and the number of tokens on each line.
+    """The values of ``lines`` lines, each ended by a line break, of
+    ``;``-separated tokens of 1 to 15 ASCII digits each, and the number of
+    tokens on each line.
 
     Each value is bitwise ``float(token)``, leading zeros included.  Returns
     None for any other text, an empty token, a longer one or a number of
     lines other than ``lines`` included.
     """
-    if not text.isascii():
+    if not (text.isascii() and text.endswith("\n")):
         return None
-    # allocated before the temporaries, so that their space is reused
-    # once they are freed rather than left below the kept array
-    values = np.empty(text.count(";") + lines)
-    # a line break in front, so that every token's first digit follows a separator
-    codes = np.frombuffer(f"\n{text}".encode("ascii"), dtype=np.uint8)
+    codes = np.frombuffer(text.encode(), dtype=np.uint8)
     digits = codes - ord("0")  # wraps around below "0"
-    separators = np.flatnonzero(digits > 9)
-    # more where a byte is neither a digit nor a separator, or a line holds a line break
-    if len(separators) != len(values):
+    separators = np.flatnonzero(digits > 9)  # the byte after each token
+    marks = codes[separators]
+    ends = np.flatnonzero(marks == ord("\n"))  # each line's last token
+    # every separator a line break or ";", and as many line breaks as lines
+    if len(ends) != lines or np.count_nonzero(marks == ord(";")) != len(separators) - lines:
         return None
-    # each line's first token, and so its number of tokens
-    firsts = np.flatnonzero(codes[separators] == ord("\n"))
-    lengths = np.diff(firsts, append=len(values))
-    pos = np.append(separators[1:], len(codes)) - 1  # the last byte of each token
+    lengths = ends + 1
+    lengths[1:] = ends[1:] - ends[:-1]
+    pos = separators - 1  # the last byte of each token
     column = digits[pos]
     if not (column <= 9).all():  # an empty token
         return None
-    values[:] = column
+    values = column.astype(float)
     # live: the tokens with a digit in column k, counted from 0 at the right;
-    # pos: the place of that digit
+    # pos: the place of that digit (the text's last byte, a line break, ends
+    # the first token on the left)
     live = np.flatnonzero(digits[pos - 1] <= 9)
     pos = pos[live] - 1
     for k in range(1, _MAX_DIGITS):
@@ -759,9 +861,10 @@ def _range_cells(rng: AdmissibleRange | BundleError) -> tuple[str, str, str]:
 
 def _certified_cells(corpus: Corpus, kind: OperatorKind, fam: PowerThreshold) -> _RangeColumns:
     theta_min, theta_max, errors = _certified_columns(corpus, kind, fam)
-    lows = list(map(_CELL.__mod__, theta_min.tolist()))
-    for i in np.flatnonzero(~(theta_min > 0.0)).tolist():  # open at zero, or NaN
-        lows[i] = "0"
+    lows = ["0"] * len(corpus)  # open at zero, or NaN
+    positive = np.flatnonzero(theta_min > 0.0).tolist()
+    for i, cell in zip(positive, map(_CELL.__mod__, theta_min[positive].tolist())):
+        lows[i] = cell
     highs = list(map(_CELL.__mod__, theta_max.tolist()))
     flags = ["true"] * len(corpus)
     for i, error in errors.items():

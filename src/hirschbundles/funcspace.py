@@ -237,55 +237,64 @@ def citation_integrals(counts: np.ndarray, offsets: np.ndarray) -> np.ndarray:
 
     Record i is ``counts[offsets[i]:offsets[i + 1]]``, non-empty and sorted
     non-increasingly.  Each result is bitwise equal to the function's
-    ``cumulative[-1]``: for counts within :func:`_exact_in_halves`, the
-    record's sum plus half its first count; for any others, the
-    function's running sum (:func:`_running_integrals`).
+    ``cumulative[-1]``: for a record within :func:`_exact_in_halves`, its
+    sum plus half its first count; for any other, the function's running
+    sum (:func:`_running_integrals`).
     """
-    if not _exact_in_halves(counts, len(offsets) - 1):
-        out = np.empty(len(offsets) - 1)
-        with np.errstate(over="ignore"):  # a running integral may overflow to inf, as in _set
-            for rows, sums in _running_integrals(counts, offsets):
-                out[rows] = sums[:, -1]
-        return out
     firsts = offsets[:-1]
-    return np.add.reduceat(counts, firsts) + counts[firsts] / 2.0
+    # the sum of a record outside may overflow, as a running integral does in _set
+    with np.errstate(over="ignore"):
+        out = np.add.reduceat(counts, firsts) + counts[firsts] / 2.0
+        outside = np.flatnonzero(~_exact_in_halves(counts, offsets))
+        if len(outside):
+            for rows, sums in _running_integrals(counts, offsets, outside):
+                out[rows] = sums[:, -1]
+    return out
 
 
 _CHECK_BLOCK = 1 << 16  # counts per block of the integer check of _exact_in_halves
 
+# The bound of _exact_in_halves: sums of multiples of 1/2 up to it are exact in float64
+_EXACT_SUM = 2.0**52
 
-def _exact_in_halves(counts: np.ndarray, records: int) -> bool:
-    """Whether every running integral of these records' functions is exact in float64.
 
-    True where the counts are integers with no negative zero and
-    ``max(counts) * (len(counts) + records) <= 2**52``.  Then every
-    trapezoid term (y_k + y_(k+1)) / 2 of a :func:`from_citation_counts`
-    function is a multiple of 1/2, and so is any partial sum of them, of
-    the counts or of the counts and each record's first count once more:
-    each is at most 2**52 and so exact, in any order of summation.  A sum
-    of such terms is then the same float however it is formed, and none
-    is -0.0.
+def _exact_in_halves(counts: np.ndarray, offsets: np.ndarray) -> np.ndarray:
+    """Per record, whether every running integral of its function is exact in float64.
+
+    Records as in :func:`citation_integrals`.  True where the record's N
+    counts are integers with no negative zero and ``c_1 * (N + 1) <= 2**52``
+    for its first, and largest, count c_1.  Then every trapezoid term
+    (y_k + y_(k+1)) / 2 of its :func:`from_citation_counts` function is a
+    multiple of 1/2, and so is any partial sum of them, of the counts or of
+    the counts and the first count once more: each is at most 2**52 and so
+    exact, in any order of summation.  A sum of such terms is then the same
+    float however it is formed, and none is -0.0.
     """
+    firsts = offsets[:-1]
+    with np.errstate(over="ignore"):  # a product past the float range is inf, and outside
+        exact = counts[firsts] * (np.diff(offsets) + 1.0) <= _EXACT_SUM
     # checked block by block: temporaries the size of a corpus cost more than the checks
-    blocks = (counts[k : k + _CHECK_BLOCK] for k in range(0, len(counts), _CHECK_BLOCK))
-    # a Python float product overflows to inf with no warning
-    return float(counts.max()) * (len(counts) + records) <= 2.0**52 and all(
-        not np.signbit(block).any() and (np.floor(block) == block).all() for block in blocks
-    )
+    for k in range(0, len(counts), _CHECK_BLOCK):
+        block = counts[k : k + _CHECK_BLOCK]
+        bad = np.flatnonzero(np.signbit(block) | (np.floor(block) != block)) + k
+        exact[np.searchsorted(offsets, bad, side="right") - 1] = False
+    return exact
 
 
-def _running_integrals(counts: np.ndarray, offsets: np.ndarray):
-    """Per record length N: (rows, sums), where ``sums[k]`` is the ``cumulative``
-    of record ``rows[k]``'s :func:`from_citation_counts` past its first entry 0.
+def _running_integrals(counts: np.ndarray, offsets: np.ndarray, records: np.ndarray):
+    """Per length N of the records ``records``: (rows, sums), where
+    ``sums[k]`` is the ``cumulative`` of record ``rows[k]``'s
+    :func:`from_citation_counts` past its first entry 0.
 
     Records as in :func:`citation_integrals`.  The records of one length are
     summed as the rows of one array, each row by the sequential running sum
     of ``cumulative``, so every entry is bitwise equal to the function's.
-    This is the path for counts outside :func:`_exact_in_halves` (fractions,
-    sums past 2**52, -0.0), where the order of summation shows in the bits.
+    This is the path for records outside :func:`_exact_in_halves`
+    (fractions, sums past 2**52, -0.0), where the order of summation shows
+    in the bits.
     """
     lengths = np.diff(offsets)
-    order = np.argsort(lengths, kind="stable")
+    order = records[np.argsort(lengths[records], kind="stable")]
     for rows in np.split(order, np.flatnonzero(np.diff(lengths[order])) + 1):
         n = int(lengths[rows[0]])
         c = counts[offsets[rows, None] + np.arange(n)]

@@ -54,7 +54,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .errors import DomainError, NonPositiveThetaError, NoRootError, NonUniqueError
-from .funcspace import RankFrequencyFunction, _exact_in_halves, _running_integrals
+from .funcspace import _EXACT_SUM, RankFrequencyFunction, _exact_in_halves, _running_integrals
 from .operators import _AVERAGING_EDGE, OperatorKind, TransformedFunction, apply
 from .thresholds import (
     DecreasingLinearThreshold,
@@ -415,19 +415,24 @@ def _averaging_columns(columns: _CitationColumns) -> tuple[np.ndarray, np.ndarra
     """(cumulative, mu(f)) at the points of ``columns``, bitwise the function's ``cumulative``
     and averaging ``breakpoint_values``; run under an errstate, as a sum may overflow.
 
-    For counts within ``funcspace._exact_in_halves``, the running integral at
-    point j of a record is its values' sum up to j less half its first and
-    half its j-th value (the trapezoid sum), from one running sum of all the
-    values; for any others, the function's running sum (``_running_integrals``).
+    When every record is within ``funcspace._exact_in_halves`` and all the
+    values sum to at most ``2**52``, the running integral at point j of a
+    record is its values' sum up to j less half its first and half its j-th
+    value (the trapezoid sum), from one running sum of all the values;
+    otherwise, for every record, the function's running sum
+    (``_running_integrals``).
     """
     firsts = columns.ys[np.repeat(columns.starts, columns.lengths)]
-    if _exact_in_halves(columns.counts, len(columns.starts)):
+    records = len(columns.starts)
+    # the values are the counts, each record's first count once more, and zeros
+    small = float(columns.counts.max()) * (len(columns.counts) + records) <= _EXACT_SUM
+    if small and _exact_in_halves(columns.counts, columns.offsets).all():
         sums = np.cumsum(columns.ys)
         before = sums[columns.starts] - columns.ys[columns.starts]  # the sum before each record
         cumulative = (sums - np.repeat(before, columns.lengths)) - (firsts + columns.ys) / 2.0
     else:
         cumulative = np.zeros(len(columns.x))
-        for rows, sums in _running_integrals(columns.counts, columns.offsets):
+        for rows, sums in _running_integrals(columns.counts, columns.offsets, np.arange(records)):
             cumulative[columns.starts[rows, None] + np.arange(1, sums.shape[1] + 1)] = sums
     # the support of every record starts at 0, and x is x - a
     span = np.repeat(columns.x[columns.ends], columns.lengths)

@@ -755,49 +755,67 @@ def test_running_integrals_are_bitwise_those_of_the_functions(records):
         ([PAST_BOUND], True),
         ([[3, 2, 1], [-0.0]], True),
         ([[3, 2, 1], [2.5, 1]], True),
+        # one fractional record among integer ones: only its own total is a running sum
+        ([[3, 2, 1], [7, 7, 7], [2.5, 1], [4]], True),
     ],
 )
 def test_running_sums_only_outside_exact_halves(monkeypatch, records, outside):
     records = [[float(c) for c in record] for record in records]
     counts = np.array([c for r in records for c in r])
-    assert funcspace._exact_in_halves(counts, len(records)) is not outside
+    offsets = np.concatenate([[0], np.cumsum([len(r) for r in records])])
+    exact = funcspace._exact_in_halves(counts, offsets)
+    # a record is outside for a count that is not an integer, a negative zero, or a large sum
+    assert exact.tolist() == [
+        all(c == int(c) and not math.copysign(1.0, c) < 0 for c in r)
+        and r[0] * (len(r) + 1) <= 2**52
+        for r in records
+    ]
+    assert (not exact.all()) is outside
     calls = []
     running = funcspace._running_integrals
 
-    def spy(counts, offsets):
-        calls.append(len(offsets) - 1)
-        return running(counts, offsets)
+    def spy(counts, offsets, rows):
+        calls.append(rows.tolist())
+        return running(counts, offsets, rows)
 
     monkeypatch.setattr(funcspace, "_running_integrals", spy)
     monkeypatch.setattr(solver, "_running_integrals", spy)
     _assert_integrals_are_the_functions(records)
-    # once by citation_integrals and once by _averaging_columns, each for every record
-    assert calls == ([len(records)] * 2 if outside else [])
+    # _averaging_columns for the whole chunk, then citation_integrals for the records outside
+    whole = list(range(len(records)))
+    assert calls == ([whole, np.flatnonzero(~exact).tolist()] if outside else [])
 
 
 @given(
     st.lists(
-        st.one_of(
-            st.integers(min_value=0, max_value=2**40).map(float),
-            st.sampled_from([-0.0, 0.5, 3.25, 2.0**51, 2.0**52]),
-        ),
+        st.lists(
+            st.one_of(
+                st.integers(min_value=0, max_value=2**40).map(float),
+                st.sampled_from([-0.0, 0.5, 3.25, 2.0**51, 2.0**52]),
+            ),
+            min_size=1,
+            max_size=8,
+        ).map(lambda record: sorted(record, reverse=True)),
         min_size=1,
-        max_size=40,
+        max_size=8,
     ),
-    st.integers(min_value=1, max_value=40),
     st.integers(min_value=1, max_value=5),
 )
 @settings(max_examples=300, deadline=None)
-def test_exact_in_halves_checks_in_blocks_as_in_one_pass(counts, records, block):
-    counts = np.array(counts)
-    one_pass = bool(
-        float(counts.max()) * (len(counts) + records) <= 2.0**52
-        and not np.signbit(counts).any()
-        and (np.floor(counts) == counts).all()
-    )
+def test_exact_in_halves_checks_in_blocks_as_in_one_pass(records, block):
+    counts = np.array([c for r in records for c in r])
+    offsets = np.concatenate([[0], np.cumsum([len(r) for r in records])])
+    one_pass = [
+        bool(
+            r[0] * (len(r) + 1) <= 2.0**52
+            and not np.signbit(r).any()
+            and (np.floor(r) == np.array(r)).all()
+        )
+        for r in records
+    ]
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(funcspace, "_CHECK_BLOCK", block)  # a fraction or -0.0 in any block
-        assert funcspace._exact_in_halves(counts, records) is one_pass
+        assert funcspace._exact_in_halves(counts, offsets).tolist() == one_pass
 
 
 # Records of (tvals, base) points, from one point up, and the thetas of their
