@@ -34,7 +34,6 @@ import sys
 from dataclasses import dataclass, field, replace
 from itertools import chain, repeat
 from json.encoder import encode_basestring_ascii as _json_str
-from operator import itemgetter
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
 
@@ -386,7 +385,8 @@ def _read_csv(p: Path) -> list[_Chunk]:
             if not done:
                 _check_header(p, _fields(block[0]))
                 done, block = 1, block[1:]
-            chunks.append(_parse_lines(p, done, block))
+            linenos = range(done + 1, done + 1 + len(block))
+            chunks.append(_parse_chunk(p, linenos, map(_fields, block)))
     if not chunks:
         raise CliError(f"{p}: empty file")
     return chunks
@@ -463,34 +463,6 @@ def _check_header(p: Path, header: list[str]) -> None:
         raise CliError(f"{p}: line 1: expected header 'id,counts'")
 
 
-def _parse_lines(p: Path, done: int, lines: list[str]) -> _Chunk:
-    """Parse plain lines, which follow ``done`` lines, with one kernel call.
-
-    When every line is a row of two fields (the last may have more), the
-    count fields, each ended by a line break, are the text of
-    :func:`_parse_digits`.
-    Any other block (a blank line, a row of one field, a row of more than
-    two before the last, a count that is not 1 to 15 ASCII digits) goes
-    through the line-by-line reader, which skips what it may skip and
-    names the first bad line.
-    """
-    rows = list(map(str.split, lines, repeat(",")))
-    try:
-        text = "".join(map(itemgetter(1), rows))
-    except IndexError:  # a blank line, or a row of one field
-        parsed = None
-    else:
-        # only the file's last line may lack its line break.  A row of more
-        # than two fields leaves its break out of the text, which then holds
-        # too few lines, unless it is the block's last: the break added here
-        # then ends its counts.
-        parsed = _parse_digits(text if text.endswith("\n") else text + "\n", len(rows))
-    if parsed is None:
-        numbered = enumerate(map(_fields, lines), start=done + 1)
-        return _parse_rows(p, [(lineno, row) for lineno, row in numbered if row])
-    return list(map(str.strip, map(itemgetter(0), rows))), *parsed
-
-
 def _parse_csv(p: Path, done: int, rows: Iterator[list[str]]) -> list[_Chunk]:
     """Parse the rows of the csv module, which follow ``done`` lines (so the
     first is the header if ``done`` is 0), in blocks of about ``_BLOCK_SIZE``
@@ -502,43 +474,44 @@ def _parse_csv(p: Path, done: int, rows: Iterator[list[str]]) -> list[_Chunk]:
             raise CliError(f"{p}: line 1: {e}")
         done = 1
     chunks: list[_Chunk] = []
-    block: list[tuple[int, list[str]]] = []
+    linenos: list[int] = []
+    block: list[list[str]] = []
     size = 0
     lineno = done
     try:
         for lineno, row in enumerate(rows, start=done + 1):
             if row:
-                block.append((lineno, row))
+                linenos.append(lineno)
+                block.append(row)
                 size += sum(map(len, row))
             if size > _BLOCK_SIZE:
-                chunks.append(_parse_chunk(p, block))
-                block, size = [], 0
+                chunks.append(_parse_chunk(p, linenos, block))
+                linenos, block, size = [], [], 0
     except csv.Error as e:  # a field beyond csv.field_size_limit(), say
         raise CliError(f"{p}: line {lineno + 1}: {e}")
     finally:
         # also when the reader fails part-way, so that a bad line before
         # the failure is reported first, as line by line
-        chunks.append(_parse_chunk(p, block))
+        chunks.append(_parse_chunk(p, linenos, block))
     return chunks
 
 
-def _parse_chunk(p: Path, rows: list[tuple[int, list[str]]]) -> _Chunk:
-    """Parse the counts of non-blank rows in one pass over their text.
+def _parse_chunk(p: Path, linenos: Iterable[int], rows: Iterable[list[str]]) -> _Chunk:
+    """Parse the counts of a block of rows, on lines ``linenos``, in one pass over their text.
 
-    Counts of 1 to 15 ASCII digits go through :func:`_parse_digits`, which
-    also counts each row's tokens.  Any other rows (a short row; a token
-    with a sign, point, exponent, space or other digits; an empty,
-    non-numeric, non-finite or negative one) go through the line-by-line
-    reader, which skips what it may skip and names the first bad line.
+    When every row has a count field, counts of 1 to 15 ASCII digits go
+    through :func:`_parse_digits`, which also counts each row's tokens.
+    Any other block (a blank or short row; a token with a sign, point,
+    exponent, space or other digits; an empty, non-numeric, non-finite or
+    negative one) goes through the line-by-line reader, which skips what
+    it may skip and names the first bad line.
     """
-    try:
-        fields = [row[1] for _, row in rows]
-    except IndexError:
-        return _parse_rows(p, rows)
-    parsed = _parse_digits("\n".join(fields) + "\n", len(fields))
-    if parsed is None:
-        return _parse_rows(p, rows)
-    return [row[0].strip() for _, row in rows], *parsed
+    rows = list(rows)
+    fields = [row[1] for row in rows if len(row) > 1]
+    parsed = len(fields) == len(rows) and _parse_digits("\n".join(fields) + "\n", len(rows))
+    if not parsed:
+        return _parse_rows(p, zip(linenos, rows))
+    return [row[0].strip() for row in rows], *parsed
 
 
 # Tokens of at most this many digits are below 10**15 < 2**53, so every
@@ -587,10 +560,12 @@ def _parse_digits(text: str, lines: int) -> tuple[np.ndarray, np.ndarray] | None
     return None if len(live) else (values, lengths)
 
 
-def _parse_rows(p: Path, rows: list[tuple[int, list[str]]]) -> _Chunk:
-    """The line-by-line reader, whose messages name the first bad line."""
+def _parse_rows(p: Path, rows: Iterable[tuple[int, list[str]]]) -> _Chunk:
+    """The line-by-line reader, whose messages name the first bad line; it skips blank rows."""
     ids, values, lengths = [], [], []
     for lineno, row in rows:
+        if not row:
+            continue
         if len(row) < 2:
             raise CliError(f"{p}: line {lineno}: expected 'id,counts'")
         try:

@@ -62,6 +62,7 @@ from .thresholds import (
     ThresholdFamily,
     _check_theta,
     _power,
+    _powers,
     _search_window,
     _solve_table,
     _SolveTable,
@@ -275,8 +276,7 @@ def _locate(
 
     # Safeguarded Newton on D from the segment's own polynomial N(t): no breakpoint
     # search per step, and the ends of [lo, hi] are never evaluated again (their
-    # signs are the table's, whose power is np.power and may differ from ** in
-    # the last bit).  T' = N', or (N' - T) / (x - a) for averaging.
+    # signs are the table's).  T' = N', or (N' - T) / (x - a) for averaging.
     a = f.support_start if averaging else None
     power = isinstance(family, PowerThreshold)
     if power:
@@ -415,29 +415,31 @@ def _averaging_columns(columns: _CitationColumns) -> tuple[np.ndarray, np.ndarra
     """(cumulative, mu(f)) at the points of ``columns``, bitwise the function's ``cumulative``
     and averaging ``breakpoint_values``; run under an errstate, as a sum may overflow.
 
-    When every record is within ``funcspace._exact_in_halves`` and all the
-    values sum to at most ``2**52``, the running integral at point j of a
-    record is its values' sum up to j less half its first and half its j-th
-    value (the trapezoid sum), from one running sum of all the values;
-    otherwise, for every record, the function's running sum
-    (``_running_integrals``).
+    For a record within ``funcspace._exact_in_halves``, the running integral
+    at its point j is its values' sum up to j less half its first and half
+    its j-th value (the trapezoid sum), from one running sum of the values
+    of all such records, while the sum of their bounds (first count times
+    N + 1) is at most ``2**52``; for any other record, the function's
+    running sum (``_running_integrals``), scattered back.
     """
-    firsts = columns.ys[np.repeat(columns.starts, columns.lengths)]
-    records = len(columns.starts)
-    # the values are the counts, each record's first count once more, and zeros
-    small = float(columns.counts.max()) * (len(columns.counts) + records) <= _EXACT_SUM
-    if small and _exact_in_halves(columns.counts, columns.offsets).all():
-        sums = np.cumsum(columns.ys)
-        before = sums[columns.starts] - columns.ys[columns.starts]  # the sum before each record
-        cumulative = (sums - np.repeat(before, columns.lengths)) - (firsts + columns.ys) / 2.0
-    else:
-        cumulative = np.zeros(len(columns.x))
-        for rows, sums in _running_integrals(columns.counts, columns.offsets, np.arange(records)):
+    firsts = np.repeat(columns.starts, columns.lengths)  # each point's record's first point
+    exact = _exact_in_halves(columns.counts, columns.offsets)
+    # a record's values sum to at most its first count times its number of counts plus one
+    if (columns.ys[columns.starts] * (columns.lengths - 1.0))[exact].sum() > _EXACT_SUM:
+        exact[:] = False  # the running sum of the records within might round
+    ys = columns.ys if exact.all() else np.where(np.repeat(exact, columns.lengths), columns.ys, 0.0)
+    sums = np.cumsum(ys)
+    before = sums[columns.starts] - ys[columns.starts]  # the sum before each record
+    cumulative = (sums - np.repeat(before, columns.lengths)) - (ys[firsts] + ys) / 2.0
+    outside = np.flatnonzero(~exact)
+    if len(outside):
+        for rows, sums in _running_integrals(columns.counts, columns.offsets, outside):
             cumulative[columns.starts[rows, None] + np.arange(1, sums.shape[1] + 1)] = sums
     # the support of every record starts at 0, and x is x - a
     span = np.repeat(columns.x[columns.ends], columns.lengths)
     edge = columns.x < _AVERAGING_EDGE * span
-    return cumulative, np.where(edge, firsts, cumulative / np.where(edge, 1.0, columns.x))
+    mu = cumulative / np.where(edge, 1.0, columns.x)
+    return cumulative, np.where(edge, columns.ys[firsts], mu)
 
 
 # Codes of the kernel's cells: positions in SolveStatus, and a cell the kernel
@@ -490,7 +492,7 @@ def _bundle_cells(
         tvals, cumulative = columns.ys, None
         if kind is OperatorKind.AVERAGING:
             cumulative, tvals = _averaging_columns(columns)
-        base = np.power(x - family.shift, family.p)
+        base = _powers(x - family.shift, family.p)
         j = _bisect_lanes(tvals, base, theta, start, length)
         at = np.minimum(start + j, end)
         after = np.minimum(at + 1, end)

@@ -75,8 +75,8 @@ class PowerThreshold:
 
     def value_many(self, x: np.ndarray, theta: float) -> np.ndarray:
         _check_theta(theta)
-        with np.errstate(over="ignore"):  # an overflowing power is inf
-            return theta * np.power(x - self.shift, self.p)
+        self._check_x(float(np.min(x, initial=self.shift)))
+        return theta * _powers(x - self.shift, self.p)
 
     def theta_inverse(self, x: float, value: float) -> float:
         if value < 0:
@@ -118,6 +118,8 @@ class DecreasingLinearThreshold:
 
     def value_many(self, x: np.ndarray, theta: float) -> np.ndarray:
         _check_theta(theta)
+        for end in (np.min(x, initial=0.0), np.max(x, initial=0.0)):
+            self.value(float(end), theta)  # raises as value does for an x outside [0, ceiling)
         return theta * (self.ceiling - x)
 
     def theta_inverse(self, x: float, value: float) -> float:
@@ -135,14 +137,40 @@ class DecreasingLinearThreshold:
 ThresholdFamily = Union[PowerThreshold, DecreasingLinearThreshold]
 
 
-# Shared with the solver, yet private: bench/tracing.py gives every public
-# function of a layer module a span, and this one runs per Newton step.
+# A(x, 1) = (x - shift)**p of a power threshold is _power of the gap x - shift,
+# or _powers of many gaps, with the same bits: every value, solve table, kernel
+# cell and Newton step takes its power from here.  Shared with the solver, yet
+# private: bench/tracing.py gives every public function of a layer module a
+# span, and _power runs per Newton step.
 def _power(gap: float, p: float) -> float:
-    """gap**p by Python's ``**``: 0.0 for gap <= 0, inf where it overflows."""
+    """gap**p: 0.0 for gap <= 0; for p = 1, 2 and 1/2 the correctly rounded
+    gap, gap * gap and sqrt(gap); otherwise Python's ``**``, inf where it overflows."""
+    if not gap > 0.0:
+        return 0.0
+    if p == 1.0:
+        return gap
+    if p == 2.0:
+        return gap * gap
+    if p == 0.5:
+        return math.sqrt(gap)
     try:
-        return gap**p if gap > 0.0 else 0.0
+        return gap**p
     except OverflowError:
         return math.inf
+
+
+def _powers(gaps: np.ndarray, p: float) -> np.ndarray:
+    """:func:`_power` of every gap, bitwise: the same correctly rounded forms
+    for p = 1, 2 and 1/2, and ``_power`` itself mapped over the gaps otherwise."""
+    gaps = np.where(gaps > 0.0, gaps, 0.0)
+    if p == 1.0:
+        return gaps
+    if p == 2.0:
+        with np.errstate(over="ignore"):  # an overflowing square is inf
+            return gaps * gaps
+    if p == 0.5:
+        return np.sqrt(gaps)
+    return np.array([_power(gap, p) for gap in gaps.tolist()])
 
 
 def _check_theta(theta: float) -> None:
@@ -227,11 +255,9 @@ def _solve_table(
             xs = np.concatenate((xs, turns))[order]
             tvals = np.concatenate((tvals, tf.eval_many(turns)))[order].tolist()
             segs = (np.searchsorted(f.xs, xs[:-1], side="right") - 1).tolist()
-    # A(xs, 1) with the bits of value_many (1.0 * v is v); an inf base makes D = -inf,
-    # as it should
+    # A(xs, 1); an inf base makes D = -inf, as it should
     if isinstance(family, PowerThreshold):
-        with np.errstate(over="ignore"):
-            base = np.power(xs - family.shift, family.p).tolist()
+        base = _powers(xs - family.shift, family.p).tolist()
     else:
         base = (family.ceiling - xs).tolist()
     # Where T(f) and A(., 1) both vanish at an open lower end, psi_f's limit
@@ -384,10 +410,10 @@ def certified_bounds(
 
     Function i has T(f) = ``t_origin[i]`` at the common ``origin`` and
     ``t_end[i]`` at its support end ``end[i]``.  A theta_min of 0.0 means
-    the range is open at zero.  The powers (end - shift)**p, taken once per
-    distinct end, and (origin - shift)**p are :func:`_power`, and each bound
-    is one IEEE division, so the bounds of a function have the
-    same bits whichever functions share the call.  A power at the end that
+    the range is open at zero.  The powers (end - shift)**p and (origin -
+    shift)**p are :func:`_powers` and :func:`_power`, and each bound is one
+    IEEE division, so the bounds of a function have the same bits whichever
+    functions share the call.  A power at the end that
     overflows is inf and gives theta_min 0: A reaches inf at the end, so
     every theta has a root.  A power of 0.0 (a shift at or past the end, or
     an underflow) leaves A not positive on [origin, end], so no theta is
@@ -397,10 +423,8 @@ def certified_bounds(
     exceeds T(f) already at the origin.  A power at the origin that
     underflows gives theta_max inf.
     """
-    ends, at = np.unique(end, return_inverse=True)
-    powers = np.array([_power(e - family.shift, family.p) for e in ends.tolist()])[at]
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        theta_min = t_end / powers
+        theta_min = t_end / _powers(end - family.shift, family.p)
         # inf where origin <= shift: the power is 0.0 there
         theta_max = t_origin / _power(origin - family.shift, family.p)
     none = ~(theta_min < math.inf) | (theta_max == 0.0)

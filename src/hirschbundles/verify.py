@@ -424,14 +424,12 @@ def steep_power_window(
     """
     if p <= 1.0:
         return None
-    slope = p * theta / envelope_scale
+    slope, power = p * theta / envelope_scale, PowerThreshold(p=p - 1.0, shift=0.0)
     try:
-        x0, _ = solve_transformed(
-            apply(OperatorKind.IDENTITY, f), PowerThreshold(p=p - 1.0, shift=0.0), slope
-        )
+        x0, _ = solve_transformed(apply(OperatorKind.IDENTITY, f), power, slope)
     except NoRootError:  # the difference keeps one sign on [a, S]
         x0 = f.support_start
-        if f.eval(x0) > slope * x0 ** (p - 1.0):
+        if f.eval(x0) > power.value(x0, slope):
             return None
     s = f.support_end
     if not x0 < s:
@@ -1370,7 +1368,7 @@ def _theta_for_schedule(
     """
     tf = apply(kind, f)
     s = tf.support_end
-    denom = (s - family.shift) ** family.p
+    denom = family.value(s, 1.0)
     floor_theta = tf.eval(s) / denom
     for fn in schedule:
         floor_theta = max(floor_theta, apply(kind, fn).eval(s) / denom)

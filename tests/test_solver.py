@@ -525,7 +525,7 @@ def test_decreasing_pair_table_holds_the_values_at_its_points(
     """The solve table of identity or averaging x power, on the whole support
     or on a window inside it: its points are the window ends and the
     breakpoints between them, its T(f) is ``eval`` there and its A(., 1) is
-    ``value_many``, bit for bit."""
+    ``value_many`` and ``value``, bit for bit."""
     record = from_citation_counts(sorted(counts, reverse=True))
     if record.is_zero():
         return  # the zero function is answered without a table
@@ -550,9 +550,8 @@ def test_decreasing_pair_table_holds_the_values_at_its_points(
     first = 1 if table.lo_limit else 0
     xs = table.xs[first:]
     assert _bits(table.tvals[first:]) == _bits([tf.eval(x) for x in xs])
-    # value_many, not the scalar value: numpy's power and Python's ** can
-    # differ in the last bit (x = 2921, p = 0.5)
     assert _bits(table.base[first:]) == _bits(family.value_many(np.array(xs), 1.0))
+    assert _bits(table.base[first:]) == _bits([family.value(x, 1.0) for x in xs])
 
 
 @given(st.lists(st.floats(-1e3, 1e3), min_size=1, max_size=40))
@@ -755,8 +754,10 @@ def test_running_integrals_are_bitwise_those_of_the_functions(records):
         ([PAST_BOUND], True),
         ([[3, 2, 1], [-0.0]], True),
         ([[3, 2, 1], [2.5, 1]], True),
-        # one fractional record among integer ones: only its own total is a running sum
+        # one fractional record among integer ones: only it is summed apart
         ([[3, 2, 1], [7, 7, 7], [2.5, 1], [4]], True),
+        # the same in a whole kernel chunk of 1,000 records
+        ([[k % 40 + 1 + 0.5 * (k == 321), *range(k % 40, 0, -1)] for k in range(1000)], True),
     ],
 )
 def test_running_sums_only_outside_exact_halves(monkeypatch, records, outside):
@@ -781,9 +782,8 @@ def test_running_sums_only_outside_exact_halves(monkeypatch, records, outside):
     monkeypatch.setattr(funcspace, "_running_integrals", spy)
     monkeypatch.setattr(solver, "_running_integrals", spy)
     _assert_integrals_are_the_functions(records)
-    # _averaging_columns for the whole chunk, then citation_integrals for the records outside
-    whole = list(range(len(records)))
-    assert calls == ([whole, np.flatnonzero(~exact).tolist()] if outside else [])
+    # _averaging_columns, then citation_integrals, each for the records outside only
+    assert calls == ([np.flatnonzero(~exact).tolist()] * 2 if outside else [])
 
 
 @given(

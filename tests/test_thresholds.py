@@ -3,6 +3,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hirschbundles.errors import (
     DomainError,
@@ -18,6 +20,8 @@ from hirschbundles.solver import solve_bundle_point
 from hirschbundles.thresholds import (
     DecreasingLinearThreshold,
     PowerThreshold,
+    _power,
+    _powers,
     admissible_range,
     psi,
 )
@@ -95,6 +99,62 @@ class TestEvaluation:
                 continue
             assert fam.value(x1, t1) > fam.value(x2, t1)
             assert fam.value(x1, t1) < fam.value(x1, t2)
+
+    @pytest.mark.parametrize(
+        "family, x",
+        [
+            (PowerThreshold(2.0, 3.0), 1.0),  # was theta (x - shift)^2 = 4.0
+            (PowerThreshold(0.5, 3.0), 1.0),  # was NaN, with a RuntimeWarning
+            (DecreasingLinearThreshold(20.0), 25.0),  # was negative
+            (DecreasingLinearThreshold(20.0), -1.0),
+            (DecreasingLinearThreshold(20.0), 20.0),
+        ],
+    )
+    def test_value_many_checks_the_domain_as_value(self, family, x):
+        with pytest.raises(DomainError):
+            family.value(x, 1.0)
+        with pytest.raises(DomainError):
+            family.value_many(np.array([5.0, x, 6.0]), 1.0)
+
+
+# Gaps x - shift of every size: zeros of both signs, subnormal, huge and past the
+# float range once raised to p
+_GAPS = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, 2.2e-308, 1e-200, 1.0, 2921.0, 1e154, 1e200, 1e308]),
+    st.floats(allow_nan=False),
+    st.floats(min_value=0.0, max_value=1e-300),
+)
+
+
+class TestOnePower:
+    """A(x, 1) of a power threshold has one set of bits: the scalar rule
+    ``_power`` and its vector twin ``_powers`` agree on every gap."""
+
+    @given(
+        st.lists(_GAPS, max_size=20),
+        st.one_of(st.sampled_from([0.5, 1.0, 2.0]), st.floats(min_value=0.01, max_value=50.0)),
+    )
+    @settings(max_examples=500, deadline=None)
+    def test_vector_powers_are_bitwise_the_scalar_rule(self, gaps, p):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # silent, overflow included
+            vector = _powers(np.array(gaps, dtype=float), p).tolist()
+        assert [v.hex() for v in vector] == [_power(g, p).hex() for g in gaps]
+
+    @pytest.mark.parametrize(
+        "family, x",
+        [
+            (PowerThreshold(0.5), 2921.0),  # ** gave 0x1.b05ec632536fap+5, np.power ...fbp+5
+            (PowerThreshold(2.0, 1.0 / 3.0), 4437.0),  # ** gave ...c73p+24, np.power ...c72p+24
+        ],
+    )
+    def test_value_and_value_many_agree(self, family, x):
+        assert family.value(x, 1.0).hex() == float(family.value_many(np.array([x]), 1.0)[0]).hex()
+
+    def test_half_and_square_are_correctly_rounded(self):
+        assert PowerThreshold(0.5).value(2921.0, 1.0) == math.sqrt(2921.0)
+        gap = 4437.0 - 1.0 / 3.0
+        assert PowerThreshold(2.0, 1.0 / 3.0).value(4437.0, 1.0) == gap * gap
 
 
 class TestThetaInverse:
