@@ -3,12 +3,13 @@ report admissible ranges, and run the verification suite.
 
 Input files are CSV with header ``id,counts`` (counts separated by ``;``)
 or JSON arrays of ``{"id": ..., "counts": [...]}``.  The CSV reader splits
-plain lines at their commas itself and leaves the rest of the file to the
-csv module from the first line that needs it.  It parses blocks of whole
-lines of about 16 KB at a time: counts of 1 to 15 ASCII digits straight
-from the text's bytes, exactly; a block with any other token line by line,
-as ``float()`` reads it, with messages that name the first bad line.  A
-leading UTF-8 byte-order mark is skipped in either format.
+plain lines, with any line end, at their commas itself and leaves the rest
+of the file to the csv module from the first line that needs it (a quoted
+one, say).  It parses blocks of whole lines of about 16 KB at a time:
+counts of 1 to 15 ASCII digits straight from the text's bytes, exactly; a
+block with any other token line by line, as ``float()`` reads it, with
+messages that name the line the first bad row starts on.  A leading UTF-8
+byte-order mark is skipped in either format.
 
 All computed tables are emitted in input order with 12 significant
 digits, so identical (input, config, seed) triples produce byte-identical
@@ -290,19 +291,7 @@ def read_sources(path: str) -> Corpus:
         chunks = [_read_json(p)] if p.suffix.lower() == ".json" else _read_csv(p)
     except OSError as e:  # a directory, say
         raise CliError(f"{p}: cannot read: {e.strerror or e}")
-    except UnicodeDecodeError as e:  # only CSV: the JSON reader reports it as invalid JSON
-        raise CliError(f"{p}: line {_undecodable_line(p)}: not UTF-8 text: {e.reason}")
     return _corpus(chunks)
-
-
-def _undecodable_line(p: Path) -> int:
-    """The line of the first byte of ``p`` that UTF-8 does not decode."""
-    data = p.read_bytes()
-    try:
-        data.decode("utf-8")
-    except UnicodeDecodeError as e:
-        return data.count(b"\n", 0, e.start) + 1
-    return 1  # the file changed since it was read
 
 
 def _corpus(chunks: list[_Chunk]) -> Corpus:
@@ -379,14 +368,12 @@ def _read_csv(p: Path) -> list[_Chunk]:
     # an undecodable byte is read as a surrogate, so that it is reported in
     # line order: after any bad line before it
     with p.open(encoding="utf-8-sig", errors="surrogateescape", newline="") as fh:
-        for done, block in _blocks(fh):
-            if not isinstance(block, list):
-                return chunks + _parse_csv(p, done, block)
-            if not done:
-                _check_header(p, _fields(block[0]))
-                done, block = 1, block[1:]
-            linenos = range(done + 1, done + 1 + len(block))
-            chunks.append(_parse_chunk(p, linenos, map(_fields, block)))
+        for linenos, rows in _blocks(p, fh):
+            if not chunks:
+                if [h.strip() for h in rows[0][:2]] != ["id", "counts"]:
+                    raise CliError(f"{p}: line 1: expected header 'id,counts'")
+                linenos, rows = linenos[1:], rows[1:]
+            chunks.append(_parse_chunk(p, linenos, rows))
     if not chunks:
         raise CliError(f"{p}: empty file")
     return chunks
@@ -408,16 +395,16 @@ _BLOCK_SIZE = 16 * 1024
 _UNDECODABLE = re.compile("[\udc80-\udcff]")
 
 
-def _blocks(fh: io.TextIOBase) -> Iterator[tuple[int, list[str] | Iterator[list[str]]]]:
-    """The lines of ``fh``, read with ``newline=""``, as blocks of about
-    ``_BLOCK_SIZE`` characters of whole plain lines, and then, from the first
-    other line on, as the rows of ``csv.reader``; each with the number of
-    lines before it.
+def _blocks(p: Path, fh: io.TextIOBase) -> Iterator[tuple[Sequence[int], list[list[str]]]]:
+    """The rows of ``fh``, read with ``newline=""``, as non-empty blocks of
+    about ``_BLOCK_SIZE`` characters, each with the line each row starts on.
 
-    A plain line has no quote, carriage return or NUL (which csv rejects
-    before Python 3.11), no undecodable byte and is no longer than csv's
-    field limit, and csv's row for it is :func:`_fields`.  Reading a line
-    with an undecodable byte, the rows raise its UnicodeDecodeError.
+    Whole plain lines are split by :func:`_fields`; from the first other
+    line on, the rows are those of ``csv.reader``.  A plain line has no
+    quote, NUL (which csv rejects before Python 3.11) or undecodable byte
+    and is no longer than csv's field limit.  A row that csv rejects, or a
+    line with an undecodable byte, raises a CliError that names its line,
+    once the rows before it are yielded.
     """
     limit = csv.field_size_limit()
     done = 0
@@ -428,24 +415,49 @@ def _blocks(fh: io.TextIOBase) -> Iterator[tuple[int, list[str] | Iterator[list[
                 k for k, line in enumerate(lines) if not (_plain(line) and len(line) <= limit)
             )
         if plain:
-            yield done, lines[:plain]
+            yield range(done + 1, done + 1 + plain), list(map(_fields, lines[:plain]))
             done += plain
         if plain < len(lines):
-            yield done, csv.reader(_decodable(chain(lines[plain:], fh)))
-            return
+            break
+    if not lines:
+        return
+    # the csv module's rows, in blocks of about as many characters
+    reader = csv.reader(_decodable(chain(lines[plain:], fh)))
+    linenos: list[int] = []
+    rows: list[list[str]] = []
+    size = 0
+    start = done + 1  # the line the next row starts on
+    failure = None
+    try:
+        for row in reader:
+            linenos.append(start)
+            rows.append(row)
+            start = done + 1 + reader.line_num
+            size += sum(map(len, row)) + 1
+            if size > _BLOCK_SIZE:
+                yield linenos, rows
+                linenos, rows, size = [], [], 0
+    except csv.Error as e:  # a field beyond csv.field_size_limit(), say
+        failure = f"line {start}: {e}"
+    except UnicodeDecodeError as e:  # of the line after the last one csv read
+        failure = f"line {done + 1 + reader.line_num}: not UTF-8 text: {e.reason}"
+    if rows:
+        yield linenos, rows
+    if failure:
+        raise CliError(f"{p}: {failure}")
 
 
 def _plain(text: str) -> bool:
-    """Whether ``text`` holds no quote, carriage return, NUL or undecodable byte."""
-    return not ('"' in text or "\r" in text or "\0" in text) and (
+    """Whether ``text`` holds no quote, NUL or undecodable byte."""
+    return not ('"' in text or "\0" in text) and (
         text.isascii() or not _UNDECODABLE.search(text)
     )
 
 
 def _fields(line: str) -> list[str]:
-    """csv's row for a plain line: the line less its line break, split at
-    its commas; ``[]`` for a blank line."""
-    line = line.removesuffix("\n")
+    """csv's row for a plain line: the line less its line end (``\\n``,
+    ``\\r\\n`` or ``\\r``), split at its commas; ``[]`` for a blank line."""
+    line = line.rstrip("\r\n")
     return line.split(",") if line else []
 
 
@@ -458,45 +470,7 @@ def _decodable(lines: Iterable[str]) -> Iterator[str]:
         yield line
 
 
-def _check_header(p: Path, header: list[str]) -> None:
-    if [h.strip() for h in header[:2]] != ["id", "counts"]:
-        raise CliError(f"{p}: line 1: expected header 'id,counts'")
-
-
-def _parse_csv(p: Path, done: int, rows: Iterator[list[str]]) -> list[_Chunk]:
-    """Parse the rows of the csv module, which follow ``done`` lines (so the
-    first is the header if ``done`` is 0), in blocks of about ``_BLOCK_SIZE``
-    characters, each as :func:`_parse_chunk` does."""
-    if not done:
-        try:
-            _check_header(p, next(rows))
-        except csv.Error as e:
-            raise CliError(f"{p}: line 1: {e}")
-        done = 1
-    chunks: list[_Chunk] = []
-    linenos: list[int] = []
-    block: list[list[str]] = []
-    size = 0
-    lineno = done
-    try:
-        for lineno, row in enumerate(rows, start=done + 1):
-            if row:
-                linenos.append(lineno)
-                block.append(row)
-                size += sum(map(len, row))
-            if size > _BLOCK_SIZE:
-                chunks.append(_parse_chunk(p, linenos, block))
-                linenos, block, size = [], [], 0
-    except csv.Error as e:  # a field beyond csv.field_size_limit(), say
-        raise CliError(f"{p}: line {lineno + 1}: {e}")
-    finally:
-        # also when the reader fails part-way, so that a bad line before
-        # the failure is reported first, as line by line
-        chunks.append(_parse_chunk(p, linenos, block))
-    return chunks
-
-
-def _parse_chunk(p: Path, linenos: Iterable[int], rows: Iterable[list[str]]) -> _Chunk:
+def _parse_chunk(p: Path, linenos: Sequence[int], rows: list[list[str]]) -> _Chunk:
     """Parse the counts of a block of rows, on lines ``linenos``, in one pass over their text.
 
     When every row has a count field, counts of 1 to 15 ASCII digits go
@@ -506,7 +480,6 @@ def _parse_chunk(p: Path, linenos: Iterable[int], rows: Iterable[list[str]]) -> 
     negative one) goes through the line-by-line reader, which skips what
     it may skip and names the first bad line.
     """
-    rows = list(rows)
     fields = [row[1] for row in rows if len(row) > 1]
     parsed = len(fields) == len(rows) and _parse_digits("\n".join(fields) + "\n", len(rows))
     if not parsed:
@@ -901,7 +874,10 @@ def cmd_verify(args, cfg: RunConfig) -> int:
     counts = result.counts()
     print(f"summary: {counts['pass']} pass, {counts['fail']} fail, {counts['vacuous']} vacuous")
     if args.report:
-        Path(args.report).write_text(json.dumps(result.to_dict(), indent=2) + "\n")
+        try:
+            Path(args.report).write_text(json.dumps(result.to_dict(), indent=2) + "\n")
+        except OSError as e:  # a missing directory, or a directory
+            raise CliError(f"cannot write report {args.report}: {e.strerror or e}")
     return 1 if result.any_fail else 0
 
 

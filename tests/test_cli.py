@@ -26,7 +26,6 @@ from hirschbundles.cli import (
     ThetaGrid,
     _blocks,
     _certified_columns,
-    _fields,
     _parse_rows,
     _range_or_error,
     main,
@@ -703,6 +702,16 @@ class TestVerifyCommand:
         data = json.loads(rep.read_text())
         assert data["counts"]["pass"] == 0
 
+    @pytest.mark.parametrize(
+        "where, reason",
+        [("missing/rep.json", "No such file or directory"), (".", "Is a directory")],
+    )
+    def test_unwritable_report_exit_2(self, tmp_path, capsys, where, reason):
+        rep = tmp_path / where
+        code, out, err = run_cli(["verify", "--trials", "1", "--report", str(rep)], capsys)
+        assert (code, err) == (2, f"error: cannot write report {rep}: {reason}\n")
+        assert "summary:" in out
+
     def test_bad_config_exit_2(self, tmp_path, capsys):
         p = tmp_path / "cfg.json"
         p.write_text("{not json")
@@ -917,6 +926,86 @@ class TestMalformedNumbers:
         assert (code, err) == (0, "")
 
 
+# Input and config errors: the command line, where {d} is the directory of
+# s.csv (CSV_FIXTURE) and of the files given, those files, and the error
+EXIT_2_CASES = {
+    "unknown-operator": (
+        "index {d}/s.csv --config {d}/c.json",
+        {"c.json": '{"indices": [{"name": "x", "operator": "sum"}]}'},
+        "unknown operator 'sum' in index 'x'",
+    ),
+    "unknown-family": (
+        "index {d}/s.csv --config {d}/c.json",
+        {"c.json": '{"indices": [{"name": "x", "family": "exp"}]}'},
+        "unknown family 'exp' in index 'x'",
+    ),
+    "config-root-not-object": (
+        "index {d}/s.csv --config {d}/c.json",
+        {"c.json": "[]"},
+        "config root must be a JSON object",
+    ),
+    "grid-count-below-1": (
+        "bundle {d}/s.csv --config {d}/c.json",
+        {"c.json": '{"theta_grid": {"count": 0}}'},
+        "theta grid count must be at least 1",
+    ),
+    "grid-max-below-min": (
+        "bundle {d}/s.csv --config {d}/c.json",
+        {"c.json": '{"theta_grid": {"min": 2, "max": 1, "count": 3}}'},
+        "theta grid maximum must not be below minimum",
+    ),
+    "unknown-spacing": (
+        "bundle {d}/s.csv --config {d}/c.json",
+        {"c.json": '{"theta_grid": {"spacing": "cubic"}}'},
+        "unknown theta grid spacing 'cubic'",
+    ),
+    "theta-grid-part-not-a-number": (
+        "bundle {d}/s.csv --theta-grid 1:x:3",
+        {},
+        "bad --theta-grid: could not convert string to float: 'x'",
+    ),
+    "theta-grid-fourth-part-not-log": (
+        "bundle {d}/s.csv --theta-grid 1:2:3:lin",
+        {},
+        "--theta-grid spacing must be 'log' when given",
+    ),
+    "input-file-not-found": (
+        "index {d}/missing.csv",
+        {},
+        "input file not found: {d}/missing.csv",
+    ),
+    "json-root-not-an-array": (
+        "index {d}/s.json",
+        {"s.json": '{"id": "a", "counts": [1]}'},
+        "{d}/s.json: expected a JSON array of records",
+    ),
+    "json-record-without-id": (
+        "index {d}/s.json",
+        {"s.json": '[{"counts": [1]}]'},
+        "{d}/s.json: record 0: need objects with 'id' and 'counts'",
+    ),
+    "json-counts-empty": (
+        "index {d}/s.json",
+        {"s.json": '[{"id": "a", "counts": [2]}, {"id": "b", "counts": []}]'},
+        "{d}/s.json: record 1: 'counts' must be a non-empty list",
+    ),
+    "csv-row-of-one-field": (
+        "admissible {d}/s.csv",
+        {"s.csv": "id,counts\nalice,3;2\nbob\n"},
+        "{d}/s.csv: line 3: expected 'id,counts'",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", list(EXIT_2_CASES))
+def test_input_and_config_errors_exit_2(tmp_path, capsys, name):
+    argv, files, error = EXIT_2_CASES[name]
+    for file_name, text in {"s.csv": CSV_FIXTURE, **files}.items():
+        (tmp_path / file_name).write_text(text)
+    args = [arg.format(d=tmp_path) for arg in argv.split()]
+    assert run_cli(args, capsys) == (2, "", f"error: {error.format(d=tmp_path)}\n")
+
+
 def golden_records():
     """300 records from a fixed integer formula: 1 to 83 counts, ties, zeros, some unsorted."""
     records = []
@@ -1128,6 +1217,11 @@ READER_INPUTS = {
     "bad-line-before-reader-failure": (
         "id,counts\nok,3;2;1\nbad,x\nbig," + "1;" * 70_000 + "1\n"
     ),
+    # a quoted id on lines 2 to 4; a message names the line its row starts on
+    "bad-count-after-quoted-line-breaks": 'id,counts\n"a\nb\nc",3;2\nd,4;1\ne,-1\n',
+    "reader-failure-after-quoted-line-breaks": (
+        'id,counts\n"a\nb\nc",3;2\nd,4;1\nbig,' + "1;" * 70_000 + "1\n"
+    ),
     # lines that the reader splits itself, and lines it hands to the csv module
     "empty-file": "",
     "header-only": "id,counts\n",
@@ -1273,6 +1367,16 @@ READER_OUTPUTS = {
     ),
     "bad-line-before-reader-failure": (
         2, "error: {p}: line 3: counts must be numbers\n",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    ),
+    "bad-count-after-quoted-line-breaks": (
+        2, "error: {p}: line 6: counts must be non-negative\n",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    ),
+    "reader-failure-after-quoted-line-breaks": (
+        2, "error: {p}: line 6: field larger than field limit (131072)\n",
         "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
         "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
     ),
@@ -1476,20 +1580,49 @@ def test_reader_page_faults_are_bounded(tmp_path):
     assert int(proc.stdout) <= READ_FAULTS_BOUND
 
 
-def _rows_until_error(rows):
-    """The rows, then the csv.Error that ended them, if any."""
+@pytest.mark.parametrize("end", ["\r\n", "\r"], ids=["crlf", "cr"])
+def test_cr_and_crlf_lines_are_read_as_lf_lines_are(tmp_path, capsys, monkeypatch, end):
+    lf, other = tmp_path / "lf.csv", tmp_path / "other.csv"
+    _seeded_corpus(lf, seed=3, records=60)
+    # a blank line, and a record to sort with a warning
+    lf.write_text(lf.read_text() + "\nu,1;5;3\n")
+    other.write_bytes(lf.read_bytes().replace(b"\n", end.encode()))
+
+    def reader(*args, **kwargs):
+        raise AssertionError("a plain line was left to csv.reader")
+
+    monkeypatch.setattr(cli.csv, "reader", reader)
+    for command in ["admissible", "bundle", "index"]:
+        expected = run_cli([command, str(lf)], capsys)
+        assert expected[0] == 0 and "'u'" in expected[2]
+        assert run_cli([command, str(other)], capsys) == expected
+
+
+def _csv_rows(text):
+    """csv.reader's rows of ``text``, each with the line it starts on, then
+    the line and message of the csv.Error that ended them, if any."""
+    reader = csv.reader(io.StringIO(text, newline=""))
     got = []
+    start = 1
     try:
-        got.extend(rows)
+        for row in reader:
+            got.append((start, row))
+            start = reader.line_num + 1
     except csv.Error as e:
-        got.append(f"csv.Error: {e}")
+        got.append(f"line {start}: {e}")
     return got
 
 
-def _block_rows(blocks):
-    """The rows of the reader's blocks: csv's row for each plain line, then the csv module's."""
-    for _, block in blocks:
-        yield from map(_fields, block) if isinstance(block, list) else block
+def _block_rows(p, text):
+    """The rows of the reader's blocks of ``text``, each with its line, then
+    the line and message of the error that ended them, if any."""
+    got = []
+    try:
+        for linenos, rows in _blocks(p, io.StringIO(text, newline="")):
+            got.extend(zip(linenos, rows))
+    except CliError as e:
+        got.append(str(e).removeprefix(f"{p}: "))
+    return got
 
 
 @given(
@@ -1505,9 +1638,8 @@ def test_csv_rows_are_those_of_csv_reader(text, limit, block_size):
             csv.field_size_limit(limit)
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(cli, "_BLOCK_SIZE", block_size)  # blocks of a few lines, or of one
-            fh = io.StringIO(text, newline="")
-            got = _rows_until_error(_block_rows(_blocks(fh)))
-        want = _rows_until_error(csv.reader(io.StringIO(text, newline="")))
+            got = _block_rows(Path("input.csv"), text)
+        want = _csv_rows(text)
     finally:
         csv.field_size_limit(old_limit)
     assert got == want
