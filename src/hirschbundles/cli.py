@@ -27,9 +27,11 @@ from __future__ import annotations
 
 import argparse
 import csv
+import errno
 import io
 import json
 import math
+import os
 import re
 import sys
 from dataclasses import dataclass, field, replace
@@ -846,6 +848,16 @@ def cmd_admissible(args, cfg: RunConfig) -> int:
     return 0
 
 
+def _report_problem(path: Path) -> int:
+    """The errno that writing a report at ``path`` fails with where it is a
+    folder or its folder is missing or unwritable, else 0; creates nothing."""
+    if path.is_dir():
+        return errno.EISDIR
+    if not path.parent.is_dir():
+        return errno.ENOTDIR if path.parent.exists() else errno.ENOENT
+    return 0 if os.access(path if path.exists() else path.parent, os.W_OK) else errno.EACCES
+
+
 def cmd_verify(args, cfg: RunConfig) -> int:
     trials = args.trials if args.trials is not None else cfg.trials
     if trials < 0:
@@ -861,6 +873,9 @@ def cmd_verify(args, cfg: RunConfig) -> int:
         trials=trials,
         include_reversal_in_impact=args.inject_reversal,
     )
+    problem = _report_problem(Path(args.report)) if args.report else 0
+    if problem:  # before the suite runs
+        raise CliError(f"cannot write report {args.report}: {os.strerror(problem)}")
     result = run_property_suite(suite_cfg)
     for report in result.reports:
         line = (

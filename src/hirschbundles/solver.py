@@ -17,19 +17,24 @@ depend on theta (the zero check, the window and its ends, the table) is
 one set-up value (``_set_up``), which the per-theta ``_solve`` takes:
 ``sample_bundle`` makes one per theta grid, and ``verify`` one per T(f)
 that it solves at several thetas.  D changes sign at most once on a run,
-found by a binary search of the run's points.  A zero of D at a point,
-or a sign change on a cell, is a root; D = 0 at two neighbouring points
-is psi_f = theta on a whole cell.  No root means theta is not admissible, several mean the
-configuration left the uniqueness hypotheses, which is reported rather
-than silently resolved.  The single root is then solved on its one cell,
-in closed form where the segment equation is a polynomial of degree at
-most 2, and otherwise found by iteration on its cell: a safeguarded
-Newton iteration inside the cell's bracket, which places the root to
-about one ulp (its status keeps the name ``Bisection``).  A root that
-lies right of a power's shift 0 but below the least positive float
-underflows to 0, the shift itself, and is reported as NoRoot.  ``verify``
-decides the monotonicity of D itself, for every theta at once, from the
-bounds of the theta-free phi = T(f)' / A'(., 1) (``thresholds._phi_bounds``).
+found by a binary search of the run's points.  D's sign at a point is
+the one rule of ``thresholds._d_values``, exact over the table's floats
+(averaging's mu(f) and the power of p = 1/2 stay rounded there): the
+support end, say, is a root only where D is exactly 0 there.  A zero of
+D at a point, or a sign change on a cell, is a root; D = 0 at two
+neighbouring points is psi_f = theta on a whole cell.  No root means
+theta is not admissible, several mean the configuration left the
+uniqueness hypotheses, which is reported rather than silently resolved.
+The single root is then solved on its one cell, in closed form where the
+segment equation is a polynomial of degree at most 2 (its constant term
+keeping the table's sign at the cell's start), and otherwise found by
+iteration on its cell: a safeguarded Newton iteration inside the cell's
+bracket, which places the root to about one ulp (its status keeps the
+name ``Bisection``).  A root that lies right of a power's shift 0 but
+below the least positive float underflows to 0, the shift itself, and is
+reported as NoRoot.  ``verify`` decides the monotonicity of D itself, for
+every theta at once, from the bounds of the theta-free
+phi = T(f)' / A'(., 1) (``thresholds._phi_bounds``).
 
 The CLI's records all start at 0, and for the pairs whose every root cell
 has a closed form there, identity x power(1 or 2) and averaging x power(1)
@@ -61,6 +66,7 @@ from .thresholds import (
     PowerThreshold,
     ThresholdFamily,
     _check_theta,
+    _d_values,
     _power,
     _powers,
     _search_window,
@@ -71,10 +77,6 @@ from .thresholds import (
 # An absolute tolerance in x for comparing solutions (``verify`` builds its
 # tolerances on it); the solver itself places a root to about one ulp.
 ABS_TOL_X = 1e-10
-
-# |D(S)| below this (relative to the largest |D| seen) counts as a root
-# at the right endpoint: the closed endpoint belongs to the domain.
-_BOUNDARY_TOL = 1e-12
 
 
 class SolveStatus(Enum):
@@ -167,18 +169,19 @@ def _solve(setup: _SetUp, theta: float) -> tuple[float, SolveStatus]:
         raise NoRootError(
             f"theta={theta} is not admissible: the threshold is not positive on [{lo}, {hi}]"
         )
-    xs, tvals, base, segs, runs, _, lo_limit = table
+    xs, tvals, base, segs, runs, _ = table
+
+    def d(i: int) -> float:
+        return _d_values(tvals[i], theta, base[i])
+
     # each root is (j, exact): a zero of D at xs[j], or a sign change on (xs[j - 1], xs[j])
     roots: list[tuple[int, bool]] = []
     for first, last, rising in runs:
         # the first point past the run's one sign change, D >= 0 (rising) or D <= 0,
         # by the probes of np.searchsorted over the run's values of D or -D
-        if rising:
-            j = bisect_left(range(last + 1), 0.0, first, key=lambda i: tvals[i] - theta * base[i])
-        else:
-            j = bisect_left(range(last + 1), 0.0, first, key=lambda i: theta * base[i] - tvals[i])
-        if j <= last and tvals[j] - theta * base[j] == 0.0:
-            if j < last and tvals[j + 1] - theta * base[j + 1] == 0.0:
+        j = bisect_left(range(last + 1), 0.0, first, key=d if rising else lambda i: -d(i))
+        if j <= last and d(j) == 0.0:
+            if j < last and d(j + 1) == 0.0:
                 # psi_f is theta on [xs[j], xs[j + 1]]
                 raise NonUniqueError(f"D = 0 on [{xs[j]}, {xs[j + 1]}] for theta={theta}")
             if not (j == 0 and open_lo) and (j, True) not in roots:
@@ -191,19 +194,9 @@ def _solve(setup: _SetUp, theta: float) -> tuple[float, SolveStatus]:
         j, exact = roots[0]
         if exact:
             return xs[j], SolveStatus.EXACT_SEGMENT
-        d_lo = tvals[j - 1] - theta * base[j - 1]
-        return _locate(tf, family, theta, xs[j - 1], xs[j], d_lo, segs[j - 1])
-    # No root, so D keeps the sign it has at S.  Where that is the sign before the
-    # last run's change (j, last and rising are the last run's), S is a root if
-    # |D(S)| is rounding noise against the largest |D|.
-    if j > last:
-        # D past a limit entry (D is 0 at the shift itself); where an overflowing
-        # threshold makes some |D| inf, S is no root
-        dvals = [t - theta * b for t, b in zip(tvals[lo_limit:], base[lo_limit:])]
-        tol = _BOUNDARY_TOL * max(1.0, float(np.abs(dvals).max()))
-        if hi == tf.support_end and abs(dvals[-1]) <= tol < math.inf:
-            return hi, SolveStatus.EXACT_SEGMENT
-    elif not rising:
+        return _locate(tf, family, theta, xs[j - 1], xs[j], d(j - 1), segs[j - 1])
+    # No root; j, last and rising are the last run's
+    if j <= last and not rising:
         raise NoRootError(f"theta={theta} is not admissible: D < 0 on the domain from {lo} to {hi}")
     bracket = "(" if open_lo else "["
     raise NoRootError(f"theta={theta} is not admissible: no root on {bracket}{lo}, {hi}]")
@@ -262,10 +255,15 @@ def _locate(
             e = x0 - f.support_start
             a2, a1, a0 = a1, a1 * e + a0, a0 * e
         c2, c1, c0 = t2 - a2, t1 - a1, t0 - a0
-        # c0 = 0 puts a root at t = 0, the left end; for averaging's first
-        # segment it is the spurious root x = a of the cleared denominator,
-        # and a true root there would have D(lo) = 0.
-        roots = _quadratic_roots(c2, c1, c0) if c0 != 0.0 else _linear_roots(c2, c1)
+        # c0 is D at x0, or (x0 - a) D for averaging: where x0 = lo it takes the table's
+        # sign there, which the rounding of A may have lost.  Where A(lo) = 0, c0 is T(f)
+        # exactly, and the table may hold psi_f's limit at lo instead.
+        if x0 == lo and a0 != 0.0 and (c0 > 0.0, c0 < 0.0) != (d_lo > 0.0, d_lo < 0.0):
+            c0 = d_lo * (x0 - f.support_start if averaging else 1.0)
+        # c0 = 0 puts a root at t = 0, the left end, which _roots leaves out: for
+        # averaging's first segment it is the spurious root x = a of the cleared
+        # denominator, and a true root there would have D(lo) = 0.
+        roots = _roots(c2, c1, c0)
         eps = 1e-12 * (f.support_end - f.support_start + 1.0)
         inside = [x0 + t for t in roots if lo - eps <= x0 + t <= hi + eps]
         if len(inside) == 1:
@@ -333,23 +331,18 @@ def _not_underflowed(x: float, family: ThresholdFamily, theta: float) -> float:
     return x
 
 
-def _linear_roots(c1: float, c0: float) -> list[float]:
-    if c1 == 0.0:
-        return []
-    return [-c0 / c1]
-
-
-def _quadratic_roots(c2: float, c1: float, c0: float) -> list[float]:
+def _roots(c2: float, c1: float, c0: float) -> list[float]:
+    """The roots of c2 t^2 + c1 t + c0 (by the numerically stable split),
+    less the root t = 0 that c0 = 0 gives."""
     if c2 == 0.0:
-        return _linear_roots(c1, c0)
+        return [] if c1 == 0.0 or c0 == 0.0 else [-c0 / c1]
+    if c0 == 0.0:
+        return [-c1 / c2]
     disc = c1 * c1 - 4.0 * c2 * c0
     if disc < 0.0:
         return []
-    sq = math.sqrt(disc)
-    # numerically stable split: q = 0 only for the double root at zero
-    q = -(c1 + math.copysign(sq, c1)) / 2.0
-    if q == 0.0:
-        return [0.0]
+    # q is 0 only where c1 = 0 and disc underflows: then the roots are 0 and an infinity
+    q = -(c1 + math.copysign(math.sqrt(disc), c1)) / 2.0
     return [q / c2, c0 / q]
 
 
@@ -472,7 +465,7 @@ def _bundle_cells(
 
     Every (record, theta) lane runs :func:`_solve` on the whole support: its
     search in lockstep over all lanes (:func:`_bisect_lanes`), then its
-    exact-zero, NonUnique and S-boundary rules and ``_locate``'s closed form
+    exact-zero and NonUnique rules and ``_locate``'s closed form
     per lane, in the same order of operations, so each cell it answers is
     bitwise the one ``sample_bundle`` gives.  A code is a position in
     ``SolveStatus`` (m is NaN but for ExactSegment), or ``_DECLINED`` for a
@@ -496,30 +489,18 @@ def _bundle_cells(
         j = _bisect_lanes(tvals, base, theta, start, length)
         at = np.minimum(start + j, end)
         after = np.minimum(at + 1, end)
-        zero_at = (j < length) & (tvals[at] - theta * base[at] == 0.0)
-        non_unique = zero_at & (at < end) & (tvals[after] - theta * base[after] == 0.0)
+        zero_at = (j < length) & (_d_values(tvals[at], theta, base[at]) == 0.0)
+        non_unique = zero_at & (at < end) & (_d_values(tvals[after], theta, base[after]) == 0.0)
         # a zero at x = 0, the open lower end at the shift, is no root
         exact = zero_at & ~non_unique & (j > 0)
         m[exact] = x[at[exact]]
-        # The S-boundary rule where the search met no D <= 0.  As |D| <= |tvals| + theta |base|,
-        # it skips the lanes where |D(S)| > 1e-12 max(1, 2 (max |tvals| + theta max |base|)).
-        lanes = np.flatnonzero(j == length)
-        if len(lanes):
-            d_end = np.abs(tvals[end[lanes]] - theta[lanes] * base[end[lanes]])
-            top = np.maximum.reduceat(np.abs(tvals), columns.starts)[lanes // count]
-            top += theta[lanes] * np.maximum.reduceat(np.abs(base), columns.starts)[lanes // count]
-            for k in lanes[~(d_end > _BOUNDARY_TOL * np.maximum(1.0, 2.0 * top))].tolist():
-                d = tvals[start[k] : end[k] + 1] - theta[k] * base[start[k] : end[k] + 1]
-                tol = _BOUNDARY_TOL * max(1.0, float(np.abs(d).max()))
-                if abs(d[-1]) <= tol < math.inf:
-                    m[k], exact[k] = x[end[k]], True
         code[exact] = _EXACT
         code[non_unique] = _NON_UNIQUE
         declined = np.repeat(columns.ys[columns.starts] == 0.0, count)  # the zero record
         cells = np.flatnonzero(~declined & ~zero_at & (j > 0) & (j < length))
         if len(cells):
             root, one = _cell_roots(
-                columns, cumulative, family, theta[cells], at[cells], end[cells]
+                columns, cumulative, tvals, base, family, theta[cells], at[cells], end[cells]
             )
             solved = one & (root > 0.0)  # else the root underflows to the shift 0
             m[cells[solved]] = root[solved]
@@ -539,7 +520,7 @@ def _bisect_lanes(
     for _ in range(int(length.max()).bit_length()):
         mid = (lo + hi) >> 1
         at = start + mid  # past the lane's points only once lo = hi = length
-        positive = tvals.take(at, mode="clip") - theta * base.take(at, mode="clip") > 0.0
+        positive = _d_values(tvals.take(at, mode="clip"), theta, base.take(at, mode="clip")) > 0.0
         positive &= mid < hi
         lo = np.where(positive, mid + 1, lo)
         hi = np.where(positive, hi, mid)
@@ -549,6 +530,8 @@ def _bisect_lanes(
 def _cell_roots(
     columns: _CitationColumns,
     cumulative: np.ndarray | None,
+    tvals: np.ndarray,
+    base: np.ndarray,
     family: PowerThreshold,
     theta: np.ndarray,
     i1: np.ndarray,
@@ -573,8 +556,11 @@ def _cell_roots(
     if averaging:  # multiply A by (x - a) = t + x0
         a2, a1, a0 = a1, a1 * x0 + a0, a0 * x0
     c2, c1, c0 = np.broadcast_arrays(t2 - a2, t1 - a1, t0 - a0)
-    # _quadratic_roots' stable split; where c2 = 0, _linear_roots(c1, c0); where
-    # c0 = 0, the one root of _linear_roots(c2, c1).  NaN or inf is no root.
+    # c0 keeps the table's sign at x0, as in _locate
+    d0 = _d_values(tvals[i0], theta, base[i0])
+    flip = (a0 != 0.0) & (((c0 > 0.0) != (d0 > 0.0)) | ((c0 < 0.0) != (d0 < 0.0)))
+    c0 = np.where(flip, d0 * (x0 if averaging else 1.0), c0)
+    # _roots' stable split, and its linear and c0 = 0 cases.  NaN or inf is no root.
     q = -(c1 + np.copysign(np.sqrt(c1 * c1 - 4.0 * c2 * c0), c1)) / 2.0
     linear = c2 == 0.0
     t = np.where(c0 == 0.0, -c1 / c2, np.where(linear, -c0 / c1, np.where(q == 0.0, 0.0, q / c2)))

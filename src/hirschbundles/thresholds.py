@@ -22,7 +22,8 @@ and its stationary points.  On the whole support of a decreasing T(f)
 against a power (the h and g settings) it is read straight off the
 breakpoint arrays, T(f) being ``breakpoint_values`` there, with one power
 of the abscissas.  The solver searches it for every theta; every
-admissible range is its least and greatest psi_f.
+admissible range is its least and greatest psi_f, each rounded inward to
+the float at which the solver's sign of D (``_d_values``) admits it.
 In the same way D' = A'(., 1) (phi - theta) with phi = T(f)' / A'(., 1)
 free of theta, so ``_phi_bounds``, phi's least and greatest value on a
 window, tells for every theta at once whether D is monotone there.
@@ -161,7 +162,8 @@ def _power(gap: float, p: float) -> float:
 
 def _powers(gaps: np.ndarray, p: float) -> np.ndarray:
     """:func:`_power` of every gap, bitwise: the same correctly rounded forms
-    for p = 1, 2 and 1/2, and ``_power`` itself mapped over the gaps otherwise."""
+    for p = 1, 2 and 1/2, and ``_power`` itself otherwise, once per distinct
+    gap (a solve table's gaps rise, while the ends of a corpus repeat)."""
     gaps = np.where(gaps > 0.0, gaps, 0.0)
     if p == 1.0:
         return gaps
@@ -170,7 +172,62 @@ def _powers(gaps: np.ndarray, p: float) -> np.ndarray:
             return gaps * gaps
     if p == 0.5:
         return np.sqrt(gaps)
+    if not (gaps[1:] > gaps[:-1]).all():
+        distinct, at = np.unique(gaps, return_inverse=True)
+        return _powers(distinct, p)[at.reshape(gaps.shape)]
     return np.array([_power(gap, p) for gap in gaps.tolist()])
+
+
+# D = tvals - theta * base at the points of a solve table: every sign of D that
+# the solver, its kernel and the range rounding below decide comes from here.
+def _d_values(tvals, theta, base):
+    """D at table points, with its sign exact over the floats given: Python
+    floats, or numpy arrays of one shape, with theta > 0 and base >= 0.
+
+    The float difference where it is more than 2**-50 of theta * base away
+    from 0, past what rounding the product can move it; where theta * base
+    overflows, the float difference too (-inf, or NaN).  At a near-tie, D
+    correctly rounded, from Dekker's two-product of theta and base scaled to
+    [1/2, 1) by powers of 2, and the least subnormal of its sign where it underflows.
+    """
+    product = theta * base
+    d = tvals - product
+    # |d| <= 2**-50 theta * base; never where the product is inf (inf - inf is NaN) or D NaN
+    near = 2.0**-50 * product - abs(d) >= 0.0
+    if isinstance(d, float):
+        return _exact_d(tvals, theta, base) if near else d
+    lanes = np.flatnonzero(near)
+    if len(lanes):
+        d[lanes] = _exact_d(tvals[lanes], theta[lanes], base[lanes])
+    return d
+
+
+def _exact_d(tvals, theta, base):
+    """:func:`_d_values` at near-ties, where tvals is within a factor 2 of theta * base."""
+    lib = math if isinstance(theta, float) else np
+    (m1, e1), (m2, e2) = lib.frexp(theta), lib.frexp(base)
+    scale, product = e1 + e2, m1 * m2
+    # Veltkamp's split of each factor into 26 and 27 bits; the error of the product is exact
+    s1, s2 = m1 * 134217729.0, m2 * 134217729.0
+    h1, h2 = s1 - (s1 - m1), s2 - (s2 - m2)
+    l1, l2 = m1 - h1, m2 - h2
+    error = ((h1 * h2 - product) + h1 * l2 + l1 * h2) + l1 * l2
+    # Sterbenz: the scaled tvals less the product is exact, so one rounding remains
+    scaled = (lib.ldexp(tvals, -scale) - product) - error
+    d = lib.ldexp(scaled, scale)
+    return d + (d == 0.0) * (scaled != 0.0) * lib.copysign(5e-324, scaled)
+
+
+def _inward(tvals, base, sign: float):
+    """The ratio bound psi = tvals / base (of floats, or of arrays), where
+    finite moved one float towards ``sign`` * inf where D has that sign at
+    it: rounded up to the least theta with D <= 0 (sign 1), or down to the
+    greatest with D >= 0 (sign -1)."""
+    bound = tvals / base
+    moved = sign * _d_values(tvals, bound, base) > 0.0
+    if isinstance(bound, float):
+        return math.nextafter(bound, sign * math.inf) if moved and math.isfinite(bound) else bound
+    return np.where(moved & np.isfinite(bound), np.nextafter(bound, sign * math.inf), bound)
 
 
 def _check_theta(theta: float) -> None:
@@ -230,7 +287,6 @@ class _SolveTable(NamedTuple):
     segs: Sequence[int]  # the breakpoint segment under [xs[k], xs[k + 1]]
     runs: list[tuple[int, int, bool]]  # (first, last, rising): psi_f monotone on xs[first..last]
     psi: np.ndarray | None  # psi_f at xs; None where the range is certified
-    lo_limit: bool  # index 0 holds psi_f's limit at the open lower end, over a base of 1.0
 
 
 def _solve_table(
@@ -264,8 +320,7 @@ def _solve_table(
     # gives D its sign just right of it: for the integral at shift = a (f being
     # non-zero, I(f) > 0 right of a), psi_f ~ f(a) (x - a)^(1 - p) tends to 0,
     # f(a) or inf for p <, = or > 1; a non-increasing T(f) stays 0.
-    lo_limit = isinstance(family, PowerThreshold) and lo == family.shift and tvals[0] == 0.0
-    if lo_limit:
+    if isinstance(family, PowerThreshold) and lo == family.shift and tvals[0] == 0.0:
         limit = f.ys.item(0) if family.p == 1.0 else (math.inf if family.p > 1.0 else 0.0)
         tvals[0], base[0] = limit if tf.kind is OperatorKind.INTEGRAL else 0.0, 1.0
     psi, runs = None, [(0, len(base) - 1, False)]
@@ -277,7 +332,7 @@ def _solve_table(
             rising = np.diff(psi) > 0.0
         cuts = [0, *(np.flatnonzero(np.diff(rising)) + 1).tolist(), len(rising)]
         runs = [(k0, k1, bool(rising[k0])) for k0, k1 in zip(cuts, cuts[1:])]
-    return _SolveTable(xs.tolist(), tvals, base, segs, runs, psi, lo_limit)
+    return _SolveTable(xs.tolist(), tvals, base, segs, runs, psi)
 
 
 def _psi_turns(
@@ -372,6 +427,8 @@ class AdmissibleRange:
     range is open at zero).  Both kinds are exact: ``certified`` marks the
     closed form from T(f) at the two ends (psi_f decreasing); otherwise the
     range is the least and greatest psi_f over the solve table of [a, S].
+    Each finite bound is rounded inward (:func:`_inward`), so the solver
+    finds a root at it and none one float outside.
     """
 
     theta_min: float | None
@@ -412,8 +469,8 @@ def certified_bounds(
     ``t_end[i]`` at its support end ``end[i]``.  A theta_min of 0.0 means
     the range is open at zero.  The powers (end - shift)**p and (origin -
     shift)**p are :func:`_powers` and :func:`_power`, and each bound is one
-    IEEE division, so the bounds of a function have the same bits whichever
-    functions share the call.  A power at the end that
+    IEEE division rounded inward by :func:`_inward`, so the bounds of a
+    function have the same bits whichever functions share the call.  A power at the end that
     overflows is inf and gives theta_min 0: A reaches inf at the end, so
     every theta has a root.  A power of 0.0 (a shift at or past the end, or
     an underflow) leaves A not positive on [origin, end], so no theta is
@@ -424,9 +481,10 @@ def certified_bounds(
     underflows gives theta_max inf.
     """
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        theta_min = t_end / _powers(end - family.shift, family.p)
+        theta_min = _inward(t_end, _powers(end - family.shift, family.p), 1.0)
         # inf where origin <= shift: the power is 0.0 there
-        theta_max = t_origin / _power(origin - family.shift, family.p)
+        base_origin = np.full(len(t_origin), _power(origin - family.shift, family.p))
+        theta_max = _inward(t_origin, base_origin, -1.0)
     none = ~(theta_min < math.inf) | (theta_max == 0.0)
     theta_min[none] = theta_max[none] = math.nan
     return theta_min, theta_max
@@ -450,7 +508,9 @@ def admissible_range(
     None (open at zero) when T(f)(S) = 0, and theta_max = psi_f(a), or inf
     when a <= shift, where the power vanishes.  Otherwise psi_f's least and
     greatest value over the solve table of [a, S], or of (shift, S] with
-    its limit at the shift.  Raises NoRootError when no theta is
+    its limit at the shift.  Each finite bound is rounded inward to the
+    float at which the solver finds a root (:func:`_inward`); one float
+    outside it finds none.  Raises NoRootError when no theta is
     admissible: the threshold is not positive on the domain, or (certified)
     it overflows already at a (see :func:`certified_bounds`).
     """
@@ -476,10 +536,13 @@ def admissible_range(
             f"threshold ceiling {family.ceiling} must exceed the search domain end {s}"
         )
     lo = max(a, family.shift) if isinstance(family, PowerThreshold) else a
-    psis = _solve_table(tf, family, lo, s).psi
-    theta_min = float(psis.min())  # 0 where T(f) or psi_f vanishes: open at zero
-    return AdmissibleRange(
-        theta_min=theta_min if theta_min > 0.0 else None,
-        theta_max=float(psis.max()),
-        certified=False,
-    )
+    table = _solve_table(tf, family, lo, s)
+    # each finite extreme rounded inward, as the least (or greatest) of the
+    # bounds of the points whose psi_f rounds to it; 0 is open at zero
+    bounds = []
+    for bound, sign, pick in ((table.psi.min(), 1.0, min), (table.psi.max(), -1.0, max)):
+        at = (table.psi == bound).nonzero()[0].tolist() if 0.0 < bound < math.inf else []
+        ends = [_inward(table.tvals[k], table.base[k], sign) for k in at]
+        bounds.append(pick(ends, default=float(bound)))
+    theta_min, theta_max = bounds
+    return AdmissibleRange(theta_min if theta_min > 0.0 else None, theta_max, certified=False)

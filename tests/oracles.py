@@ -1,8 +1,8 @@
 """Independent numeric oracles used to cross-check the library.
 
 Everything here is built from numpy primitives (interp, cumulative
-trapezoids, dense-grid argmin) or from the stdlib ``decimal`` module, and
-deliberately avoids the package's own evaluation and solving code paths,
+trapezoids, dense-grid argmin) or from the stdlib ``decimal`` and
+``fractions`` modules, and deliberately avoids the package's own evaluation and solving code paths,
 so agreement between the two is meaningful evidence.
 """
 
@@ -11,6 +11,7 @@ from __future__ import annotations
 import bisect
 import decimal
 from decimal import Decimal
+from fractions import Fraction
 
 import numpy as np
 
@@ -262,3 +263,64 @@ def oracle_root(
             else:
                 low = mid
         return (low + high) / 2
+
+
+def _sign(x) -> int:
+    return (x > 0) - (x < 0)
+
+
+def _root_sign(a: Fraction, b: int, w: Fraction) -> int:
+    """The sign of a + b sqrt(w), for w >= 0 and b in {-1, 1}, exactly."""
+    if w == 0:
+        return _sign(a)
+    if _sign(a) != -b:
+        return b
+    return _sign(a) * _sign(a * a - w)  # a and b sqrt(w) of opposite signs
+
+
+def _zeros_in(c0: Fraction, c1: Fraction, c2: Fraction, closed: bool) -> int | None:
+    """The distinct zeros of c2 t^2 + c1 t + c0 on (0, 1], or on [0, 1] if
+    ``closed``; None if it vanishes identically."""
+    if c2 == 0:
+        if c1 == 0:
+            return None if c0 == 0 else 0
+        t = -c0 / c1
+        return int((0 <= t if closed else 0 < t) and t <= 1)
+    disc = c1 * c1 - 4 * c2 * c0
+    if disc < 0:
+        return 0
+    count = 0
+    for b in (1, -1) if disc else (1,):
+        # t = (-c1 + b sqrt(disc)) / (2 c2), and t - L has the sign of
+        # (-c1 - 2 c2 L + b sqrt(disc)) times that of c2
+        above = _root_sign(-c1, b, disc) * _sign(c2)
+        below = _root_sign(-c1 - 2 * c2, b, disc) * _sign(c2)
+        count += (above >= 0 if closed else above > 0) and below <= 0
+    return count
+
+
+def exact_status(counts, kind: str, p: int, theta: float, window=None) -> str:
+    """The status of T(f)(x) = theta x**p, decided in rationals: "root"
+    (exactly one), "NoRoot" or "NonUnique", for the citation record
+    ``counts`` (integers) and T = identity or integral, p = 1 or 2, shift 0.
+
+    The domain is (0, S], or the window [lo, hi] of integer ends (open at
+    0).  On each cell [k, k + 1], in t = x - k, f is y0 + s t and D is the
+    quadratic T(f) - theta (k + t)**p, whose distinct zeros are counted with
+    square roots compared by squaring.
+    """
+    theta = Fraction(theta)
+    ys = [Fraction(c) for c in (counts[0], *counts, 0)]
+    lo, hi = window if window is not None else (0, len(ys) - 1)
+    zeros, integral = 0, Fraction(0)
+    for k in range(lo if kind == "identity" else 0, hi):
+        y0, s = ys[k], ys[k + 1] - ys[k]
+        if k >= lo:
+            t0, t1, t2 = (y0, s, 0) if kind == "identity" else (integral, y0, s / 2)
+            a0, a1, a2 = (theta * k, theta, 0) if p == 1 else (theta * k * k, 2 * theta * k, theta)
+            count = _zeros_in(t0 - a0, t1 - a1, t2 - a2, closed=k == lo > 0)
+            if count is None:
+                return "NonUnique"
+            zeros += count
+        integral += (y0 + ys[k + 1]) / 2
+    return "NoRoot" if zeros == 0 else "root" if zeros == 1 else "NonUnique"

@@ -148,7 +148,7 @@ def test_criterion_03_solver_vs_grid_oracle():
                 assert err <= spacing + 1e-10
                 checked += 1
     elapsed = time.perf_counter() - t0
-    ok = checked >= 200 * 3 * 5 and elapsed < 19.0
+    ok = checked >= 200 * 3 * 5 and elapsed < 17.0
     _report(3, ok, f"{checked} solves vs 1e5-point grid, worst slack {worst:.2e}, {elapsed:.1f} s")
 
 

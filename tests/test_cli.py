@@ -677,8 +677,8 @@ class TestVerifyCommand:
             pytest.param(
                 ["--trials", "6", "--inject-reversal"],
                 1,
-                "23613e14fdb7498c29dce829a8eb770705fc45240f35a98838afcd1ca921be58",
-                "fbdc61b34ed75212505d96ddd21c872748571e4ca27dcbf981febc1257417324",
+                "1dea5e9dfa42cffa9eaf45fdc5b6aa0d8220c87ecdf309db718a967a2682175f",
+                "98dc00fcce7729549d37685744a299aaed0d1bd411cc603362365fb10a76b2a6",
                 id="trials-6-reversal",
             ),
         ],
@@ -706,11 +706,26 @@ class TestVerifyCommand:
         "where, reason",
         [("missing/rep.json", "No such file or directory"), (".", "Is a directory")],
     )
-    def test_unwritable_report_exit_2(self, tmp_path, capsys, where, reason):
+    def test_unwritable_report_exit_2(self, tmp_path, capsys, monkeypatch, where, reason):
+        # before the suite runs: it prints nothing, and no file is made
+        monkeypatch.setattr(cli, "run_property_suite", None)
         rep = tmp_path / where
         code, out, err = run_cli(["verify", "--trials", "1", "--report", str(rep)], capsys)
-        assert (code, err) == (2, f"error: cannot write report {rep}: {reason}\n")
-        assert "summary:" in out
+        assert (code, out, err) == (2, "", f"error: cannot write report {rep}: {reason}\n")
+        assert sorted(p.name for p in tmp_path.iterdir()) == []
+
+    def test_existing_report_is_not_truncated_before_the_suite(self, tmp_path, capsys, monkeypatch):
+        rep = tmp_path / "rep.json"
+        rep.write_text("kept")
+        seen, original = [], cli.run_property_suite
+
+        def suite(cfg):
+            seen.append(rep.read_text())
+            return original(cfg)
+
+        monkeypatch.setattr(cli, "run_property_suite", suite)
+        assert run_cli(["verify", "--trials", "1", "--report", str(rep)], capsys)[0] == 0
+        assert seen == ["kept"] and json.loads(rep.read_text())["counts"]["pass"] > 0
 
     def test_bad_config_exit_2(self, tmp_path, capsys):
         p = tmp_path / "cfg.json"

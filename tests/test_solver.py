@@ -7,7 +7,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from hirschbundles import funcspace, solver, thresholds
 from hirschbundles.errors import BundleError, NonPositiveThetaError, NoRootError, NonUniqueError
@@ -31,9 +31,15 @@ from hirschbundles.solver import (
     solve_bundle_point,
     solve_transformed,
 )
-from hirschbundles.thresholds import PowerThreshold, DecreasingLinearThreshold, psi
+from hirschbundles.thresholds import (
+    DecreasingLinearThreshold,
+    PowerThreshold,
+    _d_values,
+    admissible_range,
+    psi,
+)
 
-from oracles import oracle_grid_root, oracle_root, oracle_roots
+from oracles import exact_status, oracle_grid_root, oracle_root, oracle_roots
 
 IDENTITY = OperatorKind.IDENTITY
 AVERAGING = OperatorKind.AVERAGING
@@ -360,8 +366,8 @@ class TestExactIsolation:
 
     def test_constant_psi_is_not_unique(self):
         # f is linear with f(S) = 0 and c = 2 S, so mu(f) = theta (c - x) exactly:
-        # D = 0 on the whole domain
-        f = random_function(147)
+        # D = 0 on the whole domain, at theta = 12 / 8, a tie in floats too
+        f = RankFrequencyFunction([(0.0, 12.0), (4.0, 0.0)])
         fam = DecreasingLinearThreshold(2.0 * f.support_end)
         tf = apply(AVERAGING, f)
         for x in (0.0, f.support_end / 2.0):
@@ -369,21 +375,23 @@ class TestExactIsolation:
                 solve_transformed(tf, fam, fam.theta_inverse(x, tf.eval(x)))
 
     def test_constant_integral_average_is_not_unique(self):
-        # I(f)(x) / (x - a) = 38 on the flat first segment: D = 0 on all of it at theta = 38
-        f = RankFrequencyFunction([(1.5, 38.0), (14.1, 38.0), (21.7, 0.9)])
+        # I(f)(x) / (x - a) = 38 on the flat first segment: D = 0 on all of it at theta = 38,
+        # with dyadic breakpoints, on which I(f) and A are exact
+        f = RankFrequencyFunction([(1.5, 38.0), (14.25, 38.0), (21.75, 0.875)])
         with pytest.raises(NonUniqueError):
             solve_bundle_point(f, INTEGRAL, PowerThreshold(1.0, 1.5), 38.0)
 
     def test_root_at_the_end_of_a_rising_run(self):
-        # psi_f turns twice and rises to theta at S, where D(S) = -1.8e-15 is rounding noise
-        f = RankFrequencyFunction(
-            [(0.0, 22.0), (2.3142671600046913, 16.0), (2.413860148983571, 12.0)]
-            + [(10.927707512521094, 9.0)]
-        )
-        fam = DecreasingLinearThreshold(11.582133651930807)
+        # psi_f turns twice and rises to theta at S; A(S, 1) = c - S = 0.5, so
+        # theta = psi_f(S) is exact and D(S) = 0, while one float above it D < 0 everywhere
+        f = RankFrequencyFunction([(0.0, 22.0), (2.3125, 16.0), (2.4140625, 12.0), (10.9375, 9.0)])
+        fam = DecreasingLinearThreshold(11.4375)
         tf = apply(AVERAGING, f)
         theta = fam.theta_inverse(f.support_end, tf.eval(f.support_end))
+        assert solver._set_up(tf, fam, None).table.runs[-1][2]  # a rising last run
         assert solve_transformed(tf, fam, theta) == (f.support_end, SolveStatus.EXACT_SEGMENT)
+        with pytest.raises(NoRootError):
+            solve_transformed(tf, fam, math.nextafter(theta, math.inf))
 
     def test_overflowing_threshold_at_the_end_is_no_root(self):
         # 16.77^400 overflows, so D(S) = -inf, and psi_f peaks at about 2.1e-72 < theta
@@ -482,12 +490,17 @@ class TestSolveTable:
                 counts_fixture, IDENTITY, PowerThreshold(1.0, 0.0), 1.0, x_window=(5.0, 8.0)
             )
 
-    def test_boundary_root_at_support_end(self, const4, monkeypatch):
-        # D(8) = 4 - 8 theta = 2**-50 > 0 at every table point, within the boundary tolerance
+    def test_root_at_support_end_from_theta_min_only(self, const4, monkeypatch):
+        # D(8) = 4 - 8 theta is 0 at theta_min = 0.5, and 2**-51 > 0 one float below it
+        # and 2**-50 two floats below, at every table point: no root, however small D(S)
         monkeypatch.setattr(solver, "_locate", None)
-        theta = 0.5 - 2.0**-53
-        m, status = solve_bundle_point(const4, IDENTITY, PowerThreshold(1.0, 0.0), theta)
+        family = PowerThreshold(1.0, 0.0)
+        assert admissible_range(const4, IDENTITY, family).theta_min == 0.5
+        m, status = solve_bundle_point(const4, IDENTITY, family, 0.5)
         assert (m, status) == (8.0, SolveStatus.EXACT_SEGMENT)
+        for theta in (0.5 - 2.0**-54, 0.5 - 2.0**-53):
+            with pytest.raises(NoRootError):
+                solve_bundle_point(const4, IDENTITY, family, theta)
 
     def test_open_lower_end_at_the_shift_is_not_a_root(self):
         # on the window (5, 8], T(f)(5) = 0 = A(5, theta): D(5) = 0 at the excluded end
@@ -546,19 +559,47 @@ def test_decreasing_pair_table_holds_the_values_at_its_points(
     for k, seg in enumerate(table.segs):
         assert f.xs[seg] <= table.xs[k] < table.xs[k + 1] <= f.xs[seg + 1]
     assert table.runs == [(0, len(table.xs) - 1, False)]
-    # the limit entry at an open lower end, where T(f) = 0, is psi_f's, not A's
-    first = 1 if table.lo_limit else 0
+    # the limit entry at an open lower end, where T(f) = 0, is psi_f's over a base of 1.0, not A's
+    first = int(table.xs[0] == shift and table.base[0] == 1.0)
     xs = table.xs[first:]
     assert _bits(table.tvals[first:]) == _bits([tf.eval(x) for x in xs])
     assert _bits(table.base[first:]) == _bits(family.value_many(np.array(xs), 1.0))
     assert _bits(table.base[first:]) == _bits([family.value(x, 1.0) for x in xs])
 
 
-@given(st.lists(st.floats(-1e3, 1e3), min_size=1, max_size=40))
+# (tvals, base) points whose D at theta is out of order, and near-ties: tvals is
+# theta * base rounded, or a float next to it, where the float D may be 0 or of
+# the wrong sign
+def _near_ties(theta):
+    product = st.floats(1e-3, 1e3).map(lambda b: (theta * b, b))
+    return st.lists(
+        st.one_of(
+            st.tuples(st.floats(-1e3, 1e3), st.floats(0.0, 1e3)),
+            product,
+            product.map(lambda tb: (math.nextafter(tb[0], math.inf), tb[1])),
+            product.map(lambda tb: (math.nextafter(tb[0], -math.inf), tb[1])),
+        ),
+        min_size=1,
+        max_size=40,
+    )
+
+
+@given(
+    st.sampled_from([0.1, 0.3, 0.7, 1.0, 2.5]).flatmap(
+        lambda theta: st.tuples(st.just(theta), _near_ties(theta))
+    )
+)
 @settings(max_examples=300, deadline=None)
-def test_table_bisect_probes_as_searchsorted(dvals):
-    """Also where rounding leaves D out of order, the float bisection and the
-    array search pick the same point."""
+@example((0.3, [(5.0, 1.0), (3.0, 10.0), (1.0, 12.0)]))  # fl(0.3 * 10) = 3 > 0.3 * 10
+def test_table_bisect_probes_as_searchsorted(case):
+    """Also where D's signs are out of order, the bisection of the scalar solve
+    and the array search over the same signs pick the same point, and the
+    signs of ``_d_values`` on a point and on an array are the same."""
+    theta, points = case
+    tvals, base = (np.array(v) for v in zip(*points))
+    dvals = [_d_values(t, theta, b) for t, b in points]
+    lanes = _d_values(tvals, np.full(len(base), theta), base)
+    assert np.array_equal(np.sign(dvals), np.sign(lanes))
     j = bisect.bisect_left(range(len(dvals)), 0.0, key=lambda i: -dvals[i])
     assert j == int(np.searchsorted(-np.array(dvals), 0.0))
 
@@ -830,6 +871,8 @@ lane_records = st.lists(
 
 @given(lane_records, st.lists(st.floats(), min_size=1, max_size=4))
 @settings(max_examples=400, deadline=None)
+# a near-tie: fl(0.3 * 10) = 3 = tvals, but D = 3 - 0.3 * 10 > 0 exactly, so j is 2, not 1
+@example([[(5.0, 1.0), (3.0, 10.0), (1.0, 12.0)]], [0.3, 1.0])
 def test_lockstep_search_is_bisect_left_on_every_lane(records, thetas):
     lengths = np.array([len(points) for points in records])
     tvals = np.array([t for points in records for t, _ in points])
@@ -843,34 +886,145 @@ def test_lockstep_search_is_bisect_left_on_every_lane(records, thetas):
     lane = 0
     for points in records:
         for th in thetas:
-            keys = [th * b - t for t, b in points]  # _solve's key of one falling run
+            keys = [-_d_values(t, th, b) for t, b in points]  # _solve's key of one falling run
             assert j[lane] == bisect.bisect_left(keys, 0.0), (lane, points, th)
             lane += 1
 
 
 def test_kernel_cells_of_each_rule():
     # g on 1;1;1: mu(S) = 3.5 / 4 = theta S at theta = 0.21875.  Below it D > 0
-    # everywhere: NoRoot, or the S-boundary rule's root S where D(S) = 2**-53 is
-    # within its tolerance; at it D(S) = 0 at a point; above it a closed-form cell
+    # everywhere: NoRoot, also where D(S) = 2**-53 is tiny; at it D(S) = 0 at a
+    # point; above it a closed-form cell
     thetas = [0.1, 0.21875 - 2.0**-55, 0.21875, 0.25]
     columns = solver._CitationColumns(np.array([1.0, 1.0, 1.0]), np.array([0, 3]))
     m, code = solver._bundle_cells(columns, AVERAGING, PowerThreshold(1.0), thetas)
     entries = sample_bundle(from_citation_counts([1, 1, 1]), AVERAGING, PowerThreshold(1.0), thetas)
     assert [solver._STATUSES[c] for c in code[0]] == [e.status for e in entries]
     assert [float(v).hex() for v in m[0]] == [e.m.hex() for e in entries]
-    assert [e.status for e in entries] == [SolveStatus.NO_ROOT] + [SolveStatus.EXACT_SEGMENT] * 3
-    assert m[0, 1] == m[0, 2] == 4.0 != m[0, 3]
+    no_root, exact = SolveStatus.NO_ROOT, SolveStatus.EXACT_SEGMENT
+    assert [e.status for e in entries] == [no_root, no_root, exact, exact]
+    assert m[0, 2] == 4.0 != m[0, 3]
 
 
-def test_kernel_s_boundary_tolerance_scales_with_the_largest_d():
-    # g on 2**20;2**20;2**20: mu(S) = theta S at theta = 229376.  Just below it D > 0
-    # everywhere and D(S) = 4 (229376 - theta): 2**-31 is within 1e-12 of the largest
-    # |D| (D(0) = 2**20), so S is the root, while 2**-18 is not, and there is none
+def test_kernel_root_at_theta_min_and_none_below():
+    # g on 2**20;2**20;2**20: mu(S) = theta S at theta_min = 229376.  Below it D > 0
+    # everywhere, D(S) = 4 (229376 - theta) being 2**-18, 2**-31 or one ulp: no root
     counts = [2.0**20] * 3
-    thetas = [229376.0 - 2.0**-20, 229376.0 - 2.0**-33]
+    family = PowerThreshold(1.0)
+    theta_min = admissible_range(from_citation_counts(counts), AVERAGING, family).theta_min
+    assert theta_min == 229376.0
+    thetas = [229376.0 - 2.0**-20, 229376.0 - 2.0**-33, math.nextafter(229376.0, 0.0), 229376.0]
     columns = solver._CitationColumns(np.array(counts), np.array([0, 3]))
-    m, code = solver._bundle_cells(columns, AVERAGING, PowerThreshold(1.0), thetas)
-    entries = sample_bundle(from_citation_counts(counts), AVERAGING, PowerThreshold(1.0), thetas)
-    assert [e.status for e in entries] == [SolveStatus.NO_ROOT, SolveStatus.EXACT_SEGMENT]
+    m, code = solver._bundle_cells(columns, AVERAGING, family, thetas)
+    entries = sample_bundle(from_citation_counts(counts), AVERAGING, family, thetas)
+    assert [e.status for e in entries] == [SolveStatus.NO_ROOT] * 3 + [SolveStatus.EXACT_SEGMENT]
     assert [solver._STATUSES[c] for c in code[0]] == [e.status for e in entries]
-    assert m[0, 1] == entries[1].m == 4.0
+    assert m[0, 3] == entries[3].m == 4.0
+
+
+ORACLE_STATUS = {
+    SolveStatus.EXACT_SEGMENT: "root",
+    SolveStatus.BISECTION: "root",
+    SolveStatus.NO_ROOT: "NoRoot",
+    SolveStatus.NON_UNIQUE: "NonUnique",
+}
+
+
+def _near_thetas(f, kind, p):
+    """psi_f at the points of f (ties in floats at integer records), the floats
+    either side, and decimals whose products with the abscissas round onto counts."""
+    values = apply(kind, f).breakpoint_values[1:]
+    psis = (values / f.xs[1:] ** p)[values > 0.0].tolist()
+    near = [math.nextafter(t, d) for t in psis for d in (0.0, math.inf)]
+    return st.sampled_from(psis + near + [0.1, 0.2, 0.3, 0.7, 1.1])
+
+
+@given(
+    st.lists(st.integers(0, 40), min_size=1, max_size=25).filter(any),
+    st.data(),
+)
+@settings(max_examples=150, deadline=None)
+def test_statuses_are_those_of_the_exact_oracle(counts, data):
+    counts = sorted(counts, reverse=True)
+    f = from_citation_counts(counts)
+    columns = _citation_columns([counts])
+    for kind, p in [(IDENTITY, 1), (IDENTITY, 2), (INTEGRAL, 1), (INTEGRAL, 2)]:
+        near = _near_thetas(f, kind, p)
+        thetas = sorted(data.draw(st.lists(st.one_of(near, kernel_thetas), min_size=1, max_size=6)))
+        family = PowerThreshold(float(p), 0.0)
+        entries = sample_bundle(f, kind, family, thetas)
+        want = [exact_status(counts, kind.value, p, theta) for theta in thetas]
+        assert [ORACLE_STATUS[e.status] for e in entries] == want, (kind, p, thetas)
+        if kind is IDENTITY:
+            _, code = solver._bundle_cells(columns, kind, family, thetas)
+            for c, status in zip(code[0].tolist(), want):
+                assert c == solver._DECLINED or ORACLE_STATUS[solver._STATUSES[c]] == status
+
+
+def test_h_at_a_point_where_the_product_rounds_onto_the_count():
+    # fl(0.1 * 10) = 1 = f(10), but 0.1 * 10 > 1 exactly: D(10) < 0, so on the window
+    # [10, 13] D < 0 throughout and there is no root; the whole support has one, below 10
+    f = from_citation_counts([1] * 12)
+    family = PowerThreshold(1.0, 0.0)
+    assert exact_status([1] * 12, "identity", 1, 0.1, (10, 13)) == "NoRoot"
+    with pytest.raises(NoRootError):
+        solve_bundle_point(f, IDENTITY, family, 0.1, x_window=(10.0, 13.0))
+    assert exact_status([1] * 12, "identity", 1, 0.1) == "root"
+    (entry,) = sample_bundle(f, IDENTITY, family, [0.1])
+    assert entry.status is SolveStatus.EXACT_SEGMENT and 9.0 < entry.m <= 10.0
+
+
+# Every shape of the CLI's 11-index config (g is a1 on records that start at 0),
+# and the powers at a shift inside the support
+ROUND_TRIP_SHAPES = [
+    (kind, PowerThreshold(p, 0.0)) for kind in OperatorKind for p in (0.5, 1.0, 2.0)
+] + [(IDENTITY, DecreasingLinearThreshold(1000.0))]
+round_trip_records = st.one_of(
+    st.lists(st.integers(0, 50), min_size=1, max_size=30),  # ties and zeros
+    st.integers(1, 10**6).map(lambda c: [c]),
+    st.tuples(st.integers(1, 1000), st.integers(1, 60)).map(lambda cn: [cn[0]] * cn[1]),
+    st.lists(st.integers(10**12, 10**15), min_size=1, max_size=8),
+    st.lists(st.floats(1e290, 1e300), min_size=1, max_size=4),
+).filter(any).map(lambda record: sorted(record, reverse=True))
+
+
+def _status(tf, family, theta):
+    try:
+        solve_transformed(tf, family, theta)
+    except NoRootError:
+        return SolveStatus.NO_ROOT
+    except NonUniqueError:
+        return SolveStatus.NON_UNIQUE
+    return SolveStatus.EXACT_SEGMENT
+
+
+@given(round_trip_records, st.sampled_from([0.25, 0.5, 0.875]))
+@settings(max_examples=150, deadline=None)
+def test_range_bounds_round_trip_through_the_solver_and_the_kernel(counts, at):
+    """At each finite bound of admissible_range, theta has a root or is
+    NonUnique, and the next float outside has none: on the scalar path, and
+    in the kernel for its pairs."""
+    f = from_citation_counts(counts)
+    shift = at * f.support_end
+    shapes = ROUND_TRIP_SHAPES + [
+        (kind, PowerThreshold(p, shift)) for kind in OperatorKind for p in (0.5, 1.0, 2.0)
+    ]
+    columns = _citation_columns([counts])
+    for kind, family in shapes:
+        try:
+            rng = admissible_range(f, kind, family)
+        except BundleError:
+            continue
+        tf = apply(kind, f)
+        for bound, outward in ((rng.theta_min, 0.0), (rng.theta_max, math.inf)):
+            if bound is None or not 0.0 < math.nextafter(bound, outward) < math.inf:
+                continue
+            outside = math.nextafter(bound, outward)
+            where = (kind, family, bound)
+            assert _status(tf, family, bound) is not SolveStatus.NO_ROOT, where
+            assert _status(tf, family, outside) is SolveStatus.NO_ROOT, where
+            if solver._closed_form_pair(kind, family):
+                _, code = solver._bundle_cells(columns, kind, family, sorted([bound, outside]))
+                inside_code, outside_code = code[0] if outward else code[0][::-1]
+                assert inside_code in (solver._EXACT, solver._NON_UNIQUE, solver._DECLINED), where
+                assert outside_code in (solver._NO_ROOT, solver._DECLINED), where

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hirschbundles import thresholds
 from hirschbundles.errors import (
     DomainError,
     NonPositiveThetaError,
@@ -140,6 +141,18 @@ class TestOnePower:
             warnings.simplefilter("error")  # silent, overflow included
             vector = _powers(np.array(gaps, dtype=float), p).tolist()
         assert [v.hex() for v in vector] == [_power(g, p).hex() for g in gaps]
+
+    def test_each_distinct_gap_is_powered_once(self, monkeypatch):
+        # the ends of a corpus repeat; a table's gaps rise and are powered as they are
+        calls = []
+        power = thresholds._power
+        monkeypatch.setattr(thresholds, "_power", lambda gap, p: calls.append(gap) or power(gap, p))
+        ends = np.array([7.0, 3.0, 7.0, 0.0, -1.0, 3.0, 12.0])
+        assert _powers(ends, 1.5).tolist() == [power(g, 1.5) for g in ends.tolist()]
+        assert sorted(calls) == [0.0, 3.0, 7.0, 12.0]
+        calls.clear()
+        _powers(np.array([0.5, 1.0, 4.0]), 3.0)
+        assert calls == [0.5, 1.0, 4.0]
 
     @pytest.mark.parametrize(
         "family, x",

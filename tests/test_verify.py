@@ -505,8 +505,10 @@ class TestSuite:
 
 
 class TestSolveTrace:
-    # sha256 of every solve's (theta, m or error, status), one line each, in call order
-    GOLDEN = "d0400d356fec2210a4a3b5b03ddfe2fa24a976c89320b68b20eccd5603b27014"
+    # sha256 of every solve's (theta, m or error, status), one line each, in call order.
+    # Solves 870, 871, 894 and 895 (the reversal audit against declin(20)) take their
+    # theta from admissible_range, whose bounds are rounded inward: theta moves one ulp.
+    GOLDEN = "b18ca09ac4066397ef14e8b14a97c7b10dac9f28adb4ed8b10db47448b07ca57"
 
     def test_suite_solves_are_pinned(self, monkeypatch):
         # the report reads the same for most seeds when nothing fails, so it
@@ -564,7 +566,7 @@ class TestReportShape:
 class TestReportPin:
     # sha256 of the report's json.dumps: the reversal row fails, so the
     # counterexamples' fields and texts are pinned along with every count
-    GOLDEN = "1cee4c20e56dc45f930b218a383d41b0b3958b0c3604822436da9a98cbec4ae3"
+    GOLDEN = "bb7a63cb2e76754eac71be87f6589c1502067650710bc82f4dcada6cae7199b0"
 
     def test_suite_report_is_pinned(self):
         cfg = SuiteConfig(master_seed=1, trials=3, include_reversal_in_impact=True)
