@@ -179,7 +179,10 @@ def _solve(setup: _SetUp, theta: float) -> tuple[float, SolveStatus]:
     for first, last, rising in runs:
         # the first point past the run's one sign change, D >= 0 (rising) or D <= 0,
         # by the probes of np.searchsorted over the run's values of D or -D
-        j = bisect_left(range(last + 1), 0.0, first, key=d if rising else lambda i: -d(i))
+        sign = 1.0 if rising else -1.0
+        j = bisect_left(
+            range(last + 1), 0.0, first, key=lambda i: sign * _d_values(tvals[i], theta, base[i])
+        )
         if j <= last and d(j) == 0.0:
             if j < last and d(j + 1) == 0.0:
                 # psi_f is theta on [xs[j], xs[j + 1]]
@@ -341,9 +344,10 @@ def _roots(c2: float, c1: float, c0: float) -> list[float]:
     disc = c1 * c1 - 4.0 * c2 * c0
     if disc < 0.0:
         return []
-    # q is 0 only where c1 = 0 and disc underflows: then the roots are 0 and an infinity
+    # q is 0 only where c1 = 0 and 4 c2 c0 underflows, which loses the roots
+    # +-sqrt(-c0 / c2): t = 0 stands for them, as in _cell_roots
     q = -(c1 + math.copysign(math.sqrt(disc), c1)) / 2.0
-    return [q / c2, c0 / q]
+    return [0.0] if q == 0.0 else [q / c2, c0 / q]
 
 
 def sample_bundle(

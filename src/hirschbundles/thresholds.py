@@ -163,7 +163,7 @@ def _power(gap: float, p: float) -> float:
 def _powers(gaps: np.ndarray, p: float) -> np.ndarray:
     """:func:`_power` of every gap, bitwise: the same correctly rounded forms
     for p = 1, 2 and 1/2, and ``_power`` itself otherwise, once per distinct
-    gap (a solve table's gaps rise, while the ends of a corpus repeat)."""
+    gap (the ends of a corpus repeat)."""
     gaps = np.where(gaps > 0.0, gaps, 0.0)
     if p == 1.0:
         return gaps
@@ -172,10 +172,8 @@ def _powers(gaps: np.ndarray, p: float) -> np.ndarray:
             return gaps * gaps
     if p == 0.5:
         return np.sqrt(gaps)
-    if not (gaps[1:] > gaps[:-1]).all():
-        distinct, at = np.unique(gaps, return_inverse=True)
-        return _powers(distinct, p)[at.reshape(gaps.shape)]
-    return np.array([_power(gap, p) for gap in gaps.tolist()])
+    distinct, at = np.unique(gaps, return_inverse=True)
+    return np.array([_power(gap, p) for gap in distinct.tolist()])[at.reshape(gaps.shape)]
 
 
 # D = tvals - theta * base at the points of a solve table: every sign of D that
@@ -184,26 +182,32 @@ def _d_values(tvals, theta, base):
     """D at table points, with its sign exact over the floats given: Python
     floats, or numpy arrays of one shape, with theta > 0 and base >= 0.
 
-    The float difference where it is more than 2**-50 of theta * base away
-    from 0, past what rounding the product can move it; where theta * base
-    overflows, the float difference too (-inf, or NaN).  At a near-tie, D
-    correctly rounded, from Dekker's two-product of theta and base scaled to
-    [1/2, 1) by powers of 2, and the least subnormal of its sign where it underflows.
+    The float difference d = tvals - fl(theta * base) where it is not 0: a
+    tvals other than the rounded product lies at least half the product's
+    ulp from it, and so at least as far as the rounding error (and, were it
+    just as far, theta * base would be the float tvals, which rounds to
+    itself), so d has D's sign.  Where the product overflows, d is -inf or
+    NaN.  At a tie, d = 0, D is minus the rounding error: 0 on arrays where
+    both factors fit float32's 24 bits, and otherwise from Dekker's
+    two-product of theta and base scaled to [1/2, 1) by powers of 2,
+    correctly rounded, and the least subnormal of its sign where it
+    underflows.  On arrays, callers ignore overflow, as a product or a
+    float32 cast past its range may overflow.
     """
-    product = theta * base
-    d = tvals - product
-    # |d| <= 2**-50 theta * base; never where the product is inf (inf - inf is NaN) or D NaN
-    near = 2.0**-50 * product - abs(d) >= 0.0
+    d = tvals - theta * base
     if isinstance(d, float):
-        return _exact_d(tvals, theta, base) if near else d
-    lanes = np.flatnonzero(near)
-    if len(lanes):
-        d[lanes] = _exact_d(tvals[lanes], theta[lanes], base[lanes])
+        return _exact_d(tvals, theta, base) if d == 0.0 else d
+    ties = np.flatnonzero(d == 0.0)
+    if len(ties):  # D = 0 where both factors have float32's 24 bits or fewer: the product is exact
+        th, b = theta[ties], base[ties]
+        ties = ties[(th != th.astype(np.float32)) | (b != b.astype(np.float32))]
+        if len(ties):
+            d[ties] = _exact_d(tvals[ties], theta[ties], base[ties])
     return d
 
 
 def _exact_d(tvals, theta, base):
-    """:func:`_d_values` at near-ties, where tvals is within a factor 2 of theta * base."""
+    """:func:`_d_values` at ties, where tvals = fl(theta * base)."""
     lib = math if isinstance(theta, float) else np
     (m1, e1), (m2, e2) = lib.frexp(theta), lib.frexp(base)
     scale, product = e1 + e2, m1 * m2
@@ -212,7 +216,8 @@ def _exact_d(tvals, theta, base):
     h1, h2 = s1 - (s1 - m1), s2 - (s2 - m2)
     l1, l2 = m1 - h1, m2 - h2
     error = ((h1 * h2 - product) + h1 * l2 + l1 * h2) + l1 * l2
-    # Sterbenz: the scaled tvals less the product is exact, so one rounding remains
+    # Sterbenz: the scaled tvals less the product is exact (tvals is within a factor
+    # 2 of theta * base, or 0, where that underflows), so one rounding remains
     scaled = (lib.ldexp(tvals, -scale) - product) - error
     d = lib.ldexp(scaled, scale)
     return d + (d == 0.0) * (scaled != 0.0) * lib.copysign(5e-324, scaled)
@@ -227,7 +232,9 @@ def _inward(tvals, base, sign: float):
     moved = sign * _d_values(tvals, bound, base) > 0.0
     if isinstance(bound, float):
         return math.nextafter(bound, sign * math.inf) if moved and math.isfinite(bound) else bound
-    return np.where(moved & np.isfinite(bound), np.nextafter(bound, sign * math.inf), bound)
+    moved &= np.isfinite(bound)
+    bound[moved] = np.nextafter(bound[moved], sign * math.inf)
+    return bound
 
 
 def _check_theta(theta: float) -> None:

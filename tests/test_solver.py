@@ -568,8 +568,7 @@ def test_decreasing_pair_table_holds_the_values_at_its_points(
 
 
 # (tvals, base) points whose D at theta is out of order, and near-ties: tvals is
-# theta * base rounded, or a float next to it, where the float D may be 0 or of
-# the wrong sign
+# theta * base rounded, or a float next to it, where the float D may be 0 and D not
 def _near_ties(theta):
     product = st.floats(1e-3, 1e3).map(lambda b: (theta * b, b))
     return st.lists(
@@ -904,6 +903,12 @@ def test_kernel_cells_of_each_rule():
     no_root, exact = SolveStatus.NO_ROOT, SolveStatus.EXACT_SEGMENT
     assert [e.status for e in entries] == [no_root, no_root, exact, exact]
     assert m[0, 2] == 4.0 != m[0, 3]
+
+
+def test_closed_form_roots_where_the_discriminant_underflows():
+    # c1 = 0 and 4 c2 c0 underflows, so the stable split's q is 0: t = 0 stands
+    # for the lost roots, as in the kernel, and nothing divides by q
+    assert solver._roots(1e-310, 0.0, -1e-20) == [0.0]
 
 
 def test_kernel_root_at_theta_min_and_none_below():

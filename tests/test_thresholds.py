@@ -1,9 +1,10 @@
 import math
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hirschbundles import thresholds
@@ -21,6 +22,7 @@ from hirschbundles.solver import solve_bundle_point
 from hirschbundles.thresholds import (
     DecreasingLinearThreshold,
     PowerThreshold,
+    _d_values,
     _power,
     _powers,
     admissible_range,
@@ -143,7 +145,7 @@ class TestOnePower:
         assert [v.hex() for v in vector] == [_power(g, p).hex() for g in gaps]
 
     def test_each_distinct_gap_is_powered_once(self, monkeypatch):
-        # the ends of a corpus repeat; a table's gaps rise and are powered as they are
+        # the ends of a corpus repeat; distinct gaps are powered once each, in order
         calls = []
         power = thresholds._power
         monkeypatch.setattr(thresholds, "_power", lambda gap, p: calls.append(gap) or power(gap, p))
@@ -168,6 +170,47 @@ class TestOnePower:
         assert PowerThreshold(0.5).value(2921.0, 1.0) == math.sqrt(2921.0)
         gap = 4437.0 - 1.0 / 3.0
         assert PowerThreshold(2.0, 1.0 / 3.0).value(4437.0, 1.0) == gap * gap
+
+
+# theta, base and tvals: the rounded product, a float beside it, or any value
+_PRODUCTS = st.tuples(
+    st.floats(1e-300, 1e300), st.floats(0.0, 1e300), st.sampled_from([0, 1, -1, None])
+).filter(lambda c: c[0] * c[1] < math.inf)
+
+
+def _tvals(theta, base, step):
+    product = theta * base
+    if step is None:
+        return product * 0.75
+    return math.nextafter(product, step * math.inf) if step else product
+
+
+class TestSignOfD:
+    """``_d_values`` has the sign of tvals - theta * base in exact arithmetic,
+    and at a tie in floats its value correctly rounded, on floats and arrays alike."""
+
+    @given(st.lists(_PRODUCTS, min_size=1, max_size=8))
+    @settings(max_examples=400, deadline=None)
+    # ties: exact of 24-bit factors, rounded, underflowing, and past float32's range
+    @example([(0.75, 12.0, 0), (0.3, 10.0, 0), (2.0**-600, 2.0**-600, 0), (1e300, 1e-300, 0)])
+    def test_sign_is_exact_and_a_tie_is_correctly_rounded(self, cases):
+        tvals = [_tvals(*case) for case in cases]
+        thetas, bases = [c[0] for c in cases], [c[1] for c in cases]
+        scalar = [_d_values(t, th, b) for t, th, b in zip(tvals, thetas, bases)]
+        with np.errstate(over="ignore"):  # a float32 cast of a factor past its range
+            lanes = _d_values(np.array(tvals), np.array(thetas), np.array(bases))
+        assert [v.hex() for v in scalar] == [float(v).hex() for v in lanes]
+        for t, th, b, d in zip(tvals, thetas, bases, scalar):
+            exact = Fraction(t) - Fraction(th) * Fraction(b)
+            assert (d > 0, d < 0) == (exact > 0, exact < 0), (t, th, b)
+            if t == th * b and abs(exact) >= 2.0**-1022:
+                assert d == float(exact), (t, th, b)
+
+    def test_ties_in_floats(self):
+        # fl(0.3 * 10) = 3 but 0.3 * 10 < 3; 0.75 * 12 = 9 exactly; 2**-600 squared underflows
+        assert _d_values(3.0, 0.3, 10.0) == float(3 - Fraction(0.3) * 10) > 0.0
+        assert _d_values(9.0, 0.75, 12.0) == 0.0
+        assert _d_values(0.0, 2.0**-600, 2.0**-600) == -5e-324
 
 
 class TestThetaInverse:
